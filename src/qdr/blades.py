@@ -73,28 +73,6 @@ def wedge_masks(a: int, b: int):
     return (-1) ** inversions, a | b
 
 
-def sort_indices_sign(indices):
-    """Sign of the permutation sorting indices ascending; 0 on repeats."""
-    idx = list(indices)
-    sign = 1
-    for u in range(len(idx)):
-        for v in range(u + 1, len(idx)):
-            if idx[u] == idx[v]:
-                return 0, ()
-            if idx[u] > idx[v]:
-                idx[u], idx[v] = idx[v], idx[u]
-                sign = -sign
-    return sign, tuple(idx)
-
-
-def complement_mask(mask: int, dim: int) -> int:
-    return ((1 << dim) - 1) & ~mask
-
-
-def all_masks(dim: int):
-    return range(1 << dim)
-
-
 def masks_of_degree(dim: int, k: int):
     return [m for m in range(1 << dim) if m.bit_count() == k]
 

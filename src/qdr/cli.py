@@ -185,10 +185,16 @@ def tokenize(text: str):
     return out
 
 
+# deepest nesting of parentheses and unary minus an expression may use;
+# the parser recurses once per level and must stay inside Python's stack
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, space, text):
         self.toks, self.space, self.text = tokens, space, text
         self.pos = 0
+        self.depth = 0
 
     def _peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -234,11 +240,19 @@ class _Parser:
         return value
 
     def _factor(self):
-        tok = self._peek()
-        if tok and tok[1] == "-":
-            self._take()
-            return -self._factor()
-        return self._atom()
+        if self.depth >= MAX_NESTING:
+            raise ScenarioError(
+                f"expression nests parentheses or unary minus deeper than "
+                f"{MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            tok = self._peek()
+            if tok and tok[1] == "-":
+                self._take()
+                return -self._factor()
+            return self._atom()
+        finally:
+            self.depth -= 1
 
     def _int(self):
         tok = self._take()
@@ -256,6 +270,10 @@ class _Parser:
         if kind == "num":
             if "/" in val:
                 p, q = val.split("/")
+                if not int(q):
+                    raise ScenarioError(
+                        f"zero denominator at column {col + 1} in "
+                        f"{self.text!r}")
                 return self.space.scalar(Fraction(int(p), int(q)))
             return self.space.scalar(Fraction(int(val)))
         if kind == "name":

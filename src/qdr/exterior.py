@@ -7,9 +7,20 @@ insertion operator exactly:
               (a -| e_{i1} -| ... ) ^ ( ... |- e_{j1} |- b)
 
 where -| fills the last argument slot of a and |- fills the first slot
-of b, innermost insertion first on both sides. The sum terminates because
-each step lowers both degrees. Everything is exact: coefficients are
-polynomials (optionally Laurent) in h over the rationals.
+of b, innermost insertion first on both sides. The pair insertions
+commute, so the n! orderings of one set of pairs give equal terms and
+the 1/n! cancels: removing the indices I = {i1 < ... < in} from a and
+J = {j1 < ... < jn} from b contributes the signed minor
+
+    sA * sB * det w[I, J]
+
+where sA is the sign of removing i1, ..., in in that order from the
+last slot of a and sB that of removing j1, ..., jn in that order from
+the first slot of b. The contraction kernel removes the indices of a in
+increasing order, so it reaches each term of that determinant once and
+never carries a factorial. The sum terminates because each step lowers
+both degrees. Everything is exact: coefficients are polynomials
+(optionally Laurent) in h over the rationals.
 """
 
 from __future__ import annotations
@@ -41,26 +52,26 @@ class PairTensor:
                 c = as_fraction(c)
             if c:
                 self.entries[(i, j)] = c
-        self._ordered = None
+        # entries are fixed from here on, so whatever depends on them
+        # alone is worked out once
+        self._ordered = [(i, j, c)
+                         for (i, j), c in sorted(self.entries.items())]
+        self._constant = all(isinstance(c, (Fraction, int, GaussRat))
+                             for c in self.entries.values())
+        # per row i, the (bit of j, w^{ij}, -w^{ij}) of its nonzero entries
+        self._rows = [[] for _ in range(dim + 1)]
+        for i, j, c in self._ordered:
+            self._rows[i].append((1 << (j - 1), c, -c))
         self._cache = {}
 
     def entry(self, i: int, j: int):
         return self.entries.get((i, j), Fraction(0))
 
     def ordered_entries(self):
-        if self._ordered is None:
-            self._ordered = sorted(self.entries.items())
-            self._ordered = [(i, j, c) for (i, j), c in self._ordered]
         return self._ordered
 
     def is_constant(self) -> bool:
-        return all(isinstance(c, (Fraction, int, GaussRat)) for _, _, c in
-                   self.ordered_entries())
-
-    def cacheable(self) -> bool:
-        # function-valued entries change under composition; only constant
-        # pairings get the blade-pair memo table
-        return self.is_constant()
+        return self._constant
 
     def __eq__(self, other):
         return (isinstance(other, PairTensor) and self.dim == other.dim
@@ -124,44 +135,76 @@ class Bivector(PairTensor):
         return Bivector(self.dim, out)
 
 
+def _contract(amask: int, bmask: int, pairing: PairTensor):
+    """Every contraction state of one blade pair, before the final wedge.
+
+    Returns a list of (level n, a', b', coefficient): a' and b' are what
+    is left of a and b after n pair insertions, and the coefficient is
+    sA * sB * det w[I, J] for the removed index sets I and J (see the
+    module docstring), with neither the 1/n! nor the h^n factor. States
+    whose coefficient vanishes are dropped, so only nonzero terms are
+    ever extended. Each step removes from a' an index above every index
+    removed so far; the removed set is amask ^ a', so the next index to
+    try lies above its highest bit.
+    """
+    rows = pairing._rows
+    one = Fraction(1)
+    out = [(0, amask, bmask, one)]
+    level = {(amask, bmask): one}
+    n = 0
+    while level:
+        n += 1
+        nxt = {}
+        for (a, b), c in level.items():
+            if not b:
+                continue
+            low = (amask ^ a).bit_length()
+            rest = a >> low << low
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                i = bit.bit_length()
+                row = rows[i]
+                if not row:
+                    continue
+                a2 = a ^ bit
+                # last-slot sign: the bits of a above i
+                pa = (a >> i).bit_count()
+                for jbit, wij, neg in row:
+                    if not b & jbit:
+                        continue
+                    # first-slot sign: the bits of b below j
+                    odd = (pa + (b & (jbit - 1)).bit_count()) & 1
+                    add = c * (neg if odd else wij)
+                    key = (a2, b ^ jbit)
+                    prev = nxt.get(key)
+                    nxt[key] = add if prev is None else prev + add
+        level = {k: v for k, v in nxt.items() if v}
+        out.extend((n, a, b, c) for (a, b), c in level.items())
+    return out
+
+
 def expand_blade_pair(amask: int, bmask: int, pairing: PairTensor):
     """All contraction levels of one blade pair.
 
-    Returns a tuple of (level n, result mask, coefficient) where the
-    coefficient already carries the 1/n! weight but not the h^n factor.
+    Returns a tuple of (level n, result mask, coefficient). The
+    coefficient is the signed minor sA * sB * det w[I, J] of the module
+    docstring times the sign of the final wedge; it carries neither the
+    h^n factor nor any 1/n! weight, which cancels against the n!
+    orderings of each set of pair insertions. Results for constant
+    pairings are memoised on the pairing; function-valued entries change
+    under composition, so those are recomputed.
     """
-    use_cache = pairing.cacheable()
+    use_cache = pairing.is_constant()
     if use_cache:
         hit = pairing._cache.get((amask, bmask))
         if hit is not None:
             return hit
-    entries = pairing.ordered_entries()
-    state = {(amask, bmask): Fraction(1)}
     out = []
-    n = 0
-    factinv = Fraction(1)
-    while state:
-        for (a, b), c in state.items():
-            s, m = wedge_masks(a, b)
-            if s:
-                out.append((n, m, c * (s * factinv)))
-        nxt = {}
-        for (a, b), c in state.items():
-            if not a or not b:
-                continue
-            for i, j, wij in entries:
-                sa, a2 = insert_last_mask(a, i)
-                if not sa:
-                    continue
-                sb, b2 = insert_first_mask(j, b)
-                if not sb:
-                    continue
-                add = (sa * sb) * c * wij
-                prev = nxt.get((a2, b2))
-                nxt[(a2, b2)] = add if prev is None else prev + add
-        state = {k: v for k, v in nxt.items() if v}
-        n += 1
-        factinv = factinv / n
+    for n, a, b, c in _contract(amask, bmask, pairing):
+        s, m = wedge_masks(a, b)
+        if s:
+            out.append((n, m, c if s > 0 else -c))
     result = tuple(out)
     if use_cache:
         pairing._cache[(amask, bmask)] = result
@@ -435,24 +478,42 @@ def wedge(a: QForm, b: QForm) -> QForm:
     return a.wedge(b)
 
 
+def _add_term(terms: dict, key, value):
+    """terms[key] += value, dropping the key when the sum vanishes."""
+    prev = terms.get(key)
+    if prev is not None:
+        value = prev + value
+        if not value:
+            del terms[key]
+            return
+    terms[key] = value
+
+
 def quantum_wedge(a: QForm, b: QForm, w: PairTensor) -> QForm:
     """The deformed wedge product a *_h b for a constant pairing w."""
     if a.dim != b.dim or a.dim != w.dim:
         raise ValueError("dimension mismatch")
-    out = {}
-    laurent = a.laurent or b.laurent
+    # per result mask: {h exponent: coefficient}, and whether a Laurent
+    # term has contributed since the sum was last zero
+    acc, flags = {}, {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             base = ca * cb
+            pairs = base.terms.items()
             for n, m, q in expand_blade_pair(ma, mb, w):
-                add = (base * q).shift(n)
-                prev = out.get(m)
-                add = add if prev is None else prev + add
-                if add:
-                    out[m] = add
-                else:
-                    out.pop(m, None)
-    return QForm(a.dim, out, laurent=laurent)
+                t = acc.get(m)
+                if t is None:
+                    t = acc[m] = {}
+                    flags[m] = base.laurent
+                elif base.laurent:
+                    flags[m] = True
+                for e, c in pairs:
+                    _add_term(t, e + n, c * q)
+                if not t:
+                    del acc[m], flags[m]
+    return QForm(a.dim, {m: HPoly(t, laurent=flags[m])
+                         for m, t in acc.items()},
+                 laurent=a.laurent or b.laurent)
 
 
 def quantum_power(a: QForm, k: int, w: PairTensor) -> QForm:
@@ -573,46 +634,22 @@ def quantum_wedge_multi(a: QForm, b: QForm, ws) -> MultiForm:
     out = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
-            state = {(ma, mb): HPolyMulti(r, ca.constant() * cb.constant())}
-            for p, w in enumerate(ws, start=1):
-                entries = w.ordered_entries()
-                acc = {}
-                level = state
-                n = 0
-                fact = Fraction(1)
-                while level:
-                    weight = HPolyMulti.h(r, p, n, Fraction(1) / fact)
-                    for key, c in level.items():
-                        add = c * weight
-                        prev = acc.get(key)
-                        acc[key] = add if prev is None else prev + add
-                    nxt = {}
-                    for (am, bm), c in level.items():
-                        if not am or not bm:
-                            continue
-                        for i, j, wij in entries:
-                            sa, a2 = insert_last_mask(am, i)
-                            if not sa:
-                                continue
-                            sb, b2 = insert_first_mask(j, bm)
-                            if not sb:
-                                continue
-                            add = c * (wij * sa * sb)
-                            prev = nxt.get((a2, b2))
-                            nxt[(a2, b2)] = add if prev is None else prev + add
-                    level = {k: v for k, v in nxt.items() if v}
-                    n += 1
-                    fact = fact * n
-                state = {k: v for k, v in acc.items() if v}
-            for (am, bm), c in state.items():
+            # {(a', b'): {exponent tuple: coefficient}}
+            state = {(ma, mb): {(0,) * r: ca.constant() * cb.constant()}}
+            for p, w in enumerate(ws):
+                nxt = {}
+                for (am, bm), poly in state.items():
+                    for n, a2, b2, q in _contract(am, bm, w):
+                        t = nxt.setdefault((a2, b2), {})
+                        for e, c in poly.items():
+                            e = e[:p] + (e[p] + n,) + e[p + 1:]
+                            _add_term(t, e, c * q)
+                state = {k: t for k, t in nxt.items() if t}
+            for (am, bm), poly in state.items():
                 s, m = wedge_masks(am, bm)
                 if not s:
                     continue
-                add = c * s
-                prev = out.get(m)
-                add = add if prev is None else prev + add
-                if add:
-                    out[m] = add
-                else:
-                    out.pop(m, None)
-    return MultiForm(a.dim, r, out)
+                t = out.setdefault(m, {})
+                for e, c in poly.items():
+                    _add_term(t, e, c if s > 0 else -c)
+    return MultiForm(a.dim, r, {m: HPolyMulti(r, t) for m, t in out.items()})

@@ -15,11 +15,6 @@ from fractions import Fraction
 from .scalars import HPoly, as_fraction
 
 
-def mat_identity(nrows: int, one=Fraction(1), zero=Fraction(0)):
-    return [[one if i == j else zero for j in range(nrows)]
-            for i in range(nrows)]
-
-
 def mat_mul(a, b):
     if not a or not b:
         return []
@@ -36,34 +31,10 @@ def mat_mul(a, b):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
 def transpose(a):
     if not a:
         return []
     return [list(col) for col in zip(*a)]
-
-
-def mat_eq(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if not (x == y):
-                return False
-    return True
 
 
 def rank_field(rows) -> int:

@@ -69,7 +69,7 @@ def test_expression_errors():
     ctx = build_context("flat", dim=2)
     for text in ("e[3]", "e[0]", "q[1]", "e[1] +", "e[1] e[2]",
                  "mode(1,0)", "(e[1]", "e[1] ^h ^h e[2]", "1/0"):
-        with pytest.raises((ScenarioError, ZeroDivisionError)):
+        with pytest.raises(ScenarioError):
             ctx.eval(text)
     tor = build_context("torus", n=1)
     with pytest.raises(ScenarioError):
@@ -333,6 +333,27 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["--check", "alwaysfail"]) == 1
     out = capsys.readouterr().out
     assert out.strip().endswith("FAIL  1 checks, 1 failed, 1 tasks")
+
+
+@pytest.mark.parametrize("expr", ["1/0", "(" * 900 + "e[1]" + ")" * 900,
+                                  "-" * 900 + "e[1]"])
+def test_main_rejects_bad_expression_in_one_line(tmp_path, capsys, expr):
+    path = scenario_file(tmp_path, {
+        "model": "flat", "n": 1,
+        "tasks": [{"op": "product", "expr": expr}]})
+    assert main(["--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qdr: ")
+
+
+def test_nesting_below_the_cap_evaluates():
+    ctx = build_context("flat", n=1)
+    depth = cli.MAX_NESTING - 1
+    assert str(ctx.eval("(" * depth + "e[1]" + ")" * depth)) == "e1"
+    with pytest.raises(ScenarioError):
+        ctx.eval("(" * (depth + 1) + "e[1]" + ")" * (depth + 1))
 
 
 def test_main_machine_format(tmp_path, capsys):

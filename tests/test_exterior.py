@@ -1,15 +1,29 @@
-"""Deformed wedge product: frozen values first, then ring properties."""
+"""Deformed wedge product: frozen values first, then ring properties,
+then the contraction kernel against slow reference paths."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
 
-from qdr.blades import Blade
+from qdr import fields
+from qdr.bigraded import holomorphic_frame, standard_frame
+from qdr.blades import (
+    Blade,
+    indices_of_mask,
+    insert_first_mask,
+    insert_last_mask,
+    mask_of_indices,
+    wedge_masks,
+)
 from qdr.exterior import (
     Bivector,
+    MultiForm,
     PairTensor,
     QForm,
+    _contract,
+    expand_blade_pair,
     insert_first,
     insert_last,
     quantum_exp,
@@ -19,8 +33,15 @@ from qdr.exterior import (
     total_degree,
     wedge,
 )
-from qdr.rand import random_bivector, random_pairing, random_qform
-from qdr.scalars import HPoly
+from qdr.fixtures import heisenberg, lie_poisson_so3, torus
+from qdr.rand import (
+    random_bivector,
+    random_fieldform,
+    random_pairing,
+    random_qform,
+)
+from qdr.scalars import HPoly, HPolyMulti
+from qdr.symplectic import SymplecticForm
 
 E1 = QForm.one_form(2, 1)
 E2 = QForm.one_form(2, 2)
@@ -196,3 +217,288 @@ def test_blade_type():
         Blade(2, (1, 3))
     with pytest.raises(ValueError):
         Blade(3, (2, 2))
+
+
+# ------------------------------------------------- contraction kernel
+#
+# The references below are the breadth-first kernel, the HPoly
+# accumulation and the per-parameter level loop the sparse kernel
+# replaced, kept as they were apart from the memo table: the reference
+# kernel must not share the pairing's memo with the kernel under test.
+
+
+def reference_expand_blade_pair(amask, bmask, pairing):
+    entries = pairing.ordered_entries()
+    state = {(amask, bmask): Fraction(1)}
+    out = []
+    n = 0
+    factinv = Fraction(1)
+    while state:
+        for (a, b), c in state.items():
+            s, m = wedge_masks(a, b)
+            if s:
+                out.append((n, m, c * (s * factinv)))
+        nxt = {}
+        for (a, b), c in state.items():
+            if not a or not b:
+                continue
+            for i, j, wij in entries:
+                sa, a2 = insert_last_mask(a, i)
+                if not sa:
+                    continue
+                sb, b2 = insert_first_mask(j, b)
+                if not sb:
+                    continue
+                add = (sa * sb) * c * wij
+                prev = nxt.get((a2, b2))
+                nxt[(a2, b2)] = add if prev is None else prev + add
+        state = {k: v for k, v in nxt.items() if v}
+        n += 1
+        factinv = factinv / n
+    return tuple(out)
+
+
+def reference_quantum_wedge(a, b, w):
+    out = {}
+    laurent = a.laurent or b.laurent
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            base = ca * cb
+            for n, m, q in reference_expand_blade_pair(ma, mb, w):
+                add = (base * q).shift(n)
+                prev = out.get(m)
+                add = add if prev is None else prev + add
+                if add:
+                    out[m] = add
+                else:
+                    out.pop(m, None)
+    return QForm(a.dim, out, laurent=laurent)
+
+
+def reference_quantum_wedge_multi(a, b, ws):
+    ws = list(ws)
+    r = len(ws)
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            state = {(ma, mb): HPolyMulti(r, ca.constant() * cb.constant())}
+            for p, w in enumerate(ws, start=1):
+                entries = w.ordered_entries()
+                acc = {}
+                level = state
+                n = 0
+                fact = Fraction(1)
+                while level:
+                    weight = HPolyMulti.h(r, p, n, Fraction(1) / fact)
+                    for key, c in level.items():
+                        add = c * weight
+                        prev = acc.get(key)
+                        acc[key] = add if prev is None else prev + add
+                    nxt = {}
+                    for (am, bm), c in level.items():
+                        if not am or not bm:
+                            continue
+                        for i, j, wij in entries:
+                            sa, a2 = insert_last_mask(am, i)
+                            if not sa:
+                                continue
+                            sb, b2 = insert_first_mask(j, bm)
+                            if not sb:
+                                continue
+                            add = c * (wij * sa * sb)
+                            prev = nxt.get((a2, b2))
+                            nxt[(a2, b2)] = add if prev is None else prev + add
+                    level = {k: v for k, v in nxt.items() if v}
+                    n += 1
+                    fact = fact * n
+                state = {k: v for k, v in acc.items() if v}
+            for (am, bm), c in state.items():
+                s, m = wedge_masks(am, bm)
+                if not s:
+                    continue
+                add = c * s
+                prev = out.get(m)
+                add = add if prev is None else prev + add
+                if add:
+                    out[m] = add
+                else:
+                    out.pop(m, None)
+    return MultiForm(a.dim, r, out)
+
+
+def summed(expansion):
+    """(level, mask) -> (coefficient, its type), zero sums dropped."""
+    acc = {}
+    for n, m, c in expansion:
+        acc[(n, m)] = c if (n, m) not in acc else acc[(n, m)] + c
+    return {k: (c, type(c)) for k, c in acc.items() if c}
+
+
+def flags(form):
+    return {m: c.laurent for m, c in form.terms.items()}
+
+
+def assert_same_product(new, ref):
+    assert new == ref
+    assert new.serialize() == ref.serialize()
+    assert new.laurent == ref.laurent
+    assert flags(new) == flags(ref)
+
+
+def test_kernel_matches_reference_on_random_pairings():
+    rng = Random(611)
+    for trial in range(300):
+        dim = 2 + trial % 7
+        w = (random_pairing(rng, dim) if trial % 2
+             else random_bivector(rng, dim))
+        a, b = rng.randrange(1 << dim), rng.randrange(1 << dim)
+        assert summed(expand_blade_pair(a, b, w)) == \
+            summed(reference_expand_blade_pair(a, b, w))
+        # a second call answers from the memo and must agree too
+        assert summed(expand_blade_pair(a, b, w)) == \
+            summed(reference_expand_blade_pair(a, b, w))
+    for trial in range(40):
+        dim = 2 + trial % 5
+        w = (random_pairing(rng, dim) if trial % 2
+             else random_bivector(rng, dim))
+        x = random_qform(rng, dim, nterms=3)
+        y = random_qform(rng, dim, nterms=3)
+        assert_same_product(quantum_wedge(x, y, w),
+                            reference_quantum_wedge(x, y, w))
+
+
+def test_kernel_matches_reference_on_gaussian_pairings():
+    rng = Random(612)
+    for frame in (standard_frame(1), standard_frame(2),
+                  holomorphic_frame(SymplecticForm(4))):
+        w = frame.wcx()
+        dim = w.dim
+        for _ in range(30):
+            a, b = rng.randrange(1 << dim), rng.randrange(1 << dim)
+            assert summed(expand_blade_pair(a, b, w)) == \
+                summed(reference_expand_blade_pair(a, b, w))
+        x = random_qform(rng, dim, nterms=3)
+        y = random_qform(rng, dim, nterms=3)
+        assert_same_product(quantum_wedge(x, y, w),
+                            reference_quantum_wedge(x, y, w))
+
+
+@pytest.mark.parametrize("build", [lie_poisson_so3, heisenberg,
+                                   lambda: torus(1, 1), lambda: torus(2, 1)])
+def test_field_product_matches_reference(build, monkeypatch):
+    model = build()
+    rng = Random(613)
+    pairs = [(random_fieldform(rng, model, nterms=2),
+              random_fieldform(rng, model, nterms=2)) for _ in range(6)]
+    new = [fields.quantum_wedge_field(x, y, model.poisson) for x, y in pairs]
+    monkeypatch.setattr(fields, "expand_blade_pair",
+                        reference_expand_blade_pair)
+    ref = [fields.quantum_wedge_field(x, y, model.poisson) for x, y in pairs]
+    assert new == ref
+    assert [f.serialize() for f in new] == [f.serialize() for f in ref]
+
+
+def test_kernel_matches_reference_on_omega_powers_dim10():
+    w = Bivector.standard(10)
+    om = omega(10)
+    powers = [om, wedge(om, om), wedge(wedge(om, om), om)]
+    for p in powers:
+        for q in powers:
+            for a in p.terms:
+                for b in q.terms:
+                    assert summed(expand_blade_pair(a, b, w)) == \
+                        summed(reference_expand_blade_pair(a, b, w))
+    assert_same_product(quantum_wedge(powers[1], powers[2], w),
+                        reference_quantum_wedge(powers[1], powers[2], w))
+
+
+def permutation_det(rows):
+    size = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(size)):
+        inversions = sum(perm[u] > perm[v] for u in range(size)
+                         for v in range(u + 1, size))
+        term = Fraction((-1) ** inversions)
+        for k in range(size):
+            term *= rows[k][perm[k]]
+        total += term
+    return total
+
+
+def minor_oracle(amask, bmask, w):
+    """(n, a', b') -> sA * sB * det w[I, J] over all equal-size I, J."""
+    out = {}
+    a_idx, b_idx = indices_of_mask(amask), indices_of_mask(bmask)
+    for n in range(min(len(a_idx), len(b_idx)) + 1):
+        for rows in combinations(a_idx, n):
+            sa, a2 = 1, amask
+            for i in rows:
+                s, a2 = insert_last_mask(a2, i)
+                sa *= s
+            for cols in combinations(b_idx, n):
+                sb, b2 = 1, bmask
+                for j in cols:
+                    s, b2 = insert_first_mask(j, b2)
+                    sb *= s
+                det = permutation_det([[w.entry(i, j) for j in cols]
+                                       for i in rows])
+                if det:
+                    out[(n, a2, b2)] = sa * sb * det
+    return out
+
+
+def test_level_coefficients_are_signed_minors():
+    rng = Random(614)
+    for trial in range(150):
+        dim = 2 + trial % 5
+        w = random_pairing(rng, dim, density=0.7) if trial % 2 \
+            else random_bivector(rng, dim)
+        a, b = rng.randrange(1 << dim), rng.randrange(1 << dim)
+        got = {(n, a2, b2): c for n, a2, b2, c in _contract(a, b, w)}
+        assert got == minor_oracle(a, b, w)
+    # e1^e2 against e1^e2: the 2x2 level is det [[w11, w12], [w21, w22]]
+    w = PairTensor(2, {(1, 1): 2, (1, 2): 3, (2, 1): 5, (2, 2): 7})
+    top = mask_of_indices((1, 2))
+    got = {(n, a2, b2): c for n, a2, b2, c in _contract(top, top, w)}
+    assert got[(2, 0, 0)] == -(2 * 7 - 3 * 5)
+
+
+def test_multi_matches_reference_level_loop():
+    rng = Random(615)
+    for trial in range(25):
+        dim = rng.choice([2, 4])
+        ws = [random_pairing(rng, dim) if (trial + k) % 2
+              else random_bivector(rng, dim)
+              for k in range(rng.choice([1, 2, 3]))]
+        a = random_qform(rng, dim, nterms=3, max_h=0)
+        b = random_qform(rng, dim, nterms=3, max_h=0)
+        assert quantum_wedge_multi(a, b, ws) == \
+            reference_quantum_wedge_multi(a, b, ws)
+
+
+def test_quantum_wedge_keeps_laurent_flags():
+    laurent = HPoly({-1: 1}, laurent=True)
+    a = QForm(4, {(1,): laurent, (3,): HPoly({0: 1})})
+    out = quantum_wedge(a, QForm.one_form(4, 2), W4)
+    assert out.laurent
+    assert flags(out) == {mask_of_indices((1, 2)): True, 0: True,
+                          mask_of_indices((2, 3)): False}
+    # the e1^e2 sum cancels to zero before its last, polynomial
+    # contribution, which then starts it afresh without the flag
+    flat = HPoly({0: 1}, laurent=True)
+    x = QForm(2, {0b01: flat, 0b10: flat, 0b11: HPoly({0: 1})})
+    y = QForm(2, {0b10: 1, 0b01: 1, 0: 1})
+    out = quantum_wedge(x, y, W2)
+    assert not flags(out)[0b11]
+    assert_same_product(out, reference_quantum_wedge(x, y, W2))
+    rng = Random(616)
+    units = [HPoly({0: 1}), HPoly({0: -1}), HPoly({1: 1}),
+             HPoly({-1: 1}, laurent=True), HPoly({0: 1}, laurent=True),
+             HPoly({0: -1}, laurent=True)]
+    for _ in range(60):
+        dim = rng.choice([2, 4])
+        w = random_bivector(rng, dim, span=1)
+        x, y = (QForm(dim, {rng.randrange(1 << dim): rng.choice(units)
+                            for _ in range(3)}) for _ in range(2))
+        assert_same_product(quantum_wedge(x, y, w),
+                            reference_quantum_wedge(x, y, w))
