@@ -40,7 +40,8 @@ are exact strings ("p/q") or exponent/coefficient pair lists.
 
 Exit codes: 0 all assertion-bearing tasks passed, 1 at least one
 failed, 2 usage, parse, or model-validation error.  The environment
-variable QDR_MAX_DIM (default 8) caps the working dimension.
+variable QDR_MAX_DIM (default 8) caps the working dimension; MAX_MODES
+caps the Fourier modes (2N + 1)^dim of a truncated torus complex.
 """
 
 from __future__ import annotations
@@ -130,6 +131,10 @@ from .symplectic import (
 
 DEFAULT_MAX_DIM = 8
 
+# most Fourier modes (2N + 1)^dim a cohomology task or suite may truncate
+# to; torus(3, 1) has exactly this many
+MAX_MODES = 729
+
 MODELS = ("flat", "torus", "lie_poisson_so3", "heisenberg", "custom")
 
 
@@ -151,6 +156,14 @@ def _check_dim(dim: int):
         raise ScenarioError(f"dimension {dim} exceeds QDR_MAX_DIM={cap}")
     if dim < 2 or dim % 2:
         raise ScenarioError(f"dimension must be even and positive, got {dim}")
+
+
+def _check_modes(dim: int, trunc: int):
+    modes = (2 * trunc + 1) ** dim
+    if modes > MAX_MODES:
+        raise ScenarioError(
+            f"truncation {trunc} in dimension {dim} gives {modes} Fourier "
+            f"modes, over MAX_MODES={MAX_MODES}")
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +718,9 @@ def _run_cohomology(ctx, task):
     if theory not in _THEORIES:
         raise ScenarioError(f"unknown theory {theory!r}; choose one of "
                             f"{', '.join(_THEORIES)}")
-    comp = build_complex(ctx.model, ctx.truncation or 2)
+    trunc = ctx.truncation or 2
+    _check_modes(ctx.dim, trunc)
+    comp = build_complex(ctx.model, trunc)
     rep = _THEORIES[theory](comp)
     return {"task": "cohomology", "theory": theory,
             "rows": _jsonify(rep.serialize()), "pass": rep.passed()}
@@ -924,6 +939,7 @@ def _suite_complex(o: Options):
 def _suite_cohomology(o: Options):
     model = torus(min(o.n or 1, 2), o.truncation or (2 if (o.n or 1) == 1
                                                      else 1))
+    _check_modes(model.dim, model.torus_N)
     comp = build_complex(model, model.torus_N)
     quantum = quantum_cohomology_dims(comp)
     poisson = poisson_homology_dims(comp)

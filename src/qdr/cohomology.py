@@ -1,14 +1,19 @@
 """Exact cohomology of the deformed complex on Fourier truncations.
 
 The differentials preserve each Fourier mode, so every complex built here
-splits into finite blocks indexed by the mode vector; ranks are computed
-per block with fraction-free elimination and summed.  Total degree counts
-the deformation parameter as degree 2.
+splits into finite blocks indexed by the mode vector k.  On mode k every
+entry of a d, delta or d_h block is i*tau*r with r rational (tau is the
+formal circle period), and the blocks are linear in k:
+block(k) = sum_j k_j * block(e_j).  So a complex builds the blocks of the
+unit modes e_j once, divides out i*tau, and forms one Fraction block per
+primitive direction up to sign; block(c*k) = c*block(k) has the same
+rank, so a direction's rank counts once per mode on its line.  Total
+degree counts the deformation parameter as degree 2.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, gcd
 
 from .blades import blade_degree, masks_of_degree, wedge_masks
 from .exterior import QForm, insert_first, wedge
@@ -23,13 +28,43 @@ from .linalg import matrix_rank
 from .scalars import HPoly, TauNumber
 from .symplectic import SymplecticForm, bivector_of, contract_bivector
 
+_ZERO = Fraction(0)
+
+
+def primitive_direction(kvec):
+    """(direction, c) with kvec == c * direction, direction primitive and
+    its first nonzero entry positive; the zero mode is its own direction
+    with c = 0."""
+    g = gcd(*kvec)
+    if not g:
+        return tuple(kvec), 0
+    if next(k for k in kvec if k) < 0:
+        g = -g
+    return tuple(k // g for k in kvec), g
+
+
+def _over_i_tau(coeff: TauNumber, label: str) -> Fraction:
+    """r with coeff == i*tau*r."""
+    if coeff.terms.keys() == {1}:
+        g = coeff.terms[1]
+        if not g.re:
+            return g.im
+    raise ValueError(f"{label} block entry {coeff} is not i*tau times a "
+                     "rational")
+
 
 class TruncatedComplex:
-    """Per-mode block matrices of d, delta, and d_h on a torus truncation.
+    """Per-direction block matrices of d, delta, and d_h on a torus
+    truncation, with i*tau divided out.
 
     mode selects the coefficient window for the deformation exponent p at
     total degree m: "laurent" keeps every integer p with 0 <= m - 2p <= dim,
     "polynomial" additionally demands p >= 0.
+
+    directions maps each primitive mode direction (up to sign) to the
+    number of truncated modes on its line; the zero mode is its own
+    direction.  Blocks are keyed by direction: the block of mode
+    c * direction is c times the stored one.
     """
 
     def __init__(self, model, trunc: int, mode: str = "laurent",
@@ -48,8 +83,14 @@ class TruncatedComplex:
         self.max_degree = (self.dim + 2) if max_degree is None else max_degree
         self.fmodes = sorted(product(range(-trunc, trunc + 1),
                                      repeat=self.dim))
+        self.directions = {}
+        for kvec in self.fmodes:
+            direction, _ = primitive_direction(kvec)
+            self.directions[direction] = self.directions.get(direction, 0) + 1
         self._masks = {q: list(masks_of_degree(self.dim, q))
                        for q in range(self.dim + 1)}
+        self._mask_pos = {mask: c for masks in self._masks.values()
+                          for c, mask in enumerate(masks)}
         # pure blade-degree blocks of d (q -> q+1) and delta (q -> q-1)
         self._dblk = {}
         self._deltablk = {}
@@ -91,9 +132,9 @@ class TruncatedComplex:
 
     # -- block construction ------------------------------------------------
 
-    def _mode_form(self, kvec, mask: int, h_exp: int = 0) -> FieldForm:
+    def _mode_form(self, kvec, mask: int) -> FieldForm:
         fn = FourierFn.mode(self.dim, kvec)
-        return FieldForm.from_fn(fn, mask, h_exp)
+        return FieldForm.from_fn(fn, mask)
 
     def _column(self, image: FieldForm, kvec, index, rows, col, label):
         for (p, mask), fn in image.terms.items():
@@ -107,48 +148,59 @@ class TruncatedComplex:
                     raise ValueError(
                         f"truncation not closed under {label}: "
                         f"h^{p} blade {mask:b} is outside the window")
-                rows[row][col] = coeff
+                rows[row][col] = _over_i_tau(coeff, label)
+
+    def _unit_blocks(self, j: int):
+        """d and delta blade blocks of the unit mode e_j, over i*tau."""
+        kvec = tuple(int(i == j) for i in range(self.dim))
+        dq = {}
+        deltaq = {}
+        for q in range(self.dim + 1):
+            src = self._masks[q]
+            dtgt = {(0, mask): r
+                    for r, mask in enumerate(self._masks.get(q + 1, []))}
+            deltatgt = {(0, mask): r for r, mask in
+                        enumerate(self._masks[q - 1] if q else [])}
+            drows = [[_ZERO] * len(src) for _ in dtgt]
+            deltarows = [[_ZERO] * len(src) for _ in deltatgt]
+            for c, mask in enumerate(src):
+                elem = self._mode_form(kvec, mask)
+                self._column(exterior_d(elem), kvec, dtgt, drows, c, "d")
+                self._column(koszul_delta(elem, self.w), kvec, deltatgt,
+                             deltarows, c, "delta")
+            dq[q] = drows
+            deltaq[q] = deltarows
+        return dq, deltaq
 
     def _build_blade_blocks(self):
-        for kvec in self.fmodes:
+        units = [self._unit_blocks(j) for j in range(self.dim)]
+        for direction in self.directions:
             dq = {}
             deltaq = {}
             for q in range(self.dim + 1):
-                src = self._masks[q]
-                dtgt = {(0, mask): r
-                        for r, mask in enumerate(self._masks.get(q + 1, []))}
-                dtgt_rows = [[TauNumber() for _ in src]
-                             for _ in range(len(dtgt))]
-                deltatgt = {(0, mask): r for r, mask in
-                            enumerate(self._masks[q - 1] if q else [])}
-                delta_rows = [[TauNumber() for _ in src]
-                              for _ in range(len(deltatgt))]
-                for c, mask in enumerate(src):
-                    elem = self._mode_form(kvec, mask)
-                    self._column(exterior_d(elem), kvec, dtgt, dtgt_rows,
-                                 c, "d")
-                    self._column(koszul_delta(elem, self.w), kvec, deltatgt,
-                                 delta_rows, c, "delta")
-                dq[q] = dtgt_rows
-                deltaq[q] = delta_rows
-            self._dblk[kvec] = dq
-            self._deltablk[kvec] = deltaq
+                dq[q] = _combine(direction, [d[q] for d, _ in units])
+                deltaq[q] = _combine(direction,
+                                     [delta[q] for _, delta in units])
+            self._dblk[direction] = dq
+            self._deltablk[direction] = deltaq
 
-    def _assemble_dh(self, kvec, m: int):
+    def _assemble_dh(self, direction, m: int):
         """d_h block at degree m from the blade blocks: d minus shifted
         delta, the shift raising the deformation exponent by one."""
         src = self.basis(m)
         tgt = {pm: r for r, pm in enumerate(self.basis(m + 1))}
-        rows = [[TauNumber() for _ in src] for _ in range(len(tgt))]
+        rows = [[_ZERO] * len(src) for _ in range(len(tgt))]
+        dblk = self._dblk[direction]
+        deltablk = self._deltablk[direction]
         for c, (p, mask) in enumerate(src):
             q = blade_degree(mask)
-            dcols = self._masks[q].index(mask)
+            col = self._mask_pos[mask]
             for r_local, mask2 in enumerate(self._masks.get(q + 1, [])):
-                val = self._dblk[kvec][q][r_local][dcols]
+                val = dblk[q][r_local][col]
                 if val:
                     rows[tgt[(p, mask2)]][c] = val
             for r_local, mask2 in enumerate(self._masks[q - 1] if q else []):
-                val = self._deltablk[kvec][q][r_local][dcols]
+                val = deltablk[q][r_local][col]
                 if val and (p + 1, mask2) in tgt:
                     rows[tgt[(p + 1, mask2)]][c] = -val
                 elif val:
@@ -159,50 +211,53 @@ class TruncatedComplex:
 
     def _build_dh_blocks(self):
         for m in range(-1, self.max_degree + 1):
-            src = self.basis(m)
-            tgt = {pm: r for r, pm in enumerate(self.basis(m + 1))}
-            for kvec in self.fmodes:
-                assembled = self._assemble_dh(kvec, m)
-                direct = [[TauNumber() for _ in src]
-                          for _ in range(len(tgt))]
-                for c, (p, mask) in enumerate(src):
-                    elem = self._mode_form(kvec, mask, p)
-                    self._column(quantum_d(elem, self.w), kvec, tgt,
-                                 direct, c, "d_h")
-                if direct != assembled:
-                    raise AssertionError(
-                        f"d_h block at degree {m}, mode {kvec} does not "
-                        "match d minus shifted delta")
-                self._dhblk[(kvec, m)] = direct
+            for direction in self.directions:
+                self._dhblk[(direction, m)] = self._assemble_dh(direction, m)
 
     # -- exact ranks ---------------------------------------------------------
 
     def _rank_sum(self, key, blocks) -> int:
+        """Sum of multiplicity * rank over (multiplicity, block) pairs."""
         if key in self._rank_cache:
             return self._rank_cache[key]
         total = 0
-        for block in blocks:
-            total += matrix_rank(block, field=False)
+        for mult, block in blocks:
+            total += mult * matrix_rank(block)
         self._rank_cache[key] = total
         return total
 
     def d_rank(self, q: int) -> int:
         if q < 0 or q > self.dim:
             return 0
-        return self._rank_sum(("d", q),
-                              [self._dblk[k][q] for k in self.fmodes])
+        return self._rank_sum(("d", q), [
+            (mult, self._dblk[k][q]) for k, mult in self.directions.items()])
 
     def delta_rank(self, q: int) -> int:
         if q < 1 or q > self.dim:
             return 0
-        return self._rank_sum(("delta", q),
-                              [self._deltablk[k][q] for k in self.fmodes])
+        return self._rank_sum(("delta", q), [
+            (mult, self._deltablk[k][q])
+            for k, mult in self.directions.items()])
 
     def dh_rank(self, m: int) -> int:
         if m < -1 or m > self.max_degree:
             return 0
-        return self._rank_sum(("dh", m),
-                              [self._dhblk[(k, m)] for k in self.fmodes])
+        return self._rank_sum(("dh", m), [
+            (mult, self._dhblk[(k, m)])
+            for k, mult in self.directions.items()])
+
+
+def _combine(kvec, blocks):
+    """sum_j kvec[j] * blocks[j] over blocks of one shape."""
+    out = [[_ZERO] * len(row) for row in blocks[0]]
+    for k, block in zip(kvec, blocks):
+        if not k:
+            continue
+        for orow, brow in zip(out, block):
+            for c, x in enumerate(brow):
+                if x:
+                    orow[c] += k * x
+    return out
 
 
 class DimensionReport:

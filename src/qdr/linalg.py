@@ -1,10 +1,10 @@
 """Exact linear algebra over the scalar rings used in this package.
 
-Matrices are plain lists of row lists. Field elimination covers Fraction
-and Gaussian-rational entries; the fraction-free variants need only ring
-operations and zero tests, which is what the tau-graded torus entries
-support. Characteristic polynomials come from the Faddeev-LeVerrier
-recursion; polynomial determinants from evaluation and interpolation.
+Matrices are plain lists of row lists. Rank and determinants eliminate
+exactly over Fraction and Gaussian-rational entries; the Bareiss
+determinant scales rational rows to integers first. Characteristic
+polynomials come from the Faddeev-LeVerrier recursion; polynomial
+determinants from evaluation and interpolation.
 """
 
 from __future__ import annotations
@@ -37,73 +37,36 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def rank_field(rows) -> int:
-    """Rank by Gaussian elimination with exact division (field entries)."""
+def matrix_rank(rows) -> int:
+    """Rank by one pass of exact Gaussian elimination.
+
+    Entries are Fraction or GaussRat, or anything else whose division by
+    a pivot is exact.
+    """
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     rank = 0
-    row = 0
     for col in range(nc):
         piv = None
-        for r in range(row, nr):
+        for r in range(rank, nr):
             if m[r][col]:
                 piv = r
                 break
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        pval = m[row][col]
-        for r in range(row + 1, nr):
+        m[rank], m[piv] = m[piv], m[rank]
+        prow = m[rank]
+        pval = prow[col]
+        for r in range(rank + 1, nr):
             if m[r][col]:
                 factor = m[r][col] / pval
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
-        row += 1
+                m[r] = [x - factor * y if y else x
+                        for x, y in zip(m[r], prow)]
         rank += 1
-        if row == nr:
+        if rank == nr:
             break
     return rank
-
-
-def rank_ff(rows) -> int:
-    """Fraction-free rank: only ring operations and zero tests needed."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    row = 0
-    for col in range(nc):
-        piv = None
-        for r in range(row, nr):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pval = m[row][col]
-        for r in range(row + 1, nr):
-            if m[r][col]:
-                factor = m[r][col]
-                m[r] = [pval * x - factor * y for x, y in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == nr:
-            break
-    return rank
-
-
-def matrix_rank(rows, field: bool = True) -> int:
-    """Rank checked two ways (rows and columns); they must agree."""
-    if not rows or not rows[0]:
-        return 0
-    fn = rank_field if field else rank_ff
-    r1 = fn(rows)
-    r2 = fn(transpose(rows))
-    if r1 != r2:
-        raise AssertionError(f"rank mismatch between row and column passes: "
-                             f"{r1} != {r2}")
-    return r1
 
 
 def det_field(rows) -> Fraction:

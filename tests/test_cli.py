@@ -212,6 +212,33 @@ def test_torus_tasks(tmp_path):
     assert rep["passed"]
 
 
+def test_complex_size_cap(tmp_path, capsys):
+    # (2N + 1)^dim modes: 27^2 = 729 is the cap, 29^2 = 841 is over it
+    assert cli.MAX_MODES == 729
+    for n, trunc, code in ((1, 13, 0), (1, 14, 2), (1, 50, 2)):
+        path = scenario_file(tmp_path, {
+            "model": "torus", "n": n, "truncation": trunc,
+            "tasks": [{"op": "cohomology"}]}, name=f"t{trunc}.json")
+        assert main(["--scenario", path]) == code
+        assert main(["--check", "cohomology", "--n", str(n),
+                     "--truncation", str(trunc)]) == code
+        if code:
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 2
+            assert all(line.startswith("qdr: ") and "MAX_MODES" in line
+                       for line in lines)
+        capsys.readouterr()
+    # the suite keeps n <= 2: 7^4 modes is over the cap, 5^4 under it
+    with pytest.raises(ScenarioError, match="2401 Fourier modes"):
+        check("cohomology", Options(n=2, truncation=3))
+    # torus(3, 1) sits exactly on the cap; checked without its build
+    cli._check_modes(6, 1)
+    with pytest.raises(ScenarioError, match="MAX_MODES"):
+        cli._check_modes(6, 2)
+
+
 def test_torus_tasks_rejected_elsewhere(tmp_path):
     for op in ({"op": "cohomology"}, {"op": "integral", "expr": "e[1]"},
                {"op": "stokes"}):

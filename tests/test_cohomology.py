@@ -6,6 +6,8 @@ from random import Random
 
 import pytest
 
+from qdr import cohomology
+from qdr.blades import masks_of_degree
 from qdr.cohomology import (
     DimensionReport,
     build_complex,
@@ -14,16 +16,24 @@ from qdr.cohomology import (
     e1_dims,
     lemma62_check,
     poisson_homology_dims,
+    primitive_direction,
     quantum_cohomology_dims,
     quantum_integral,
     stokes_check,
 )
 from qdr.exterior import QForm
-from qdr.fields import FieldForm
-from qdr.fixtures import standard_symplectic, torus
+from qdr.fields import (
+    FieldForm,
+    PoissonField,
+    exterior_d,
+    koszul_delta,
+    quantum_d,
+)
+from qdr.fixtures import Model, standard_symplectic, torus
 from qdr.functions import FourierFn
 from qdr.rand import random_fieldform
-from qdr.scalars import HPoly
+from qdr.scalars import GaussRat, HPoly, TauNumber
+from qdr.symplectic import SymplecticForm, bivector_of
 
 T2 = torus(1, 1)
 T2W = torus(1, 2)
@@ -124,6 +134,130 @@ def test_torus4_dimension_tables():
     assert rep.dims == (8, 8, 8, 8, 8, 8)
     assert rep.passed()
     assert degeneracy_check(c)["degenerate"]
+
+
+# -- per-direction blocks against the per-mode FieldForm build -------------
+
+I_TAU = TauNumber.tau(1, GaussRat(0, 1))
+
+
+def _darboux_torus(seed, n, N):
+    """Torus whose constant symplectic form pairs shuffled coordinates,
+    pair a scaled by 2/3, -3/2, 2/3, ...; distinct scales tell d - h*delta
+    apart from d - h*c*delta."""
+    dim = 2 * n
+    perm = list(range(dim))
+    Random(seed).shuffle(perm)
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for a in range(n):
+        i, j = perm[2 * a], perm[2 * a + 1]
+        c = (Fraction(2, 3), Fraction(-3, 2))[a % 2]
+        rows[i][j], rows[j][i] = c, -c
+    omega = SymplecticForm(dim, rows)
+    w = bivector_of(omega)
+    poisson = PoissonField(dim, {(i, j): c for i, j, c in w.upper_entries()})
+    return Model("torus", dim, FourierFn, poisson, omega,
+                 torus_n=n, torus_N=N)
+
+
+def _over_i_tau(t):
+    q = t / I_TAU
+    assert set(q.terms) <= {0}, t
+    g = q.terms.get(0, GaussRat())
+    assert g.is_real(), t
+    return g.re
+
+
+def _reference_block(images, kvec, targets, ncols):
+    """Matrix of FieldForm images (one per column) with i*tau divided
+    out; targets maps (h exponent, mask) to a row."""
+    rows = [[Fraction(0)] * ncols for _ in targets]
+    for col, image in enumerate(images):
+        for key, fn in image.terms.items():
+            for kv, coeff in fn.terms.items():
+                assert kv == kvec
+                rows[targets[key]][col] = _over_i_tau(coeff)
+    return rows
+
+
+def _scaled(c, block):
+    return [[c * x for x in row] for row in block]
+
+
+def _masks(dim, q):
+    return list(masks_of_degree(dim, q)) if 0 <= q <= dim else []
+
+
+COMPARED = {"torus(1,2)": torus(1, 2), "torus(2,1)": torus(2, 1),
+            "darboux(2,1)": _darboux_torus(3, 2, 1)}
+
+
+@pytest.mark.parametrize("model", COMPARED.values(), ids=COMPARED.keys())
+def test_direction_blocks_match_fieldform_blocks(model):
+    c = build_complex(model, model.torus_N, "laurent")
+    dim = c.dim
+    counts = {}
+    for kvec in c.fmodes:
+        direction, scale = primitive_direction(kvec)
+        assert tuple(scale * x for x in direction) == kvec
+        counts[direction] = counts.get(direction, 0) + 1
+        for q in range(dim + 1):
+            src = _masks(dim, q)
+            elems = [FieldForm.from_fn(FourierFn.mode(dim, kvec), mask)
+                     for mask in src]
+            d_ref = _reference_block(
+                [exterior_d(e) for e in elems], kvec,
+                {(0, m): r for r, m in enumerate(_masks(dim, q + 1))},
+                len(src))
+            delta_ref = _reference_block(
+                [koszul_delta(e, c.w) for e in elems], kvec,
+                {(0, m): r for r, m in enumerate(_masks(dim, q - 1))},
+                len(src))
+            assert d_ref == _scaled(scale, c._dblk[direction][q])
+            assert delta_ref == _scaled(scale, c._deltablk[direction][q])
+        for m in range(-1, c.max_degree + 1):
+            src = c.basis(m)
+            images = [quantum_d(FieldForm.from_fn(
+                FourierFn.mode(dim, kvec), mask, p), c.w)
+                for p, mask in src]
+            dh_ref = _reference_block(
+                images, kvec,
+                {pm: r for r, pm in enumerate(c.basis(m + 1))}, len(src))
+            assert dh_ref == _scaled(scale, c._dhblk[(direction, m)])
+    assert counts == c.directions
+
+
+def test_primitive_direction():
+    assert primitive_direction((0, 0, 0)) == ((0, 0, 0), 0)
+    assert primitive_direction((2, -4)) == ((1, -2), 2)
+    assert primitive_direction((0, -3, 6)) == ((0, 1, -2), -3)
+    assert primitive_direction((-1, 1)) == ((1, -1), -1)
+
+
+def test_complex_builds_unit_blocks_once(monkeypatch):
+    # one koszul_delta per (unit mode, blade), however many modes
+    calls = []
+    real = cohomology.koszul_delta
+
+    def counting(form, w):
+        calls.append(form)
+        return real(form, w)
+    monkeypatch.setattr(cohomology, "koszul_delta", counting)
+    c = build_complex(torus(2, 1), 1)
+    assert len(c.fmodes) == 81 and len(c.directions) == 41
+    assert len(calls) == c.dim * 2 ** c.dim == 64
+
+
+def test_complex_rejects_entries_off_i_tau():
+    # a complex bivector gives real delta entries; a tau in the bivector
+    # gives tau^2; a nonconstant one moves modes
+    for entry, msg in ((GaussRat(0, 1), "i\\*tau"),
+                       (TauNumber.tau(1), "i\\*tau"),
+                       (FourierFn.mode(2, (1, 0)), "escaped")):
+        w = PoissonField(2, {(1, 2): entry})
+        model = Model("torus", 2, FourierFn, w, torus_n=1, torus_N=1)
+        with pytest.raises(ValueError, match=msg):
+            build_complex(model, 1)
 
 
 def test_integral_frozen_values():

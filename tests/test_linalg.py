@@ -15,10 +15,38 @@ from qdr.linalg import (
     mat_mul,
     matrix_rank,
     poly_det,
-    rank_ff,
-    rank_field,
+    transpose,
 )
 from qdr.scalars import GaussRat, HPoly, TauNumber
+
+
+def rank_ff(rows) -> int:
+    """Reference rank by fraction-free elimination: only ring operations
+    and zero tests, no division."""
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    rank = 0
+    row = 0
+    for col in range(nc):
+        piv = None
+        for r in range(row, nr):
+            if m[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        pval = m[row][col]
+        for r in range(row + 1, nr):
+            if m[r][col]:
+                factor = m[r][col]
+                m[r] = [pval * x - factor * y for x, y in zip(m[r], m[row])]
+        row += 1
+        rank += 1
+        if row == nr:
+            break
+    return rank
 
 
 def test_rank_basics():
@@ -26,17 +54,46 @@ def test_rank_basics():
     assert matrix_rank(m) == 1
     m2 = [[Fraction(1), Fraction(0), Fraction(3)],
           [Fraction(0), Fraction(5), Fraction(1)]]
-    assert matrix_rank(m2) == 2
-    assert rank_field(m2) == rank_ff(m2) == 2
+    assert matrix_rank(m2) == rank_ff(m2) == 2
 
 
 def test_rank_tau_entries():
     t = TauNumber.tau()
     zero = TauNumber()
     m = [[t, zero], [t, t * t]]
-    assert rank_ff(m) == 2
+    assert matrix_rank(m) == rank_ff(m) == 2
     m2 = [[t, t], [t, t]]
-    assert rank_ff(m2) == 1
+    assert matrix_rank(m2) == rank_ff(m2) == 1
+
+
+def _low_rank(rng, nrows, ncols, rank):
+    # a product of nrows x rank and rank x ncols factors, plus sparsity
+    left = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+             for _ in range(rank)] for _ in range(nrows)]
+    right = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+              if rng.random() < 0.7 else Fraction(0)
+              for _ in range(ncols)] for _ in range(rank)]
+    if not rank:
+        return [[Fraction(0)] * ncols for _ in range(nrows)]
+    return mat_mul(left, right)
+
+
+def test_rank_one_pass_matches_reference():
+    # the row pass alone: the column pass and the fraction-free
+    # reference must give the same rank on every shape
+    rng = Random(41)
+    cases = [[], [[]], [[], []], [[Fraction(0)]], [[Fraction(3)]]]
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rank = rng.randint(0, min(nrows, ncols))
+        cases.append(_low_rank(rng, nrows, ncols, rank))
+    deficient = 0
+    for m in cases:
+        r = matrix_rank(m)
+        assert r == matrix_rank(transpose(m)) == rank_ff(m)
+        if m and m[0] and r < min(len(m), len(m[0])):
+            deficient += 1
+    assert deficient > 30
 
 
 def test_dets_agree_random():
