@@ -13,8 +13,8 @@ from fractions import Fraction
 from .blades import blade_degree, wedge_masks
 from .exterior import Bivector, QForm, quantum_wedge
 from .fields import standard_J
-from .linalg import bareiss_det, mat_inv
-from .scalars import GaussRat, HPoly, I, as_fraction
+from .linalg import bareiss_det, mat_inv, mat_mul, transpose
+from .scalars import GaussRat, HPoly, I, add_term, as_fraction
 from .symplectic import SymplecticForm, bivector_of
 
 _HALF = Fraction(1, 2)
@@ -79,12 +79,11 @@ class BigradedForm:
         for mask, c in self.form.terms.items():
             p0, q0 = self._blade_bidegree(mask)
             for e, v in c.terms.items():
-                key = (p0 + e, q0 + e)
-                piece = out.setdefault(key, {})
-                piece[mask] = piece.get(mask, HPoly(laurent=True)) + \
-                    HPoly({e: v}, laurent=e < 0)
-        return {key: BigradedForm(self.n, QForm(2 * self.n, terms,
-                                                laurent=True))
+                # each h power of one blade lands in its own (p, q)
+                out.setdefault((p0 + e, q0 + e), {})[mask] = \
+                    HPoly._make({e: v}, True)
+        return {key: BigradedForm(self.n, QForm._make(2 * self.n, terms,
+                                                      True))
                 for key, terms in sorted(out.items())}
 
     def bidegree(self):
@@ -97,11 +96,11 @@ class BigradedForm:
     def conj(self) -> "BigradedForm":
         out = {}
         for mask, c in self.form.terms.items():
+            # the swap permutes the blades, so no two terms meet
             mask2, sign = _swap_mask(mask, self.n)
-            val = c.conj() * sign
-            out[mask2] = out.get(mask2, HPoly(laurent=c.laurent)) + val
-        return BigradedForm(self.n, QForm(2 * self.n, out,
-                                          laurent=self.form.laurent))
+            out[mask2] = c.conj() * sign
+        return BigradedForm(self.n, QForm._make(2 * self.n, out,
+                                                self.form.laurent))
 
     def is_zero(self) -> bool:
         return not self.form.terms
@@ -174,13 +173,13 @@ class Frame:
             [[as_fraction(x) for x in row] for row in J]
         self.J = J
         ident = [[Fraction(i == j) for j in range(dim)] for i in range(dim)]
-        if _mat_mul(J, J) != [[-x for x in row] for row in ident]:
+        if mat_mul(J, J) != [[-x for x in row] for row in ident]:
             raise ValueError("J does not square to minus the identity")
         Om = omega.matrix
-        if _mat_mul(_transpose(J), _mat_mul(Om, J)) != Om:
+        if mat_mul(transpose(J), mat_mul(Om, J)) != Om:
             raise ValueError("J is not compatible with the symplectic form")
-        G = _mat_mul(Om, J)
-        if G != _transpose(G):
+        G = mat_mul(Om, J)
+        if G != transpose(G):
             raise ValueError("the induced metric is not symmetric")
         for k in range(1, dim + 1):
             if bareiss_det([row[:k] for row in G[:k]]) <= 0:
@@ -203,7 +202,7 @@ class Frame:
                 if gij != Fraction(i == j):
                     raise ValueError("basis is not orthonormal for the "
                                      "induced metric")
-        B = _transpose(basis)          # columns are the basis vectors
+        B = transpose(basis)          # columns are the basis vectors
         invB = mat_inv(B)
         self._to_cx = self._covector_split(B)
         self._from_cx = self._frame_covectors(invB)
@@ -313,13 +312,13 @@ class Frame:
         for i, j, c in w.ordered_entries():
             wm[i - 1][j - 1] = as_fraction(c)
         jm = self.J
-        jw = _mat_mul(jm, _mat_mul(wm, _transpose(jm)))
+        jw = mat_mul(jm, mat_mul(wm, transpose(jm)))
         if jw != wm:
             raise ValueError("bivector is not preserved by J")
 
     def complexify(self, form: QForm) -> BigradedForm:
         n = self.n
-        out = QForm(2 * n, laurent=form.laurent)
+        out = {}
         for mask, c in form.terms.items():
             expanded = {0: HPoly(1)}
             i = 0
@@ -334,19 +333,18 @@ class Frame:
                             sign, m3 = wedge_masks(m2, 1 << idx)
                             if not sign:
                                 continue
-                            val = c2 * (cf * sign)
-                            nxt[m3] = nxt.get(m3, HPoly()) + val
+                            add_term(nxt, m3, c2 * (cf * sign))
                     expanded = nxt
                 rest >>= 1
                 i += 1
             for m2, c2 in expanded.items():
-                out = out + QForm(2 * n, {m2: c2 * c}, laurent=form.laurent)
-        return BigradedForm(n, out)
+                add_term(out, m2, c2 * c)
+        return BigradedForm(n, QForm._make(2 * n, out, form.laurent))
 
     def realify(self, bform: BigradedForm) -> QForm:
         """Expand the frame covectors back out; coefficients must be real."""
         n = self.n
-        out = QForm(2 * n, laurent=bform.form.laurent)
+        out = {}
         for mask, c in bform.form.terms.items():
             expanded = {0: HPoly(1)}
             idx = 0
@@ -361,16 +359,14 @@ class Frame:
                             sign, m3 = wedge_masks(m2, 1 << i)
                             if not sign:
                                 continue
-                            val = c2 * (cf * sign)
-                            nxt[m3] = nxt.get(m3, HPoly()) + val
+                            add_term(nxt, m3, c2 * (cf * sign))
                     expanded = nxt
                 rest >>= 1
                 idx += 1
             for m2, c2 in expanded.items():
-                out = out + QForm(2 * n, {m2: c2 * c},
-                                  laurent=bform.form.laurent)
+                add_term(out, m2, c2 * c)
         real_terms = {}
-        for mask, c in out.terms.items():
+        for mask, c in out.items():
             clean = {}
             for e, v in c.terms.items():
                 g = GaussRat.coerce(v)
@@ -378,17 +374,8 @@ class Frame:
                     raise ValueError("form does not descend to the real "
                                      f"frame: coefficient {g}")
                 clean[e] = g.re
-            real_terms[mask] = HPoly(clean, laurent=c.laurent)
-        return QForm(2 * n, real_terms, laurent=out.laurent)
-
-
-def _transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
-def _mat_mul(a, b):
-    bt = _transpose(b)
-    return [[_dot(row, col) for col in bt] for row in a]
+            real_terms[mask] = HPoly._make(clean, c.laurent)
+        return QForm._make(2 * n, real_terms, bform.form.laurent)
 
 
 def _mat_vec(m, v):

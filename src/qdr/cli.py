@@ -42,6 +42,9 @@ Exit codes: 0 all assertion-bearing tasks passed, 1 at least one
 failed, 2 usage, parse, or model-validation error.  The environment
 variable QDR_MAX_DIM (default 8) caps the working dimension; MAX_MODES
 caps the Fourier modes (2N + 1)^dim of a truncated torus complex.
+A suite rejects a half-dimension n above its own cap (cohomology,
+stokes, hermitian, dolbeault and chern 2, lefschetz 3, relation17 4,
+recursion 5) with exit 2 instead of running a smaller model.
 """
 
 from __future__ import annotations
@@ -414,9 +417,13 @@ class Context:
         if not isinstance(text, str):
             raise ScenarioError(f"expression must be a string, got {text!r}")
         toks = tokenize(text)
-        needs_field = flavor == "field" or any(
+        has_fns = any(
             k == "name" and v in ("x", "dx", "mode") for k, v, _ in toks)
-        if needs_field:
+        if flavor == "constant" and has_fns:
+            raise ScenarioError(
+                f"{text!r} has function coefficients; this needs a "
+                f"constant-coefficient form")
+        if flavor == "field" or has_fns:
             if self.field_space is None:
                 raise ScenarioError(
                     f"{text!r} needs function coefficients; "
@@ -884,7 +891,7 @@ def _suite_multiparameter(o: Options):
 
 def _suite_relation17(o: Options):
     rows = []
-    for n in range(1, min(o.n or 4, 4) + 1):
+    for n in range(1, (o.n or 4) + 1):
         rel = verify_relation_17(n)
         rows.append({"n": n, "ok": rel["ok"],
                      "nilpotency_order": rel["nilpotency_order"]})
@@ -894,7 +901,7 @@ def _suite_relation17(o: Options):
 
 
 def _suite_recursion(o: Options):
-    n = min(o.n or 3, 5)
+    n = o.n or 3
     rep = derived_recursion_report(n)
     passed = all(r["matches_derived"] for r in rep["rows"])
     return {"n": n, "rows": _jsonify(rep["rows"])}, passed
@@ -903,7 +910,9 @@ def _suite_recursion(o: Options):
 def _suite_complex(o: Options):
     count = o.count or 8
     rng = Random(o.seed)
-    models = [standard_symplectic(min(o.n or 1, max_dim() // 2)),
+    n = o.n or 1
+    _check_dim(2 * n)
+    models = [standard_symplectic(n),
               lie_poisson_so3(), heisenberg(),
               torus(1, o.truncation or 2)]
     bad = 0
@@ -937,8 +946,8 @@ def _suite_complex(o: Options):
 
 
 def _suite_cohomology(o: Options):
-    model = torus(min(o.n or 1, 2), o.truncation or (2 if (o.n or 1) == 1
-                                                     else 1))
+    n = o.n or 1
+    model = torus(n, o.truncation or (2 if n == 1 else 1))
     _check_modes(model.dim, model.torus_N)
     comp = build_complex(model, model.torus_N)
     quantum = quantum_cohomology_dims(comp)
@@ -950,7 +959,7 @@ def _suite_cohomology(o: Options):
 
 
 def _suite_lefschetz(o: Options):
-    nmax = min(o.n or 2, 3)
+    nmax = o.n or 2
     rows = []
     passed = True
     for n in range(1, nmax + 1):
@@ -1000,7 +1009,7 @@ def _suite_ledger(o: Options):
 
 
 def _suite_stokes(o: Options):
-    model = torus(min(o.n or 1, 2), o.truncation or 2)
+    model = torus(o.n or 1, o.truncation or 2)
     count = o.count or 25
     rng = Random(o.seed)
     failures = []
@@ -1015,7 +1024,7 @@ def _suite_stokes(o: Options):
 
 
 def _suite_hermitian(o: Options):
-    nmax = min(o.n or 2, 2)
+    nmax = o.n or 2
     rows = []
     passed = True
     for n in range(1, nmax + 1):
@@ -1034,7 +1043,7 @@ def _suite_dolbeault(o: Options):
     count = o.count or 15
     rng = Random(o.seed)
     bad = 0
-    for n in sorted({1, min(o.n or 2, 2)}):
+    for n in sorted({1, o.n or 2}):
         model = standard_symplectic(n)
         w = model.poisson
         for _ in range(count):
@@ -1070,7 +1079,7 @@ def _suite_chern(o: Options):
     count = o.count or 10
     rng = Random(o.seed)
     bad = 0
-    for n in sorted({1, min(o.n or 2, 2)}):
+    for n in sorted({1, o.n or 2}):
         model = standard_symplectic(n)
         w = model.poisson
         for _ in range(count):
@@ -1134,10 +1143,28 @@ SUITES = {
 }
 
 
+# the largest half-dimension n each suite accepts; a larger n is
+# rejected, never clamped, so a report always names the model it checked
+_SUITE_N_CAPS = {
+    "relation17": 4,
+    "recursion": 5,
+    "lefschetz": 3,
+    "cohomology": 2,
+    "stokes": 2,
+    "hermitian": 2,
+    "dolbeault": 2,
+    "chern": 2,
+}
+
+
 def run_suite(name, opts: Options):
     if name not in SUITES:
         raise ScenarioError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
+    cap = _SUITE_N_CAPS.get(name)
+    if cap is not None and opts.n is not None and not 1 <= opts.n <= cap:
+        raise ScenarioError(
+            f"suite {name} takes n from 1 to {cap}, got {opts.n}")
     return SUITES[name](opts)
 
 

@@ -25,7 +25,7 @@ from .fields import (
 )
 from .functions import FourierFn
 from .linalg import matrix_rank
-from .scalars import HPoly, TauNumber
+from .scalars import HPoly, TauNumber, add_term
 from .symplectic import SymplecticForm, bivector_of, contract_bivector
 
 _ZERO = Fraction(0)
@@ -384,8 +384,6 @@ def _omega_powers(omega: SymplecticForm):
 
 
 def _scalarize(t: TauNumber):
-    if not t:
-        return Fraction(0)
     terms = dict(t.terms)
     if set(terms) == {0}:
         g = terms[0]
@@ -416,10 +414,8 @@ def quantum_integral(form: FieldForm, omega: SymplecticForm, model) -> HPoly:
         sign = _wedge_sign(mask, comp)
         if sign == 0:
             continue
-        val = fn.constant_coeff() * (cscale * sign)
-        if val:
-            out[h] = out.get(h, TauNumber()) + val
-    out = {h: _scalarize(v) for h, v in out.items() if v}
+        add_term(out, h, fn.constant_coeff() * (cscale * sign))
+    out = {h: _scalarize(v) for h, v in out.items()}
     return HPoly(out, laurent=any(h < 0 for h in out))
 
 

@@ -36,7 +36,7 @@ from .blades import (
     mask_of_indices,
     wedge_masks,
 )
-from .scalars import GaussRat, HPoly, HPolyMulti, as_fraction
+from .scalars import GaussRat, HPoly, HPolyMulti, add_term, as_fraction
 
 
 class PairTensor:
@@ -212,18 +212,23 @@ def expand_blade_pair(amask: int, bmask: int, pairing: PairTensor):
 
 
 def _normalize_vector(v, dim: int):
-    """Accepts a 1-based index, an index->coeff dict, or a coordinate list."""
+    """Accepts a 1-based index, an index->coeff dict, or a coordinate list.
+
+    Components are exact scalars or h-polynomials."""
     if isinstance(v, int):
         if not (1 <= v <= dim):
             raise ValueError("vector index out of range")
         return [(v, Fraction(1))]
     if isinstance(v, dict):
-        return [(i, c) for i, c in sorted(v.items()) if c]
-    if isinstance(v, (list, tuple)):
+        comps = sorted(v.items())
+    elif isinstance(v, (list, tuple)):
         if len(v) != dim:
             raise ValueError("coordinate vector length mismatch")
-        return [(i, c) for i, c in enumerate(v, start=1) if c]
-    raise TypeError(f"not a vector: {v!r}")
+        comps = enumerate(v, start=1)
+    else:
+        raise TypeError(f"not a vector: {v!r}")
+    return [(i, c if isinstance(c, (GaussRat, HPoly)) else as_fraction(c))
+            for i, c in comps if c]
 
 
 class QForm:
@@ -247,10 +252,17 @@ class QForm:
             c = val if isinstance(val, HPoly) else HPoly(val, laurent=laurent)
             if c.laurent:
                 self.laurent = True
-            if c:
-                prev = self.terms.get(mask)
-                self.terms[mask] = c if prev is None else prev + c
-        self.terms = {m: c for m, c in self.terms.items() if c}
+            add_term(self.terms, mask, c)
+
+    @staticmethod
+    def _make(dim: int, terms: dict, laurent: bool) -> "QForm":
+        """Trusted constructor: terms is zero-free with HPoly values, and
+        laurent already covers every coefficient's flag."""
+        f = object.__new__(QForm)
+        f.dim = dim
+        f.terms = terms
+        f.laurent = laurent
+        return f
 
     @staticmethod
     def zero(dim: int, laurent: bool = False) -> "QForm":
@@ -279,13 +291,8 @@ class QForm:
         o = self._coerce(other)
         t = dict(self.terms)
         for m, c in o.terms.items():
-            c2 = t.get(m)
-            c2 = c if c2 is None else c2 + c
-            if c2:
-                t[m] = c2
-            else:
-                t.pop(m, None)
-        return QForm(self.dim, t, laurent=self.laurent or o.laurent)
+            add_term(t, m, c)
+        return QForm._make(self.dim, t, self.laurent or o.laurent)
 
     __radd__ = __add__
 
@@ -296,43 +303,52 @@ class QForm:
         return self._coerce(other) - self
 
     def __neg__(self):
-        return QForm(self.dim, {m: -c for m, c in self.terms.items()},
-                     laurent=self.laurent)
+        return QForm._make(self.dim, {m: -c for m, c in self.terms.items()},
+                           self.laurent)
 
     def __mul__(self, scalar):
         if isinstance(scalar, QForm):
             raise TypeError("use wedge or quantum_wedge for form products")
         if isinstance(scalar, (int, str)):
             scalar = as_fraction(scalar)
-        out = {m: c * scalar for m, c in self.terms.items()}
+        if not isinstance(scalar, (Fraction, GaussRat, HPoly)):
+            return NotImplemented
         laurent = self.laurent or (isinstance(scalar, HPoly) and scalar.laurent)
-        return QForm(self.dim, out, laurent=laurent)
+        if not scalar:
+            return QForm._make(self.dim, {}, laurent)
+        return QForm._make(self.dim,
+                           {m: c * scalar for m, c in self.terms.items()},
+                           laurent)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if isinstance(scalar, int):
             scalar = Fraction(scalar)
-        return QForm(self.dim, {m: c / scalar for m, c in self.terms.items()},
-                     laurent=self.laurent)
+        out = {m: c / scalar for m, c in self.terms.items()}
+        # dividing by an h-monomial can make a coefficient Laurent
+        return QForm._make(self.dim, out, self.laurent
+                           or any(c.laurent for c in out.values()))
 
     def h_shift(self, k: int) -> "QForm":
         """Multiply by h^k."""
-        return QForm(self.dim, {m: c.shift(k) for m, c in self.terms.items()},
-                     laurent=self.laurent or k < 0)
+        return QForm._make(self.dim,
+                           {m: c.shift(k) for m, c in self.terms.items()},
+                           self.laurent or k < 0)
 
     def coeff(self, key) -> HPoly:
         if isinstance(key, Blade):
             key = key.mask
         elif isinstance(key, tuple):
             key = mask_of_indices(key)
-        return self.terms.get(key, HPoly(laurent=self.laurent))
+        c = self.terms.get(key)
+        return HPoly._make({}, self.laurent) if c is None else c
 
     def grade(self, k: int) -> "QForm":
-        return QForm(self.dim,
-                     {m: c for m, c in self.terms.items()
-                      if m.bit_count() == k},
-                     laurent=self.laurent)
+        return QForm._make(self.dim,
+                           {m: c for m, c in self.terms.items()
+                            if m.bit_count() == k},
+                           self.laurent)
 
     def blade_degrees(self):
         return sorted({m.bit_count() for m in self.terms})
@@ -385,14 +401,8 @@ class QForm:
                 s, m = wedge_masks(ma, mb)
                 if not s:
                     continue
-                add = ca * cb * s
-                prev = out.get(m)
-                add = add if prev is None else prev + add
-                if add:
-                    out[m] = add
-                else:
-                    out.pop(m, None)
-        return QForm(self.dim, out, laurent=self.laurent or o.laurent)
+                add_term(out, m, ca * cb * s)
+        return QForm._make(self.dim, out, self.laurent or o.laurent)
 
     def __str__(self):
         return format_terms(
@@ -444,16 +454,10 @@ def insert_first(v, form: QForm) -> QForm:
     for i, ci in _normalize_vector(v, form.dim):
         for m, c in form.terms.items():
             s, m2 = insert_first_mask(i, m)
-            if not s:
-                continue
-            add = c * (ci * s)
-            prev = out.get(m2)
-            add = add if prev is None else prev + add
-            if add:
-                out[m2] = add
-            else:
-                out.pop(m2, None)
-    return QForm(form.dim, out, laurent=form.laurent)
+            if s:
+                add_term(out, m2, c * (ci * s))
+    return QForm._make(form.dim, out, form.laurent
+                       or any(c.laurent for c in out.values()))
 
 
 def insert_last(form: QForm, v) -> QForm:
@@ -462,37 +466,22 @@ def insert_last(form: QForm, v) -> QForm:
     for i, ci in _normalize_vector(v, form.dim):
         for m, c in form.terms.items():
             s, m2 = insert_last_mask(m, i)
-            if not s:
-                continue
-            add = c * (ci * s)
-            prev = out.get(m2)
-            add = add if prev is None else prev + add
-            if add:
-                out[m2] = add
-            else:
-                out.pop(m2, None)
-    return QForm(form.dim, out, laurent=form.laurent)
+            if s:
+                add_term(out, m2, c * (ci * s))
+    return QForm._make(form.dim, out, form.laurent
+                       or any(c.laurent for c in out.values()))
 
 
 def wedge(a: QForm, b: QForm) -> QForm:
     return a.wedge(b)
 
 
-def _add_term(terms: dict, key, value):
-    """terms[key] += value, dropping the key when the sum vanishes."""
-    prev = terms.get(key)
-    if prev is not None:
-        value = prev + value
-        if not value:
-            del terms[key]
-            return
-    terms[key] = value
-
-
 def quantum_wedge(a: QForm, b: QForm, w: PairTensor) -> QForm:
     """The deformed wedge product a *_h b for a constant pairing w."""
     if a.dim != b.dim or a.dim != w.dim:
         raise ValueError("dimension mismatch")
+    if not w.is_constant():
+        raise TypeError("quantum_wedge needs a constant pairing")
     # per result mask: {h exponent: coefficient}, and whether a Laurent
     # term has contributed since the sum was last zero
     acc, flags = {}, {}
@@ -508,12 +497,12 @@ def quantum_wedge(a: QForm, b: QForm, w: PairTensor) -> QForm:
                 elif base.laurent:
                     flags[m] = True
                 for e, c in pairs:
-                    _add_term(t, e + n, c * q)
+                    add_term(t, e + n, c * q)
                 if not t:
                     del acc[m], flags[m]
-    return QForm(a.dim, {m: HPoly(t, laurent=flags[m])
-                         for m, t in acc.items()},
-                 laurent=a.laurent or b.laurent)
+    return QForm._make(a.dim, {m: HPoly._make(t, flags[m])
+                               for m, t in acc.items()},
+                       a.laurent or b.laurent)
 
 
 def quantum_power(a: QForm, k: int, w: PairTensor) -> QForm:
@@ -573,6 +562,15 @@ class MultiForm:
             if c:
                 self.terms[int(m)] = c
 
+    @staticmethod
+    def _make(dim: int, nparams: int, terms: dict) -> "MultiForm":
+        """Trusted constructor: terms is zero-free with HPolyMulti values."""
+        f = object.__new__(MultiForm)
+        f.dim = dim
+        f.nparams = nparams
+        f.terms = terms
+        return f
+
     def __eq__(self, other):
         return (isinstance(other, MultiForm) and self.dim == other.dim
                 and self.nparams == other.nparams
@@ -581,13 +579,8 @@ class MultiForm:
     def __add__(self, other):
         t = dict(self.terms)
         for m, c in other.terms.items():
-            c2 = t.get(m)
-            c2 = c if c2 is None else c2 + c
-            if c2:
-                t[m] = c2
-            else:
-                t.pop(m, None)
-        return MultiForm(self.dim, self.nparams, t)
+            add_term(t, m, c)
+        return MultiForm._make(self.dim, self.nparams, t)
 
     def coeff(self, key) -> HPolyMulti:
         if isinstance(key, tuple):
@@ -596,8 +589,10 @@ class MultiForm:
 
     def specialize(self, coeffs) -> QForm:
         """Substitute parameter j -> coeffs[j-1] * t, collapsing to QForm."""
-        return QForm(self.dim, {m: c.specialize(coeffs)
-                                for m, c in self.terms.items()})
+        out = {}
+        for m, c in self.terms.items():
+            add_term(out, m, c.specialize(coeffs))
+        return QForm._make(self.dim, out, False)
 
     def __str__(self):
         parts = []
@@ -627,6 +622,8 @@ def quantum_wedge_multi(a: QForm, b: QForm, ws) -> MultiForm:
     for w in ws:
         if w.dim != a.dim:
             raise ValueError("dimension mismatch")
+        if not w.is_constant():
+            raise TypeError("multi-parameter product needs constant pairings")
     for form in (a, b):
         for c in form.terms.values():
             if set(c.terms) - {0}:
@@ -643,7 +640,7 @@ def quantum_wedge_multi(a: QForm, b: QForm, ws) -> MultiForm:
                         t = nxt.setdefault((a2, b2), {})
                         for e, c in poly.items():
                             e = e[:p] + (e[p] + n,) + e[p + 1:]
-                            _add_term(t, e, c * q)
+                            add_term(t, e, c * q)
                 state = {k: t for k, t in nxt.items() if t}
             for (am, bm), poly in state.items():
                 s, m = wedge_masks(am, bm)
@@ -651,5 +648,6 @@ def quantum_wedge_multi(a: QForm, b: QForm, ws) -> MultiForm:
                     continue
                 t = out.setdefault(m, {})
                 for e, c in poly.items():
-                    _add_term(t, e, c if s > 0 else -c)
-    return MultiForm(a.dim, r, {m: HPolyMulti(r, t) for m, t in out.items()})
+                    add_term(t, e, c if s > 0 else -c)
+    return MultiForm._make(a.dim, r, {m: HPolyMulti._make(r, t)
+                                      for m, t in out.items() if t})

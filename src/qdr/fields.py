@@ -12,7 +12,7 @@ from fractions import Fraction
 from .blades import blade_degree, blade_str, insert_first_mask, wedge_masks
 from .exterior import Bivector, QForm, expand_blade_pair
 from .functions import FourierFn, PolyFn
-from .scalars import GaussRat, HPoly, as_fraction
+from .scalars import GaussRat, HPoly, add_term, as_fraction
 
 _PLAIN = (int, Fraction, GaussRat, str)
 
@@ -57,14 +57,16 @@ class FieldForm:
                 raise ValueError(f"blade mask {mask} out of range")
             if isinstance(fn, _PLAIN) or not isinstance(fn, fnring):
                 fn = fnring.constant(dim, fn)
-            if fn:
-                key = (int(h), mask)
-                prev = self.terms.get(key)
-                fn = fn if prev is None else prev + fn
-                if fn:
-                    self.terms[key] = fn
-                else:
-                    self.terms.pop(key, None)
+            add_term(self.terms, (int(h), mask), fn)
+
+    @staticmethod
+    def _make(dim: int, fnring, terms: dict) -> "FieldForm":
+        """Trusted constructor: terms is zero-free with fnring values."""
+        f = object.__new__(FieldForm)
+        f.dim = dim
+        f.fnring = fnring
+        f.terms = terms
+        return f
 
     @classmethod
     def zero(cls, dim: int, fnring) -> "FieldForm":
@@ -97,18 +99,19 @@ class FieldForm:
         return degs.pop()
 
     def grade(self, k: int) -> "FieldForm":
-        return FieldForm(self.dim, self.fnring,
-                         {key: fn for key, fn in self.terms.items()
-                          if blade_degree(key[1]) == k})
+        return FieldForm._make(self.dim, self.fnring,
+                               {key: fn for key, fn in self.terms.items()
+                                if blade_degree(key[1]) == k})
 
     def h_coefficient(self, p: int) -> "FieldForm":
-        return FieldForm(self.dim, self.fnring,
-                         {(0, m): fn for (h, m), fn in self.terms.items()
-                          if h == p})
+        return FieldForm._make(self.dim, self.fnring,
+                               {(0, m): fn for (h, m), fn in self.terms.items()
+                                if h == p})
 
     def h_shift(self, k: int) -> "FieldForm":
-        return FieldForm(self.dim, self.fnring,
-                         {(h + k, m): fn for (h, m), fn in self.terms.items()})
+        return FieldForm._make(self.dim, self.fnring,
+                               {(h + k, m): fn
+                                for (h, m), fn in self.terms.items()})
 
     def _binop(self, other, sign):
         if not isinstance(other, FieldForm):
@@ -117,13 +120,8 @@ class FieldForm:
             raise ValueError("form spaces differ")
         t = dict(self.terms)
         for key, fn in other.terms.items():
-            fn2 = t.get(key)
-            fn2 = (sign * fn) if fn2 is None else fn2 + sign * fn
-            if fn2:
-                t[key] = fn2
-            else:
-                t.pop(key, None)
-        return FieldForm(self.dim, self.fnring, t)
+            add_term(t, key, fn if sign > 0 else -fn)
+        return FieldForm._make(self.dim, self.fnring, t)
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -132,8 +130,8 @@ class FieldForm:
         return self._binop(other, -1)
 
     def __neg__(self):
-        return FieldForm(self.dim, self.fnring,
-                         {k: -fn for k, fn in self.terms.items()})
+        return FieldForm._make(self.dim, self.fnring,
+                               {k: -fn for k, fn in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, str):
@@ -142,18 +140,14 @@ class FieldForm:
             t = {}
             for (h, m), fn in self.terms.items():
                 for e, c in other.terms.items():
-                    key = (h + e, m)
-                    add = fn * c
-                    prev = t.get(key)
-                    add = add if prev is None else prev + add
-                    if add:
-                        t[key] = add
-                    else:
-                        t.pop(key, None)
-            return FieldForm(self.dim, self.fnring, t)
+                    add_term(t, (h + e, m), fn * c)
+            return FieldForm._make(self.dim, self.fnring, t)
         if isinstance(other, _PLAIN) or isinstance(other, self.fnring):
-            return FieldForm(self.dim, self.fnring,
-                             {k: fn * other for k, fn in self.terms.items()})
+            if not other:
+                return FieldForm._make(self.dim, self.fnring, {})
+            return FieldForm._make(self.dim, self.fnring,
+                                   {k: fn * other
+                                    for k, fn in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -211,14 +205,9 @@ def _mask_of(key) -> int:
 
 def lift(form: QForm, fnring) -> "FieldForm":
     """Constant-coefficient form as a FieldForm over the given ring."""
-    t = {}
-    for mask, hp in form.terms.items():
-        for e, c in hp.terms.items():
-            key = (e, mask)
-            fn = fnring.constant(form.dim, c)
-            prev = t.get(key)
-            t[key] = fn if prev is None else prev + fn
-    return FieldForm(form.dim, fnring, t)
+    t = {(e, mask): fnring.constant(form.dim, c)
+         for mask, hp in form.terms.items() for e, c in hp.terms.items()}
+    return FieldForm._make(form.dim, fnring, t)
 
 
 def wedge_field(a: FieldForm, b: FieldForm) -> FieldForm:
@@ -230,15 +219,8 @@ def wedge_field(a: FieldForm, b: FieldForm) -> FieldForm:
             s, m = wedge_masks(ma, mb)
             if not s:
                 continue
-            key = (ha + hb, m)
-            add = (fa * fb) * s
-            prev = t.get(key)
-            add = add if prev is None else prev + add
-            if add:
-                t[key] = add
-            else:
-                t.pop(key, None)
-    return FieldForm(a.dim, a.fnring, t)
+            add_term(t, (ha + hb, m), (fa * fb) * s)
+    return FieldForm._make(a.dim, a.fnring, t)
 
 
 def quantum_wedge_field(a: FieldForm, b: FieldForm, w: PoissonField):
@@ -252,15 +234,8 @@ def quantum_wedge_field(a: FieldForm, b: FieldForm, w: PoissonField):
         for (hb, mb), fb in b.terms.items():
             fab = fa * fb
             for n, mask, coeff in expand_blade_pair(ma, mb, w):
-                key = (ha + hb + n, mask)
-                add = fab * coeff
-                prev = t.get(key)
-                add = add if prev is None else prev + add
-                if add:
-                    t[key] = add
-                else:
-                    t.pop(key, None)
-    return FieldForm(a.dim, a.fnring, t)
+                add_term(t, (ha + hb + n, mask), fab * coeff)
+    return FieldForm._make(a.dim, a.fnring, t)
 
 
 def insert_coord(i: int, form: FieldForm) -> FieldForm:
@@ -269,11 +244,8 @@ def insert_coord(i: int, form: FieldForm) -> FieldForm:
     for (h, mask), fn in form.terms.items():
         s, m = insert_first_mask(i, mask)
         if s:
-            key = (h, m)
-            add = s * fn
-            prev = t.get(key)
-            t[key] = add if prev is None else prev + add
-    return FieldForm(form.dim, form.fnring, t)
+            add_term(t, (h, m), s * fn)
+    return FieldForm._make(form.dim, form.fnring, t)
 
 
 def insert_vector_field(comps, form: FieldForm) -> FieldForm:
@@ -298,15 +270,8 @@ def contract_field(w: PoissonField, form: FieldForm) -> FieldForm:
             s2, m2 = insert_first_mask(j, m1)
             if not s2:
                 continue
-            key = (h, m2)
-            add = (fn * c) * (s1 * s2)
-            prev = t.get(key)
-            add = add if prev is None else prev + add
-            if add:
-                t[key] = add
-            else:
-                t.pop(key, None)
-    return FieldForm(form.dim, form.fnring, t)
+            add_term(t, (h, m2), (fn * c) * (s1 * s2))
+    return FieldForm._make(form.dim, form.fnring, t)
 
 
 def exterior_d(form: FieldForm) -> FieldForm:
@@ -316,18 +281,8 @@ def exterior_d(form: FieldForm) -> FieldForm:
             s, m = wedge_masks(1 << (j - 1), mask)
             if not s:
                 continue
-            df = fn.partial(j)
-            if not df:
-                continue
-            key = (h, m)
-            add = s * df
-            prev = t.get(key)
-            add = add if prev is None else prev + add
-            if add:
-                t[key] = add
-            else:
-                t.pop(key, None)
-    return FieldForm(form.dim, form.fnring, t)
+            add_term(t, (h, m), s * fn.partial(j))
+    return FieldForm._make(form.dim, form.fnring, t)
 
 
 def koszul_delta(form: FieldForm, w: PoissonField) -> FieldForm:
@@ -439,15 +394,8 @@ def delta_component_check(form: FieldForm, w: PoissonField):
                 d = fn.partial(q)
                 if not d:
                     continue
-                key = (h, m)
-                add = d * (-s * wpq)
-                prev = t.get(key)
-                add = add if prev is None else prev + add
-                if add:
-                    t[key] = add
-                else:
-                    t.pop(key, None)
-    rhs = FieldForm(form.dim, form.fnring, t)
+                add_term(t, (h, m), d * (-s * wpq))
+    rhs = FieldForm._make(form.dim, form.fnring, t)
     c = None
     for key, fn in rhs.terms.items():
         lfn = lhs.terms.get(key)
@@ -534,13 +482,7 @@ def _halves(n: int, rmask: int):
                 s, m2 = wedge_masks(cm, 1 << (idx - 1))
                 if not s:
                     continue
-                add = co * wgt * s
-                prev = nxt.get(m2)
-                add = add if prev is None else prev + add
-                if add:
-                    nxt[m2] = add
-                else:
-                    nxt.pop(m2, None)
+                add_term(nxt, m2, co * wgt * s)
         state = nxt
     low = (1 << n) - 1
     out = {}
@@ -559,22 +501,11 @@ def _halves(n: int, rmask: int):
                     s, m2 = wedge_masks(rm, 1 << (rbit - 1))
                     if not s:
                         continue
-                    add = c * wgt * s
-                    prev = nxt.get(m2)
-                    add = add if prev is None else prev + add
-                    if add:
-                        nxt[m2] = add
-                    else:
-                        nxt.pop(m2, None)
+                    add_term(nxt, m2, c * wgt * s)
             back = nxt
         dest = out.setdefault((p, q), {})
         for rm, c in back.items():
-            prev = dest.get(rm)
-            c2 = c if prev is None else prev + c
-            if c2:
-                dest[rm] = c2
-            else:
-                dest.pop(rm, None)
+            add_term(dest, rm, c)
     out = {pq: sub for pq, sub in out.items() if sub}
     _BIDEG_TABLES[(n, rmask)] = out
     return out
@@ -590,15 +521,8 @@ def bidegree_split(form: FieldForm):
         for pq, sub in _halves(n, mask).items():
             dest = comps.setdefault(pq, {})
             for rm, c in sub.items():
-                key = (h, rm)
-                add = fn * c
-                prev = dest.get(key)
-                add = add if prev is None else prev + add
-                if add:
-                    dest[key] = add
-                else:
-                    dest.pop(key, None)
-    return {pq: FieldForm(form.dim, form.fnring, t)
+                add_term(dest, (h, rm), fn * c)
+    return {pq: FieldForm._make(form.dim, form.fnring, t)
             for pq, t in comps.items() if t}
 
 

@@ -8,8 +8,8 @@ leaves exact arithmetic.
 
 from fractions import Fraction
 
-from .scalars import (GaussRat, HPoly, TauNumber, _coeff_str, as_fraction,
-                      frac_str)
+from .scalars import (GaussRat, HPoly, TauNumber, _coeff_str, add_term,
+                      as_fraction, frac_str)
 
 _SCALARS = (int, Fraction, GaussRat, HPoly, str)
 
@@ -39,14 +39,15 @@ class PolyFn:
             expo = tuple(int(e) for e in expo)
             if len(expo) != dim or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent tuple {expo} for dim {dim}")
-            c = _coerce_scalar(c)
-            if c:
-                prev = self.terms.get(expo)
-                c = c if prev is None else prev + c
-                if c:
-                    self.terms[expo] = c
-                else:
-                    self.terms.pop(expo, None)
+            add_term(self.terms, expo, _coerce_scalar(c))
+
+    @staticmethod
+    def _make(dim: int, terms: dict) -> "PolyFn":
+        """Trusted constructor: terms is zero-free with exact coefficients."""
+        f = object.__new__(PolyFn)
+        f.dim = dim
+        f.terms = terms
+        return f
 
     @classmethod
     def constant(cls, dim: int, c) -> "PolyFn":
@@ -84,12 +85,8 @@ class PolyFn:
             raise ValueError("dimension mismatch")
         t = dict(self.terms)
         for expo, c in other.terms.items():
-            c2 = t.get(expo, 0) + sign * c
-            if c2:
-                t[expo] = c2
-            else:
-                t.pop(expo, None)
-        return PolyFn(self.dim, t)
+            add_term(t, expo, c if sign > 0 else -c)
+        return PolyFn._make(self.dim, t)
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -103,12 +100,15 @@ class PolyFn:
         return (-self)._binop(other, 1)
 
     def __neg__(self):
-        return PolyFn(self.dim, {e: -c for e, c in self.terms.items()})
+        return PolyFn._make(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             c = _coerce_scalar(other)
-            return PolyFn(self.dim, {e: v * c for e, v in self.terms.items()})
+            if not c:
+                return PolyFn._make(self.dim, {})
+            return PolyFn._make(self.dim,
+                                {e: v * c for e, v in self.terms.items()})
         if not isinstance(other, PolyFn):
             return NotImplemented
         if other.dim != self.dim:
@@ -116,13 +116,8 @@ class PolyFn:
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = t.get(e, 0) + c1 * c2
-                if c:
-                    t[e] = c
-                else:
-                    t.pop(e, None)
-        return PolyFn(self.dim, t)
+                add_term(t, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return PolyFn._make(self.dim, t)
 
     __rmul__ = __mul__
 
@@ -138,13 +133,13 @@ class PolyFn:
     def partial(self, j: int) -> "PolyFn":
         if not 1 <= j <= self.dim:
             raise ValueError(f"coordinate x{j} out of range")
+        # lowering the j-th exponent is injective, so no two terms meet
         t = {}
         for expo, c in self.terms.items():
             e = expo[j - 1]
             if e:
-                down = expo[:j - 1] + (e - 1,) + expo[j:]
-                t[down] = t.get(down, 0) + e * c
-        return PolyFn(self.dim, t)
+                t[expo[:j - 1] + (e - 1,) + expo[j:]] = e * c
+        return PolyFn._make(self.dim, t)
 
     def eval(self, point):
         point = [as_fraction(p) if isinstance(p, (int, str)) else p
@@ -163,8 +158,8 @@ class PolyFn:
         return max((sum(e) for e in self.terms), default=0)
 
     def conj(self) -> "PolyFn":
-        return PolyFn(self.dim, {e: c.conj() if isinstance(c, (GaussRat,
-                      HPoly)) else c for e, c in self.terms.items()})
+        return PolyFn._make(self.dim, {e: c.conj() if isinstance(
+            c, (GaussRat, HPoly)) else c for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, _SCALARS):
@@ -233,14 +228,15 @@ class FourierFn:
             mode = tuple(int(k) for k in mode)
             if len(mode) != dim:
                 raise ValueError(f"bad mode {mode} for dim {dim}")
-            c = TauNumber.coerce(c)
-            if c:
-                prev = self.terms.get(mode)
-                c = c if prev is None else prev + c
-                if c:
-                    self.terms[mode] = c
-                else:
-                    self.terms.pop(mode, None)
+            add_term(self.terms, mode, TauNumber.coerce(c))
+
+    @staticmethod
+    def _make(dim: int, terms: dict) -> "FourierFn":
+        """Trusted constructor: terms is zero-free with TauNumber values."""
+        f = object.__new__(FourierFn)
+        f.dim = dim
+        f.terms = terms
+        return f
 
     @classmethod
     def constant(cls, dim: int, c) -> "FourierFn":
@@ -275,12 +271,8 @@ class FourierFn:
             raise ValueError("dimension mismatch")
         t = dict(self.terms)
         for mode, c in other.terms.items():
-            c2 = t.get(mode, TauNumber()) + (c if sign > 0 else -c)
-            if c2:
-                t[mode] = c2
-            else:
-                t.pop(mode, None)
-        return FourierFn(self.dim, t)
+            add_term(t, mode, c if sign > 0 else -c)
+        return FourierFn._make(self.dim, t)
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -294,13 +286,16 @@ class FourierFn:
         return (-self)._binop(other, 1)
 
     def __neg__(self):
-        return FourierFn(self.dim, {m: -c for m, c in self.terms.items()})
+        return FourierFn._make(self.dim,
+                               {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat, TauNumber)):
             c = TauNumber.coerce(other)
-            return FourierFn(self.dim,
-                             {m: v * c for m, v in self.terms.items()})
+            if not c:
+                return FourierFn._make(self.dim, {})
+            return FourierFn._make(self.dim,
+                                   {m: v * c for m, v in self.terms.items()})
         if not isinstance(other, FourierFn):
             return NotImplemented
         if other.dim != self.dim:
@@ -308,21 +303,16 @@ class FourierFn:
         t = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = t.get(m, TauNumber()) + c1 * c2
-                if c:
-                    t[m] = c
-                else:
-                    t.pop(m, None)
-        return FourierFn(self.dim, t)
+                add_term(t, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+        return FourierFn._make(self.dim, t)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, GaussRat, TauNumber)):
             c = TauNumber.coerce(other)
-            return FourierFn(self.dim,
-                             {m: v / c for m, v in self.terms.items()})
+            return FourierFn._make(self.dim,
+                                   {m: v / c for m, v in self.terms.items()})
         raise TypeError("mode division limited to scalars")
 
     def partial(self, j: int) -> "FourierFn":
@@ -334,15 +324,15 @@ class FourierFn:
             k = mode[j - 1]
             if k:
                 t[mode] = c * TauNumber.tau(1, GaussRat(0, k))
-        return FourierFn(self.dim, t)
+        return FourierFn._make(self.dim, t)
 
     def sup_norm(self) -> int:
         return max((max(abs(k) for k in m) if m else 0
                     for m in self.terms), default=0)
 
     def conj(self) -> "FourierFn":
-        return FourierFn(self.dim, {tuple(-k for k in m): c.conj()
-                                    for m, c in self.terms.items()})
+        return FourierFn._make(self.dim, {tuple(-k for k in m): c.conj()
+                                          for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussRat, TauNumber)):
@@ -401,7 +391,7 @@ def moyal_product(u: PolyFn, v: PolyFn, w) -> PolyFn:
         level = PolyFn.zero(u.dim)
         for a, b, c in pairs:
             level = level + (a * b) * c
-        out = out + level * HPoly({n: factinv})
+        out = out + level * HPoly._make({n: factinv}, False)
         nxt = []
         for a, b, c in pairs:
             for i, j, wij in entries:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import HPoly, as_fraction
+from .scalars import HPoly, as_fraction, frac_str
 
 
 def mat_mul(a, b):
@@ -203,10 +203,6 @@ class CharPolynomial:
 
     def serialize(self):
         return [frac_str(c) for c in self.coeffs]
-
-
-def frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 def _find_rational_root(coeffs):

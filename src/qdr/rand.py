@@ -13,7 +13,7 @@ from .blades import masks_of_degree
 from .exterior import Bivector, PairTensor, QForm
 from .fields import FieldForm
 from .functions import FourierFn, PolyFn
-from .scalars import GaussRat, HPoly, TauNumber
+from .scalars import GaussRat, HPoly, TauNumber, add_term
 
 
 def random_fraction(rng: Random, span: int = 4) -> Fraction:
@@ -42,7 +42,7 @@ def random_qform(rng: Random, dim: int, nterms: int = 3, max_h: int = 1,
     for _ in range(nterms):
         m = rng.choice(pool)
         c = random_hpoly(rng, max_h, span)
-        terms[m] = terms.get(m, HPoly()) + c
+        add_term(terms, m, c)
     return QForm(dim, terms)
 
 
@@ -84,8 +84,7 @@ def random_polyfn(rng: Random, dim: int, max_deg: int = 2, span: int = 3,
             expo[rng.randrange(dim)] += 1
         c = (random_gauss(rng, span) if complex_ok
              else random_fraction(rng, span))
-        key = tuple(expo)
-        terms[key] = terms.get(key, 0) + c
+        add_term(terms, tuple(expo), c)
     return PolyFn(dim, terms)
 
 
@@ -94,8 +93,7 @@ def random_fourierfn(rng: Random, dim: int, N: int = 1, span: int = 3,
     terms = {}
     for _ in range(nterms):
         mode = tuple(rng.randint(-N, N) for _ in range(dim))
-        c = terms.get(mode, TauNumber()) + TauNumber(random_gauss(rng, span))
-        terms[mode] = c
+        add_term(terms, mode, TauNumber(random_gauss(rng, span)))
     return FourierFn(dim, terms)
 
 
@@ -117,7 +115,5 @@ def random_fieldform(rng: Random, model, nterms: int = 3, max_h: int = 1,
     terms = {}
     for _ in range(nterms):
         key = (rng.randint(0, max_h), rng.choice(pool))
-        fn = random_fn(rng, model, span=span, **kw)
-        prev = terms.get(key)
-        terms[key] = fn if prev is None else prev + fn
+        add_term(terms, key, random_fn(rng, model, span=span, **kw))
     return FieldForm(model.dim, model.fnring, terms)

@@ -6,6 +6,10 @@ rational coefficients. Multi-parameter variants carry one exponent per
 parameter. Gaussian rationals a + b*i back the complexified frames, and
 tau-graded Gaussian rationals back torus boundary matrices (tau stands in
 for the circle period so that nothing is ever evaluated in floating point).
+
+Every sparse terms dict in the package is zero-free. Arithmetic builds it
+through add_term and hands it to the class's private trusted constructor
+_make, which skips coercion; only the public constructors validate.
 """
 
 from __future__ import annotations
@@ -27,6 +31,24 @@ def frac_str(x: Fraction) -> str:
     return str(x)
 
 
+def add_term(terms: dict, key, value) -> None:
+    """terms[key] += value, keeping terms zero-free.
+
+    This is the one accumulator of every sparse terms dict: a key whose
+    sum vanishes is deleted and a zero value is never stored, so results
+    can go straight to a trusted constructor.
+    """
+    prev = terms.get(key)
+    if prev is not None:
+        value = prev + value
+        if not value:
+            del terms[key]
+            return
+    elif not value:
+        return
+    terms[key] = value
+
+
 class GaussRat:
     """Gaussian rational a + b*i with exact Fraction parts."""
 
@@ -37,10 +59,18 @@ class GaussRat:
         self.im = as_fraction(im)
 
     @staticmethod
+    def _make(re: Fraction, im: Fraction) -> "GaussRat":
+        """Trusted constructor: both parts are already Fractions."""
+        g = object.__new__(GaussRat)
+        g.re = re
+        g.im = im
+        return g
+
+    @staticmethod
     def coerce(x) -> "GaussRat":
         if isinstance(x, GaussRat):
             return x
-        return GaussRat(as_fraction(x))
+        return GaussRat(x)
 
     _COERCIBLE = (int, Fraction, str)
 
@@ -48,7 +78,7 @@ class GaussRat:
         if not isinstance(other, (GaussRat,) + GaussRat._COERCIBLE):
             return NotImplemented
         o = GaussRat.coerce(other)
-        return GaussRat(self.re + o.re, self.im + o.im)
+        return GaussRat._make(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -56,20 +86,20 @@ class GaussRat:
         if not isinstance(other, (GaussRat,) + GaussRat._COERCIBLE):
             return NotImplemented
         o = GaussRat.coerce(other)
-        return GaussRat(self.re - o.re, self.im - o.im)
+        return GaussRat._make(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         return GaussRat.coerce(other) - self
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return GaussRat._make(-self.re, -self.im)
 
     def __mul__(self, other):
         if not isinstance(other, (GaussRat,) + GaussRat._COERCIBLE):
             return NotImplemented
         o = GaussRat.coerce(other)
-        return GaussRat(self.re * o.re - self.im * o.im,
-                        self.re * o.im + self.im * o.re)
+        return GaussRat._make(self.re * o.re - self.im * o.im,
+                              self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
@@ -78,14 +108,14 @@ class GaussRat:
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRat((self.re * o.re + self.im * o.im) / n,
-                        (self.im * o.re - self.re * o.im) / n)
+        return GaussRat._make((self.re * o.re + self.im * o.im) / n,
+                              (self.im * o.re - self.re * o.im) / n)
 
     def __rtruediv__(self, other):
         return GaussRat.coerce(other) / self
 
     def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return GaussRat._make(self.re, -self.im)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -190,6 +220,14 @@ class HPoly:
                 self.terms[e] = c
 
     @staticmethod
+    def _make(terms: dict, laurent: bool) -> "HPoly":
+        """Trusted constructor: terms is zero-free with exact coefficients."""
+        p = object.__new__(HPoly)
+        p.terms = terms
+        p.laurent = laurent
+        return p
+
+    @staticmethod
     def coerce(x, laurent: bool = False) -> "HPoly":
         if isinstance(x, HPoly):
             return x
@@ -212,12 +250,8 @@ class HPoly:
         o = HPoly.coerce(other, self.laurent)
         t = dict(self.terms)
         for e, c in o.terms.items():
-            c2 = t.get(e, 0) + c
-            if c2:
-                t[e] = c2
-            else:
-                t.pop(e, None)
-        return HPoly(t, laurent=self._flag(other))
+            add_term(t, e, c)
+        return HPoly._make(t, self._flag(other))
 
     __radd__ = __add__
 
@@ -228,27 +262,23 @@ class HPoly:
         return HPoly.coerce(other, self.laurent) - self
 
     def __neg__(self):
-        return HPoly({e: -c for e, c in self.terms.items()}, laurent=self.laurent)
+        return HPoly._make({e: -c for e, c in self.terms.items()},
+                           self.laurent)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                return HPoly(laurent=self.laurent)
-            return HPoly({e: c * other for e, c in self.terms.items()},
-                         laurent=self.laurent)
+                return HPoly._make({}, self.laurent)
+            return HPoly._make({e: c * other for e, c in self.terms.items()},
+                               self.laurent)
         if not isinstance(other, (HPoly, GaussRat, str)):
             return NotImplemented
         o = HPoly.coerce(other, self.laurent)
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = e1 + e2
-                c = t.get(e, 0) + c1 * c2
-                if c:
-                    t[e] = c
-                else:
-                    t.pop(e, None)
-        return HPoly(t, laurent=self._flag(other))
+                add_term(t, e1 + e2, c1 * c2)
+        return HPoly._make(t, self._flag(other))
 
     __rmul__ = __mul__
 
@@ -256,11 +286,11 @@ class HPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError
-            return HPoly({e: c / other for e, c in self.terms.items()},
-                         laurent=self.laurent)
+            return HPoly._make({e: c / other for e, c in self.terms.items()},
+                               self.laurent)
         if isinstance(other, GaussRat):
-            return HPoly({e: GaussRat.coerce(c) / other
-                          for e, c in self.terms.items()}, laurent=self.laurent)
+            return HPoly._make({e: GaussRat.coerce(c) / other
+                                for e, c in self.terms.items()}, self.laurent)
         if isinstance(other, HPoly) and len(other.terms) == 1:
             (e0, c0), = other.terms.items()
             return self.shift(-e0) / c0
@@ -269,8 +299,7 @@ class HPoly:
     def shift(self, k: int) -> "HPoly":
         """Multiply by h^k (k may be negative; result is laurent if needed)."""
         t = {e + k: c for e, c in self.terms.items()}
-        laurent = self.laurent or any(e < 0 for e in t)
-        return HPoly(t, laurent=laurent)
+        return HPoly._make(t, self.laurent or any(e < 0 for e in t))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
@@ -313,8 +342,8 @@ class HPoly:
         return out
 
     def conj(self) -> "HPoly":
-        return HPoly({e: (c.conj() if isinstance(c, GaussRat) else c)
-                      for e, c in self.terms.items()}, laurent=self.laurent)
+        return HPoly._make({e: (c.conj() if isinstance(c, GaussRat) else c)
+                            for e, c in self.terms.items()}, self.laurent)
 
     def __str__(self):
         if not self.terms:
@@ -385,6 +414,14 @@ class HPolyMulti:
                 self.terms[e] = c
 
     @staticmethod
+    def _make(nparams: int, terms: dict) -> "HPolyMulti":
+        """Trusted constructor: terms is zero-free with Fraction values."""
+        p = object.__new__(HPolyMulti)
+        p.nparams = nparams
+        p.terms = terms
+        return p
+
+    @staticmethod
     def coerce(x, nparams: int) -> "HPolyMulti":
         if isinstance(x, HPolyMulti):
             if x.nparams != nparams:
@@ -403,12 +440,8 @@ class HPolyMulti:
         o = HPolyMulti.coerce(other, self.nparams)
         t = dict(self.terms)
         for e, c in o.terms.items():
-            c2 = t.get(e, 0) + c
-            if c2:
-                t[e] = c2
-            else:
-                t.pop(e, None)
-        return HPolyMulti(self.nparams, t)
+            add_term(t, e, c)
+        return HPolyMulti._make(self.nparams, t)
 
     __radd__ = __add__
 
@@ -416,24 +449,21 @@ class HPolyMulti:
         return self + (-HPolyMulti.coerce(other, self.nparams))
 
     def __neg__(self):
-        return HPolyMulti(self.nparams,
-                          {e: -c for e, c in self.terms.items()})
+        return HPolyMulti._make(self.nparams,
+                                {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return HPolyMulti(self.nparams,
-                              {e: c * other for e, c in self.terms.items()})
+            if other == 0:
+                return HPolyMulti._make(self.nparams, {})
+            return HPolyMulti._make(
+                self.nparams, {e: c * other for e, c in self.terms.items()})
         o = HPolyMulti.coerce(other, self.nparams)
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = t.get(e, 0) + c1 * c2
-                if c:
-                    t[e] = c
-                else:
-                    t.pop(e, None)
-        return HPolyMulti(self.nparams, t)
+                add_term(t, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return HPolyMulti._make(self.nparams, t)
 
     __rmul__ = __mul__
 
@@ -465,13 +495,11 @@ class HPolyMulti:
         coeffs = [as_fraction(c) for c in coeffs]
         out = {}
         for e, c in self.terms.items():
-            tot = sum(e)
             scale = c
             for ej, cj in zip(e, coeffs):
                 scale *= cj ** ej
-            if scale:
-                out[tot] = out.get(tot, 0) + scale
-        return HPoly({e: c for e, c in out.items() if c})
+            add_term(out, sum(e), scale)
+        return HPoly._make(out, False)
 
     def constant(self):
         return self.terms.get((0,) * self.nparams, Fraction(0))
@@ -617,6 +645,13 @@ class TauNumber:
                 self.terms[int(e)] = c
 
     @staticmethod
+    def _make(terms: dict) -> "TauNumber":
+        """Trusted constructor: terms is zero-free with GaussRat values."""
+        t = object.__new__(TauNumber)
+        t.terms = terms
+        return t
+
+    @staticmethod
     def coerce(x) -> "TauNumber":
         if isinstance(x, TauNumber):
             return x
@@ -630,12 +665,8 @@ class TauNumber:
         o = TauNumber.coerce(other)
         t = dict(self.terms)
         for e, c in o.terms.items():
-            c2 = t.get(e, GaussRat()) + c
-            if c2:
-                t[e] = c2
-            else:
-                t.pop(e, None)
-        return TauNumber(t)
+            add_term(t, e, c)
+        return TauNumber._make(t)
 
     __radd__ = __add__
 
@@ -643,20 +674,15 @@ class TauNumber:
         return self + (-TauNumber.coerce(other))
 
     def __neg__(self):
-        return TauNumber({e: -c for e, c in self.terms.items()})
+        return TauNumber._make({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         o = TauNumber.coerce(other)
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = e1 + e2
-                c = t.get(e, GaussRat()) + c1 * c2
-                if c:
-                    t[e] = c
-                else:
-                    t.pop(e, None)
-        return TauNumber(t)
+                add_term(t, e1 + e2, c1 * c2)
+        return TauNumber._make(t)
 
     __rmul__ = __mul__
 
@@ -670,7 +696,8 @@ class TauNumber:
         if not o.is_monomial():
             raise ValueError("tau-number division needs a monomial divisor")
         (e0, c0), = o.terms.items()
-        return TauNumber({e - e0: c / c0 for e, c in self.terms.items()})
+        return TauNumber._make({e - e0: c / c0
+                                for e, c in self.terms.items()})
 
     def __eq__(self, other):
         o = TauNumber.coerce(other) if not isinstance(other, TauNumber) else other
@@ -686,7 +713,7 @@ class TauNumber:
         return not self.terms
 
     def conj(self) -> "TauNumber":
-        return TauNumber({e: c.conj() for e, c in self.terms.items()})
+        return TauNumber._make({e: c.conj() for e, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:

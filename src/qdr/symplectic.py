@@ -23,7 +23,7 @@ from .linalg import (
     mat_inv,
     poly_det,
 )
-from .scalars import HPoly, as_fraction
+from .scalars import HPoly, add_term, as_fraction
 
 
 class SymplecticForm:
@@ -182,7 +182,7 @@ def symplectic_star(form: QForm, omega=None) -> QForm:
     top = (1 << omega.dim) - 1
     out = {}
     for m, c in form.terms.items():
-        flipped = HPoly({-e: q for e, q in c.terms.items()}, laurent=True)
+        flipped = HPoly._make({-e: q for e, q in c.terms.items()}, True)
         k = blade_degree(m)
         for amask in masks_of_degree(omega.dim, k):
             val = lambda_pairing(w, amask, m)
@@ -190,10 +190,8 @@ def symplectic_star(form: QForm, omega=None) -> QForm:
                 continue
             cm = (top ^ amask)
             s, _ = wedge_masks(amask, cm)
-            coeff = flipped * (val * vol / s)
-            prev = out.get(cm)
-            out[cm] = coeff if prev is None else prev + coeff
-    return QForm(form.dim, {m: c for m, c in out.items() if c}, laurent=True)
+            add_term(out, cm, flipped * (val * vol / s))
+    return QForm._make(form.dim, out, True)
 
 
 def apply_L(form: QForm, omega=None) -> QForm:
@@ -487,12 +485,6 @@ def lefschetz_matrix(n: int, parity) -> LinOp:
     basis = [(p, Blade(2 * n, mask))
              for p, mask in graded_window_basis(n, parity)]
     return LinOp(basis, mat)
-
-
-def char_poly(m) -> CharPolynomial:
-    if isinstance(m, LinOp):
-        return m.char_poly()
-    return _char_poly_rows(m)
 
 
 def det_recursion_check(m1, depth: int):

@@ -390,3 +390,39 @@ def test_main_machine_format(tmp_path, capsys):
     assert main(["--scenario", good, "--format", "machine"]) == 0
     tree = json.loads(capsys.readouterr().out)
     assert tree["tasks"][0]["value"] == "e1^e2 + (-1)*h"
+
+
+# ---------------------------------------------------------------- suite n caps
+
+
+@pytest.mark.parametrize("suite, cap", sorted(cli._SUITE_N_CAPS.items()))
+def test_suite_rejects_n_outside_its_cap(suite, cap, capsys):
+    for n in (cap + 1, 0, -1):
+        assert main(["--check", suite, "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines == [f"qdr: suite {suite} takes n from 1 to {cap}, "
+                         f"got {n}"]
+    with pytest.raises(ScenarioError, match=f"n from 1 to {cap}"):
+        check(suite, Options(n=cap + 1, count=1))
+
+
+def test_suite_n_at_the_cap_runs_that_model(tmp_path, capsys):
+    assert main(["--check", "cohomology", "--n", "2",
+                 "--format", "machine"]) == 0
+    tree = json.loads(capsys.readouterr().out)
+    assert tree["tasks"][0]["model"] == "torus(dim=4)"
+    # a scenario suite task defaults n to the model's half-dimension
+    path = scenario_file(tmp_path, {"model": "flat", "n": 3,
+                                    "suite": "stokes"})
+    assert main(["--scenario", path]) == 2
+    assert capsys.readouterr().err == \
+        "qdr: suite stokes takes n from 1 to 2, got 3\n"
+
+
+def test_complex_suite_rejects_n_over_the_dimension_cap(monkeypatch, capsys):
+    monkeypatch.delenv("QDR_MAX_DIM", raising=False)
+    assert main(["--check", "complex", "--n", "5", "--count", "1"]) == 2
+    assert capsys.readouterr().err == \
+        "qdr: dimension 10 exceeds QDR_MAX_DIM=8\n"

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from qdr.exterior import QForm, quantum_wedge, wedge
+from qdr.linalg import char_poly
 from qdr.scalars import HPoly
 from qdr.symplectic import (
     SymplecticForm,
@@ -17,7 +18,6 @@ from qdr.symplectic import (
     apply_Lhstar,
     apply_Lstar,
     bivector_of,
-    char_poly,
     contract_bivector,
     decomposition_report,
     det_recursion_check,
