@@ -42,6 +42,11 @@ Exit codes: 0 all assertion-bearing tasks passed, 1 at least one
 failed, 2 usage, parse, or model-validation error.  The environment
 variable QDR_MAX_DIM (default 8) caps the working dimension; MAX_MODES
 caps the Fourier modes (2N + 1)^dim of a truncated torus complex.
+A repetition count (``--count``, a suite or stokes task's "count")
+must lie in 1..MAX_COUNT and a power task's k in 0..MAX_POWER, else
+exit 2; a count of 0 is rejected, never replaced by the default.  A
+library check that raises AssertionError inside a suite fails that
+suite (exit 1) instead of ending in a traceback.
 A suite rejects a half-dimension n above its own cap (cohomology,
 stokes, hermitian, dolbeault and chern 2, lefschetz 3, relation17 4,
 recursion 5) with exit 2 instead of running a smaller model.
@@ -137,6 +142,10 @@ DEFAULT_MAX_DIM = 8
 # most Fourier modes (2N + 1)^dim a cohomology task or suite may truncate
 # to; torus(3, 1) has exactly this many
 MAX_MODES = 729
+
+# largest repetition count of a suite or stokes task, and largest power k
+MAX_COUNT = 1000
+MAX_POWER = 64
 
 MODELS = ("flat", "torus", "lie_poisson_so3", "heisenberg", "custom")
 
@@ -624,7 +633,7 @@ def _run_product(ctx, task):
 
 
 def _run_power(ctx, task):
-    k = _int_key(task, "k", low=0)
+    k = _int_key(task, "k", low=0, high=MAX_POWER)
     base = ctx.eval(task["expr"])
     if isinstance(base, QForm):
         value = quantum_power(base, k, ctx.constant_space.w)
@@ -745,15 +754,8 @@ def _run_integral(ctx, task):
 def _run_stokes(ctx, task):
     if ctx.model is None or not ctx.model.is_torus():
         raise ScenarioError("stokes task needs a torus model")
-    count = _int_key(task, "count", default=25, low=1)
-    rng = Random(ctx.seed)
-    failures = []
-    for i in range(count):
-        form = random_fieldform(rng, ctx.model, nterms=2,
-                                degree=rng.randint(0, ctx.dim))
-        res = stokes_check(form, ctx.model)
-        if not res["ok"]:
-            failures.append({"index": i, "integrals": res["integrals"]})
+    count = _int_key(task, "count", default=25, low=1, high=MAX_COUNT)
+    failures = stokes_failures(Random(ctx.seed), ctx.model, count)
     return {"task": "stokes", "count": count, "failures": failures,
             "pass": not failures}
 
@@ -808,7 +810,7 @@ def _run_suite(ctx, task):
                    high=max_dim() // 2),
         truncation=_int_key(task, "truncation", default=ctx.truncation,
                             low=1),
-        count=_int_key(task, "count", low=1),
+        count=_int_key(task, "count"),
         seed=ctx.seed,
     )
     name = task["name"]
@@ -831,26 +833,18 @@ _RUNNERS = {
 
 
 # ---------------------------------------------------------------------------
-# check suites
+# check loops, shared by the suites below and the acceptance criteria; each
+# takes its Random and bounds, draws in a fixed order, and returns its
+# failures
 
 
-class Options:
-    """Bounds for a named suite: dimension, half-dimension, torus
-    truncation, repetition count, seed."""
-
-    def __init__(self, dim=None, n=None, truncation=None, count=None,
-                 seed=0):
-        self.dim, self.n, self.truncation = dim, n, truncation
-        self.count, self.seed = count, seed or 0
-
-
-def _suite_associativity(o: Options):
-    dim = o.dim or 4
-    _check_dim(dim)
-    count = o.count or 25
-    rng = Random(o.seed)
+def associativity_failures(rng, dims, count):
+    """Supercommutativity of the deformed wedge at an antisymmetric w and
+    associativity at a general pairing; iteration i works in dimension
+    dims[i % len(dims)]."""
     bad = 0
-    for _ in range(count):
+    for i in range(count):
+        dim = dims[i % len(dims)]
         da, db = rng.randint(0, dim), rng.randint(0, dim)
         a = random_blade_form(rng, dim, da)
         b = random_blade_form(rng, dim, db)
@@ -866,15 +860,15 @@ def _suite_associativity(o: Options):
         right = quantum_wedge(u, quantum_wedge(v, t, phi), phi)
         if left != right:
             bad += 1
-    return {"dim": dim, "count": count, "failed": bad}, bad == 0
+    return bad
 
 
-def _suite_multiparameter(o: Options):
-    count = o.count or 20
-    rng = Random(o.seed)
+def multiparameter_failures(rng, dims, count):
+    """The multiparameter product specialised at h_j -> c_j against the
+    one-parameter product at the combined bivector."""
     bad = 0
     for _ in range(count):
-        dim = rng.choice([2, 4])
+        dim = rng.choice(dims)
         ws = [random_bivector(rng, dim)
               for _ in range(rng.choice([2, 3]))]
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in ws]
@@ -886,40 +880,31 @@ def _suite_multiparameter(o: Options):
         multi = quantum_wedge_multi(a, b, ws)
         if multi.specialize(coeffs) != quantum_wedge(a, b, total):
             bad += 1
-    return {"count": count, "failed": bad}, bad == 0
+    return bad
 
 
-def _suite_relation17(o: Options):
+def relation17_failures(ns):
+    """verify_relation_17 for each n: its rows, and the n whose
+    nilpotency order is not n + 1."""
     rows = []
-    for n in range(1, (o.n or 4) + 1):
+    for n in ns:
         rel = verify_relation_17(n)
         rows.append({"n": n, "ok": rel["ok"],
                      "nilpotency_order": rel["nilpotency_order"]})
-    passed = all(r["ok"] and r["nilpotency_order"] == r["n"] + 1
-                 for r in rows)
-    return {"rows": rows}, passed
+    return rows, [r["n"] for r in rows
+                  if not (r["ok"] and r["nilpotency_order"] == r["n"] + 1)]
 
 
-def _suite_recursion(o: Options):
-    n = o.n or 3
-    rep = derived_recursion_report(n)
-    passed = all(r["matches_derived"] for r in rep["rows"])
-    return {"n": n, "rows": _jsonify(rep["rows"])}, passed
-
-
-def _suite_complex(o: Options):
-    count = o.count or 8
-    rng = Random(o.seed)
-    n = o.n or 1
-    _check_dim(2 * n)
-    models = [standard_symplectic(n),
-              lie_poisson_so3(), heisenberg(),
-              torus(1, o.truncation or 2)]
+def complex_failures(rng, models, count):
+    """jacobi_check accepts each model, d_h² = 0 and the deformed Leibniz
+    rule hold on count random pairs per model, and jacobi_check rejects
+    the non-Poisson fixture with a witness; returns one jacobi row per
+    model and the failure count."""
     bad = 0
     rows = []
     for model in models:
         w = model.poisson
-        ok_j, witness = jacobi_check(w)
+        ok_j, _ = jacobi_check(w)
         if not ok_j:
             bad += 1
         for _ in range(count):
@@ -942,6 +927,168 @@ def _suite_complex(o: Options):
         bad += 1
     rows.append({"model": "non_poisson_example", "jacobi": np_ok,
                  "witness": str(np_witness)})
+    return rows, bad
+
+
+def koszul_constants(rng, ns, count):
+    """The Koszul component constants c of count random 2-form probes on
+    each flat model of half-dimension n, and the terms they matched."""
+    cs = set()
+    matched = 0
+    for n in ns:
+        model = standard_symplectic(n)
+        for _ in range(count):
+            probe = random_fieldform(rng, model, degree=2)
+            comp = delta_component_check(probe, model.poisson)
+            if comp["matched_terms"]:
+                matched += comp["matched_terms"]
+                cs.add(comp["c"])
+    return cs, matched
+
+
+def window_failures(ns):
+    """lemma62_check for every 0 <= k <= n: the reports by (n, k), and
+    the (n, k) whose window identity multiple is not -(n - k)."""
+    reps = {(n, k): lemma62_check(n, k) for n in ns for k in range(n + 1)}
+    return reps, [nk for nk, rep in reps.items()
+                  if rep["part_i"]["multiple"] != -(nk[0] - nk[1])]
+
+
+def stokes_failures(rng, model, count):
+    """stokes_check on count random forms; a form whose check raises is
+    recorded with its index."""
+    failures = []
+    for i in range(count):
+        form = random_fieldform(rng, model, nterms=2,
+                                degree=rng.randint(0, model.dim))
+        try:
+            stokes_check(form, model)
+        except AssertionError as ex:
+            failures.append({"index": i, "error": str(ex)})
+    return failures
+
+
+def dolbeault_failures(rng, ns, count):
+    """The Dolbeault split of d_h on count random forms per flat model of
+    half-dimension n: the halves sum to d_h, square to zero, and their
+    cross terms cancel."""
+    bad = 0
+    for n in ns:
+        model = standard_symplectic(n)
+        w = model.poisson
+        for _ in range(count):
+            a = random_fieldform(rng, model, nterms=2, max_h=0,
+                                 degree=rng.randint(0, model.dim))
+            dh, dbh = quantum_dolbeault_split(a, w)
+            if dh + dbh != quantum_d(a, w):
+                bad += 1
+            if not quantum_dolbeault_split(dh, w)[0].is_zero():
+                bad += 1
+            if not quantum_dolbeault_split(dbh, w)[1].is_zero():
+                bad += 1
+            cross = (quantum_dolbeault_split(dbh, w)[0]
+                     + quantum_dolbeault_split(dh, w)[1])
+            if not cross.is_zero():
+                bad += 1
+    return bad
+
+
+def chern_failures(rng, ns, count):
+    """The deformed Bianchi identity, gauge conjugation of the curvature
+    and a closed trace form on count random rank-2 connections per flat
+    model of half-dimension n."""
+    bad = 0
+    for n in ns:
+        model = standard_symplectic(n)
+        w = model.poisson
+        for _ in range(count):
+            theta = MatrixForm([[random_fieldform(rng, model, nterms=2,
+                                                  max_h=0, degree=1,
+                                                  max_deg=2)
+                                 for _ in range(2)] for _ in range(2)])
+            try:
+                bianchi_check(theta, w)
+                g = GaugeTransform(model, [[1, random_polyfn(rng, model.dim,
+                                                             max_deg=1)],
+                                           [0, 1]])
+                curvature_gauge_check(theta, g, w)
+                char_form(quantum_curvature(theta, w), "trace", w)
+            except AssertionError:
+                bad += 1
+    return bad
+
+
+def moyal_failures(rng, count):
+    """Associativity of the Moyal product and the coordinate commutator
+    x_i * x_j - x_j * x_i = 2 h w_ij on random polynomials."""
+    bad = 0
+    for _ in range(count):
+        dim = rng.choice([2, 4])
+        w = random_bivector(rng, dim)
+        u, v, t = (random_polyfn(rng, dim, max_deg=2) for _ in range(3))
+        if (moyal_product(moyal_product(u, v, w), t, w)
+                != moyal_product(u, moyal_product(v, t, w), w)):
+            bad += 1
+        i, j = rng.randint(1, dim), rng.randint(1, dim)
+        xi, xj = PolyFn.coord(dim, i), PolyFn.coord(dim, j)
+        comm = (moyal_product(xi, xj, w) - moyal_product(xj, xi, w))
+        entries = {(a, b): val for a, b, val in w.upper_entries()}
+        wij = (entries.get((i, j), Fraction(0))
+               - entries.get((j, i), Fraction(0)))
+        expected = PolyFn.constant(dim, HPoly({1: 2 * wij}))
+        if comm != expected:
+            bad += 1
+    return bad
+
+
+# ---------------------------------------------------------------------------
+# check suites
+
+
+class Options:
+    """Bounds for a named suite: dimension, half-dimension, torus
+    truncation, repetition count, seed."""
+
+    def __init__(self, dim=None, n=None, truncation=None, count=None,
+                 seed=0):
+        self.dim, self.n, self.truncation = dim, n, truncation
+        self.count, self.seed = count, seed or 0
+
+
+def _suite_associativity(o: Options):
+    dim = o.dim or 4
+    _check_dim(dim)
+    count = o.count or 25
+    bad = associativity_failures(Random(o.seed), (dim,), count)
+    return {"dim": dim, "count": count, "failed": bad}, bad == 0
+
+
+def _suite_multiparameter(o: Options):
+    count = o.count or 20
+    bad = multiparameter_failures(Random(o.seed), (2, 4), count)
+    return {"count": count, "failed": bad}, bad == 0
+
+
+def _suite_relation17(o: Options):
+    rows, bad = relation17_failures(range(1, (o.n or 4) + 1))
+    return {"rows": rows}, not bad
+
+
+def _suite_recursion(o: Options):
+    n = o.n or 3
+    rep = derived_recursion_report(n)
+    passed = all(r["matches_derived"] for r in rep["rows"])
+    return {"n": n, "rows": _jsonify(rep["rows"])}, passed
+
+
+def _suite_complex(o: Options):
+    count = o.count or 8
+    n = o.n or 1
+    _check_dim(2 * n)
+    models = [standard_symplectic(n),
+              lie_poisson_so3(), heisenberg(),
+              torus(1, o.truncation or 2)]
+    rows, bad = complex_failures(Random(o.seed), models, count)
     return {"count": count, "models": rows, "failed": bad}, bad == 0
 
 
@@ -988,37 +1135,19 @@ def _suite_ledger(o: Options):
         passed = (passed and dec == decomposition_report(1)
                   and rel[0] == relation_report(1)[0]
                   and rel[1] == n * relation_report(1)[1])
-    rng = Random(o.seed)
-    cs = set()
-    for n in (1, 2):
-        model = standard_symplectic(n)
-        for _ in range(o.count or 5):
-            probe = random_fieldform(rng, model, degree=2)
-            comp = delta_component_check(probe, model.poisson)
-            if comp["matched_terms"]:
-                cs.add(comp["c"])
+    cs, _matched = koszul_constants(Random(o.seed), (1, 2), o.count or 5)
     rows["koszul_component"] = _jsonify(sorted(cs))
-    passed = passed and len(cs) == 1
-    for n in (1, 2):
-        for k in range(n + 1):
-            rep = lemma62_check(n, k)
-            rows["window_identity"].append(_jsonify({
-                "n": n, "k": k, "multiple": rep["part_i"]["multiple"]}))
-            passed = passed and rep["part_i"]["multiple"] == -(n - k)
-    return rows, passed
+    reps, bad = window_failures((1, 2))
+    rows["window_identity"] = [
+        _jsonify({"n": n, "k": k, "multiple": rep["part_i"]["multiple"]})
+        for (n, k), rep in reps.items()]
+    return rows, passed and len(cs) == 1 and not bad
 
 
 def _suite_stokes(o: Options):
     model = torus(o.n or 1, o.truncation or 2)
     count = o.count or 25
-    rng = Random(o.seed)
-    failures = []
-    for i in range(count):
-        form = random_fieldform(rng, model, nterms=2,
-                                degree=rng.randint(0, model.dim))
-        res = stokes_check(form, model)
-        if not res["ok"]:
-            failures.append({"index": i, "integrals": res["integrals"]})
+    failures = stokes_failures(Random(o.seed), model, count)
     return {"model": str(model), "count": count,
             "failures": failures}, not failures
 
@@ -1041,25 +1170,7 @@ def _suite_hermitian(o: Options):
 
 def _suite_dolbeault(o: Options):
     count = o.count or 15
-    rng = Random(o.seed)
-    bad = 0
-    for n in sorted({1, o.n or 2}):
-        model = standard_symplectic(n)
-        w = model.poisson
-        for _ in range(count):
-            a = random_fieldform(rng, model, nterms=2, max_h=0,
-                                 degree=rng.randint(0, model.dim))
-            dh, dbh = quantum_dolbeault_split(a, w)
-            if dh + dbh != quantum_d(a, w):
-                bad += 1
-            if not quantum_dolbeault_split(dh, w)[0].is_zero():
-                bad += 1
-            if not quantum_dolbeault_split(dbh, w)[1].is_zero():
-                bad += 1
-            cross = (quantum_dolbeault_split(dbh, w)[0]
-                     + quantum_dolbeault_split(dh, w)[1])
-            if not cross.is_zero():
-                bad += 1
+    bad = dolbeault_failures(Random(o.seed), sorted({1, o.n or 2}), count)
     return {"count": count, "failed": bad}, bad == 0
 
 
@@ -1077,25 +1188,7 @@ def _line_bundle_example():
 
 def _suite_chern(o: Options):
     count = o.count or 10
-    rng = Random(o.seed)
-    bad = 0
-    for n in sorted({1, o.n or 2}):
-        model = standard_symplectic(n)
-        w = model.poisson
-        for _ in range(count):
-            theta = MatrixForm([[random_fieldform(rng, model, nterms=2,
-                                                  max_h=0, degree=1,
-                                                  max_deg=2)
-                                 for _ in range(2)] for _ in range(2)])
-            try:
-                bianchi_check(theta, w)
-                g = GaugeTransform(model, [[1, random_polyfn(rng, model.dim,
-                                                             max_deg=1)],
-                                           [0, 1]])
-                curvature_gauge_check(theta, g, w)
-                char_form(quantum_curvature(theta, w), "trace", w)
-            except AssertionError:
-                bad += 1
+    bad = chern_failures(Random(o.seed), sorted({1, o.n or 2}), count)
     line_ok, line_value = _line_bundle_example()
     if not line_ok:
         bad += 1
@@ -1105,24 +1198,7 @@ def _suite_chern(o: Options):
 
 def _suite_moyal(o: Options):
     count = o.count or 25
-    rng = Random(o.seed)
-    bad = 0
-    for _ in range(count):
-        dim = rng.choice([2, 4])
-        w = random_bivector(rng, dim)
-        u, v, t = (random_polyfn(rng, dim, max_deg=2) for _ in range(3))
-        if (moyal_product(moyal_product(u, v, w), t, w)
-                != moyal_product(u, moyal_product(v, t, w), w)):
-            bad += 1
-        i, j = rng.randint(1, dim), rng.randint(1, dim)
-        xi, xj = PolyFn.coord(dim, i), PolyFn.coord(dim, j)
-        comm = (moyal_product(xi, xj, w) - moyal_product(xj, xi, w))
-        entries = {(a, b): val for a, b, val in w.upper_entries()}
-        wij = (entries.get((i, j), Fraction(0))
-               - entries.get((j, i), Fraction(0)))
-        expected = PolyFn.constant(dim, HPoly({1: 2 * wij}))
-        if comm != expected:
-            bad += 1
+    bad = moyal_failures(Random(o.seed), count)
     return {"count": count, "failed": bad}, bad == 0
 
 
@@ -1165,7 +1241,14 @@ def run_suite(name, opts: Options):
     if cap is not None and opts.n is not None and not 1 <= opts.n <= cap:
         raise ScenarioError(
             f"suite {name} takes n from 1 to {cap}, got {opts.n}")
-    return SUITES[name](opts)
+    if opts.count is not None and not 1 <= opts.count <= MAX_COUNT:
+        raise ScenarioError(
+            f"count must be from 1 to {MAX_COUNT}, got {opts.count}")
+    try:
+        return SUITES[name](opts)
+    except AssertionError as ex:
+        # a library check raises when its identity fails: report FAIL
+        return {"error": str(ex)}, False
 
 
 def check(name, options=None) -> dict:

@@ -375,15 +375,6 @@ class QForm:
                                                    indices_of_mask(m))):
             yield Blade(self.dim, m), self.terms[m]
 
-    def map_coeffs(self, fn) -> "QForm":
-        out = {}
-        for m, c in self.terms.items():
-            c2 = fn(m, c)
-            if c2:
-                out[m] = c2
-        laurent = self.laurent or any(c.laurent for c in out.values())
-        return QForm(self.dim, out, laurent=laurent)
-
     def subs_h(self, value):
         """Evaluate h -> value; returns a QForm with constant coefficients."""
         return QForm(self.dim, {m: HPoly(c.subs(value))

@@ -11,63 +11,35 @@ from fractions import Fraction
 from random import Random
 
 from qdr.bigraded import BigradedForm, derive_adjoint_law, hermitian_gram
-from qdr.chernweil import (
-    GaugeTransform,
-    MatrixForm,
-    bianchi_check,
-    char_form,
-    covariant_d,
-    curvature_gauge_check,
-    quantum_curvature,
+from qdr.chernweil import MatrixForm, covariant_d, quantum_curvature
+from qdr.cli import (
+    _line_bundle_example,
+    associativity_failures,
+    chern_failures,
+    complex_failures,
+    dolbeault_failures,
+    koszul_constants,
+    moyal_failures,
+    multiparameter_failures,
+    relation17_failures,
+    stokes_failures,
+    window_failures,
 )
 from qdr.cohomology import (
     build_complex,
     dr_cohomology_dims,
-    lemma62_check,
     poisson_homology_dims,
     quantum_cohomology_dims,
-    stokes_check,
 )
-from qdr.cpn import derived_recursion_report, verify_relation_17
-from qdr.exterior import (
-    QForm,
-    quantum_power,
-    quantum_wedge,
-    quantum_wedge_multi,
-    wedge,
-)
-from qdr.fields import (
-    FieldForm,
-    delta_component_check,
-    jacobi_check,
-    quantum_d,
-    quantum_d_mirror,
-    quantum_dolbeault_split,
-    quantum_wedge_field,
-)
-from qdr.fixtures import (
-    heisenberg,
-    lie_poisson_so3,
-    non_poisson_example,
-    standard_symplectic,
-    torus,
-)
-from qdr.functions import PolyFn, moyal_product
-from qdr.rand import (
-    random_bivector,
-    random_blade_form,
-    random_fieldform,
-    random_pairing,
-    random_polyfn,
-    random_qform,
-)
-from qdr.scalars import GaussRat, HPoly
+from qdr.cpn import derived_recursion_report
+from qdr.fixtures import heisenberg, lie_poisson_so3, standard_symplectic, torus
+from qdr.rand import random_fieldform
+from qdr.scalars import GaussRat
 from qdr.symplectic import (
     SymplecticForm,
     apply_Ah,
     apply_Lh,
     apply_Lhstar,
-    bivector_of,
     decomposition_report,
     det_recursion_check,
     lefschetz_matrix,
@@ -85,73 +57,22 @@ def test_criterion_01_quantum_algebra_laws():
     # supercommutativity on homogeneous pairs with antisymmetric w and
     # associativity on general triples with arbitrary (non-antisymmetric)
     # pairings phi, 504 triples over dimensions 2..8, exact equality
-    rng = Random(101)
-    dims = (2, 3, 4, 5, 6, 7, 8)
-    triples = 0
-    bad = 0
-    for i in range(504):
-        dim = dims[i % len(dims)]
-        da, db = rng.randint(0, dim), rng.randint(0, dim)
-        a = random_blade_form(rng, dim, da)
-        b = random_blade_form(rng, dim, db)
-        w = random_bivector(rng, dim)
-        swapped = quantum_wedge(b, a, w)
-        if da * db % 2:
-            swapped = -swapped
-        if quantum_wedge(a, b, w) != swapped:
-            bad += 1
-        phi = random_pairing(rng, dim)
-        u, v, t = (random_qform(rng, dim, nterms=2) for _ in range(3))
-        left = quantum_wedge(quantum_wedge(u, v, phi), t, phi)
-        right = quantum_wedge(u, quantum_wedge(v, t, phi), phi)
-        if left != right:
-            bad += 1
-        triples += 1
-    ok = bad == 0 and triples >= 500
-    assert _verdict(1, "quantum algebra laws", ok)
+    bad = associativity_failures(Random(101), (2, 3, 4, 5, 6, 7, 8), 504)
+    assert _verdict(1, "quantum algebra laws", bad == 0)
 
 
 def test_criterion_02_multiparameter_specialization():
     # the multiparameter product specialized at h_j -> c_j equals the
     # single-parameter product at the combined bivector, 100 cases
-    rng = Random(102)
-    bad = 0
-    for _ in range(100):
-        dim = rng.choice([2, 4, 6])
-        ws = [random_bivector(rng, dim) for _ in range(rng.choice([2, 3]))]
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in ws]
-        a = random_qform(rng, dim, nterms=2, max_h=0)
-        b = random_qform(rng, dim, nterms=2, max_h=0)
-        total = ws[0].scale(coeffs[0])
-        for w, c in zip(ws[1:], coeffs[1:]):
-            total = total + w.scale(c)
-        multi = quantum_wedge_multi(a, b, ws)
-        if multi.specialize(coeffs) != quantum_wedge(a, b, total):
-            bad += 1
+    bad = multiparameter_failures(Random(102), (2, 4, 6), 100)
     assert _verdict(2, "multiparameter specialization", bad == 0)
 
 
 def test_criterion_03_omega_nilpotency_relation():
     # the deformed symplectic form rebuilt pairwise equals omega - n*h,
     # its (n+1)-st deformed power vanishes and the n-th does not
-    ok = True
-    for n in range(1, 5):
-        rel = verify_relation_17(n)
-        ok = ok and rel["ok"] and rel["nilpotency_order"] == n + 1
-        dim = 2 * n
-        w = bivector_of(SymplecticForm(dim))
-        sigma = QForm(dim, {})
-        omega = QForm(dim, {})
-        for i in range(1, n + 1):
-            ea = QForm.basis(dim, (2 * i - 1,))
-            eb = QForm.basis(dim, (2 * i,))
-            sigma = sigma + quantum_wedge(ea, eb, w)
-            omega = omega + wedge(ea, eb)
-        expected = omega - QForm.scalar(dim, HPoly({1: n}))
-        ok = ok and sigma == expected
-        ok = ok and quantum_power(sigma, n + 1, w).is_zero()
-        ok = ok and not quantum_power(sigma, n, w).is_zero()
-    assert _verdict(3, "omega nilpotency relation", ok)
+    _rows, bad = relation17_failures(range(1, 5))
+    assert _verdict(3, "omega nilpotency relation", not bad)
 
 
 def test_criterion_04_power_recursion_coefficients():
@@ -180,33 +101,11 @@ def test_criterion_05_quantum_differential_complex():
     # d_h squares to zero and the deformed Leibniz rule holds on 200
     # random forms per model; jacobi_check accepts every Poisson fixture
     # and rejects the non-Poisson fixture with a concrete witness
-    rng = Random(105)
     models = [standard_symplectic(1), standard_symplectic(2),
               standard_symplectic(3), torus(1, 2), torus(2, 1),
               lie_poisson_so3(), heisenberg()]
-    bad = 0
-    for model in models:
-        w = model.poisson
-        ok_j, _ = jacobi_check(w)
-        if not ok_j:
-            bad += 1
-        for _ in range(200):
-            dega = rng.randint(0, model.dim)
-            a = random_fieldform(rng, model, nterms=2, degree=dega)
-            b = random_fieldform(rng, model, nterms=2,
-                                 degree=rng.randint(0, model.dim))
-            if not quantum_d(quantum_d(a, w), w).is_zero():
-                bad += 1
-            lhs = quantum_d_mirror(quantum_wedge_field(a, b, w), w)
-            da = quantum_wedge_field(quantum_d_mirror(a, w), b, w)
-            db = quantum_wedge_field(a, quantum_d_mirror(b, w), w)
-            if dega % 2:
-                db = -db
-            if lhs != da + db:
-                bad += 1
-    np_ok, witness = jacobi_check(non_poisson_example().poisson)
-    ok = bad == 0 and not np_ok and witness is not None
-    assert _verdict(5, "quantum differential complex", ok)
+    _rows, bad = complex_failures(Random(105), models, 200)
+    assert _verdict(5, "quantum differential complex", bad == 0)
 
 
 def test_criterion_06_torus_cohomology_ranks():
@@ -296,27 +195,15 @@ def test_criterion_08_convention_ledger_constants():
         ok = ok and dec == dec1 == (1, 1, 1)
         ok = ok and rel[0] == rel1[0] and rel[1] == n * rel1[1]
         ok = ok and rel == (1, -2 * n)
-    rng = Random(108)
-    cs = set()
-    matched = 0
-    for n in (1, 2, 3):
-        model = standard_symplectic(n)
-        for _ in range(6):
-            probe = random_fieldform(rng, model, degree=2)
-            comp = delta_component_check(probe, model.poisson)
-            if comp["matched_terms"]:
-                matched += comp["matched_terms"]
-                cs.add(comp["c"])
+    cs, matched = koszul_constants(Random(108), (1, 2, 3), 6)
     ok = ok and cs == {Fraction(1)} and matched > 0
-    multiples = {}
-    for n in (1, 2, 3):
-        for k in range(n + 1):
-            rep = lemma62_check(n, k)
-            multiples[(n, k)] = rep["part_i"]["multiple"]
-            ok = ok and rep["part_i"]["multiple"] == -(n - k)
-            for entry in rep["part_ii"].values():
-                if entry["constant"] is not None:
-                    ok = ok and entry["constant"] == entry["printed"]
+    reps, bad = window_failures((1, 2, 3))
+    ok = ok and not bad
+    for rep in reps.values():
+        for entry in rep["part_ii"].values():
+            if entry["constant"] is not None:
+                ok = ok and entry["constant"] == entry["printed"]
+    multiples = {nk: rep["part_i"]["multiple"] for nk, rep in reps.items()}
     print("criterion 08 note: contraction %s, dual relation (1, -2n), "
           "Koszul component c in %s, window multiples -(n-k): %s" %
           (tuple(dec1), sorted(cs), multiples))
@@ -327,20 +214,9 @@ def test_criterion_09_quantum_stokes():
     # the graded integral of d(alpha), h*delta(alpha) and d_h(alpha)
     # vanishes for 504 random trigonometric forms on the 2- and 4-torus
     rng = Random(109)
-    bad = 0
-    total = 0
-    for model, count in ((torus(1, 2), 300), (torus(2, 1), 204)):
-        for _ in range(count):
-            f = random_fieldform(rng, model, nterms=2, max_h=1,
-                                 degree=rng.randint(0, model.dim))
-            res = stokes_check(f, model)
-            total += 1
-            if not res["ok"]:
-                bad += 1
-            if any(v != "0" for v in res["integrals"].values()):
-                bad += 1
-    ok = bad == 0 and total >= 500
-    assert _verdict(9, "quantum stokes", ok)
+    failures = (stokes_failures(rng, torus(1, 2), 300)
+                + stokes_failures(rng, torus(2, 1), 204))
+    assert _verdict(9, "quantum stokes", not failures)
 
 
 def test_criterion_10_hermitian_structure():
@@ -372,35 +248,18 @@ def test_criterion_10_hermitian_structure():
 def test_criterion_11_quantum_dolbeault_split():
     # both split components square to zero, the cross terms cancel, and
     # the components sum to d_h on 100 random flat polynomial forms
-    rng = Random(111)
-    bad = 0
-    for n in (1, 2):
-        model = standard_symplectic(n)
-        w = model.poisson
-        for _ in range(50):
-            a = random_fieldform(rng, model, nterms=2, max_h=0,
-                                 degree=rng.randint(0, model.dim))
-            dh, dbh = quantum_dolbeault_split(a, w)
-            if dh + dbh != quantum_d(a, w):
-                bad += 1
-            if not quantum_dolbeault_split(dh, w)[0].is_zero():
-                bad += 1
-            if not quantum_dolbeault_split(dbh, w)[1].is_zero():
-                bad += 1
-            cross = (quantum_dolbeault_split(dbh, w)[0]
-                     + quantum_dolbeault_split(dh, w)[1])
-            if not cross.is_zero():
-                bad += 1
+    bad = dolbeault_failures(Random(111), (1, 2), 50)
     assert _verdict(11, "quantum dolbeault split", bad == 0)
 
 
 def test_criterion_12_chern_weil_identities():
-    # gauge conjugation of the curvature, the deformed Bianchi identity,
-    # the square of the covariant derivative acting as the curvature,
-    # and closedness of the trace form, on 50 random rank-2 polynomial
-    # connections; the coordinate line bundle has curvature omega + h
+    # gauge conjugation of the curvature, the deformed Bianchi identity
+    # and closedness of the trace form on 50 random rank-2 polynomial
+    # connections; the square of the covariant derivative acts as the
+    # curvature on 50 further (theta, phi) pairs; the coordinate line
+    # bundle has curvature omega + h
     rng = Random(112)
-    bad = 0
+    bad = chern_failures(rng, (1, 2), 25)
     for model in (standard_symplectic(1), standard_symplectic(2)):
         w = model.poisson
         for _ in range(25):
@@ -408,51 +267,21 @@ def test_criterion_12_chern_weil_identities():
                                                   max_h=0, degree=1,
                                                   max_deg=2)
                                  for _ in range(2)] for _ in range(2)])
-            curv = quantum_curvature(theta, w)
-            g = GaugeTransform(model, [[1, random_polyfn(rng, model.dim,
-                                                         max_deg=1)],
-                                       [0, 1]])
-            if not curvature_gauge_check(theta, g, w)["ok"]:
-                bad += 1
-            if not bianchi_check(theta, w)["ok"]:
-                bad += 1
             phi = MatrixForm([[random_fieldform(rng, model, nterms=2,
                                                 max_h=0,
                                                 degree=rng.randint(0, 2),
                                                 max_deg=2)
                                for _ in range(2)] for _ in range(2)])
             once = covariant_d(phi, theta, w)
+            curv = quantum_curvature(theta, w)
             if covariant_d(once, theta, w) != curv.qmul(phi, w):
                 bad += 1
-            if not quantum_d(char_form(curv, "trace", w), w).is_zero():
-                bad += 1
-    model = standard_symplectic(1)
-    theta = MatrixForm([[FieldForm.from_fn(PolyFn.coord(2, 1), 0b10)]])
-    curv = quantum_curvature(theta, model.poisson).entries[0][0]
-    expected = model.omega_form() + FieldForm.from_fn(model.constant(1), 0, 1)
-    ok = (bad == 0 and curv == expected
-          and quantum_d(curv, model.poisson).is_zero())
-    assert _verdict(12, "chern-weil identities", ok)
+    line_ok, _value = _line_bundle_example()
+    assert _verdict(12, "chern-weil identities", bad == 0 and line_ok)
 
 
 def test_criterion_13_moyal_star_product():
     # the star product is associative and the coordinate commutator is
     # x_i * x_j - x_j * x_i = 2 h w_ij on random polynomials
-    rng = Random(113)
-    bad = 0
-    for _ in range(60):
-        dim = rng.choice([2, 4])
-        w = random_bivector(rng, dim)
-        u, v, t = (random_polyfn(rng, dim, max_deg=2) for _ in range(3))
-        if (moyal_product(moyal_product(u, v, w), t, w)
-                != moyal_product(u, moyal_product(v, t, w), w)):
-            bad += 1
-        i, j = rng.randint(1, dim), rng.randint(1, dim)
-        xi, xj = PolyFn.coord(dim, i), PolyFn.coord(dim, j)
-        comm = moyal_product(xi, xj, w) - moyal_product(xj, xi, w)
-        entries = {(a, b): val for a, b, val in w.upper_entries()}
-        wij = (entries.get((i, j), Fraction(0))
-               - entries.get((j, i), Fraction(0)))
-        if comm != PolyFn.constant(dim, HPoly({1: 2 * wij})):
-            bad += 1
+    bad = moyal_failures(Random(113), 60)
     assert _verdict(13, "moyal star product", bad == 0)

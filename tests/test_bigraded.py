@@ -11,7 +11,6 @@ from qdr.bigraded import (
     Frame,
     adjoint_check,
     bidegree_components,
-    complexify,
     derive_adjoint_law,
     hermitian_gram,
     hermitian_pairing,

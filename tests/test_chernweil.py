@@ -10,7 +10,6 @@ from qdr.chernweil import (
     GaugeTransform,
     MatrixForm,
     bianchi_check,
-    bundle_wedge,
     char_form,
     chern_character,
     covariant_d,
@@ -19,7 +18,7 @@ from qdr.chernweil import (
     gauge_transform,
     quantum_curvature,
 )
-from qdr.fields import FieldForm, exterior_d, quantum_d, wedge_field
+from qdr.fields import FieldForm, quantum_d, wedge_field
 from qdr.fixtures import standard_symplectic
 from qdr.functions import PolyFn
 from qdr.rand import random_fieldform, random_polyfn

@@ -1,6 +1,7 @@
 """Scenario runner: expression grammar, task execution, report
 emitters, exit codes, and the named check suites."""
 
+import hashlib
 import json
 
 import pytest
@@ -277,11 +278,45 @@ def test_cpn_table_task(tmp_path):
 # ---------------------------------------------------------------- suites
 
 
+# sha256 of each suite's machine report at seed 11, count 4: a suite
+# must draw the same inputs in the same order and report the same bytes
+SUITE_REPORT_SHA256 = {
+    "associativity":
+        "ea9be5675b69cbdfb721ad10b9f5ff32481d18b6a3d668f38489e5ba9290bb9d",
+    "multiparameter":
+        "4922eac1c32c1d17a3cfbcb6062705ab23a0d07413208946f155b98ae41fc98c",
+    "relation17":
+        "7dda764777f7aef43931648da1d456e1faffb3550d5f35d3028dce8ee5aad346",
+    "recursion":
+        "ab92b4b057928cc95681b8ce4748b10a8ded99e52b37d5c58df973fe9cce4844",
+    "complex":
+        "104701937afee700e3adaad2458bf8730f27e5e74e0a463d777d4476b4dc41fd",
+    "cohomology":
+        "10a747a3424fec847ed7009e87f3ca3f307bb467abf2959a6aabc6ecbf32be56",
+    "lefschetz":
+        "09a9634616e4343195204eee2f3a38ed1fb7c9f7e01e3fdc120f5a8737e1e623",
+    "ledger":
+        "a4b393d1a89a055b91d2a1555999fabdbbb1dee5f735b417c9c9a3c7753fbc93",
+    "stokes":
+        "2020be769faf1c3d5f13907b76a5a72f3ba20840dd8fbef031591eaae65b3459",
+    "hermitian":
+        "a81a00ad23c7cc571352d4ddca4cb28408e36bff8aac3c8874b68d04ff4d93f0",
+    "dolbeault":
+        "7dfd17326dcbc3f94b25a545a75bafa008410bd3dc9d084e53820ae4ed2ccae6",
+    "chern":
+        "68432baf9a559e5bc04542f23e7369adb740b733d2560c4921f340c419c19c9f",
+    "moyal":
+        "3d3f7d408747a7adda8b3c59c07b078d70a5ef64c66fca0e743d17509a729220",
+}
+
+
 @pytest.mark.parametrize("name", sorted(cli.SUITES))
 def test_each_suite_passes(name):
     rep = check(name, Options(seed=11, count=4))
     assert rep["passed"]
     assert rep["tasks"][0]["name"] == name
+    digest = hashlib.sha256(emit(rep, "machine").encode()).hexdigest()
+    assert digest == SUITE_REPORT_SHA256[name]
 
 
 def test_unknown_suite_lists_names():
@@ -360,6 +395,67 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["--check", "alwaysfail"]) == 1
     out = capsys.readouterr().out
     assert out.strip().endswith("FAIL  1 checks, 1 failed, 1 tasks")
+
+
+def _raise_assertion(*args, **kwargs):
+    raise AssertionError("forced failure")
+
+
+@pytest.mark.parametrize("suite, target", [("stokes", "stokes_check"),
+                                           ("relation17",
+                                            "verify_relation_17")])
+def test_raising_library_check_reports_fail(suite, target, monkeypatch,
+                                            capsys):
+    # library checks raise AssertionError on a failed identity
+    monkeypatch.setattr(cli, target, _raise_assertion)
+    assert main(["--check", suite, "--n", "1", "--count", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == \
+        "FAIL  1 checks, 1 failed, 1 tasks"
+    task = check(suite, Options(n=1, count=2))["tasks"][0]
+    assert task["pass"] is False
+    if suite == "stokes":
+        # each raising form is a failure with its index
+        assert task["failures"] == [
+            {"index": i, "error": "forced failure"} for i in range(2)]
+    else:
+        assert task["error"] == "forced failure"
+
+
+@pytest.mark.parametrize("count", [-5, 0, cli.MAX_COUNT + 1])
+def test_count_outside_its_range_is_rejected(count, tmp_path, capsys):
+    assert main(["--check", "moyal", "--count", str(count)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"qdr: count must be from 1 to "
+                            f"{cli.MAX_COUNT}, got {count}\n")
+    for task in ({"op": "suite", "name": "moyal", "count": count},
+                 {"op": "stokes", "count": count}):
+        path = scenario_file(tmp_path, {"model": "torus", "n": 1,
+                                        "tasks": [task]})
+        assert main(["--scenario", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("qdr: count must be")
+
+
+def test_count_and_power_caps_admit_their_bound(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.setitem(cli.SUITES, "moyal",
+                        lambda o: ({"count": o.count}, True))
+    assert main(["--check", "moyal", "--count", str(cli.MAX_COUNT)]) == 0
+    for k, code in ((cli.MAX_POWER, 0), (cli.MAX_POWER + 1, 2),
+                    (100_000_000, 2)):
+        path = scenario_file(tmp_path, {
+            "model": "flat", "n": 1,
+            "tasks": [{"op": "power", "expr": "1 + h", "k": k}]})
+        assert main(["--scenario", path]) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"qdr: k must be <= {cli.MAX_POWER}, got {k}"
+        for k in (cli.MAX_POWER + 1, 100_000_000)]
 
 
 @pytest.mark.parametrize("expr", ["1/0", "(" * 900 + "e[1]" + ")" * 900,

@@ -9,7 +9,6 @@ import pytest
 from qdr import cohomology
 from qdr.blades import masks_of_degree
 from qdr.cohomology import (
-    DimensionReport,
     build_complex,
     degeneracy_check,
     dr_cohomology_dims,

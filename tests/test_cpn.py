@@ -14,7 +14,9 @@ from qdr.cpn import (
     scalar_shift_report,
     verify_relation_17,
 )
+from qdr.exterior import Bivector
 from qdr.scalars import HPoly
+from qdr.symplectic import SymplecticForm, bivector_of
 
 
 def test_frozen_products():
@@ -72,6 +74,10 @@ def test_nilpotency_relation():
     for n in (1, 2, 3, 4):
         out = verify_relation_17(n)
         assert out["ok"] and out["nilpotency_order"] == n + 1
+        # the check pairs at Bivector.standard; the symplectic form's own
+        # Poisson bivector is the same pairing
+        dim = 2 * n
+        assert bivector_of(SymplecticForm(dim)) == Bivector.standard(dim)
 
 
 def test_power_expansion_report():

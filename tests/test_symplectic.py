@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from qdr.exterior import QForm, quantum_wedge, wedge
+from qdr.exterior import QForm, wedge
 from qdr.linalg import char_poly
 from qdr.scalars import HPoly
 from qdr.symplectic import (
