@@ -45,8 +45,9 @@ caps the Fourier modes (2N + 1)^dim of a truncated torus complex.
 A repetition count (``--count``, a suite or stokes task's "count")
 must lie in 1..MAX_COUNT and a power task's k in 0..MAX_POWER, else
 exit 2; a count of 0 is rejected, never replaced by the default.  A
-library check that raises AssertionError inside a suite fails that
-suite (exit 1) instead of ending in a traceback.
+library check that raises AssertionError inside a suite, a cpn_table
+task or the convention ledger fails that suite, task or report (exit 1)
+instead of ending in a traceback.
 A suite rejects a half-dimension n above its own cap (cohomology,
 stokes, hermitian, dolbeault and chern 2, lefschetz 3, relation17 4,
 recursion 5) with exit 2 instead of running a smaller model.
@@ -55,6 +56,7 @@ recursion 5) with exit 2 instead of running a smaller model.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -535,7 +537,11 @@ def _value_payload(form):
     return {"value": str(form), "terms": _jsonify(form.serialize())}
 
 
+@functools.cache
 def convention_ledger():
+    """The start-up record of derived constants, computed once per
+    process; a raising check is not cached. Callers must not mutate the
+    returned tree (_report copies it)."""
     dec = decomposition_report(2)
     rel = relation_report(2)
     l62 = lemma62_check(2, 1)
@@ -556,11 +562,15 @@ def convention_ledger():
 def _report(kind, info, results):
     checked = [r for r in results if r.get("pass") is not None]
     failed = [r for r in checked if r["pass"] is False]
-    tree = {"kind": kind, **info, "tasks": results,
-            "ledger": convention_ledger(),
+    try:
+        ledger = convention_ledger()
+    except AssertionError as ex:
+        # a ledger check raises when its identity fails: report FAIL
+        ledger = {"error": str(ex)}
+    tree = {"kind": kind, **info, "tasks": results, "ledger": ledger,
             "counts": {"tasks": len(results), "checked": len(checked),
                        "failed": len(failed)},
-            "passed": not failed}
+            "passed": not failed and "error" not in ledger}
     return _jsonify(tree)
 
 
@@ -713,10 +723,9 @@ def _run_spectrum(ctx, task):
         raise ScenarioError(f"parity must be even or odd, got {parity!r}")
     op = lefschetz_matrix(n, parity)
     cp = op.char_poly()
-    det = op.det()
     return {"task": "spectrum", "n": n, "parity": parity,
             "char_poly": str(cp), "coeffs": _jsonify(cp.serialize()),
-            "det": frac_str(det), "pass": det != 0}
+            "det": frac_str(cp.det), "pass": cp.det != 0}
 
 
 _THEORIES = {
@@ -797,9 +806,14 @@ def _run_cpn_table(ctx, task):
     out = {"task": "cpn_table", "n": n, "table": _jsonify(ring.serialize()),
            "pass": None}
     if n <= 4:
-        rel = verify_relation_17(n)
-        out["nilpotency_order"] = rel["nilpotency_order"]
-        out["pass"] = rel["ok"]
+        try:
+            rel = verify_relation_17(n)
+        except AssertionError as ex:
+            out["pass"] = False
+            out["error"] = str(ex)
+        else:
+            out["nilpotency_order"] = rel["nilpotency_order"]
+            out["pass"] = rel["ok"]
     return out
 
 
@@ -1111,11 +1125,10 @@ def _suite_lefschetz(o: Options):
     passed = True
     for n in range(1, nmax + 1):
         for parity in ("even", "odd"):
-            op = lefschetz_matrix(n, parity)
-            det = op.det()
-            rows.append({"n": n, "parity": parity, "det": frac_str(det),
-                         "char_poly": str(op.char_poly())})
-            passed = passed and det != 0
+            cp = lefschetz_matrix(n, parity).char_poly()
+            rows.append({"n": n, "parity": parity, "det": frac_str(cp.det),
+                         "char_poly": str(cp)})
+            passed = passed and cp.det != 0
     ident = lefschetz_matrix(1, "odd")
     eye = [[Fraction(i == j) for j in range(2)] for i in range(2)]
     passed = passed and ident.mat == eye

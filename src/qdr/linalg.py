@@ -2,9 +2,11 @@
 
 Matrices are plain lists of row lists. Rank and determinants eliminate
 exactly over Fraction and Gaussian-rational entries; the Bareiss
-determinant scales rational rows to integers first. Characteristic
-polynomials come from the Faddeev-LeVerrier recursion; polynomial
-determinants from evaluation and interpolation.
+determinant scales rational rows to integers first. One Gauss-Jordan
+loop serves both the inverse and the linear solver. Characteristic
+polynomials come from an exact reduction to upper Hessenberg form and
+the Hessenberg recurrence, so every determinant that is a polynomial
+in t, det(tI - M) or det(M + (t + s)I), is read off one routine.
 """
 
 from __future__ import annotations
@@ -147,6 +149,11 @@ class CharPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @property
+    def det(self) -> Fraction:
+        """det M of the matrix: det(tI - M) at t = 0 is (-1)^n det M."""
+        return -self.coeffs[0] if self.degree % 2 else self.coeffs[0]
+
     def __call__(self, x):
         out = Fraction(0)
         for c in reversed(self.coeffs):
@@ -162,24 +169,9 @@ class CharPolynomial:
         return HPoly({e: c for e, c in enumerate(self.coeffs)})
 
     def rational_roots(self):
-        """All rational roots with multiplicities: [(root, mult)], sorted."""
-        coeffs = list(self.coeffs)
-        roots = {}
-        while len(coeffs) > 1:
-            root = _find_rational_root(coeffs)
-            if root is None:
-                break
-            coeffs = _deflate(coeffs, root)
-            roots[root] = roots.get(root, 0) + 1
-        remainder = coeffs
-        return sorted(roots.items()), remainder
-
-    def factor_report(self):
-        roots, remainder = self.rational_roots()
-        return {
-            "roots": [(frac_str(r), m) for r, m in roots],
-            "remainder": [frac_str(c) for c in remainder],
-        }
+        """All rational roots with multiplicities: [(root, mult)], sorted,
+        and the remainder left after dividing them out."""
+        return rational_roots(self.coeffs)
 
     def __str__(self):
         parts = []
@@ -205,34 +197,115 @@ class CharPolynomial:
         return [frac_str(c) for c in self.coeffs]
 
 
+def char_poly(rows) -> CharPolynomial:
+    """Monic characteristic polynomial det(tI - M), exactly.
+
+    M is brought to upper Hessenberg form H by elementary similarities:
+    each row operation r_i -= u r_m is paired with the column operation
+    c_m += u c_i. Then p_0 = 1 and
+
+        p_m = (t - h_mm) p_{m-1}
+              - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
+
+    (H. Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.2.9) gives det(tI - M) = p_n. Zero entries are skipped in
+    both phases, as in matrix_rank.
+    """
+    n = len(rows)
+    h = [[as_fraction(x) for x in row] for row in rows]
+    for m in range(1, n - 1):
+        piv = None
+        for r in range(m, n):
+            if h[r][m - 1]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        pval = h[m][m - 1]
+        prow = h[m]
+        for i in range(m + 1, n):
+            if not h[i][m - 1]:
+                continue
+            u = h[i][m - 1] / pval
+            row = h[i]
+            for j in range(m - 1, n):
+                if prow[j]:
+                    row[j] = row[j] - u * prow[j]
+            for row in h:
+                if row[i]:
+                    row[m] = row[m] + u * row[i]
+    polys = [[Fraction(1)]]
+    for m in range(n):
+        prev = polys[m]
+        diag = h[m][m]
+        p = [Fraction(0)] + prev
+        if diag:
+            for k, c in enumerate(prev):
+                p[k] = p[k] - diag * c
+        sub = Fraction(1)
+        for i in range(m - 1, -1, -1):
+            sub = sub * h[i + 1][i]
+            if not sub:
+                break
+            c = h[i][m] * sub
+            if c:
+                for k, q in enumerate(polys[i]):
+                    p[k] = p[k] - c * q
+        polys.append(p)
+    return CharPolynomial(polys[n])
+
+
+def rational_roots(coeffs):
+    """Rational roots of the polynomial with ascending coefficients.
+
+    Returns ([(root, multiplicity)] sorted by root, remainder): the
+    remainder is the ascending coefficient list left once every rational
+    root is divided out. Trailing zero coefficients are dropped; the
+    zero polynomial is rejected.
+    """
+    coeffs = [as_fraction(c) for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if not coeffs:
+        raise ValueError("the zero polynomial has every root")
+    roots = {}
+    while len(coeffs) > 1:
+        root = _find_rational_root(coeffs)
+        if root is None:
+            break
+        coeffs = _deflate(coeffs, root)
+        roots[root] = roots.get(root, 0) + 1
+    return sorted(roots.items()), coeffs
+
+
+def _divisors(v):
+    out = []
+    d = 1
+    while d * d <= v:
+        if v % d == 0:
+            out.append(d)
+            out.append(v // d)
+        d += 1
+    return sorted(set(out))
+
+
 def _find_rational_root(coeffs):
     # rational root theorem on the integer-scaled polynomial
     lcm = 1
     for c in coeffs:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     ints = [int(c * lcm) for c in coeffs]
-    if ints and ints[0] == 0:
+    if ints[0] == 0:
         return Fraction(0)
-    a0, an = abs(ints[0]), abs(ints[-1])
-    if a0 == 0 or an == 0:
-        return None
-
-    def divisors(v):
-        out = []
-        d = 1
-        while d * d <= v:
-            if v % d == 0:
-                out.append(d)
-                out.append(v // d)
-            d += 1
-        return sorted(set(out))
-
-    poly = coeffs
-    for p in divisors(a0):
-        for q in divisors(an):
+    for p in _divisors(abs(ints[0])):
+        for q in _divisors(abs(ints[-1])):
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 val = Fraction(0)
-                for c in reversed(poly):
+                for c in reversed(coeffs):
                     val = val * cand + c
                 if val == 0:
                     return cand
@@ -251,70 +324,55 @@ def _deflate(coeffs, root):
     return q
 
 
-def char_poly(rows) -> CharPolynomial:
-    """Monic characteristic polynomial det(tI - M), Faddeev-LeVerrier."""
-    n = len(rows)
-    m = [[as_fraction(x) for x in row] for row in rows]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        tr = sum((mk[i][i] for i in range(n)), Fraction(0))
-        ck = -tr / k
-        coeffs[n - k] = ck
-        if k == n:
+def _gauss_jordan(aug, ncols):
+    """Reduce the first ncols columns of aug to reduced row echelon form,
+    in place; return the pivot columns in order."""
+    nrows = len(aug)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
             break
-        for i in range(n):
-            mk[i][i] = mk[i][i] + ck
-        mk = mat_mul(m, mk)
-    return CharPolynomial(coeffs)
-
-
-def lagrange_interpolate(points) -> HPoly:
-    """Exact polynomial through (x, y) sample pairs."""
-    result = HPoly()
-    for i, (xi, yi) in enumerate(points):
-        num = HPoly({0: 1})
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            num = num * HPoly({0: -xj, 1: 1})
-            den = den * (xi - xj)
-        result = result + num * (yi / den)
-    return result
-
-
-def poly_det(rows, degree_bound: int) -> HPoly:
-    """Determinant of a matrix of HPoly entries, by interpolation."""
-    pts = []
-    for k in range(degree_bound + 1):
-        x = Fraction(k)
-        sample = [[e.subs(x) if isinstance(e, HPoly) else as_fraction(e)
-                   for e in row] for row in rows]
-        pts.append((x, det_field(sample)))
-    return lagrange_interpolate(pts)
+        piv = None
+        for rr in range(r, nrows):
+            if aug[rr][col]:
+                piv = rr
+                break
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pval = aug[r][col]
+        prow = aug[r] = [x / pval for x in aug[r]]
+        for rr in range(nrows):
+            if rr != r and aug[rr][col]:
+                factor = aug[rr][col]
+                aug[rr] = [x - factor * y if y else x
+                           for x, y in zip(aug[rr], prow)]
+        pivots.append(col)
+    return pivots
 
 
 def mat_inv(rows):
     """Exact inverse by Gauss-Jordan; raises on singular input."""
     n = len(rows)
-    m = [[as_fraction(x) for x in row] + [Fraction(1) if i == j else Fraction(0)
-                                          for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        pval = m[col][col]
-        m[col] = [x / pval for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    aug = [[as_fraction(x) for x in row] + [Fraction(int(i == j))
+                                            for j in range(n)]
+           for i, row in enumerate(rows)]
+    if len(_gauss_jordan(aug, n)) < n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in aug]
+
+
+def solve(columns, rhs):
+    """Exact x with sum_j x[j] columns[j] = rhs, free unknowns set to 0;
+    None if the system is inconsistent."""
+    ncols = len(columns)
+    aug = [[as_fraction(col[i]) for col in columns] + [as_fraction(b)]
+           for i, b in enumerate(rhs)]
+    pivots = _gauss_jordan(aug, ncols)
+    if any(row[ncols] for row in aug[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * ncols
+    for row, col in zip(aug, pivots):
+        sol[col] = row[ncols]
+    return sol

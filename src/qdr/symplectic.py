@@ -16,13 +16,7 @@ from fractions import Fraction
 from .blades import Blade, blade_degree, indices_of_mask, masks_of_degree, \
     wedge_masks
 from .exterior import Bivector, QForm, insert_first, quantum_wedge, wedge
-from .linalg import (
-    CharPolynomial,
-    char_poly as _char_poly_rows,
-    det_field,
-    mat_inv,
-    poly_det,
-)
+from .linalg import CharPolynomial, char_poly, det_field, mat_inv, solve
 from .scalars import HPoly, add_term, as_fraction
 
 
@@ -266,40 +260,6 @@ def kstar_op(form: QForm, omega=None) -> QForm:
     return -symplectic_star(apply_K(symplectic_star(form, omega)), omega)
 
 
-def _solve_small(columns, rhs):
-    """Solve sum_j x_j columns[j] = rhs exactly; None if inconsistent."""
-    ncols = len(columns)
-    rows = len(rhs)
-    aug = [[columns[j][i] for j in range(ncols)] + [rhs[i]]
-           for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, rows):
-            if aug[rr][c]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for rr in range(rows):
-            if rr != r and aug[rr][c]:
-                f = aug[rr][c]
-                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for rr in range(r, rows):
-        if aug[rr][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for idx, c in enumerate(piv_cols):
-        sol[c] = aug[idx][ncols]
-    return sol
-
-
 def decomposition_report(n: int):
     """Constants (c0, c1, c2) with L_h = c0 L + c1 h K + c2 h^2 (w-insertion).
 
@@ -324,7 +284,7 @@ def decomposition_report(n: int):
             cols[1].append(kk.coeff(m).coeff(e))
             cols[2].append(iw.coeff(m).coeff(e))
             rhs.append(lh.coeff(m).coeff(e))
-    sol = _solve_small(cols, rhs)
+    sol = solve(cols, rhs)
     if sol is None:
         raise AssertionError("no constant decomposition exists")
     return tuple(sol)
@@ -349,7 +309,7 @@ def relation_report(n: int):
             cols[0].append(t1.coeff(m).coeff(e))
             cols[1].append(t2.coeff(m).coeff(e))
             rhs.append(lhs.coeff(m).coeff(e))
-    sol = _solve_small(cols, rhs)
+    sol = solve(cols, rhs)
     if sol is None:
         raise AssertionError("no affine relation exists")
     return tuple(sol)
@@ -422,10 +382,7 @@ class LinOp:
             raise ValueError("matrix shape does not match basis")
 
     def char_poly(self) -> CharPolynomial:
-        return _char_poly_rows(self.mat)
-
-    def det(self) -> Fraction:
-        return det_field(self.mat)
+        return char_poly(self.mat)
 
     def serialize(self):
         return {
@@ -505,11 +462,10 @@ def det_recursion_check(m1, depth: int):
         raise ValueError("final size capped at 64")
 
     def shifted_det(mat, shift_units: int):
-        # det(mat + (t + shift_units) I) as an exact polynomial in t
-        rows = [[HPoly({0: x}) for x in row] for row in mat]
-        for i in range(len(rows)):
-            rows[i][i] = rows[i][i] + HPoly({0: shift_units, 1: 1})
-        return poly_det(rows, len(rows))
+        # det(mat + (t + s) I) = det(tI - N) for N = -(mat + s I)
+        neg = [[-x - shift_units if i == j else -x
+                for j, x in enumerate(row)] for i, row in enumerate(mat)]
+        return char_poly(neg).as_hpoly()
 
     def step(mat, flip: bool):
         k = len(mat)

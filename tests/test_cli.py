@@ -3,10 +3,11 @@ emitters, exit codes, and the named check suites."""
 
 import hashlib
 import json
+import math
 
 import pytest
 
-from qdr import cli
+from qdr import cli, cpn
 from qdr.cli import (
     Options,
     ScenarioError,
@@ -17,6 +18,8 @@ from qdr.cli import (
     run_scenario,
     tokenize,
 )
+from qdr.linalg import det_field
+from qdr.symplectic import lefschetz_matrix
 
 
 def scenario_file(tmp_path, data, name="scn.json"):
@@ -192,6 +195,22 @@ def test_spectrum_task(tmp_path):
         name="par.json")
     with pytest.raises(ScenarioError):
         run_scenario(bad)
+
+
+def test_spectrum_task_at_the_dimension_cap(tmp_path, capsys):
+    # n = 4 windows are 128 x 128; each polynomial is (t - 4)^128
+    path = scenario_file(tmp_path, {
+        "model": "flat", "dim": 8,
+        "tasks": [{"op": "spectrum", "n": 4, "parity": "odd"}]})
+    assert main(["--scenario", path, "--format", "machine"]) == 0
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert task["coeffs"] == [str(math.comb(128, k) * (-4) ** (128 - k))
+                              for k in range(129)]
+    assert task["det"] == str(4 ** 128) and task["pass"]
+    # one sample point by elimination: det(5I - M) = (5 - 4)^128
+    m = lefschetz_matrix(4, "odd").mat
+    assert det_field([[(i == j) * 5 - v for j, v in enumerate(row)]
+                      for i, row in enumerate(m)]) == 1
 
 
 def test_torus_tasks(tmp_path):
@@ -421,6 +440,75 @@ def test_raising_library_check_reports_fail(suite, target, monkeypatch,
             {"index": i, "error": "forced failure"} for i in range(2)]
     else:
         assert task["error"] == "forced failure"
+
+
+def test_raising_relation17_fails_the_cpn_table_task(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr(cli, "verify_relation_17", _raise_assertion)
+    path = scenario_file(tmp_path, {
+        "model": "flat", "n": 1, "tasks": [{"op": "cpn_table", "n": 2}]})
+    assert main(["--scenario", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == \
+        "FAIL  1 checks, 1 failed, 1 tasks"
+    task = run_scenario(path)["tasks"][0]
+    assert task["pass"] is False and task["error"] == "forced failure"
+    assert "nilpotency_order" not in task
+
+
+@pytest.mark.parametrize("target", ["lemma62_check", "delta_component_check"])
+def test_raising_ledger_check_fails_the_report(target, monkeypatch, capsys):
+    cli.convention_ledger.cache_clear()
+    monkeypatch.setattr(cli, target, _raise_assertion)
+    assert main(["--check", "moyal", "--count", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == \
+        "FAIL  1 checks, 0 failed, 1 tasks"
+    rep = check("moyal", Options(count=2))
+    assert rep["tasks"][0]["pass"] is True
+    assert rep["ledger"] == {"error": "forced failure"}
+    assert rep["passed"] is False
+    # the raise was not cached: with the check restored the ledger passes
+    monkeypatch.undo()
+    assert check("moyal", Options(count=2))["passed"]
+
+
+def test_ledger_is_computed_once(monkeypatch):
+    calls = []
+    real = cli.decomposition_report
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    cli.convention_ledger.cache_clear()
+    monkeypatch.setattr(cli, "decomposition_report", counted)
+    first = check("moyal", Options(count=2))
+    second = check("moyal", Options(count=2))
+    assert calls == [2]
+    assert first["ledger"] == second["ledger"]
+    # the report holds a copy: changing it leaves the cached ledger alone
+    first["ledger"]["contraction_scaling"].append("x")
+    assert check("moyal", Options(count=2))["ledger"] == second["ledger"]
+
+
+def test_relation17_fails_on_a_wrong_nilpotency_order(monkeypatch, capsys):
+    real = cpn.quantum_power
+
+    def one_too_many(a, k, w):
+        # every power one factor further on: the observed order drops
+        return real(a, k + 1, w)
+
+    monkeypatch.setattr(cpn, "quantum_power", one_too_many)
+    assert main(["--check", "relation17", "--n", "2"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "FAIL  1 checks, 1 failed, 1 tasks"
+    task = check("relation17", Options(n=2))["tasks"][0]
+    assert task["pass"] is False
+    assert task["rows"] == [{"n": 1, "ok": False, "nilpotency_order": 1},
+                            {"n": 2, "ok": False, "nilpotency_order": 2}]
 
 
 @pytest.mark.parametrize("count", [-5, 0, cli.MAX_COUNT + 1])

@@ -10,14 +10,15 @@ from qdr.linalg import (
     bareiss_det,
     char_poly,
     det_field,
-    lagrange_interpolate,
     mat_inv,
     mat_mul,
     matrix_rank,
-    poly_det,
+    rational_roots,
+    solve,
     transpose,
 )
-from qdr.scalars import GaussRat, HPoly, TauNumber
+from qdr.scalars import GaussRat, TauNumber
+from qdr.symplectic import lefschetz_matrix
 
 
 def rank_ff(rows) -> int:
@@ -133,14 +134,121 @@ def test_char_poly_str():
     assert str(cp) == "t^2 - 2*t - 1"
 
 
-def test_lagrange_and_poly_det():
-    pts = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)),
-           (Fraction(2), Fraction(5))]
-    assert lagrange_interpolate(pts) == HPoly({0: 1, 2: 1})
-    rows = [[HPoly({0: 1, 1: 1}), HPoly({0: 2})],
-            [HPoly({0: 3}), HPoly({0: 1, 1: 1})]]
-    # (1+t)^2 - 6
-    assert poly_det(rows, 2) == HPoly({0: -5, 1: 2, 2: 1})
+def char_poly_fl(rows):
+    """Reference characteristic polynomial by the Faddeev-LeVerrier
+    recursion: n dense products, ascending coefficients."""
+    n = len(rows)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = [list(row) for row in rows]
+    for k in range(1, n + 1):
+        ck = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs[n - k] = ck
+        if k == n:
+            break
+        for i in range(n):
+            mk[i][i] = mk[i][i] + ck
+        mk = mat_mul(rows, mk)
+    return coeffs
+
+
+def _random_square(rng, n, kind):
+    if kind == "dense":
+        return [[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                 for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        # rank at most n - 1, with some zero entries
+        return _low_rank(rng, n, n, rng.randint(0, n - 1))
+    # nilpotent: strictly upper triangular, conjugated by a permutation
+    perm = list(range(n))
+    rng.shuffle(perm)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                m[perm[i]][perm[j]] = Fraction(rng.randint(-3, 3))
+    return m
+
+
+def test_char_poly_matches_faddeev_leverrier():
+    rng = Random(53)
+    kinds = {"dense": 0, "singular": 0, "nilpotent": 0}
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        kind = rng.choice(sorted(kinds))
+        m = _random_square(rng, n, kind)
+        cp = char_poly(m)
+        assert cp.coeffs == char_poly_fl(m)
+        assert cp.det == det_field(m)
+        if kind == "nilpotent":
+            assert cp.coeffs == [0] * n + [1]
+        elif kind == "singular":
+            assert cp.det == 0
+        kinds[kind] += 1
+    assert min(kinds.values()) > 60
+    assert char_poly([]).coeffs == [1] and char_poly([]).det == 1
+
+
+def test_char_poly_on_lefschetz_windows():
+    for n in (1, 2):
+        for parity in ("even", "odd"):
+            m = lefschetz_matrix(n, parity).mat
+            assert char_poly(m).coeffs == char_poly_fl(m)
+    # n = 3: the 32 x 32 windows, against det(xI - M) at 33 points
+    for parity in ("even", "odd"):
+        m = lefschetz_matrix(3, parity).mat
+        cp = char_poly(m)
+        for x in range(-16, 17):
+            shifted = [[Fraction(x * (i == j)) - v for j, v in enumerate(row)]
+                       for i, row in enumerate(m)]
+            assert cp(Fraction(x)) == det_field(shifted)
+
+
+def test_shifted_det_matches_det_field():
+    # det(M + (t + s)I) = det(tI - N) with N = -(M + sI), the identity the
+    # doubling recursion check reads its polynomials from
+    rng = Random(61)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        s = rng.randint(-3, 3)
+        m = _random_square(rng, n, rng.choice(("dense", "singular")))
+        neg = [[-v - s if i == j else -v for j, v in enumerate(row)]
+               for i, row in enumerate(m)]
+        poly = char_poly(neg).as_hpoly()
+        for x in range(-3, 4):
+            sample = [[v + (x + s) * (i == j) for j, v in enumerate(row)]
+                      for i, row in enumerate(m)]
+            assert poly.subs(Fraction(x)) == det_field(sample)
+
+
+def test_rational_roots_cases():
+    half = Fraction(1, 2)
+    # root at 0 twice, 1/2 three times, -3 once; non-monic leading 4
+    coeffs = [Fraction(0), Fraction(0)] + [Fraction(4)]
+    for r in (half, half, half, Fraction(-3)):
+        # multiply by (t - r)
+        coeffs = [-r * coeffs[0]] + [coeffs[k - 1] - r * coeffs[k]
+                                     for k in range(1, len(coeffs))] + \
+            [coeffs[-1]]
+    roots, remainder = rational_roots(coeffs)
+    assert roots == [(Fraction(-3), 1), (Fraction(0), 2), (half, 3)]
+    assert remainder == [4]
+    # trailing zeros are dropped; t^2 + 1 keeps no rational root
+    assert rational_roots([1, 0, 1, 0, 0]) == ([], [1, 0, 1])
+    assert rational_roots([Fraction(2, 3)]) == ([], [Fraction(2, 3)])
+    with pytest.raises(ValueError):
+        rational_roots([0, 0])
+
+
+def test_solve_cases():
+    cols = [[Fraction(1), Fraction(0), Fraction(1)],
+            [Fraction(0), Fraction(2), Fraction(2)]]
+    assert solve(cols, [3, 4, 7]) == [3, 2]
+    # rhs outside the column span
+    assert solve(cols, [3, 4, 6]) is None
+    # a repeated column is a free unknown, set to 0
+    assert solve(cols + [cols[0]], [3, 4, 7]) == [3, 2, 0]
+    assert solve([[Fraction(0), Fraction(0)]], [0, 1]) is None
+    assert solve([[Fraction(0), Fraction(0)]], [0, 0]) == [0]
 
 
 def test_mat_inv_round_trip():
