@@ -4,18 +4,30 @@ The differentials preserve each Fourier mode, so every complex built here
 splits into finite blocks indexed by the mode vector k.  On mode k every
 entry of a d, delta or d_h block is i*tau*r with r rational (tau is the
 formal circle period), and the blocks are linear in k:
-block(k) = sum_j k_j * block(e_j).  So a complex builds the blocks of the
-unit modes e_j once, divides out i*tau, and forms one Fraction block per
-primitive direction up to sign; block(c*k) = c*block(k) has the same
-rank, so a direction's rank counts once per mode on its line.  Total
-degree counts the deformation parameter as degree 2.
+A(k) = sum_j k_j * A_j over the blocks A_j of the unit modes e_j.  A
+complex builds the unit blade blocks once and divides out i*tau.
+
+The d and d_h ranks of the nonzero modes come from one chain-homotopy
+identity checked exactly on the unit blocks.  For a constant bivector
+the unit d_h block is A_j = eps(e^j) - h*delta_j with delta_j a
+contraction (Brylinski, J. Differential Geom. 28, 1988), so with
+B_i = iota(e_i) and H(k) = sum_i k_i B_i / |k|^2, a degree whose unit
+blocks satisfy A_j B_i + B_i A_j = delta_ij I and A_i A_j + A_j A_i = 0
+has A(k)H(k) idempotent with image im A(k) for every k != 0; its trace,
+t = tr(A_j B_j), is the rank of every nonzero mode's block.  The zero
+mode, every delta rank, and any degree whose identity fails are ranked
+by exact elimination of per-direction blocks, built when first needed:
+block(c*k) = c*block(k) has the same rank, so a primitive direction's
+rank counts once per mode on its line.  Total degree counts the
+deformation parameter as degree 2.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
 
-from .blades import blade_degree, masks_of_degree, wedge_masks
+from .blades import blade_degree, insert_first_mask, masks_of_degree, \
+    wedge_masks
 from .exterior import QForm, insert_first, wedge
 from .fields import (
     FieldForm,
@@ -53,9 +65,14 @@ def _over_i_tau(coeff: TauNumber, label: str) -> Fraction:
                      "rational")
 
 
+# degree step of each differential: d and d_h raise the degree, delta
+# lowers the blade degree
+_STEP = {"d": 1, "delta": -1, "dh": 1}
+
+
 class TruncatedComplex:
-    """Per-direction block matrices of d, delta, and d_h on a torus
-    truncation, with i*tau divided out.
+    """Ranks of d, delta, and d_h on a torus truncation, with i*tau
+    divided out.
 
     mode selects the coefficient window for the deformation exponent p at
     total degree m: "laurent" keeps every integer p with 0 <= m - 2p <= dim,
@@ -63,8 +80,9 @@ class TruncatedComplex:
 
     directions maps each primitive mode direction (up to sign) to the
     number of truncated modes on its line; the zero mode is its own
-    direction.  Blocks are keyed by direction: the block of mode
-    c * direction is c times the stored one.
+    direction.  Blocks are sparse columns ({row: entry} per basis
+    element) for the unit modes and dense rows for a direction; the
+    block of mode c * direction is c times the direction's.
     """
 
     def __init__(self, model, trunc: int, mode: str = "laurent",
@@ -91,13 +109,11 @@ class TruncatedComplex:
                        for q in range(self.dim + 1)}
         self._mask_pos = {mask: c for masks in self._masks.values()
                           for c, mask in enumerate(masks)}
-        # pure blade-degree blocks of d (q -> q+1) and delta (q -> q-1)
-        self._dblk = {}
-        self._deltablk = {}
-        # total-degree blocks of d_h (m -> m+1)
-        self._dhblk = {}
-        self._build_blade_blocks()
-        self._build_dh_blocks()
+        # kind -> degree -> one sparse block per unit mode e_j; the blade
+        # blocks of d (q -> q+1) and delta (q -> q-1) are built here, the
+        # total-degree blocks of d_h (m -> m+1) on first use
+        self._units = {"d": {}, "delta": {}, "dh": {}}
+        self._build_unit_blocks()
         self._rank_cache = {}
 
     # -- basis bookkeeping -------------------------------------------------
@@ -130,13 +146,21 @@ class TruncatedComplex:
             return 0
         return comb(self.dim, q) * len(self.fmodes)
 
+    def _space(self, kind: str, g: int):
+        """Basis of one mode's degree-g piece: (p, mask) pairs, p = 0 for
+        the blade degrees of d and delta."""
+        if kind == "dh":
+            return self.basis(g)
+        return [(0, mask) for mask in self._masks.get(g, ())]
+
     # -- block construction ------------------------------------------------
 
     def _mode_form(self, kvec, mask: int) -> FieldForm:
         fn = FourierFn.mode(self.dim, kvec)
         return FieldForm.from_fn(fn, mask)
 
-    def _column(self, image: FieldForm, kvec, index, rows, col, label):
+    def _column(self, image: FieldForm, kvec, index, label):
+        col = {}
         for (p, mask), fn in image.terms.items():
             for kv, coeff in fn.terms.items():
                 if kv != kvec:
@@ -148,116 +172,175 @@ class TruncatedComplex:
                     raise ValueError(
                         f"truncation not closed under {label}: "
                         f"h^{p} blade {mask:b} is outside the window")
-                rows[row][col] = _over_i_tau(coeff, label)
+                col[row] = _over_i_tau(coeff, label)
+        return col
 
-    def _unit_blocks(self, j: int):
-        """d and delta blade blocks of the unit mode e_j, over i*tau."""
-        kvec = tuple(int(i == j) for i in range(self.dim))
-        dq = {}
-        deltaq = {}
+    def _build_unit_blocks(self):
+        """d and delta blade blocks of every unit mode e_j, over i*tau."""
         for q in range(self.dim + 1):
-            src = self._masks[q]
-            dtgt = {(0, mask): r
-                    for r, mask in enumerate(self._masks.get(q + 1, []))}
-            deltatgt = {(0, mask): r for r, mask in
-                        enumerate(self._masks[q - 1] if q else [])}
-            drows = [[_ZERO] * len(src) for _ in dtgt]
-            deltarows = [[_ZERO] * len(src) for _ in deltatgt]
-            for c, mask in enumerate(src):
-                elem = self._mode_form(kvec, mask)
-                self._column(exterior_d(elem), kvec, dtgt, drows, c, "d")
-                self._column(koszul_delta(elem, self.w), kvec, deltatgt,
-                             deltarows, c, "delta")
-            dq[q] = drows
-            deltaq[q] = deltarows
-        return dq, deltaq
+            dtgt = {pm: r for r, pm in enumerate(self._space("d", q + 1))}
+            deltatgt = {pm: r for r, pm in enumerate(self._space("d", q - 1))}
+            dq = self._units["d"][q] = []
+            deltaq = self._units["delta"][q] = []
+            for j in range(self.dim):
+                kvec = tuple(int(i == j) for i in range(self.dim))
+                elems = [self._mode_form(kvec, mask) for mask in self._masks[q]]
+                dq.append([self._column(exterior_d(e), kvec, dtgt, "d")
+                           for e in elems])
+                deltaq.append([self._column(koszul_delta(e, self.w), kvec,
+                                            deltatgt, "delta")
+                               for e in elems])
 
-    def _build_blade_blocks(self):
-        units = [self._unit_blocks(j) for j in range(self.dim)]
-        for direction in self.directions:
-            dq = {}
-            deltaq = {}
-            for q in range(self.dim + 1):
-                dq[q] = _combine(direction, [d[q] for d, _ in units])
-                deltaq[q] = _combine(direction,
-                                     [delta[q] for _, delta in units])
-            self._dblk[direction] = dq
-            self._deltablk[direction] = deltaq
-
-    def _assemble_dh(self, direction, m: int):
-        """d_h block at degree m from the blade blocks: d minus shifted
-        delta, the shift raising the deformation exponent by one."""
-        src = self.basis(m)
+    def _assemble_dh(self, j: int, m: int):
+        """Unit d_h block of e_j at degree m from its blade blocks: d
+        minus shifted delta, the shift raising the deformation exponent
+        by one."""
         tgt = {pm: r for r, pm in enumerate(self.basis(m + 1))}
-        rows = [[_ZERO] * len(src) for _ in range(len(tgt))]
-        dblk = self._dblk[direction]
-        deltablk = self._deltablk[direction]
-        for c, (p, mask) in enumerate(src):
+        cols = []
+        for p, mask in self.basis(m):
             q = blade_degree(mask)
-            col = self._mask_pos[mask]
-            for r_local, mask2 in enumerate(self._masks.get(q + 1, [])):
-                val = dblk[q][r_local][col]
-                if val:
-                    rows[tgt[(p, mask2)]][c] = val
-            for r_local, mask2 in enumerate(self._masks[q - 1] if q else []):
-                val = deltablk[q][r_local][col]
-                if val and (p + 1, mask2) in tgt:
-                    rows[tgt[(p + 1, mask2)]][c] = -val
-                elif val:
+            pos = self._mask_pos[mask]
+            col = {}
+            for r, val in self._units["d"][q][j][pos].items():
+                col[tgt[(p, self._masks[q + 1][r])]] = val
+            for r, val in self._units["delta"][q][j][pos].items():
+                row = tgt.get((p + 1, self._masks[q - 1][r]))
+                if row is None:
                     raise ValueError(
                         "truncation not closed under d_h: shifted "
-                        f"h^{p + 1} blade {mask2:b} is outside the window")
-        return rows
+                        f"h^{p + 1} blade {self._masks[q - 1][r]:b} is "
+                        "outside the window")
+                col[row] = -val
+            cols.append(col)
+        return cols
 
-    def _build_dh_blocks(self):
-        for m in range(-1, self.max_degree + 1):
-            for direction in self.directions:
-                self._dhblk[(direction, m)] = self._assemble_dh(direction, m)
+    def _unit(self, kind: str, g: int):
+        """The sparse blocks of the unit modes at degree g, one per e_j."""
+        blocks = self._units[kind]
+        if g not in blocks:
+            if kind == "dh":
+                blocks[g] = [self._assemble_dh(j, g) for j in range(self.dim)]
+            else:
+                # a blade degree outside 0..dim: the space is zero
+                blocks[g] = [[] for _ in range(self.dim)]
+        return blocks[g]
+
+    def _block(self, kind: str, direction, g: int):
+        """Dense block of the mode `direction` at degree g, rows over the
+        target degree: sum_j direction[j] * (unit block of e_j)."""
+        ncols = len(self._space(kind, g))
+        rows = [[_ZERO] * ncols
+                for _ in self._space(kind, g + _STEP[kind])]
+        for k, cols in zip(direction, self._unit(kind, g)):
+            if not k:
+                continue
+            for c, col in enumerate(cols):
+                for r, x in col.items():
+                    rows[r][c] += k * x
+        return rows
 
     # -- exact ranks ---------------------------------------------------------
 
-    def _rank_sum(self, key, blocks) -> int:
-        """Sum of multiplicity * rank over (multiplicity, block) pairs."""
-        if key in self._rank_cache:
-            return self._rank_cache[key]
-        total = 0
-        for mult, block in blocks:
-            total += mult * matrix_rank(block)
-        self._rank_cache[key] = total
-        return total
+    def _certified_rank(self, kind: str, g: int):
+        """The rank of every nonzero mode's degree-g block, from the
+        chain-homotopy identity on the unit blocks; None when it fails."""
+        prev, here, nxt = (self._space(kind, g + s) for s in (-1, 0, 1))
+        return _homotopy_rank(
+            self._unit(kind, g - 1), self._unit(kind, g),
+            [_interior(here, prev, i) for i in range(self.dim)],
+            [_interior(nxt, here, i) for i in range(self.dim)])
+
+    def _rank(self, kind: str, g: int) -> int:
+        """Sum of the ranks of every mode's degree-g block."""
+        key = (kind, g)
+        if key not in self._rank_cache:
+            t = None if kind == "delta" else self._certified_rank(kind, g)
+            if t is None:
+                total, parts = 0, self.directions.items()
+            else:
+                # certified nonzero modes; the zero mode is eliminated
+                total = t * (len(self.fmodes) - 1)
+                parts = [((0,) * self.dim, 1)]
+            for direction, mult in parts:
+                total += mult * matrix_rank(self._block(kind, direction, g))
+            self._rank_cache[key] = total
+        return self._rank_cache[key]
 
     def d_rank(self, q: int) -> int:
         if q < 0 or q > self.dim:
             return 0
-        return self._rank_sum(("d", q), [
-            (mult, self._dblk[k][q]) for k, mult in self.directions.items()])
+        return self._rank("d", q)
 
     def delta_rank(self, q: int) -> int:
         if q < 1 or q > self.dim:
             return 0
-        return self._rank_sum(("delta", q), [
-            (mult, self._deltablk[k][q])
-            for k, mult in self.directions.items()])
+        return self._rank("delta", q)
 
     def dh_rank(self, m: int) -> int:
         if m < -1 or m > self.max_degree:
             return 0
-        return self._rank_sum(("dh", m), [
-            (mult, self._dhblk[(k, m)])
-            for k, mult in self.directions.items()])
+        return self._rank("dh", m)
 
 
-def _combine(kvec, blocks):
-    """sum_j kvec[j] * blocks[j] over blocks of one shape."""
-    out = [[_ZERO] * len(row) for row in blocks[0]]
-    for k, block in zip(kvec, blocks):
-        if not k:
-            continue
-        for orow, brow in zip(out, block):
-            for c, x in enumerate(brow):
-                if x:
-                    orow[c] += k * x
-    return out
+def _interior(src, tgt, i: int):
+    """iota(e_i) as sparse columns from basis src to basis tgt, both
+    lists of (p, mask); the exponent p passes through."""
+    index = {pm: r for r, pm in enumerate(tgt)}
+    cols = []
+    for p, mask in src:
+        sign, rest = insert_first_mask(i + 1, mask)
+        cols.append({index[(p, rest)]: sign} if sign else {})
+    return cols
+
+
+def _apply(block, vec, acc):
+    """acc += block @ vec over sparse columns, zero-free."""
+    for r, x in vec.items():
+        for s, y in block[r].items():
+            add_term(acc, s, x * y)
+
+
+def _homotopy_rank(a_prev, a, b, b_next):
+    """t such that every nonzero A(k) = sum_j k_j a[j] has rank t, or None.
+
+    a_prev[j] and a[j] are the unit blocks into and out of one degree,
+    b[i] and b_next[i] the contractions iota(e_i) on that degree and the
+    next, all sparse columns.  Checked exactly:
+      (a) a_prev[j] b[i] + b_next[i] a[j] = delta_ij I on the degree,
+      (b) a[i] a_prev[j] + a[j] a_prev[i] = 0 into the next degree.
+    For k != 0, with H(k) = sum_i k_i b[i] / |k|^2 on the degree (b_next
+    on the next), (a) gives A_prev(k)H(k) + H(k)A(k) = I and (b) gives
+    A(k)A_prev(k) = 0.  So P = A(k)H(k) has P^2 = P and P A(k) = A(k):
+    P projects onto im A(k), and rank A(k) = trace P = k^T T k / |k|^2
+    with T_ij = trace(a[j] b_next[i]).  Certified only when T = t*I for
+    an integer t, so the rank is t on every nonzero mode.
+    """
+    dim = len(a)
+    for c in range(len(b[0])):
+        for i in range(dim):
+            for j in range(dim):
+                acc = {}
+                _apply(a_prev[j], b[i][c], acc)
+                _apply(b_next[i], a[j][c], acc)
+                if acc != ({c: 1} if i == j else {}):
+                    return None
+    for c in range(len(a_prev[0])):
+        for i in range(dim):
+            for j in range(i, dim):
+                acc = {}
+                _apply(a[i], a_prev[j][c], acc)
+                _apply(a[j], a_prev[i][c], acc)
+                if acc:
+                    return None
+    trace = [[sum(a[j][r].get(c, 0) * x
+                  for c, col in enumerate(b_next[i]) for r, x in col.items())
+              for j in range(dim)] for i in range(dim)]
+    t = trace[0][0]
+    if Fraction(t).denominator != 1 or any(
+            trace[i][j] != (t if i == j else 0)
+            for i in range(dim) for j in range(dim)):
+        return None
+    return int(t)
 
 
 class DimensionReport:

@@ -155,10 +155,7 @@ class CharPolynomial:
         return -self.coeffs[0] if self.degree % 2 else self.coeffs[0]
 
     def __call__(self, x):
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        return _poly_eval(self.coeffs, x)
 
     def __eq__(self, other):
         if isinstance(other, CharPolynomial):
@@ -265,21 +262,63 @@ def rational_roots(coeffs):
     Returns ([(root, multiplicity)] sorted by root, remainder): the
     remainder is the ascending coefficient list left once every rational
     root is divided out. Trailing zero coefficients are dropped; the
-    zero polynomial is rejected.
+    zero polynomial is rejected. Candidates come from the square-free
+    part f / gcd(f, f'), whose roots are f's, each once; deflating f
+    itself by a root as often as it vanishes counts the multiplicity.
     """
     coeffs = [as_fraction(c) for c in coeffs]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if not coeffs:
         raise ValueError("the zero polynomial has every root")
-    roots = {}
-    while len(coeffs) > 1:
-        root = _find_rational_root(coeffs)
-        if root is None:
-            break
-        coeffs = _deflate(coeffs, root)
-        roots[root] = roots.get(root, 0) + 1
-    return sorted(roots.items()), coeffs
+    square_free, _ = _poly_divmod(coeffs,
+                                  _poly_gcd(coeffs, _derivative(coeffs)))
+    roots = []
+    for root in _root_candidates(square_free):
+        if _poly_eval(square_free, root):
+            continue
+        mult = 0
+        while len(coeffs) > 1 and not _poly_eval(coeffs, root):
+            coeffs = _deflate(coeffs, root)
+            mult += 1
+        roots.append((root, mult))
+    return sorted(roots), coeffs
+
+
+def _poly_eval(coeffs, x):
+    val = Fraction(0)
+    for c in reversed(coeffs):
+        val = val * x + c
+    return val
+
+
+def _derivative(coeffs):
+    return [k * c for k, c in enumerate(coeffs)][1:]
+
+
+def _poly_divmod(num, den):
+    """Quotient and remainder of ascending coefficient lists; den has a
+    nonzero leading coefficient."""
+    rem = list(num)
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    lead = den[-1]
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(den) - 1] / lead
+        quot[k] = c
+        if c:
+            for i, d in enumerate(den):
+                rem[k + i] -= c * d
+    rem = rem[:len(den) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _poly_gcd(a, b):
+    """Monic gcd by Euclid's algorithm; b may be the zero list."""
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
 
 
 def _divisors(v):
@@ -293,23 +332,21 @@ def _divisors(v):
     return sorted(set(out))
 
 
-def _find_rational_root(coeffs):
-    # rational root theorem on the integer-scaled polynomial
+def _root_candidates(coeffs):
+    """The set of rational numbers the rational root theorem allows as
+    roots of the integer-scaled polynomial, with 0 when it divides."""
     lcm = 1
     for c in coeffs:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     ints = [int(c * lcm) for c in coeffs]
-    if ints[0] == 0:
-        return Fraction(0)
+    out = set()
+    while not ints[0]:
+        out.add(Fraction(0))
+        ints = ints[1:]
     for p in _divisors(abs(ints[0])):
         for q in _divisors(abs(ints[-1])):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                val = Fraction(0)
-                for c in reversed(coeffs):
-                    val = val * cand + c
-                if val == 0:
-                    return cand
-    return None
+            out.update((Fraction(p, q), Fraction(-p, q)))
+    return out
 
 
 def _deflate(coeffs, root):

@@ -42,8 +42,7 @@ class SymplecticForm:
                 if rows[i][j] != -rows[j][i]:
                     raise ValueError("matrix is not antisymmetric")
         self.matrix = rows
-        inv = mat_inv(rows)  # raises on singular input
-        self._winv = inv
+        self._winv = mat_inv(rows)  # raises on singular input
         self._bivector = None
         self._volume = None
 
@@ -98,7 +97,7 @@ def _coerce_symplectic(omega, dim=None) -> SymplecticForm:
 def bivector_of(omega: SymplecticForm) -> Bivector:
     """The inverse-matrix pairing: w^{ij} ω_{jk} = δ^i_k."""
     omega = _coerce_symplectic(omega)
-    inv = mat_inv(omega.matrix)
+    inv = omega._winv
     entries = {}
     for i in range(omega.dim):
         for j in range(i + 1, omega.dim):

@@ -259,6 +259,16 @@ def test_complex_size_cap(tmp_path, capsys):
         cli._check_modes(6, 2)
 
 
+def test_torus6_quantum_cohomology_task(tmp_path, capsys):
+    # the largest torus under MAX_MODES: 3^6 = 729 modes
+    path = scenario_file(tmp_path, {
+        "model": "torus", "n": 3, "truncation": 1,
+        "tasks": [{"op": "cohomology", "theory": "quantum"}]})
+    assert main(["--scenario", path, "--format", "machine"]) == 0
+    rows = json.loads(capsys.readouterr().out)["tasks"][0]["rows"]["rows"]
+    assert [r["dim_h"] for r in rows] == [32] * 8
+
+
 def test_torus_tasks_rejected_elsewhere(tmp_path):
     for op in ({"op": "cohomology"}, {"op": "integral", "expr": "e[1]"},
                {"op": "stokes"}):

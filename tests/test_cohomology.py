@@ -30,6 +30,7 @@ from qdr.fields import (
 )
 from qdr.fixtures import Model, standard_symplectic, torus
 from qdr.functions import FourierFn
+from qdr.linalg import matrix_rank
 from qdr.rand import random_fieldform
 from qdr.scalars import GaussRat, HPoly, TauNumber
 from qdr.symplectic import SymplecticForm, bivector_of
@@ -212,8 +213,9 @@ def test_direction_blocks_match_fieldform_blocks(model):
                 [koszul_delta(e, c.w) for e in elems], kvec,
                 {(0, m): r for r, m in enumerate(_masks(dim, q - 1))},
                 len(src))
-            assert d_ref == _scaled(scale, c._dblk[direction][q])
-            assert delta_ref == _scaled(scale, c._deltablk[direction][q])
+            assert d_ref == _scaled(scale, c._block("d", direction, q))
+            assert delta_ref == _scaled(scale,
+                                        c._block("delta", direction, q))
         for m in range(-1, c.max_degree + 1):
             src = c.basis(m)
             images = [quantum_d(FieldForm.from_fn(
@@ -222,8 +224,165 @@ def test_direction_blocks_match_fieldform_blocks(model):
             dh_ref = _reference_block(
                 images, kvec,
                 {pm: r for r, pm in enumerate(c.basis(m + 1))}, len(src))
-            assert dh_ref == _scaled(scale, c._dhblk[(direction, m)])
+            assert dh_ref == _scaled(scale, c._block("dh", direction, m))
     assert counts == c.directions
+
+
+# -- certified ranks against elimination -----------------------------------
+
+def _degrees(c, kind):
+    if kind == "dh":
+        return range(-1, c.max_degree + 1)
+    return range(c.dim + 1)
+
+
+def _eliminated(c, kind, g):
+    """Sum over directions of multiplicity * rank, every block eliminated."""
+    return sum(mult * matrix_rank(c._block(kind, direction, g))
+               for direction, mult in c.directions.items())
+
+
+def _rank(c, kind, g):
+    return {"d": c.d_rank, "delta": c.delta_rank, "dh": c.dh_rank}[kind](g)
+
+
+@pytest.mark.parametrize("mode", ("laurent", "polynomial"))
+@pytest.mark.parametrize("model", COMPARED.values(), ids=COMPARED.keys())
+def test_certified_ranks_match_elimination(model, mode):
+    c = build_complex(model, model.torus_N, mode)
+    zero = (0,) * c.dim
+    for kind in ("d", "dh"):
+        for g in _degrees(c, kind):
+            t = c._certified_rank(kind, g)
+            assert t is not None, (kind, g)
+            for direction in c.directions:
+                if direction != zero:
+                    block = c._block(kind, direction, g)
+                    assert matrix_rank(block) == t, (kind, g, direction)
+            assert _rank(c, kind, g) == _eliminated(c, kind, g)
+
+
+def _all_ranks(c):
+    return {(kind, g): _rank(c, kind, g)
+            for kind in ("d", "delta", "dh") for g in _degrees(c, kind)}
+
+
+def test_flipped_contraction_fails_the_identity(monkeypatch):
+    real = cohomology._interior
+
+    def flipped(src, tgt, i):
+        cols = real(src, tgt, i)
+        if i == 0:
+            cols = [{r: -x for r, x in col.items()} for col in cols]
+        return cols
+    ref = _all_ranks(build_complex(torus(2, 1), 1))
+    monkeypatch.setattr(cohomology, "_interior", flipped)
+    c = build_complex(torus(2, 1), 1)
+    for kind in ("d", "dh"):
+        for g in _degrees(c, kind):
+            if c._space(kind, g):
+                assert c._certified_rank(kind, g) is None, (kind, g)
+    # every rank falls back to elimination and stays right
+    assert _all_ranks(c) == ref
+
+
+def _delta_positions(c):
+    """(q, j, column, row) of every entry of the unit delta blocks."""
+    return [(q, j, col, row)
+            for q in range(c.dim + 1) for j in range(c.dim)
+            for col in range(len(c._space("delta", q)))
+            for row in range(len(c._space("delta", q - 1)))]
+
+
+@pytest.mark.parametrize("model", (torus(1, 2), _darboux_torus(5, 2, 1)),
+                         ids=("torus(1,2)", "darboux(2,1)"))
+def test_perturbed_delta_entry_falls_back(model):
+    # some perturbations pass identity (a) on a degree and fail only (b)
+    positions = _delta_positions(build_complex(model, model.torus_N))
+    if model.dim > 2:
+        positions = Random(7).sample(positions, 8)
+    for q, j, col, row in positions:
+        c = build_complex(model, model.torus_N)
+        entries = c._units["delta"][q][j][col]
+        entries[row] = entries.get(row, 0) + 1
+        certified = [c._certified_rank("dh", m) for m in _degrees(c, "dh")]
+        assert None in certified, (q, j, col, row)
+        for m in _degrees(c, "dh"):
+            assert c.dh_rank(m) == _eliminated(c, "dh", m), (q, j, col, m)
+
+
+def test_uniform_delta_rescale_keeps_identity_and_ranks():
+    # Not a missed mutation: d - c*h*delta is conjugate to d - h*delta
+    # by h^p -> c^p h^p, so a uniform rescale of delta passes the
+    # identity and keeps every rank.  Do not "fix" this test to fail.
+    model = _darboux_torus(3, 2, 1)
+    ref = _all_ranks(build_complex(model, 1))
+    for scale in (Fraction(3), Fraction(-2, 5)):
+        c = build_complex(model, 1)
+        for per_j in c._units["delta"].values():
+            for cols in per_j:
+                for col in cols:
+                    for row in col:
+                        col[row] *= scale
+        for m in _degrees(c, "dh"):
+            assert c._certified_rank("dh", m) is not None
+        assert _all_ranks(c) == ref
+
+
+# -- what each report builds -----------------------------------------------
+
+
+def test_de_rham_and_poisson_reports_assemble_no_dh_block(monkeypatch):
+    calls = []
+    real = cohomology.TruncatedComplex._assemble_dh
+
+    def counting(self, j, m):
+        calls.append((j, m))
+        return real(self, j, m)
+    monkeypatch.setattr(cohomology.TruncatedComplex, "_assemble_dh",
+                        counting)
+    for mode in ("laurent", "polynomial"):
+        c = build_complex(torus(2, 1), 1, mode)
+        assert dr_cohomology_dims(c).passed()
+        assert poisson_homology_dims(c).passed()
+        assert calls == []
+    assert quantum_cohomology_dims(c).passed()
+    assert calls
+
+
+def test_quantum_report_eliminates_only_zero_mode_blocks(monkeypatch):
+    built = []
+    ranked = []
+    real_block = cohomology.TruncatedComplex._block
+    real_rank = cohomology.matrix_rank
+
+    def block(self, kind, direction, g):
+        built.append(direction)
+        return real_block(self, kind, direction, g)
+
+    def rank(rows):
+        ranked.append(rows)
+        return real_rank(rows)
+    monkeypatch.setattr(cohomology.TruncatedComplex, "_block", block)
+    monkeypatch.setattr(cohomology, "matrix_rank", rank)
+    expected = {"laurent": (8,) * 6, "polynomial": (1, 4, 7, 8, 8, 8)}
+    for mode, dims in expected.items():
+        built.clear()
+        ranked.clear()
+        c = build_complex(torus(2, 1), 1, mode)
+        assert quantum_cohomology_dims(c).dims == dims
+        assert ranked and len(ranked) == len(built)
+        assert set(built) == {(0, 0, 0, 0)}
+        assert all(not x for rows in ranked for row in rows for x in row)
+
+
+def test_torus6_dimension_tables():
+    c = build_complex(torus(3, 1), 1)
+    assert len(c.fmodes) == 729
+    assert dr_cohomology_dims(c).dims == (1, 6, 15, 20, 15, 6, 1)
+    rep = quantum_cohomology_dims(c)
+    assert rep.dims == (32,) * 8
+    assert rep.passed()
 
 
 def test_primitive_direction():

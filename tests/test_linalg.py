@@ -1,5 +1,6 @@
 """Exact rank, determinant, characteristic polynomial machinery."""
 
+import time
 from fractions import Fraction
 from random import Random
 
@@ -237,6 +238,26 @@ def test_rational_roots_cases():
     assert rational_roots([Fraction(2, 3)]) == ([], [Fraction(2, 3)])
     with pytest.raises(ValueError):
         rational_roots([0, 0])
+
+
+def test_rational_roots_of_a_high_power():
+    # candidates come from the square-free part t - 4, not from the
+    # divisors of the constant term 4^128
+    start = time.perf_counter()
+    poly = lefschetz_matrix(4, "odd").char_poly()
+    assert poly.rational_roots() == ([(4, 128)], [1])
+    assert time.perf_counter() - start < 10
+    # repeated roots that cancel in the scaled candidates: 2/2 = 1/1
+    coeffs = [1]
+    for r in (1, 1, Fraction(2, 3), -2, -2, -2):
+        coeffs = [-r * coeffs[0]] + [coeffs[k - 1] - r * coeffs[k]
+                                     for k in range(1, len(coeffs))] + \
+            [coeffs[-1]]
+    coeffs = [6 * c for c in coeffs]
+    assert rational_roots(coeffs) == (
+        [(-2, 3), (Fraction(2, 3), 1), (1, 2)], [6])
+    # an irreducible quadratic factor stays in the remainder
+    assert rational_roots([-2, 2, -1, 1]) == ([(1, 1)], [2, 0, 1])
 
 
 def test_solve_cases():

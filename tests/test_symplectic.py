@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from qdr.exterior import QForm, wedge
+from qdr import symplectic
 from qdr.linalg import char_poly
 from qdr.scalars import HPoly
 from qdr.symplectic import (
@@ -47,6 +48,19 @@ def test_bivector_of_standard():
     assert w4.entry(1, 2) == -1 and w4.entry(3, 4) == -1
     assert w4.entry(1, 3) == 0
     assert w4.entry(2, 1) == 1
+
+
+def test_bivector_inverts_the_form_once(monkeypatch):
+    calls = []
+    real = symplectic.mat_inv
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+    monkeypatch.setattr(symplectic, "mat_inv", counting)
+    w = SymplecticForm(4).bivector
+    assert len(calls) == 1
+    assert w == bivector_of(SymplecticForm(4))
 
 
 def test_sharp_flat():
