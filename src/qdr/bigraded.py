@@ -82,7 +82,7 @@ class BigradedForm:
                 # each h power of one blade lands in its own (p, q)
                 out.setdefault((p0 + e, q0 + e), {})[mask] = \
                     HPoly._make({e: v}, True)
-        return {key: BigradedForm(self.n, QForm._make(2 * self.n, terms,
+        return {key: BigradedForm(self.n, QForm._make(terms, 2 * self.n,
                                                       True))
                 for key, terms in sorted(out.items())}
 
@@ -99,8 +99,7 @@ class BigradedForm:
             # the swap permutes the blades, so no two terms meet
             mask2, sign = _swap_mask(mask, self.n)
             out[mask2] = c.conj() * sign
-        return BigradedForm(self.n, QForm._make(2 * self.n, out,
-                                                self.form.laurent))
+        return BigradedForm(self.n, self.form._like(out))
 
     def is_zero(self) -> bool:
         return not self.form.terms
@@ -119,7 +118,7 @@ class BigradedForm:
     def __eq__(self, other):
         if isinstance(other, BigradedForm):
             return self.n == other.n and self.form == other.form
-        return self.form == self.form._coerce(other)
+        return self.form == other
 
     def __hash__(self):
         return hash((self.n, tuple(sorted(
@@ -316,10 +315,11 @@ class Frame:
         if jw != wm:
             raise ValueError("bivector is not preserved by J")
 
-    def complexify(self, form: QForm) -> BigradedForm:
-        n = self.n
+    def _expand(self, terms, rows):
+        """terms with each frame covector i rewritten as the combination
+        rows[i] of the other frame's covectors."""
         out = {}
-        for mask, c in form.terms.items():
+        for mask, c in terms.items():
             expanded = {0: HPoly(1)}
             i = 0
             rest = mask
@@ -327,7 +327,7 @@ class Frame:
                 if rest & 1:
                     nxt = {}
                     for m2, c2 in expanded.items():
-                        for idx, cf in enumerate(self._to_cx[i]):
+                        for idx, cf in enumerate(rows[i]):
                             if not cf:
                                 continue
                             sign, m3 = wedge_masks(m2, 1 << idx)
@@ -339,32 +339,15 @@ class Frame:
                 i += 1
             for m2, c2 in expanded.items():
                 add_term(out, m2, c2 * c)
-        return BigradedForm(n, QForm._make(2 * n, out, form.laurent))
+        return out
+
+    def complexify(self, form: QForm) -> BigradedForm:
+        out = self._expand(form.terms, self._to_cx)
+        return BigradedForm(self.n, QForm._make(out, 2 * self.n, form.laurent))
 
     def realify(self, bform: BigradedForm) -> QForm:
         """Expand the frame covectors back out; coefficients must be real."""
-        n = self.n
-        out = {}
-        for mask, c in bform.form.terms.items():
-            expanded = {0: HPoly(1)}
-            idx = 0
-            rest = mask
-            while rest:
-                if rest & 1:
-                    nxt = {}
-                    for m2, c2 in expanded.items():
-                        for i, cf in enumerate(self._from_cx[idx]):
-                            if not cf:
-                                continue
-                            sign, m3 = wedge_masks(m2, 1 << i)
-                            if not sign:
-                                continue
-                            add_term(nxt, m3, c2 * (cf * sign))
-                    expanded = nxt
-                rest >>= 1
-                idx += 1
-            for m2, c2 in expanded.items():
-                add_term(out, m2, c2 * c)
+        out = self._expand(bform.form.terms, self._from_cx)
         real_terms = {}
         for mask, c in out.items():
             clean = {}
@@ -375,7 +358,7 @@ class Frame:
                                      f"frame: coefficient {g}")
                 clean[e] = g.re
             real_terms[mask] = HPoly._make(clean, c.laurent)
-        return QForm._make(2 * n, real_terms, bform.form.laurent)
+        return bform.form._like(real_terms)
 
 
 def _mat_vec(m, v):

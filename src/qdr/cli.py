@@ -156,6 +156,17 @@ class ScenarioError(ValueError):
     """Bad scenario, expression, or option: reported with exit code 2."""
 
 
+def _choice(what, value, allowed):
+    """value if it is one of the names in allowed, else a ScenarioError.
+
+    Every enumerated field of a scenario goes through here, so a JSON
+    list or object in its place is rejected like an unknown name."""
+    if not isinstance(value, str) or value not in allowed:
+        raise ScenarioError(f"unknown {what} {value!r}; choose one of "
+                            f"{', '.join(allowed)}")
+    return value
+
+
 def max_dim() -> int:
     raw = os.environ.get("QDR_MAX_DIM", "")
     try:
@@ -468,10 +479,9 @@ def _parse_omega_rows(rows, dim):
 
 def build_context(model="flat", dim=None, n=None, omega=None,
                   truncation=None, seed=0) -> Context:
-    if model not in MODELS:
-        raise ScenarioError(
-            f"unknown model {model!r}; choose one of {', '.join(MODELS)}")
+    _choice("model", model, MODELS)
     if truncation is not None and (not isinstance(truncation, int)
+                                   or isinstance(truncation, bool)
                                    or truncation < 1):
         raise ScenarioError(f"truncation must be a positive integer, "
                             f"got {truncation!r}")
@@ -609,10 +619,7 @@ def _validate_task(task):
         task = {"op": "suite", "name": task}
     if not isinstance(task, dict):
         raise ScenarioError(f"task must be an object or string: {task!r}")
-    op = task.get("op")
-    if op not in _TASK_KEYS:
-        raise ScenarioError(
-            f"unknown task op {op!r}; choose one of {', '.join(_TASK_KEYS)}")
+    op = _choice("task op", task.get("op"), _TASK_KEYS)
     extra = set(task) - _TASK_KEYS[op] - {"op"}
     if extra:
         raise ScenarioError(
@@ -693,10 +700,7 @@ _OPERATOR_NAMES = ("d", "delta", "d_h", "d_h_mirror", "iota", "L", "L_star",
 
 
 def _run_operator(ctx, task):
-    name = task["name"]
-    if name not in _OPERATOR_NAMES:
-        raise ScenarioError(f"unknown operator {name!r}; choose one of "
-                            f"{', '.join(_OPERATOR_NAMES)}")
+    name = _choice("operator", task["name"], _OPERATOR_NAMES)
     flavor = "field" if name in _FIELD_OPS else "auto"
     form = ctx.eval(task["expr"], flavor)
     if isinstance(form, QForm):
@@ -718,9 +722,7 @@ def _run_operator(ctx, task):
 
 def _run_spectrum(ctx, task):
     n = _int_key(task, "n", low=1, high=max_dim() // 2)
-    parity = task.get("parity", "odd")
-    if parity not in ("even", "odd"):
-        raise ScenarioError(f"parity must be even or odd, got {parity!r}")
+    parity = _choice("parity", task.get("parity", "odd"), ("even", "odd"))
     op = lefschetz_matrix(n, parity)
     cp = op.char_poly()
     return {"task": "spectrum", "n": n, "parity": parity,
@@ -739,10 +741,7 @@ _THEORIES = {
 def _run_cohomology(ctx, task):
     if ctx.model is None or not ctx.model.is_torus():
         raise ScenarioError("cohomology task needs a torus model")
-    theory = task.get("theory", "quantum")
-    if theory not in _THEORIES:
-        raise ScenarioError(f"unknown theory {theory!r}; choose one of "
-                            f"{', '.join(_THEORIES)}")
+    theory = _choice("theory", task.get("theory", "quantum"), _THEORIES)
     trunc = ctx.truncation or 2
     _check_modes(ctx.dim, trunc)
     comp = build_complex(ctx.model, trunc)
@@ -775,12 +774,12 @@ def _run_chern(ctx, task):
     theta = task["theta"]
     if isinstance(theta, str):
         entries = [[ctx.eval(theta, "field")]]
-    elif (isinstance(theta, list)
+    elif (isinstance(theta, list) and theta
           and all(isinstance(r, list) for r in theta)):
         entries = [[ctx.eval(e, "field") for e in row] for row in theta]
     else:
         raise ScenarioError("theta must be an expression string or a "
-                            "matrix of expression strings")
+                            "nonempty matrix of expression strings")
     mat = MatrixForm(entries)
     w = ctx.model.poisson
     try:
@@ -1247,9 +1246,7 @@ _SUITE_N_CAPS = {
 
 
 def run_suite(name, opts: Options):
-    if name not in SUITES:
-        raise ScenarioError(
-            f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
+    _choice("suite", name, sorted(SUITES))
     cap = _SUITE_N_CAPS.get(name)
     if cap is not None and opts.n is not None and not 1 <= opts.n <= cap:
         raise ScenarioError(

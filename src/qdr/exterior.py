@@ -36,7 +36,8 @@ from .blades import (
     mask_of_indices,
     wedge_masks,
 )
-from .scalars import GaussRat, HPoly, HPolyMulti, add_term, as_fraction
+from .scalars import (GaussRat, HPoly, HPolyMulti, SparseTerms, add_term,
+                      as_fraction)
 
 
 class PairTensor:
@@ -231,10 +232,10 @@ def _normalize_vector(v, dim: int):
             for i, c in comps if c]
 
 
-class QForm:
+class QForm(SparseTerms):
     """A form with polynomial h coefficients on a fixed R^dim frame."""
 
-    __slots__ = ("dim", "terms", "laurent")
+    __slots__ = ("dim", "laurent")
 
     def __init__(self, dim: int, terms=None, laurent: bool = False):
         self.dim = dim
@@ -255,16 +256,6 @@ class QForm:
             add_term(self.terms, mask, c)
 
     @staticmethod
-    def _make(dim: int, terms: dict, laurent: bool) -> "QForm":
-        """Trusted constructor: terms is zero-free with HPoly values, and
-        laurent already covers every coefficient's flag."""
-        f = object.__new__(QForm)
-        f.dim = dim
-        f.terms = terms
-        f.laurent = laurent
-        return f
-
-    @staticmethod
     def zero(dim: int, laurent: bool = False) -> "QForm":
         return QForm(dim, laurent=laurent)
 
@@ -280,31 +271,17 @@ class QForm:
     def one_form(dim: int, i: int, coeff=1) -> "QForm":
         return QForm(dim, {(i,): coeff})
 
-    def _coerce(self, other) -> "QForm":
+    def _operand(self, other):
         if isinstance(other, QForm):
-            if other.dim != self.dim:
-                raise ValueError("dimension mismatch")
             return other
-        return QForm(self.dim, {0: other}, laurent=self.laurent)
+        if isinstance(other, (int, Fraction, str, GaussRat, HPoly)):
+            return QForm(self.dim, {0: other}, laurent=self.laurent)
+        return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        t = dict(self.terms)
-        for m, c in o.terms.items():
-            add_term(t, m, c)
-        return QForm._make(self.dim, t, self.laurent or o.laurent)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return QForm._make(self.dim, {m: -c for m, c in self.terms.items()},
-                           self.laurent)
+    def _join(self, o):
+        if o.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        return (self.dim, self.laurent or o.laurent)
 
     def __mul__(self, scalar):
         if isinstance(scalar, QForm):
@@ -314,11 +291,7 @@ class QForm:
         if not isinstance(scalar, (Fraction, GaussRat, HPoly)):
             return NotImplemented
         laurent = self.laurent or (isinstance(scalar, HPoly) and scalar.laurent)
-        if not scalar:
-            return QForm._make(self.dim, {}, laurent)
-        return QForm._make(self.dim,
-                           {m: c * scalar for m, c in self.terms.items()},
-                           laurent)
+        return self._scale(scalar, self.dim, laurent)
 
     __rmul__ = __mul__
 
@@ -327,14 +300,13 @@ class QForm:
             scalar = Fraction(scalar)
         out = {m: c / scalar for m, c in self.terms.items()}
         # dividing by an h-monomial can make a coefficient Laurent
-        return QForm._make(self.dim, out, self.laurent
+        return QForm._make(out, self.dim, self.laurent
                            or any(c.laurent for c in out.values()))
 
     def h_shift(self, k: int) -> "QForm":
         """Multiply by h^k."""
-        return QForm._make(self.dim,
-                           {m: c.shift(k) for m, c in self.terms.items()},
-                           self.laurent or k < 0)
+        return QForm._make({m: c.shift(k) for m, c in self.terms.items()},
+                           self.dim, self.laurent or k < 0)
 
     def coeff(self, key) -> HPoly:
         if isinstance(key, Blade):
@@ -345,26 +317,11 @@ class QForm:
         return HPoly._make({}, self.laurent) if c is None else c
 
     def grade(self, k: int) -> "QForm":
-        return QForm._make(self.dim,
-                           {m: c for m, c in self.terms.items()
-                            if m.bit_count() == k},
-                           self.laurent)
+        return self._like({m: c for m, c in self.terms.items()
+                           if m.bit_count() == k})
 
     def blade_degrees(self):
         return sorted({m.bit_count() for m in self.terms})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, HPoly)):
-            other = self._coerce(other)
-        if not isinstance(other, QForm):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.dim, tuple(sorted(
@@ -385,7 +342,8 @@ class QForm:
         return self.subs_h(Fraction(0))
 
     def wedge(self, other: "QForm") -> "QForm":
-        o = self._coerce(other)
+        o = self._operand(other)
+        space = self._join(o)
         out = {}
         for ma, ca in self.terms.items():
             for mb, cb in o.terms.items():
@@ -393,7 +351,7 @@ class QForm:
                 if not s:
                     continue
                 add_term(out, m, ca * cb * s)
-        return QForm._make(self.dim, out, self.laurent or o.laurent)
+        return QForm._make(out, *space)
 
     def __str__(self):
         return format_terms(
@@ -447,7 +405,7 @@ def insert_first(v, form: QForm) -> QForm:
             s, m2 = insert_first_mask(i, m)
             if s:
                 add_term(out, m2, c * (ci * s))
-    return QForm._make(form.dim, out, form.laurent
+    return QForm._make(out, form.dim, form.laurent
                        or any(c.laurent for c in out.values()))
 
 
@@ -459,7 +417,7 @@ def insert_last(form: QForm, v) -> QForm:
             s, m2 = insert_last_mask(m, i)
             if s:
                 add_term(out, m2, c * (ci * s))
-    return QForm._make(form.dim, out, form.laurent
+    return QForm._make(out, form.dim, form.laurent
                        or any(c.laurent for c in out.values()))
 
 
@@ -491,9 +449,8 @@ def quantum_wedge(a: QForm, b: QForm, w: PairTensor) -> QForm:
                     add_term(t, e + n, c * q)
                 if not t:
                     del acc[m], flags[m]
-    return QForm._make(a.dim, {m: HPoly._make(t, flags[m])
-                               for m, t in acc.items()},
-                       a.laurent or b.laurent)
+    return QForm._make({m: HPoly._make(t, flags[m]) for m, t in acc.items()},
+                       a.dim, a.laurent or b.laurent)
 
 
 def quantum_power(a: QForm, k: int, w: PairTensor) -> QForm:
@@ -538,10 +495,10 @@ def total_degree(form: QForm):
     return "mixed"
 
 
-class MultiForm:
+class MultiForm(SparseTerms):
     """A form whose coefficients are polynomials in several parameters."""
 
-    __slots__ = ("dim", "nparams", "terms")
+    __slots__ = ("dim", "nparams")
 
     def __init__(self, dim: int, nparams: int, terms=None):
         self.dim = dim
@@ -553,25 +510,13 @@ class MultiForm:
             if c:
                 self.terms[int(m)] = c
 
-    @staticmethod
-    def _make(dim: int, nparams: int, terms: dict) -> "MultiForm":
-        """Trusted constructor: terms is zero-free with HPolyMulti values."""
-        f = object.__new__(MultiForm)
-        f.dim = dim
-        f.nparams = nparams
-        f.terms = terms
-        return f
+    def _operand(self, other):
+        return other if isinstance(other, MultiForm) else NotImplemented
 
-    def __eq__(self, other):
-        return (isinstance(other, MultiForm) and self.dim == other.dim
-                and self.nparams == other.nparams
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            add_term(t, m, c)
-        return MultiForm._make(self.dim, self.nparams, t)
+    def _join(self, o):
+        if (o.dim, o.nparams) != (self.dim, self.nparams):
+            raise ValueError("form spaces differ")
+        return (self.dim, self.nparams)
 
     def coeff(self, key) -> HPolyMulti:
         if isinstance(key, tuple):
@@ -583,7 +528,7 @@ class MultiForm:
         out = {}
         for m, c in self.terms.items():
             add_term(out, m, c.specialize(coeffs))
-        return QForm._make(self.dim, out, False)
+        return QForm._make(out, self.dim, False)
 
     def __str__(self):
         parts = []
@@ -640,5 +585,5 @@ def quantum_wedge_multi(a: QForm, b: QForm, ws) -> MultiForm:
                 t = out.setdefault(m, {})
                 for e, c in poly.items():
                     add_term(t, e, c if s > 0 else -c)
-    return MultiForm._make(a.dim, r, {m: HPolyMulti._make(r, t)
-                                      for m, t in out.items() if t})
+    return MultiForm._make({m: HPolyMulti._make(t, r)
+                            for m, t in out.items() if t}, a.dim, r)

@@ -12,9 +12,15 @@ from fractions import Fraction
 from .blades import blade_degree, blade_str, insert_first_mask, wedge_masks
 from .exterior import Bivector, QForm, expand_blade_pair
 from .functions import FourierFn, PolyFn
-from .scalars import GaussRat, HPoly, add_term, as_fraction
+from .scalars import (GaussRat, HPoly, SparseTerms, add_term, as_fraction,
+                      convolve)
 
 _PLAIN = (int, Fraction, GaussRat, str)
+
+
+def _h_shift(key, e):
+    """The key of a FieldForm term times h^e."""
+    return (key[0] + e, key[1])
 
 
 class PoissonField(Bivector):
@@ -37,7 +43,7 @@ class PoissonField(Bivector):
         return Fraction(0)
 
 
-class FieldForm:
+class FieldForm(SparseTerms):
     """Form with function coefficients and explicit h exponents.
 
     Terms map (h exponent, blade mask) to a coefficient function; h
@@ -46,7 +52,7 @@ class FieldForm:
     the function factor.
     """
 
-    __slots__ = ("dim", "fnring", "terms")
+    __slots__ = ("dim", "fnring")
 
     def __init__(self, dim: int, fnring, terms=None):
         self.dim = dim
@@ -58,15 +64,6 @@ class FieldForm:
             if isinstance(fn, _PLAIN) or not isinstance(fn, fnring):
                 fn = fnring.constant(dim, fn)
             add_term(self.terms, (int(h), mask), fn)
-
-    @staticmethod
-    def _make(dim: int, fnring, terms: dict) -> "FieldForm":
-        """Trusted constructor: terms is zero-free with fnring values."""
-        f = object.__new__(FieldForm)
-        f.dim = dim
-        f.fnring = fnring
-        f.terms = terms
-        return f
 
     @classmethod
     def zero(cls, dim: int, fnring) -> "FieldForm":
@@ -81,12 +78,6 @@ class FieldForm:
             mask = _mask_of(mask)
         return self.terms.get((h_exp, mask), self.fnring.zero(self.dim))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def blade_degrees(self):
         return sorted({blade_degree(m) for _, m in self.terms})
 
@@ -99,66 +90,39 @@ class FieldForm:
         return degs.pop()
 
     def grade(self, k: int) -> "FieldForm":
-        return FieldForm._make(self.dim, self.fnring,
-                               {key: fn for key, fn in self.terms.items()
-                                if blade_degree(key[1]) == k})
+        return self._like({key: fn for key, fn in self.terms.items()
+                           if blade_degree(key[1]) == k})
 
     def h_coefficient(self, p: int) -> "FieldForm":
-        return FieldForm._make(self.dim, self.fnring,
-                               {(0, m): fn for (h, m), fn in self.terms.items()
-                                if h == p})
+        return self._like({(0, m): fn for (h, m), fn in self.terms.items()
+                           if h == p})
 
     def h_shift(self, k: int) -> "FieldForm":
-        return FieldForm._make(self.dim, self.fnring,
-                               {(h + k, m): fn
-                                for (h, m), fn in self.terms.items()})
+        return self._like({(h + k, m): fn
+                           for (h, m), fn in self.terms.items()})
 
-    def _binop(self, other, sign):
-        if not isinstance(other, FieldForm):
-            return NotImplemented
-        if other.dim != self.dim or other.fnring is not self.fnring:
+    def _operand(self, other):
+        if isinstance(other, FieldForm):
+            return other
+        if isinstance(other, _PLAIN):
+            return FieldForm(self.dim, self.fnring, {(0, 0): other})
+        return NotImplemented
+
+    def _join(self, o):
+        if o.dim != self.dim or o.fnring is not self.fnring:
             raise ValueError("form spaces differ")
-        t = dict(self.terms)
-        for key, fn in other.terms.items():
-            add_term(t, key, fn if sign > 0 else -fn)
-        return FieldForm._make(self.dim, self.fnring, t)
-
-    def __add__(self, other):
-        return self._binop(other, 1)
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
-
-    def __neg__(self):
-        return FieldForm._make(self.dim, self.fnring,
-                               {k: -fn for k, fn in self.terms.items()})
+        return (self.dim, self.fnring)
 
     def __mul__(self, other):
         if isinstance(other, str):
             other = as_fraction(other)
         if isinstance(other, HPoly):
-            t = {}
-            for (h, m), fn in self.terms.items():
-                for e, c in other.terms.items():
-                    add_term(t, (h + e, m), fn * c)
-            return FieldForm._make(self.dim, self.fnring, t)
+            return self._like(convolve(self.terms, other.terms, _h_shift))
         if isinstance(other, _PLAIN) or isinstance(other, self.fnring):
-            if not other:
-                return FieldForm._make(self.dim, self.fnring, {})
-            return FieldForm._make(self.dim, self.fnring,
-                                   {k: fn * other
-                                    for k, fn in self.terms.items()})
+            return self._scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, _PLAIN):
-            other = FieldForm(self.dim, self.fnring, {(0, 0): other})
-        if not isinstance(other, FieldForm):
-            return NotImplemented
-        return (self.dim == other.dim and self.fnring is other.fnring
-                and self.terms == other.terms)
 
     def sorted_terms(self):
         keys = sorted(self.terms,
@@ -207,7 +171,7 @@ def lift(form: QForm, fnring) -> "FieldForm":
     """Constant-coefficient form as a FieldForm over the given ring."""
     t = {(e, mask): fnring.constant(form.dim, c)
          for mask, hp in form.terms.items() for e, c in hp.terms.items()}
-    return FieldForm._make(form.dim, fnring, t)
+    return FieldForm._make(t, form.dim, fnring)
 
 
 def wedge_field(a: FieldForm, b: FieldForm) -> FieldForm:
@@ -220,7 +184,7 @@ def wedge_field(a: FieldForm, b: FieldForm) -> FieldForm:
             if not s:
                 continue
             add_term(t, (ha + hb, m), (fa * fb) * s)
-    return FieldForm._make(a.dim, a.fnring, t)
+    return a._like(t)
 
 
 def quantum_wedge_field(a: FieldForm, b: FieldForm, w: PoissonField):
@@ -235,7 +199,7 @@ def quantum_wedge_field(a: FieldForm, b: FieldForm, w: PoissonField):
             fab = fa * fb
             for n, mask, coeff in expand_blade_pair(ma, mb, w):
                 add_term(t, (ha + hb + n, mask), fab * coeff)
-    return FieldForm._make(a.dim, a.fnring, t)
+    return a._like(t)
 
 
 def insert_coord(i: int, form: FieldForm) -> FieldForm:
@@ -245,7 +209,7 @@ def insert_coord(i: int, form: FieldForm) -> FieldForm:
         s, m = insert_first_mask(i, mask)
         if s:
             add_term(t, (h, m), s * fn)
-    return FieldForm._make(form.dim, form.fnring, t)
+    return form._like(t)
 
 
 def insert_vector_field(comps, form: FieldForm) -> FieldForm:
@@ -271,7 +235,7 @@ def contract_field(w: PoissonField, form: FieldForm) -> FieldForm:
             if not s2:
                 continue
             add_term(t, (h, m2), (fn * c) * (s1 * s2))
-    return FieldForm._make(form.dim, form.fnring, t)
+    return form._like(t)
 
 
 def exterior_d(form: FieldForm) -> FieldForm:
@@ -282,7 +246,7 @@ def exterior_d(form: FieldForm) -> FieldForm:
             if not s:
                 continue
             add_term(t, (h, m), s * fn.partial(j))
-    return FieldForm._make(form.dim, form.fnring, t)
+    return form._like(t)
 
 
 def koszul_delta(form: FieldForm, w: PoissonField) -> FieldForm:
@@ -395,7 +359,7 @@ def delta_component_check(form: FieldForm, w: PoissonField):
                 if not d:
                     continue
                 add_term(t, (h, m), d * (-s * wpq))
-    rhs = FieldForm._make(form.dim, form.fnring, t)
+    rhs = form._like(t)
     c = None
     for key, fn in rhs.terms.items():
         lfn = lhs.terms.get(key)
@@ -522,7 +486,7 @@ def bidegree_split(form: FieldForm):
             dest = comps.setdefault(pq, {})
             for rm, c in sub.items():
                 add_term(dest, (h, rm), fn * c)
-    return {pq: FieldForm._make(form.dim, form.fnring, t)
+    return {pq: form._like(t)
             for pq, t in comps.items() if t}
 
 

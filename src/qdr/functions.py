@@ -8,10 +8,10 @@ leaves exact arithmetic.
 
 from fractions import Fraction
 
-from .scalars import (GaussRat, HPoly, TauNumber, _coeff_str, add_term,
-                      as_fraction, frac_str)
+from .scalars import (GaussRat, HPoly, SparseRing, TauNumber, _coeff_str,
+                      add_keys, add_term, as_fraction, frac_str)
 
-_SCALARS = (int, Fraction, GaussRat, HPoly, str)
+_COEFFS = (int, Fraction, GaussRat, HPoly, str)
 
 
 def _coerce_scalar(c):
@@ -22,7 +22,7 @@ def _coerce_scalar(c):
     raise TypeError(f"not a scalar coefficient: {c!r}")
 
 
-class PolyFn:
+class PolyFn(SparseRing):
     """Polynomial in x^1..x^dim with exact coefficients.
 
     Terms map exponent tuples to coefficients; coefficients may be
@@ -30,7 +30,7 @@ class PolyFn:
     produces the latter).
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim",)
 
     def __init__(self, dim: int, terms=None):
         self.dim = dim
@@ -40,14 +40,6 @@ class PolyFn:
             if len(expo) != dim or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent tuple {expo} for dim {dim}")
             add_term(self.terms, expo, _coerce_scalar(c))
-
-    @staticmethod
-    def _make(dim: int, terms: dict) -> "PolyFn":
-        """Trusted constructor: terms is zero-free with exact coefficients."""
-        f = object.__new__(PolyFn)
-        f.dim = dim
-        f.terms = terms
-        return f
 
     @classmethod
     def constant(cls, dim: int, c) -> "PolyFn":
@@ -64,62 +56,26 @@ class PolyFn:
         expo = tuple(1 if k == j - 1 else 0 for k in range(dim))
         return cls(dim, {expo: 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
     def constant_coeff(self):
         return self.terms.get((0,) * self.dim, Fraction(0))
 
-    def __bool__(self):
-        return bool(self.terms)
+    _KEYSUM = staticmethod(add_keys)
+    _SCALARS = (int, Fraction, GaussRat, HPoly)
 
-    def _binop(self, other, sign):
-        if isinstance(other, _SCALARS):
-            other = PolyFn.constant(self.dim, other)
-        if not isinstance(other, PolyFn):
-            return NotImplemented
-        if other.dim != self.dim:
+    def _operand(self, other):
+        if isinstance(other, PolyFn):
+            return other
+        if isinstance(other, _COEFFS):
+            return PolyFn.constant(self.dim, other)
+        return NotImplemented
+
+    def _join(self, o):
+        if o.dim != self.dim:
             raise ValueError("dimension mismatch")
-        t = dict(self.terms)
-        for expo, c in other.terms.items():
-            add_term(t, expo, c if sign > 0 else -c)
-        return PolyFn._make(self.dim, t)
-
-    def __add__(self, other):
-        return self._binop(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
-
-    def __rsub__(self, other):
-        return (-self)._binop(other, 1)
-
-    def __neg__(self):
-        return PolyFn._make(self.dim, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            c = _coerce_scalar(other)
-            if not c:
-                return PolyFn._make(self.dim, {})
-            return PolyFn._make(self.dim,
-                                {e: v * c for e, v in self.terms.items()})
-        if not isinstance(other, PolyFn):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                add_term(t, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return PolyFn._make(self.dim, t)
-
-    __rmul__ = __mul__
+        return (self.dim,)
 
     def __truediv__(self, other):
         if isinstance(other, (int, str)):
@@ -139,7 +95,7 @@ class PolyFn:
             e = expo[j - 1]
             if e:
                 t[expo[:j - 1] + (e - 1,) + expo[j:]] = e * c
-        return PolyFn._make(self.dim, t)
+        return self._like(t)
 
     def eval(self, point):
         point = [as_fraction(p) if isinstance(p, (int, str)) else p
@@ -158,15 +114,8 @@ class PolyFn:
         return max((sum(e) for e in self.terms), default=0)
 
     def conj(self) -> "PolyFn":
-        return PolyFn._make(self.dim, {e: c.conj() if isinstance(
-            c, (GaussRat, HPoly)) else c for e, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, _SCALARS):
-            other = PolyFn.constant(self.dim, other)
-        if not isinstance(other, PolyFn):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self._like({e: c.conj() if isinstance(c, (GaussRat, HPoly))
+                           else c for e, c in self.terms.items()})
 
     def _mono_str(self, expo):
         parts = []
@@ -211,7 +160,7 @@ class PolyFn:
         return out
 
 
-class FourierFn:
+class FourierFn(SparseRing):
     """Trigonometric polynomial on a torus, as exact exponential modes.
 
     A term (k_1, ..., k_d) -> c stands for c * exp(i tau <k, x>) with tau
@@ -219,7 +168,7 @@ class FourierFn:
     (which multiply by i tau k_j) stay in the ring.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim",)
 
     def __init__(self, dim: int, terms=None):
         self.dim = dim
@@ -229,14 +178,6 @@ class FourierFn:
             if len(mode) != dim:
                 raise ValueError(f"bad mode {mode} for dim {dim}")
             add_term(self.terms, mode, TauNumber.coerce(c))
-
-    @staticmethod
-    def _make(dim: int, terms: dict) -> "FourierFn":
-        """Trusted constructor: terms is zero-free with TauNumber values."""
-        f = object.__new__(FourierFn)
-        f.dim = dim
-        f.terms = terms
-        return f
 
     @classmethod
     def constant(cls, dim: int, c) -> "FourierFn":
@@ -250,69 +191,31 @@ class FourierFn:
     def mode(cls, dim: int, ks, coeff=1) -> "FourierFn":
         return cls(dim, {tuple(ks): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return all(not any(m) for m in self.terms)
 
     def constant_coeff(self) -> TauNumber:
         return self.terms.get((0,) * self.dim, TauNumber())
 
-    def __bool__(self):
-        return bool(self.terms)
+    _KEYSUM = staticmethod(add_keys)
+    _SCALARS = (int, Fraction, GaussRat, TauNumber)
 
-    def _binop(self, other, sign):
-        if isinstance(other, (int, Fraction, GaussRat, TauNumber)):
-            other = FourierFn.constant(self.dim, other)
-        if not isinstance(other, FourierFn):
-            return NotImplemented
-        if other.dim != self.dim:
+    def _operand(self, other):
+        if isinstance(other, FourierFn):
+            return other
+        if isinstance(other, FourierFn._SCALARS):
+            return FourierFn.constant(self.dim, other)
+        return NotImplemented
+
+    def _join(self, o):
+        if o.dim != self.dim:
             raise ValueError("dimension mismatch")
-        t = dict(self.terms)
-        for mode, c in other.terms.items():
-            add_term(t, mode, c if sign > 0 else -c)
-        return FourierFn._make(self.dim, t)
-
-    def __add__(self, other):
-        return self._binop(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
-
-    def __rsub__(self, other):
-        return (-self)._binop(other, 1)
-
-    def __neg__(self):
-        return FourierFn._make(self.dim,
-                               {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat, TauNumber)):
-            c = TauNumber.coerce(other)
-            if not c:
-                return FourierFn._make(self.dim, {})
-            return FourierFn._make(self.dim,
-                                   {m: v * c for m, v in self.terms.items()})
-        if not isinstance(other, FourierFn):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        t = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                add_term(t, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
-        return FourierFn._make(self.dim, t)
-
-    __rmul__ = __mul__
+        return (self.dim,)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, GaussRat, TauNumber)):
             c = TauNumber.coerce(other)
-            return FourierFn._make(self.dim,
-                                   {m: v / c for m, v in self.terms.items()})
+            return self._like({m: v / c for m, v in self.terms.items()})
         raise TypeError("mode division limited to scalars")
 
     def partial(self, j: int) -> "FourierFn":
@@ -324,22 +227,15 @@ class FourierFn:
             k = mode[j - 1]
             if k:
                 t[mode] = c * TauNumber.tau(1, GaussRat(0, k))
-        return FourierFn._make(self.dim, t)
+        return self._like(t)
 
     def sup_norm(self) -> int:
         return max((max(abs(k) for k in m) if m else 0
                     for m in self.terms), default=0)
 
     def conj(self) -> "FourierFn":
-        return FourierFn._make(self.dim, {tuple(-k for k in m): c.conj()
-                                          for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat, TauNumber)):
-            other = FourierFn.constant(self.dim, other)
-        if not isinstance(other, FourierFn):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self._like({tuple(-k for k in m): c.conj()
+                           for m, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:

@@ -334,7 +334,10 @@ def _divisors(v):
 
 def _root_candidates(coeffs):
     """The set of rational numbers the rational root theorem allows as
-    roots of the integer-scaled polynomial, with 0 when it divides."""
+    roots of the integer-scaled polynomial, with 0 when it divides. A
+    linear polynomial's one root is read off, with no divisor search."""
+    if len(coeffs) == 2:
+        return {-coeffs[0] / coeffs[1]}
     lcm = 1
     for c in coeffs:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)

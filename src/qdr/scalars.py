@@ -7,14 +7,19 @@ parameter. Gaussian rationals a + b*i back the complexified frames, and
 tau-graded Gaussian rationals back torus boundary matrices (tau stands in
 for the circle period so that nothing is ever evaluated in floating point).
 
-Every sparse terms dict in the package is zero-free. Arithmetic builds it
-through add_term and hands it to the class's private trusted constructor
-_make, which skips coercion; only the public constructors validate.
+Every ring and form class of the package (HPoly, HPolyMulti, TauNumber
+here, PolyFn and FourierFn in functions, QForm and MultiForm in exterior,
+FieldForm in fields) is a SparseTerms: one zero-free terms dict on one
+space. That one core owns their sums, negation, scalar multiples,
+equality and the trusted constructor _make; SparseRing adds the
+convolution product of the five rings. add_term is the one accumulator
+of a terms dict, and only the public constructors validate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 
 def as_fraction(x) -> Fraction:
@@ -47,6 +52,133 @@ def add_term(terms: dict, key, value) -> None:
     elif not value:
         return
     terms[key] = value
+
+
+def add_keys(a: tuple, b: tuple) -> tuple:
+    """Element-wise sum of two exponent tuples: the key sum of the rings
+    keyed by tuples."""
+    return tuple(map(add, a, b))
+
+
+def convolve(a: dict, b: dict, keysum) -> dict:
+    """The terms of a product: every pair of terms multiplies its values
+    into the key keysum(ka, kb), in the order a's terms then b's."""
+    t = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            add_term(t, keysum(k1, k2), c1 * c2)
+    return t
+
+
+class SparseTerms:
+    """A zero-free terms dict on one space: the core of every ring and
+    form class.
+
+    The core implements, once for all of them, + and - from either side,
+    negation, the scalar multiple, equality, truth and the trusted
+    constructor _make. A subclass's own __slots__ name its space (dim,
+    nparams, fnring, the Laurent flag), and it supplies the two hooks the
+    core calls:
+
+    - _operand(other): other as a value of the class, or NotImplemented;
+    - _join(o): the space of a binary result, in __slots__ order; it
+      raises ValueError when the operands' spaces differ and ORs the
+      Laurent flags.
+
+    The rings take their product from SparseRing; the forms multiply by
+    wedge and quantum_wedge.
+    """
+
+    __slots__ = ("terms",)
+
+    @classmethod
+    def _make(cls, terms: dict, *space):
+        """Trusted constructor: terms is zero-free with exact values, and
+        space fills the class's own __slots__ in order."""
+        x = object.__new__(cls)
+        x.terms = terms
+        for name, value in zip(cls.__slots__, space):
+            setattr(x, name, value)
+        return x
+
+    def _like(self, terms: dict):
+        """_make on self's space."""
+        x = object.__new__(type(self))
+        x.terms = terms
+        for name in self.__slots__:
+            setattr(x, name, getattr(self, name))
+        return x
+
+    def _sum(self, other, sign: int):
+        o = self._operand(other)
+        if o is NotImplemented:
+            return NotImplemented
+        space = self._join(o)
+        t = dict(self.terms)
+        for k, c in o.terms.items():
+            add_term(t, k, c if sign > 0 else -c)
+        return self._make(t, *space)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __rsub__(self, other):
+        o = self._operand(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o._sum(self, -1)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def _scale(self, s, *space):
+        """The scalar multiple self * s, on space if one is given."""
+        t = {k: c * s for k, c in self.terms.items()} if s else {}
+        return self._make(t, *space) if space else self._like(t)
+
+    def __eq__(self, other):
+        # as for Fraction, a string never equals a value: == parses nothing
+        o = NotImplemented if isinstance(other, str) else self._operand(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if self.terms != o.terms:
+            return False
+        try:
+            self._join(o)
+        except ValueError:
+            return False
+        return True
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class SparseRing(SparseTerms):
+    """SparseTerms with a product: a value of _SCALARS scales, any other
+    operand multiplies by convolution, the key of a product of two terms
+    being _KEYSUM of theirs."""
+
+    __slots__ = ()
+    _SCALARS = (int, Fraction)
+
+    def __mul__(self, other):
+        if isinstance(other, self._SCALARS):
+            return self._scale(other)
+        o = self._operand(other)
+        if o is NotImplemented:
+            return NotImplemented
+        space = self._join(o)
+        return self._make(convolve(self.terms, o.terms, self._KEYSUM), *space)
+
+    __rmul__ = __mul__
 
 
 class GaussRat:
@@ -192,7 +324,7 @@ def _coeff_str(c) -> str:
     return s
 
 
-class HPoly:
+class HPoly(SparseRing):
     """Polynomial (or Laurent polynomial) in the deformation parameter h.
 
     terms maps exponent -> coefficient; coefficients are Fractions by
@@ -200,7 +332,7 @@ class HPoly:
     flag gates negative exponents: a plain polynomial scalar refuses them.
     """
 
-    __slots__ = ("terms", "laurent")
+    __slots__ = ("laurent",)
 
     def __init__(self, terms=None, laurent: bool = False):
         self.laurent = laurent
@@ -220,77 +352,31 @@ class HPoly:
                 self.terms[e] = c
 
     @staticmethod
-    def _make(terms: dict, laurent: bool) -> "HPoly":
-        """Trusted constructor: terms is zero-free with exact coefficients."""
-        p = object.__new__(HPoly)
-        p.terms = terms
-        p.laurent = laurent
-        return p
-
-    @staticmethod
-    def coerce(x, laurent: bool = False) -> "HPoly":
-        if isinstance(x, HPoly):
-            return x
-        return HPoly(x, laurent=laurent)
-
-    @staticmethod
     def h(exp: int = 1, coeff=1, laurent: bool = False) -> "HPoly":
         if exp < 0:
             laurent = True
         return HPoly({exp: as_fraction(coeff)}, laurent=laurent)
 
-    _COERCIBLE = (int, Fraction, str)
+    _KEYSUM = staticmethod(add)
 
-    def _flag(self, other) -> bool:
-        return self.laurent or (isinstance(other, HPoly) and other.laurent)
+    def _operand(self, other):
+        if isinstance(other, HPoly):
+            return other
+        if isinstance(other, (int, Fraction, str, GaussRat)):
+            return HPoly(other)
+        return NotImplemented
 
-    def __add__(self, other):
-        if not isinstance(other, (HPoly, GaussRat) + HPoly._COERCIBLE):
-            return NotImplemented
-        o = HPoly.coerce(other, self.laurent)
-        t = dict(self.terms)
-        for e, c in o.terms.items():
-            add_term(t, e, c)
-        return HPoly._make(t, self._flag(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-HPoly.coerce(other, self.laurent))
-
-    def __rsub__(self, other):
-        return HPoly.coerce(other, self.laurent) - self
-
-    def __neg__(self):
-        return HPoly._make({e: -c for e, c in self.terms.items()},
-                           self.laurent)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return HPoly._make({}, self.laurent)
-            return HPoly._make({e: c * other for e, c in self.terms.items()},
-                               self.laurent)
-        if not isinstance(other, (HPoly, GaussRat, str)):
-            return NotImplemented
-        o = HPoly.coerce(other, self.laurent)
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                add_term(t, e1 + e2, c1 * c2)
-        return HPoly._make(t, self._flag(other))
-
-    __rmul__ = __mul__
+    def _join(self, o):
+        return (self.laurent or o.laurent,)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError
-            return HPoly._make({e: c / other for e, c in self.terms.items()},
-                               self.laurent)
+            return self._like({e: c / other for e, c in self.terms.items()})
         if isinstance(other, GaussRat):
-            return HPoly._make({e: GaussRat.coerce(c) / other
-                                for e, c in self.terms.items()}, self.laurent)
+            return self._like({e: GaussRat.coerce(c) / other
+                               for e, c in self.terms.items()})
         if isinstance(other, HPoly) and len(other.terms) == 1:
             (e0, c0), = other.terms.items()
             return self.shift(-e0) / c0
@@ -301,21 +387,8 @@ class HPoly:
         t = {e + k: c for e, c in self.terms.items()}
         return HPoly._make(t, self.laurent or any(e < 0 for e in t))
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = HPoly.coerce(other, self.laurent)
-        if isinstance(other, HPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0])))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return hash(tuple(sorted(self.terms.items())))
 
     def constant(self):
         """Coefficient of h^0."""
@@ -323,11 +396,6 @@ class HPoly:
 
     def coeff(self, e: int):
         return self.terms.get(e, Fraction(0))
-
-    def degree_span(self):
-        if not self.terms:
-            return None
-        return (min(self.terms), max(self.terms))
 
     def subs(self, value):
         """Evaluate at h = value (exact scalar)."""
@@ -342,8 +410,8 @@ class HPoly:
         return out
 
     def conj(self) -> "HPoly":
-        return HPoly._make({e: (c.conj() if isinstance(c, GaussRat) else c)
-                            for e, c in self.terms.items()}, self.laurent)
+        return self._like({e: (c.conj() if isinstance(c, GaussRat) else c)
+                           for e, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
@@ -388,13 +456,13 @@ class HPoly:
         return HPoly(t, laurent=laurent)
 
 
-class HPolyMulti:
+class HPolyMulti(SparseRing):
     """Polynomial in several deformation parameters h_1..h_r.
 
     terms maps an exponent tuple (one slot per parameter) -> Fraction.
     """
 
-    __slots__ = ("nparams", "terms")
+    __slots__ = ("nparams",)
 
     def __init__(self, nparams: int, terms=None):
         self.nparams = nparams
@@ -414,79 +482,33 @@ class HPolyMulti:
                 self.terms[e] = c
 
     @staticmethod
-    def _make(nparams: int, terms: dict) -> "HPolyMulti":
-        """Trusted constructor: terms is zero-free with Fraction values."""
-        p = object.__new__(HPolyMulti)
-        p.nparams = nparams
-        p.terms = terms
-        return p
-
-    @staticmethod
-    def coerce(x, nparams: int) -> "HPolyMulti":
-        if isinstance(x, HPolyMulti):
-            if x.nparams != nparams:
-                raise ValueError("parameter count mismatch")
-            return x
-        return HPolyMulti(nparams, x)
-
-    @staticmethod
     def h(nparams: int, j: int, exp: int = 1, coeff=1) -> "HPolyMulti":
         """The monomial coeff * h_j^exp (j is 1-based)."""
         e = [0] * nparams
         e[j - 1] = exp
         return HPolyMulti(nparams, {tuple(e): as_fraction(coeff)})
 
-    def __add__(self, other):
-        o = HPolyMulti.coerce(other, self.nparams)
-        t = dict(self.terms)
-        for e, c in o.terms.items():
-            add_term(t, e, c)
-        return HPolyMulti._make(self.nparams, t)
+    _KEYSUM = staticmethod(add_keys)
 
-    __radd__ = __add__
+    def _operand(self, other):
+        if isinstance(other, HPolyMulti):
+            return other
+        if isinstance(other, (int, Fraction, str)):
+            return HPolyMulti(self.nparams, other)
+        return NotImplemented
 
-    def __sub__(self, other):
-        return self + (-HPolyMulti.coerce(other, self.nparams))
-
-    def __neg__(self):
-        return HPolyMulti._make(self.nparams,
-                                {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return HPolyMulti._make(self.nparams, {})
-            return HPolyMulti._make(
-                self.nparams, {e: c * other for e, c in self.terms.items()})
-        o = HPolyMulti.coerce(other, self.nparams)
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                add_term(t, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return HPolyMulti._make(self.nparams, t)
-
-    __rmul__ = __mul__
+    def _join(self, o):
+        if o.nparams != self.nparams:
+            raise ValueError("parameter count mismatch")
+        return (self.nparams,)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)) and other != 0:
             return self * (Fraction(1) / other)
         raise TypeError("can only divide by a nonzero rational")
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HPolyMulti(self.nparams, other)
-        if isinstance(other, HPolyMulti):
-            return self.nparams == other.nparams and self.terms == other.terms
-        return NotImplemented
-
     def __hash__(self):
         return hash((self.nparams, tuple(sorted(self.terms.items()))))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def specialize(self, coeffs) -> HPoly:
         """Substitute h_j -> coeffs[j-1] * t, collapsing to one parameter."""
@@ -623,7 +645,7 @@ class CxHPoly:
     __repr__ = __str__
 
 
-class TauNumber:
+class TauNumber(SparseRing):
     """Laurent polynomial in tau with Gaussian rational coefficients.
 
     tau is a formal stand-in for the circle period (2*pi), so torus
@@ -631,7 +653,7 @@ class TauNumber:
     monomial, which is all exact elimination ever needs here.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -645,13 +667,6 @@ class TauNumber:
                 self.terms[int(e)] = c
 
     @staticmethod
-    def _make(terms: dict) -> "TauNumber":
-        """Trusted constructor: terms is zero-free with GaussRat values."""
-        t = object.__new__(TauNumber)
-        t.terms = terms
-        return t
-
-    @staticmethod
     def coerce(x) -> "TauNumber":
         if isinstance(x, TauNumber):
             return x
@@ -661,30 +676,17 @@ class TauNumber:
     def tau(exp: int = 1, coeff=1) -> "TauNumber":
         return TauNumber({exp: GaussRat.coerce(coeff)})
 
-    def __add__(self, other):
-        o = TauNumber.coerce(other)
-        t = dict(self.terms)
-        for e, c in o.terms.items():
-            add_term(t, e, c)
-        return TauNumber._make(t)
+    _KEYSUM = staticmethod(add)
 
-    __radd__ = __add__
+    def _operand(self, other):
+        if isinstance(other, TauNumber):
+            return other
+        if isinstance(other, (int, Fraction, GaussRat)):
+            return TauNumber(other)
+        return NotImplemented
 
-    def __sub__(self, other):
-        return self + (-TauNumber.coerce(other))
-
-    def __neg__(self):
-        return TauNumber._make({e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        o = TauNumber.coerce(other)
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                add_term(t, e1 + e2, c1 * c2)
-        return TauNumber._make(t)
-
-    __rmul__ = __mul__
+    def _join(self, o):
+        return ()
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -696,24 +698,13 @@ class TauNumber:
         if not o.is_monomial():
             raise ValueError("tau-number division needs a monomial divisor")
         (e0, c0), = o.terms.items()
-        return TauNumber._make({e - e0: c / c0
-                                for e, c in self.terms.items()})
-
-    def __eq__(self, other):
-        o = TauNumber.coerce(other) if not isinstance(other, TauNumber) else other
-        return self.terms == o.terms
+        return self._like({e - e0: c / c0 for e, c in self.terms.items()})
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0])))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return hash(tuple(sorted(self.terms.items())))
 
     def conj(self) -> "TauNumber":
-        return TauNumber._make({e: c.conj() for e, c in self.terms.items()})
+        return self._like({e: c.conj() for e, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:

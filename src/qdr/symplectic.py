@@ -184,7 +184,7 @@ def symplectic_star(form: QForm, omega=None) -> QForm:
             cm = (top ^ amask)
             s, _ = wedge_masks(amask, cm)
             add_term(out, cm, flipped * (val * vol / s))
-    return QForm._make(form.dim, out, True)
+    return QForm._make(out, form.dim, True)
 
 
 def apply_L(form: QForm, omega=None) -> QForm:

@@ -620,3 +620,42 @@ def test_complex_suite_rejects_n_over_the_dimension_cap(monkeypatch, capsys):
     assert main(["--check", "complex", "--n", "5", "--count", "1"]) == 2
     assert capsys.readouterr().err == \
         "qdr: dimension 10 exceeds QDR_MAX_DIM=8\n"
+
+
+@pytest.mark.parametrize("data", [
+    {"model": "flat", "tasks": [{"op": ["x"]}]},
+    {"model": "flat", "tasks": [{"op": {"product": 1}, "expr": "e[1]"}]},
+    {"model": "flat", "tasks": [{"op": "suite", "name": {"a": 1}}]},
+    {"model": "flat", "suite": [["associativity"]]},
+    {"model": "torus", "n": 1, "tasks": [{"op": "cohomology",
+                                          "theory": ["q"]}]},
+    {"model": "flat", "tasks": [{"op": "spectrum", "n": 1,
+                                 "parity": ["odd"]}]},
+    {"model": "flat", "tasks": [{"op": "operator", "name": ["d"],
+                                 "expr": "e[1]"}]},
+    {"model": ["flat"]},
+    {"model": "torus", "n": 1, "tasks": [{"op": "chern", "theta": []}]},
+    {"model": "torus", "n": 1, "truncation": True},
+    {"model": "torus", "n": 1, "truncation": False},
+])
+def test_non_string_json_values_are_rejected_in_one_line(data, tmp_path,
+                                                         capsys):
+    # each of these used to end in a TypeError or IndexError traceback,
+    # or (a boolean truncation) to run as the integer 1
+    assert main(["--scenario", scenario_file(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qdr: ")
+
+
+def test_enumerated_fields_name_their_choices(tmp_path):
+    for task, names in (({"op": "cohomology", "theory": "q"}, cli._THEORIES),
+                        ({"op": "spectrum", "n": 1, "parity": 1},
+                         ("even", "odd")),
+                        ({"op": "suite", "name": "q"}, cli.SUITES)):
+        path = scenario_file(tmp_path, {"model": "torus", "n": 1,
+                                        "tasks": [task]})
+        with pytest.raises(ScenarioError) as info:
+            run_scenario(path)
+        assert all(name in str(info.value) for name in names)

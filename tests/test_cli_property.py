@@ -42,20 +42,52 @@ def _extend(inner):
 
 EXPRESSIONS = st.recursive(_LEAVES, _extend, max_leaves=6)
 
+# a JSON value that is not a string, where a name is expected
+_NON_STRINGS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.lists(st.sampled_from(["d", "odd", "quantum", ""]), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "name"]), st.integers(0, 2),
+                    max_size=1),
+)
+
+
+def _names(valid):
+    return st.one_of(st.sampled_from(sorted(valid)), _NON_STRINGS)
+
+
+# suites run with count 1 and n 1; hermitian is left out, as one call
+# takes about 1.5 s on the flat dim-4 model
+_SUITE_NAMES = set(cli.SUITES) - {"hermitian"}
+
 TASKS = st.one_of(
     EXPRESSIONS.map(lambda e: {"op": "product", "expr": e}),
-    st.tuples(st.sampled_from(cli._OPERATOR_NAMES), EXPRESSIONS).map(
+    st.tuples(_names(cli._OPERATOR_NAMES), EXPRESSIONS).map(
         lambda t: {"op": "operator", "name": t[0], "expr": t[1]}),
+    st.tuples(EXPRESSIONS, st.integers(-1, 3)).map(
+        lambda t: {"op": "power", "expr": t[0], "k": t[1]}),
+    st.tuples(st.integers(0, 2), _names(("even", "odd"))).map(
+        lambda t: {"op": "spectrum", "n": t[0], "parity": t[1]}),
+    EXPRESSIONS.map(lambda e: {"op": "integral", "expr": e}),
+    _names(cli._THEORIES).map(lambda t: {"op": "cohomology", "theory": t}),
+    st.one_of(EXPRESSIONS, st.lists(st.lists(EXPRESSIONS, max_size=2),
+                                    max_size=2)).map(
+        lambda t: {"op": "chern", "theta": t}),
+    st.integers(0, 3).map(lambda n: {"op": "cpn_table", "n": n}),
+    _names(_SUITE_NAMES).map(
+        lambda name: {"op": "suite", "name": name, "count": 1, "n": 1}),
 )
 
 SCENARIOS = st.tuples(
     st.sampled_from([{"model": "flat", "dim": 4},
-                     {"model": "torus", "n": 1, "truncation": 1}]),
+                     {"model": "torus", "n": 1, "truncation": 1},
+                     {"model": "lie_poisson_so3"}, {"model": "heisenberg"},
+                     {"model": "custom", "dim": 2,
+                      "omega": [["0", "2"], ["-2", "0"]]}]),
     st.lists(TASKS, min_size=1, max_size=2),
 ).map(lambda mt: {**mt[0], "tasks": mt[1]})
 
 
-@hypothesis.settings(derandomize=True, deadline=None, max_examples=100,
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=400,
                      database=None)
 @hypothesis.given(scenario=SCENARIOS)
 # a constant-only operator on a function-coefficient expression used to

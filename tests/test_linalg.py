@@ -1,5 +1,6 @@
 """Exact rank, determinant, characteristic polynomial machinery."""
 
+import threading
 import time
 from fractions import Fraction
 from random import Random
@@ -258,6 +259,23 @@ def test_rational_roots_of_a_high_power():
         [(-2, 3), (Fraction(2, 3), 1), (1, 2)], [6])
     # an irreducible quadratic factor stays in the remainder
     assert rational_roots([-2, 2, -1, 1]) == ([(1, 1)], [2, 0, 1])
+
+
+def test_rational_roots_of_a_large_linear_factor():
+    # a linear square-free part gives its root -c0/c1 directly; the
+    # divisor search of 10**24 + 7 would not finish
+    big = 10**24 + 7
+    cases = {(-big, 1): ([(big, 1)], [1]),
+             (big**2, -2 * big, 1): ([(big, 2)], [1]),
+             (big, 3 * big): ([(Fraction(-1, 3), 1)], [3 * big]),
+             (0, 0, 5): ([(0, 2)], [5])}
+    results = {}
+    worker = threading.Thread(target=lambda: results.update(
+        {c: rational_roots(list(c)) for c in cases}), daemon=True)
+    worker.start()
+    worker.join(2)
+    assert not worker.is_alive(), "rational_roots ran past 2 s"
+    assert results == cases
 
 
 def test_solve_cases():

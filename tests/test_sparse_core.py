@@ -3,6 +3,9 @@ is what its public constructor would build from the same dict, holds no
 zero coefficient and no bare int, and carries the Laurent flag of its
 operands. The public constructors still reject malformed outside input."""
 
+import ast
+import inspect
+import textwrap
 from fractions import Fraction
 from random import Random
 
@@ -46,7 +49,15 @@ from qdr.rand import (
     random_polyfn,
     random_qform,
 )
-from qdr.scalars import GaussRat, HPoly, HPolyMulti, TauNumber, add_term
+from qdr.scalars import (
+    GaussRat,
+    HPoly,
+    HPolyMulti,
+    SparseRing,
+    SparseTerms,
+    TauNumber,
+    add_term,
+)
 from qdr.symplectic import symplectic_star
 
 
@@ -303,3 +314,229 @@ MALFORMED = [
 def test_public_constructors_reject_malformed_input(build, error):
     with pytest.raises(error):
         build()
+
+
+# ------------------------------------------------ the one arithmetic core
+#
+# The loops below are plain per-class sum, negation and convolution,
+# kept as references: on every class the core must give the same terms
+# in the same insertion order, the same space and the same hash().
+
+_CLASSES = (HPoly, HPolyMulti, TauNumber, PolyFn, FourierFn, QForm,
+            MultiForm, FieldForm)
+_RINGS = (HPoly, HPolyMulti, TauNumber, PolyFn, FourierFn)
+
+
+def _ref_sum(a, b, sign):
+    t = dict(a.terms)
+    for k, c in b.terms.items():
+        add_term(t, k, c if sign > 0 else -c)
+    return t
+
+
+def _ref_neg(a):
+    return {k: -c for k, c in a.terms.items()}
+
+
+def _ref_convolve(a, b):
+    tuple_keys = isinstance(a, (HPolyMulti, PolyFn, FourierFn))
+    t = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = (tuple(x + y for x, y in zip(e1, e2)) if tuple_keys
+                 else e1 + e2)
+            add_term(t, e, c1 * c2)
+    return t
+
+
+def _ref_times_hpoly(form, p):
+    # FieldForm * HPoly: every h power shifts the form's h exponent
+    t = {}
+    for (h, m), fn in form.terms.items():
+        for e, c in p.terms.items():
+            add_term(t, (h + e, m), fn * c)
+    return t
+
+
+def _ref_space(a, b=None):
+    space = {k: getattr(a, k) for k in ("dim", "nparams", "fnring")
+             if hasattr(a, k)}
+    if hasattr(a, "laurent"):
+        space["laurent"] = a.laurent or bool(b is not None and b.laurent)
+    return space
+
+
+def _ref_hash(x):
+    items = tuple(sorted(x.terms.items(), key=lambda t: t[0]))
+    if isinstance(x, HPolyMulti):
+        return hash((x.nparams, items))
+    if isinstance(x, QForm):
+        return hash((x.dim, items))
+    return hash(items)
+
+
+def _shape(x):
+    """Type, space and terms in insertion order, all the way down."""
+    if not hasattr(x, "terms"):
+        return (type(x).__name__, x)
+    space = {k: getattr(x, k) for k in ("dim", "nparams", "fnring",
+                                         "laurent") if hasattr(x, k)}
+    return (type(x).__name__, space,
+            [(k, _shape(c)) for k, c in x.terms.items()])
+
+
+def _expect(result, cls, space, terms):
+    assert type(result) is cls
+    assert _shape(result) == (cls.__name__, space,
+                              [(k, _shape(c)) for k, c in terms.items()])
+    if cls in (HPoly, HPolyMulti, TauNumber, QForm):
+        assert hash(result) == _ref_hash(result)
+    else:
+        with pytest.raises(TypeError):
+            hash(result)
+
+
+def _operands(rng):
+    """Seeded operand lists, one per class, each on one space."""
+    tau = [TauNumber({rng.randint(-1, 2): random_gauss(rng)
+                      for _ in range(3)}) for _ in range(3)]
+    multi = [HPolyMulti(2, {(rng.randint(0, 2), rng.randint(0, 2)):
+                            random_fraction(rng) for _ in range(3)})
+             for _ in range(3)]
+    ws = [random_bivector(rng, 4) for _ in range(2)]
+    qs = [random_qform(rng, 4, max_h=0) for _ in range(3)]
+    model = (standard_symplectic(1), torus(1, 1))[rng.randint(0, 1)]
+    return {
+        HPoly: _hpolys(rng),
+        HPolyMulti: multi + [HPolyMulti(2)],
+        TauNumber: tau + [TauNumber()],
+        PolyFn: [random_polyfn(rng, 2), random_polyfn(rng, 2,
+                                                      complex_ok=True),
+                 moyal_product(random_polyfn(rng, 2), random_polyfn(rng, 2),
+                               random_bivector(rng, 2)), PolyFn.zero(2)],
+        FourierFn: [random_fourierfn(rng, 2) for _ in range(3)],
+        QForm: [qs[0], qs[1].h_shift(-1), QForm(4, dict(qs[2].terms),
+                                                laurent=True),
+                QForm.zero(4)],
+        MultiForm: [quantum_wedge_multi(qs[k], qs[k + 1], ws)
+                    for k in range(2)],
+        FieldForm: [random_fieldform(rng, model, nterms=3) for _ in range(3)],
+    }
+
+
+def test_core_matches_the_per_class_loops():
+    rng = Random(88)
+    for _ in range(3):
+        for cls, values in _operands(rng).items():
+            for a in values:
+                _expect(-a, cls, _ref_space(a), _ref_neg(a))
+                for b in values:
+                    _expect(a + b, cls, _ref_space(a, b), _ref_sum(a, b, 1))
+                    _expect(a - b, cls, _ref_space(a, b),
+                            _ref_sum(a, b, -1))
+                    assert (a == b) == (a.terms == b.terms)
+                    if cls in _RINGS:
+                        _expect(a * b, cls, _ref_space(a, b),
+                                _ref_convolve(a, b))
+                if cls is FieldForm:
+                    p = HPoly({-1: 2, 0: 1, 3: random_fraction(rng) or 1},
+                              laurent=True)
+                    _expect(a * p, cls, _ref_space(a),
+                            _ref_times_hpoly(a, p))
+
+
+def test_scalar_multiples_match_and_keep_the_zero_short_cut():
+    rng = Random(89)
+    ops = _operands(rng)
+    scalars = {HPoly: (3, Fraction(-2, 3)), HPolyMulti: (3, Fraction(1, 2)),
+               TauNumber: (3, Fraction(1, 2)),
+               PolyFn: (3, GaussRat(1, 1), HPoly({1: 2})),
+               FourierFn: (3, GaussRat(0, 2), TauNumber.tau()),
+               QForm: (3, GaussRat(0, 1), HPoly({1: 1}, laurent=True)),
+               FieldForm: (3, GaussRat(1, 1))}
+    for cls, values in scalars.items():
+        for a in ops[cls]:
+            for s in values:
+                space = _ref_space(a, s if isinstance(s, HPoly)
+                                   and cls is QForm else None)
+                _expect(a * s, cls, space,
+                        {k: c * s for k, c in a.terms.items()})
+                _expect(s * a, cls, space,
+                        {k: c * s for k, c in a.terms.items()})
+            _expect(a * 0, cls, _ref_space(a), {})
+
+
+def test_space_mismatch_raises_and_compares_unequal():
+    pairs = [
+        (HPolyMulti(2, {(1, 0): 1}), HPolyMulti(3, {(1, 0, 0): 1}), True),
+        (PolyFn.coord(1, 1), PolyFn.coord(2, 1), True),
+        (FourierFn.mode(1, (1,)), FourierFn.mode(2, (1, 0)), True),
+        (QForm.basis(2, (1,)), QForm.basis(4, (1,)), False),
+        (FieldForm.from_fn(PolyFn.constant(2, 1)),
+         FieldForm.from_fn(FourierFn.constant(2, 1)), False),
+        (MultiForm(2, 2, {0: 1}), MultiForm(2, 3, {0: 1}), False),
+    ]
+    for a, b, ring in pairs:
+        ops = [lambda: a + b, lambda: a - b, lambda: b - a]
+        if ring:
+            ops.append(lambda: a * b)
+        for op in ops:
+            with pytest.raises(ValueError):
+                op()
+        assert a != b and not a == b
+    # zero values on different spaces differ too
+    assert PolyFn.zero(1) != PolyFn.zero(2)
+    assert QForm.zero(2) != QForm.zero(4)
+    # the Laurent flag is not part of equality
+    assert HPoly({0: 1}) == HPoly({0: 1}, laurent=True)
+    assert QForm.scalar(2, 1) == QForm.scalar(2, 1, laurent=True)
+
+
+def test_scalars_combine_from_either_side():
+    p = HPoly({0: 1, 2: 3})
+    assert (1 - p).terms == {2: -3} and (p - 1).terms == {2: 3}
+    assert (2 + p).terms == {0: 3, 2: 3}
+    f = PolyFn.coord(2, 1)
+    assert (1 - f) == PolyFn(2, {(0, 0): 1, (1, 0): -1})
+    t = TauNumber.tau()
+    assert (1 - t).terms == {0: GaussRat(1), 1: GaussRat(-1)}
+    assert (3 * t).terms == {1: GaussRat(3)}
+    q = QForm.basis(2, (1,))
+    assert (2 - q) == QForm(2, {0: 2, (1,): -1})
+    # as for Fraction, == parses no string
+    for x in (HPoly({0: 1}), PolyFn.constant(2, 1), TauNumber(1),
+              QForm.scalar(2, 1)):
+        assert x != "1" and not x == "x"
+
+
+def test_no_class_keeps_its_own_arithmetic():
+    core = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+            "__eq__", "__bool__", "is_zero", "_make", "_like", "_binop",
+            "_coerce", "coerce")
+    for cls in _CLASSES:
+        assert issubclass(cls, SparseTerms)
+        own = [name for name in core if name in vars(cls)]
+        if cls is TauNumber:
+            # FourierFn coefficients go through TauNumber.coerce
+            own.remove("coerce")
+        assert not own, (cls.__name__, own)
+    for cls in _RINGS:
+        assert issubclass(cls, SparseRing)
+        assert "__mul__" not in vars(cls) and "__rmul__" not in vars(cls)
+    for cls in _CLASSES:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or (
+                    cls is QForm and fn.name == "wedge"):
+                continue
+            for outer in ast.walk(fn):
+                if not isinstance(outer, ast.For):
+                    continue
+                for inner in ast.walk(outer):
+                    if inner is outer or not isinstance(inner, ast.For):
+                        continue
+                    calls = [n.func.id for n in ast.walk(inner)
+                             if isinstance(n, ast.Call)
+                             and isinstance(n.func, ast.Name)]
+                    assert "add_term" not in calls, \
+                        f"{cls.__name__}.{fn.name} keeps a product loop"
