@@ -1,8 +1,11 @@
 """Complexified quantum algebra on a compatible frame.
 
 Real covectors pair into a holomorphic frame f^a = e^{2a-1} + i e^{2a}
-(indices 1..n) and its conjugates (indices n+1..2n).  Forms over that
-frame carry a bidegree in which the deformation parameter counts (1,1).
+(indices 1..n) and its conjugates (indices n+1..2n).  Frame is the one
+complex structure of the package: the Dolbeault split in fields changes
+frame through it too.  Its tables and checks are products of exact
+matrices.  Forms over the frame carry a bidegree in which the
+deformation parameter counts (1,1).
 The Hermitian pairing contracts a product at parameter one and applies
 an exact sign prefactor; the adjoint law relating it to the product is
 derived from exhaustive evaluation rather than assumed.
@@ -12,7 +15,6 @@ from fractions import Fraction
 
 from .blades import blade_degree, wedge_masks
 from .exterior import Bivector, QForm, quantum_wedge
-from .fields import standard_J
 from .linalg import bareiss_det, mat_inv, mat_mul, transpose
 from .scalars import GaussRat, HPoly, I, add_term, as_fraction
 from .symplectic import SymplecticForm, bivector_of
@@ -48,6 +50,11 @@ def _swap_mask(mask: int, n: int):
     return out, sign
 
 
+def blade_bidegree(mask: int, n: int):
+    """(p, q): the holomorphic and antiholomorphic factors of a frame blade."""
+    return blade_degree(mask & ((1 << n) - 1)), blade_degree(mask >> n)
+
+
 class BigradedForm:
     """A form over the complex frame with bidegree bookkeeping."""
 
@@ -69,15 +76,11 @@ class BigradedForm:
         c = HPoly({h_exp: coeff}, laurent=h_exp < 0)
         return cls(n, QForm(2 * n, {mask: c}, laurent=h_exp < 0))
 
-    def _blade_bidegree(self, mask: int):
-        holo = mask & ((1 << self.n) - 1)
-        return blade_degree(holo), blade_degree(mask >> self.n)
-
     def components(self):
         """Pure-(p, q) parts; the deformation exponent adds (1, 1)."""
         out = {}
         for mask, c in self.form.terms.items():
-            p0, q0 = self._blade_bidegree(mask)
+            p0, q0 = blade_bidegree(mask, self.n)
             for e, v in c.terms.items():
                 # each h power of one blade lands in its own (p, q)
                 out.setdefault((p0 + e, q0 + e), {})[mask] = \
@@ -161,7 +164,10 @@ class Frame:
     The input basis must be g-orthonormal and interleaved as
     {b_1, J b_1, ..., b_n, J b_n}; the constructor verifies this, the
     compatibility of J with omega, positivity of g, and the frozen
-    pairing values of the frame covectors.
+    pairing values of the frame covectors.  With B the matrix whose
+    columns are the basis vectors, coordinate covectors go to the frame
+    through B C and back through D B^-1, for the fixed change C of
+    _frame_change; every table and check is a product of such matrices.
     """
 
     def __init__(self, omega: SymplecticForm, J=None, basis=None):
@@ -184,135 +190,67 @@ class Frame:
             if bareiss_det([row[:k] for row in G[:k]]) <= 0:
                 raise ValueError("the induced metric is not positive")
         if basis is None:
-            basis = [[Fraction(i == j) for i in range(dim)]
-                     for j in range(dim)]
+            basis = ident
         else:
             basis = [[as_fraction(x) for x in col] for col in basis]
-        if len(basis) != dim:
-            raise ValueError("basis must have one vector per dimension")
+        if len(basis) != dim or any(len(v) != dim for v in basis):
+            raise ValueError("basis must have one vector of length "
+                             f"{dim} per dimension")
+        B = transpose(basis)          # columns are the basis vectors
+        J_of_basis = transpose(mat_mul(J, B))
         for a in range(self.n):
-            if _mat_vec(J, basis[2 * a]) != basis[2 * a + 1]:
+            if J_of_basis[2 * a] != basis[2 * a + 1]:
                 raise ValueError(
                     f"basis vector {2 * a + 2} is not J of vector "
                     f"{2 * a + 1}")
-        for i in range(dim):
-            for j in range(dim):
-                gij = _dot(basis[i], _mat_vec(G, basis[j]))
-                if gij != Fraction(i == j):
-                    raise ValueError("basis is not orthonormal for the "
-                                     "induced metric")
-        B = transpose(basis)          # columns are the basis vectors
-        invB = mat_inv(B)
-        self._to_cx = self._covector_split(B)
-        self._from_cx = self._frame_covectors(invB)
+        if mat_mul(basis, mat_mul(G, B)) != ident:
+            raise ValueError("basis is not orthonormal for the induced "
+                             "metric")
+        C, D = _frame_change(self.n)
+        # row i of _to_cx is e^i on the frame covectors, row a of
+        # _from_cx is f^a on the coordinate covectors; the columns of
+        # _to_cx are the frame vectors dual to the f^a
+        self._to_cx = mat_mul(B, C)
+        self._from_cx = mat_mul(D, mat_inv(B))
         self._wstd = bivector_of(omega)
-        self._wcx_std = None
-        self._verify_pairings(basis)
+        self._wcx_std = self._verify_pairings()
 
     def wcx(self) -> Bivector:
-        """The symplectic bivector on the frame covectors, cached so the
+        """The symplectic bivector on the frame covectors, kept so the
         product kernel's pair memo stays warm across calls."""
-        if self._wcx_std is None:
-            self._wcx_std = self.pairing_cx(self._wstd)
         return self._wcx_std
 
-    # e^i = sum_j B[i][j] kappa^j with kappa^{2a-1}, kappa^{2a} combining
-    # into the holomorphic frame and its conjugate
-    def _covector_split(self, B):
-        return [self._covector_row(B, i) for i in range(2 * self.n)]
+    def _verify_pairings(self) -> Bivector:
+        """Check omega on the frame vectors and the bivector on the frame
+        covectors against their frozen tables; return the bivector."""
+        T = self._to_cx
+        off = _first_off(mat_mul(transpose(T), mat_mul(self.omega.matrix, T)),
+                         _conjugate_pairs(self.n, I * _HALF))
+        if off:
+            a, b, val = off
+            raise ValueError("frame pairing values are off: "
+                             f"omega(f_{a}, f_{b}) = {val}")
+        wm = self._cx_matrix(self._wstd)
+        off = _first_off(wm, _conjugate_pairs(self.n, I * 2))
+        if off:
+            i, j, c = off
+            raise ValueError("frame bivector values are off: "
+                             f"w({i}, {j}) = {c}")
+        return _upper_bivector(wm)
 
-    def _covector_row(self, B, i):
-        n = self.n
-        row = [GaussRat() for _ in range(2 * n)]
-        for a in range(n):
-            c_odd = GaussRat.coerce(B[i][2 * a]) * _HALF
-            c_even = GaussRat.coerce(B[i][2 * a + 1]) * _HALF
-            row[a] = row[a] + c_odd - I * c_even
-            row[n + a] = row[n + a] + c_odd + I * c_even
-        return row
-
-    # f^a = kappa^{2a-1} + i kappa^{2a} expressed in coordinate covectors
-    def _frame_covectors(self, invB):
-        n, dim = self.n, 2 * self.n
-        out = []
-        for a in range(n):
-            out.append([GaussRat.coerce(invB[2 * a][i]) +
-                        I * GaussRat.coerce(invB[2 * a + 1][i])
-                        for i in range(dim)])
-        for a in range(n):
-            out.append([GaussRat.coerce(invB[2 * a][i]) -
-                        I * GaussRat.coerce(invB[2 * a + 1][i])
-                        for i in range(dim)])
-        return out
-
-    def _verify_pairings(self, basis):
-        n = self.n
-        half_i = I * _HALF
-        two_i = I * 2
-        fvecs = []
-        for a in range(n):
-            fvecs.append([GaussRat.coerce(x) * _HALF -
-                          half_i * GaussRat.coerce(y)
-                          for x, y in zip(basis[2 * a], basis[2 * a + 1])])
-        for a in range(n):
-            fvecs.append([GaussRat.coerce(x) * _HALF +
-                          half_i * GaussRat.coerce(y)
-                          for x, y in zip(basis[2 * a], basis[2 * a + 1])])
-        for a in range(2 * n):
-            for b in range(2 * n):
-                val = GaussRat()
-                for i in range(2 * n):
-                    for j in range(2 * n):
-                        m = self.omega.matrix[i][j]
-                        if m:
-                            val = val + fvecs[a][i] * fvecs[b][j] * m
-                holo_a, holo_b = a < n, b < n
-                if holo_a and not holo_b:
-                    want = half_i if b - n == a else GaussRat()
-                elif holo_b and not holo_a:
-                    want = -half_i if a - n == b else GaussRat()
-                else:
-                    want = GaussRat()
-                if val != want:
-                    raise ValueError("frame pairing values are off: "
-                                     f"omega(f_{a + 1}, f_{b + 1}) = {val}")
-        wcx = self.pairing_cx(bivector_of(self.omega))
-        for i, j, c in wcx.upper_entries():
-            want = two_i if (i < n + 1 <= j and j - i == n) else GaussRat()
-            if c != want:
-                raise ValueError("frame bivector values are off: "
-                                 f"w({i}, {j}) = {c}")
+    def _cx_matrix(self, w: Bivector):
+        """F W F^T: the bivector's matrix on the frame covectors."""
+        F = self._from_cx
+        return mat_mul(F, mat_mul(_bivector_matrix(w), transpose(F)))
 
     def pairing_cx(self, w: Bivector) -> Bivector:
         """The bivector's components on the frame covectors."""
-        n = self.n
-        entries = {}
-        wm = [[GaussRat() for _ in range(2 * n)] for _ in range(2 * n)]
-        for i, j, c in w.ordered_entries():
-            wm[i - 1][j - 1] = GaussRat.coerce(c)
-        for a in range(2 * n):
-            for b in range(a + 1, 2 * n):
-                val = GaussRat()
-                for i in range(2 * n):
-                    fa = self._from_cx[a][i]
-                    if not fa:
-                        continue
-                    for j in range(2 * n):
-                        if wm[i][j]:
-                            val = val + fa * self._from_cx[b][j] * wm[i][j]
-                if val:
-                    entries[(a + 1, b + 1)] = val
-        return Bivector(2 * n, entries)
+        return _upper_bivector(self._cx_matrix(w))
 
     def check_invariance(self, w: Bivector):
         """The complex structure must preserve the bivector."""
-        n = self.n
-        wm = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-        for i, j, c in w.ordered_entries():
-            wm[i - 1][j - 1] = as_fraction(c)
-        jm = self.J
-        jw = mat_mul(jm, mat_mul(wm, transpose(jm)))
-        if jw != wm:
+        wm = _bivector_matrix(w)
+        if mat_mul(self.J, mat_mul(wm, transpose(self.J))) != wm:
             raise ValueError("bivector is not preserved by J")
 
     def _expand(self, terms, rows):
@@ -320,7 +258,7 @@ class Frame:
         rows[i] of the other frame's covectors."""
         out = {}
         for mask, c in terms.items():
-            expanded = {0: HPoly(1)}
+            expanded = {0: c}
             i = 0
             rest = mask
             while rest:
@@ -338,7 +276,7 @@ class Frame:
                 rest >>= 1
                 i += 1
             for m2, c2 in expanded.items():
-                add_term(out, m2, c2 * c)
+                add_term(out, m2, c2)
         return out
 
     def complexify(self, form: QForm) -> BigradedForm:
@@ -361,16 +299,62 @@ class Frame:
         return bform.form._like(real_terms)
 
 
-def _mat_vec(m, v):
-    return [_dot(row, v) for row in m]
+def standard_J(dim: int):
+    """Matrix of the standard complex structure J(e_{2a-1}) = e_{2a}."""
+    if dim % 2:
+        raise ValueError("complex structure needs even dimension")
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for a in range(dim // 2):
+        rows[2 * a + 1][2 * a] = Fraction(1)
+        rows[2 * a][2 * a + 1] = Fraction(-1)
+    return rows
 
 
-def _dot(u, v):
-    total = None
-    for x, y in zip(u, v):
-        term = x * y
-        total = term if total is None else total + term
-    return total
+def _frame_change(n: int):
+    """C and its inverse D on 2n covectors: kappa^j = sum_a C[j][a] f^a
+    for the frame f^a = kappa^{2a-1} + i kappa^{2a} and its conjugate
+    f^{n+a} = kappa^{2a-1} - i kappa^{2a}, which are the rows of D."""
+    zero, one, half = GaussRat(), GaussRat(1), GaussRat(_HALF)
+    C = [[zero] * (2 * n) for _ in range(2 * n)]
+    D = [[zero] * (2 * n) for _ in range(2 * n)]
+    for a in range(n):
+        D[a][2 * a], D[a][2 * a + 1] = one, I
+        D[n + a][2 * a], D[n + a][2 * a + 1] = one, -I
+        C[2 * a][a] = C[2 * a][n + a] = half
+        C[2 * a + 1][a], C[2 * a + 1][n + a] = -I * _HALF, I * _HALF
+    return C, D
+
+
+def _bivector_matrix(w: Bivector):
+    wm = [[Fraction(0)] * w.dim for _ in range(w.dim)]
+    for i, j, c in w.ordered_entries():
+        wm[i - 1][j - 1] = c
+    return wm
+
+
+def _upper_bivector(wm) -> Bivector:
+    return Bivector(len(wm), {(a + 1, b + 1): wm[a][b]
+                              for a in range(len(wm))
+                              for b in range(a + 1, len(wm)) if wm[a][b]})
+
+
+def _conjugate_pairs(n: int, val):
+    """The 2n x 2n table with val at (a, n + a) and -val at (n + a, a)."""
+    zero = GaussRat()
+    out = [[zero] * (2 * n) for _ in range(2 * n)]
+    for a in range(n):
+        out[a][n + a], out[n + a][a] = val, -val
+    return out
+
+
+def _first_off(got, want):
+    """(row, column, value), 1-based, of the first entry in row order
+    where got differs from want; None when the tables agree."""
+    for a, (got_row, want_row) in enumerate(zip(got, want)):
+        for b, (g, w) in enumerate(zip(got_row, want_row)):
+            if g != w:
+                return a + 1, b + 1, g
+    return None
 
 
 _STD_FRAMES = {}

@@ -4,11 +4,14 @@ FieldForm carries forms whose coefficients live in a coordinate-function
 ring (PolyFn or FourierFn) together with integer powers of h. The
 differential layer provides d, the Koszul codifferential built from a
 bivector field, the deformed differential d - h*delta, and the Dolbeault
-split of both on flat models.
+split of both on flat models. The split has one complex structure, the
+standard one: its per-blade type tables and its J-invariance check come
+from the standard bigraded.Frame.
 """
 
 from fractions import Fraction
 
+from .bigraded import blade_bidegree, standard_frame
 from .blades import blade_degree, blade_str, insert_first_mask, wedge_masks
 from .exterior import Bivector, QForm, expand_blade_pair
 from .functions import FourierFn, PolyFn
@@ -383,106 +386,40 @@ def delta_component_check(form: FieldForm, w: PoissonField):
     return {"c": c, "matched_terms": len(lhs.terms)}
 
 
-def standard_J(dim: int):
-    """Matrix of the standard complex structure J(e_{2a-1}) = e_{2a}."""
+def _standard_frame(dim: int):
     if dim % 2:
-        raise ValueError("complex structure needs even dimension")
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for a in range(dim // 2):
-        rows[2 * a + 1][2 * a] = Fraction(1)
-        rows[2 * a][2 * a + 1] = Fraction(-1)
-    return rows
+        raise ValueError("bidegree needs even dimension")
+    return standard_frame(dim // 2)
 
 
-def _check_J(dim: int, J):
-    std = standard_J(dim)
-    if J is not None and [[as_fraction(x) if isinstance(x, (int, str))
-                           else x for x in row] for row in J] != std:
-        raise ValueError("only the standard complex structure is supported")
-    return std
+_TYPE_TABLES = {}
 
 
-def _check_invariance(w: PoissonField, J):
-    if not w.is_constant():
-        raise ValueError("Dolbeault split needs a constant bivector")
-    dim = w.dim
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            acc = Fraction(0)
-            for k in range(1, dim + 1):
-                for l in range(1, dim + 1):
-                    c = w.entry(k, l)
-                    if c:
-                        acc += J[i - 1][k - 1] * J[j - 1][l - 1] * c
-            if acc != w.entry(i, j):
-                raise ValueError("bivector not preserved by the "
-                                 "complex structure")
+def _type_table(frame, rmask: int):
+    """A real blade split by complex type: {(p, q): {real mask: coeff}}.
 
-
-_BIDEG_TABLES = {}
-
-
-def _halves(n: int, rmask: int):
-    """Expand a real blade in the complex frame and back, split by type.
-
-    Returns {(p, q): {real mask: coefficient}} with p/q counting
-    holomorphic/antiholomorphic frame factors.
+    The blade is expanded on the frame covectors, its terms are grouped
+    by how many holomorphic (p) and antiholomorphic (q) factors they
+    have, and each group is expanded back to real covectors.
     """
-    memo = _BIDEG_TABLES.get((n, rmask))
-    if memo is not None:
-        return memo
-    half = GaussRat(Fraction(1, 2))
-    ihalf = GaussRat(0, Fraction(1, 2))
-    state = {0: GaussRat(1)}
-    for r in _indices(rmask):
-        a = (r + 1) // 2
-        if r % 2:
-            options = ((a, half), (n + a, half))
-        else:
-            options = ((a, -ihalf), (n + a, ihalf))
-        nxt = {}
-        for cm, co in state.items():
-            for idx, wgt in options:
-                s, m2 = wedge_masks(cm, 1 << (idx - 1))
-                if not s:
-                    continue
-                add_term(nxt, m2, co * wgt * s)
-        state = nxt
-    low = (1 << n) - 1
-    out = {}
-    one = GaussRat(1)
-    im = GaussRat(0, 1)
-    for cmask, co in state.items():
-        p = blade_degree(cmask & low)
-        q = blade_degree(cmask >> n)
-        back = {0: co}
-        for idx in _indices(cmask):
-            a = idx if idx <= n else idx - n
-            iw = im if idx <= n else -im
-            nxt = {}
-            for rm, c in back.items():
-                for rbit, wgt in (((2 * a - 1), one), ((2 * a), iw)):
-                    s, m2 = wedge_masks(rm, 1 << (rbit - 1))
-                    if not s:
-                        continue
-                    add_term(nxt, m2, c * wgt * s)
-            back = nxt
-        dest = out.setdefault((p, q), {})
-        for rm, c in back.items():
-            add_term(dest, rm, c)
-    out = {pq: sub for pq, sub in out.items() if sub}
-    _BIDEG_TABLES[(n, rmask)] = out
-    return out
+    table = _TYPE_TABLES.get((frame.n, rmask))
+    if table is None:
+        groups = {}
+        for cmask, c in frame._expand({rmask: GaussRat(1)},
+                                      frame._to_cx).items():
+            groups.setdefault(blade_bidegree(cmask, frame.n), {})[cmask] = c
+        table = _TYPE_TABLES[(frame.n, rmask)] = {
+            pq: frame._expand(group, frame._from_cx)
+            for pq, group in groups.items()}
+    return table
 
 
 def bidegree_split(form: FieldForm):
     """Decompose by complex type for the standard structure."""
-    if form.dim % 2:
-        raise ValueError("bidegree needs even dimension")
-    n = form.dim // 2
+    frame = _standard_frame(form.dim)
     comps = {}
     for (h, mask), fn in form.terms.items():
-        for pq, sub in _halves(n, mask).items():
+        for pq, sub in _type_table(frame, mask).items():
             dest = comps.setdefault(pq, {})
             for rm, c in sub.items():
                 add_term(dest, (h, rm), fn * c)
@@ -490,41 +427,48 @@ def bidegree_split(form: FieldForm):
             for pq, t in comps.items() if t}
 
 
-def bidegree_project(form: FieldForm, p: int, q: int) -> FieldForm:
-    return bidegree_split(form).get(
-        (p, q), FieldForm.zero(form.dim, form.fnring))
+def _d_halves(form: FieldForm):
+    """(del, delbar): the type (1,0) and (0,1) pieces of d, from one
+    split of d of each type component."""
+    zero = FieldForm.zero(form.dim, form.fnring)
+    d10 = d01 = zero
+    for (p, q), comp in bidegree_split(form).items():
+        parts = bidegree_split(exterior_d(comp))
+        d10 = d10 + parts.get((p + 1, q), zero)
+        d01 = d01 + parts.get((p, q + 1), zero)
+    return d10, d01
 
 
 def partial_d(form: FieldForm) -> FieldForm:
     """Type (1,0) piece of d for the standard complex structure."""
-    out = FieldForm.zero(form.dim, form.fnring)
-    for (p, q), comp in bidegree_split(form).items():
-        out = out + bidegree_project(exterior_d(comp), p + 1, q)
-    return out
+    return _d_halves(form)[0]
 
 
 def partial_dbar(form: FieldForm) -> FieldForm:
     """Type (0,1) piece of d for the standard complex structure."""
-    out = FieldForm.zero(form.dim, form.fnring)
-    for (p, q), comp in bidegree_split(form).items():
-        out = out + bidegree_project(exterior_d(comp), p, q + 1)
-    return out
+    return _d_halves(form)[1]
 
 
-def dolbeault_deltas(form: FieldForm, w: PoissonField, J=None):
+def _dolbeault(form: FieldForm, w: PoissonField):
+    """del and delbar of the form, then the type components of delta:
+    (lowers p, lowers q)."""
+    frame = _standard_frame(form.dim)
+    if not w.is_constant():
+        raise ValueError("Dolbeault split needs a constant bivector")
+    frame.check_invariance(w)
+    d_form, dbar_form = _d_halves(form)
+    d_iota, dbar_iota = _d_halves(contract_field(w, form))
+    d10 = contract_field(w, dbar_form) - dbar_iota
+    d01 = contract_field(w, d_form) - d_iota
+    return d_form, dbar_form, d10, d01
+
+
+def dolbeault_deltas(form: FieldForm, w: PoissonField):
     """Type components of delta: (lowers p, lowers q), in that order."""
-    J = _check_J(form.dim, J)
-    _check_invariance(w, J)
-    d10 = contract_field(w, partial_dbar(form)) - \
-        partial_dbar(contract_field(w, form))
-    d01 = contract_field(w, partial_d(form)) - \
-        partial_d(contract_field(w, form))
-    return d10, d01
+    return _dolbeault(form, w)[2:]
 
 
-def quantum_dolbeault_split(form: FieldForm, w: PoissonField, J=None):
+def quantum_dolbeault_split(form: FieldForm, w: PoissonField):
     """(del_h, delbar_h): deformed Dolbeault halves of quantum_d."""
-    d10, d01 = dolbeault_deltas(form, w, J)
-    del_h = partial_d(form) - d01.h_shift(1)
-    delbar_h = partial_dbar(form) - d10.h_shift(1)
-    return del_h, delbar_h
+    d_form, dbar_form, d10, d01 = _dolbeault(form, w)
+    return d_form - d01.h_shift(1), dbar_form - d10.h_shift(1)

@@ -262,9 +262,11 @@ def rational_roots(coeffs):
     Returns ([(root, multiplicity)] sorted by root, remainder): the
     remainder is the ascending coefficient list left once every rational
     root is divided out. Trailing zero coefficients are dropped; the
-    zero polynomial is rejected. Candidates come from the square-free
-    part f / gcd(f, f'), whose roots are f's, each once; deflating f
-    itself by a root as often as it vanishes counts the multiplicity.
+    zero polynomial is rejected. Roots come from the square-free part
+    f / gcd(f, f'), whose roots are f's, each once; deflating f itself
+    by a root as often as it vanishes counts the multiplicity. Raises
+    ValueError when a square-free remainder of degree 3 or more would
+    need trial divisors past _DIVISOR_CAP.
     """
     coeffs = [as_fraction(c) for c in coeffs]
     while coeffs and not coeffs[-1]:
@@ -274,9 +276,7 @@ def rational_roots(coeffs):
     square_free, _ = _poly_divmod(coeffs,
                                   _poly_gcd(coeffs, _derivative(coeffs)))
     roots = []
-    for root in _root_candidates(square_free):
-        if _poly_eval(square_free, root):
-            continue
+    for root in _square_free_roots(square_free):
         mult = 0
         while len(coeffs) > 1 and not _poly_eval(coeffs, root):
             coeffs = _deflate(coeffs, root)
@@ -321,35 +321,80 @@ def _poly_gcd(a, b):
     return [c / a[-1] for c in a]
 
 
+# trial division stops here: a square-free remainder of degree 3 or
+# more whose divisor search would go further is refused, not searched
+_DIVISOR_CAP = 10**6
+
+
+def _square_free_roots(sf):
+    """The rational roots of a square-free polynomial, each once.
+
+    Candidates from the rational root theorem deflate the polynomial
+    while its degree is 3 or more; a linear or quadratic remainder is
+    solved exactly, so only a remainder of degree 3 or more needs the
+    complete divisor search.
+    """
+    roots = []
+    if not sf[0]:
+        roots.append(Fraction(0))
+        sf = sf[1:]
+    if len(sf) > 3:
+        candidates, complete = _root_candidates(sf)
+        for root in sorted(candidates):
+            if len(sf) <= 3:
+                break
+            if not _poly_eval(sf, root):
+                roots.append(root)
+                sf = _deflate(sf, root)
+        if len(sf) > 3 and not complete:
+            raise ValueError("rational roots of a degree "
+                             f"{len(sf) - 1} factor need trial divisors "
+                             f"past {_DIVISOR_CAP}")
+    if len(sf) == 2:
+        roots.append(-sf[0] / sf[1])
+    elif len(sf) == 3:
+        roots.extend(_quadratic_roots(sf))
+    return roots
+
+
+def _quadratic_roots(c):
+    """Rational roots of c0 + c1 t + c2 t^2 from an exact square root of
+    the discriminant."""
+    disc = c[1] * c[1] - 4 * c[0] * c[2]
+    if disc < 0:
+        return []
+    num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return []
+    return {(-c[1] + s) / (2 * c[2])
+            for s in (Fraction(num, den), Fraction(-num, den))}
+
+
 def _divisors(v):
-    out = []
-    d = 1
-    while d * d <= v:
+    """The divisors of v > 0 that trial division up to _DIVISOR_CAP finds,
+    and whether they are all of them."""
+    top = math.isqrt(v)
+    out = set()
+    for d in range(1, min(top, _DIVISOR_CAP) + 1):
         if v % d == 0:
-            out.append(d)
-            out.append(v // d)
-        d += 1
-    return sorted(set(out))
+            out.update((d, v // d))
+    return out, top <= _DIVISOR_CAP
 
 
 def _root_candidates(coeffs):
-    """The set of rational numbers the rational root theorem allows as
-    roots of the integer-scaled polynomial, with 0 when it divides. A
-    linear polynomial's one root is read off, with no divisor search."""
-    if len(coeffs) == 2:
-        return {-coeffs[0] / coeffs[1]}
+    """The rational numbers the rational root theorem allows as roots of
+    the integer-scaled polynomial, whose constant term is nonzero, and
+    whether the divisor searches behind them were complete."""
     lcm = 1
     for c in coeffs:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
+    ps, p_all = _divisors(abs(int(coeffs[0] * lcm)))
+    qs, q_all = _divisors(abs(int(coeffs[-1] * lcm)))
     out = set()
-    while not ints[0]:
-        out.add(Fraction(0))
-        ints = ints[1:]
-    for p in _divisors(abs(ints[0])):
-        for q in _divisors(abs(ints[-1])):
+    for p in ps:
+        for q in qs:
             out.update((Fraction(p, q), Fraction(-p, q)))
-    return out
+    return out, p_all and q_all
 
 
 def _deflate(coeffs, root):

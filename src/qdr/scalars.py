@@ -555,96 +555,6 @@ class HPolyMulti(SparseRing):
     __repr__ = __str__
 
 
-class CxHPoly:
-    """Complex deformation scalar: a pair (re, im) of HPoly in h."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=None, im=None, laurent: bool = False):
-        self.re = re if isinstance(re, HPoly) else HPoly(re, laurent=laurent)
-        self.im = im if isinstance(im, HPoly) else HPoly(im, laurent=laurent)
-
-    @staticmethod
-    def coerce(x) -> "CxHPoly":
-        if isinstance(x, CxHPoly):
-            return x
-        if isinstance(x, GaussRat):
-            return CxHPoly(HPoly(x.re), HPoly(x.im))
-        if isinstance(x, HPoly):
-            return CxHPoly(x, HPoly(laurent=x.laurent))
-        return CxHPoly(HPoly(x), HPoly())
-
-    def __add__(self, other):
-        o = CxHPoly.coerce(other)
-        return CxHPoly(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = CxHPoly.coerce(other)
-        return CxHPoly(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return CxHPoly.coerce(other) - self
-
-    def __neg__(self):
-        return CxHPoly(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CxHPoly(self.re * other, self.im * other)
-        if isinstance(other, GaussRat):
-            return CxHPoly(self.re * other.re - self.im * other.im,
-                           self.re * other.im + self.im * other.re)
-        o = CxHPoly.coerce(other)
-        return CxHPoly(self.re * o.re - self.im * o.im,
-                       self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CxHPoly(self.re / other, self.im / other)
-        if isinstance(other, GaussRat):
-            n = other.re * other.re + other.im * other.im
-            return self * GaussRat(other.re / n, -other.im / n)
-        raise TypeError("can only divide by an exact constant")
-
-    def conj(self) -> "CxHPoly":
-        return CxHPoly(self.re, -self.im)
-
-    def __eq__(self, other):
-        o = CxHPoly.coerce(other) if not isinstance(other, CxHPoly) else other
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def is_zero(self) -> bool:
-        return not self
-
-    def constant(self) -> GaussRat:
-        return GaussRat(self.re.constant(), self.im.constant())
-
-    def as_gauss(self) -> GaussRat:
-        """Collapse to a Gaussian rational; requires no h dependence."""
-        if set(self.re.terms) - {0} or set(self.im.terms) - {0}:
-            raise ValueError("scalar still depends on h")
-        return self.constant()
-
-    def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"({self.im})*i"
-        return f"({self.re}) + ({self.im})*i"
-
-    __repr__ = __str__
-
-
 class TauNumber(SparseRing):
     """Laurent polynomial in tau with Gaussian rational coefficients.
 

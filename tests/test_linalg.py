@@ -278,6 +278,44 @@ def test_rational_roots_of_a_large_linear_factor():
     assert results == cases
 
 
+def _times(roots):
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [-r * coeffs[0]] + [coeffs[k - 1] - r * coeffs[k]
+                                     for k in range(1, len(coeffs))] + \
+            [coeffs[-1]]
+    return coeffs
+
+
+def test_rational_roots_of_large_quadratic_and_cubic_factors():
+    # a quadratic square-free part is solved from its discriminant, also
+    # after small roots deflate a longer one; a cubic of large roots
+    # would need trial divisors past the cap and is refused
+    big = 10**24 + 7
+    cases = {"small and large": [3 * big, -(big + 3), 1],
+             "two large": _times([big, big + 2]),
+             "deflated to two large": _times([3, big, Fraction(1, 2),
+                                              big + 2]),
+             "three large": _times([big, big + 2, big + 4])}
+    results = {}
+
+    def run():
+        for name, coeffs in cases.items():
+            try:
+                results[name] = rational_roots(coeffs)
+            except ValueError as ex:
+                results[name] = ex
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(2)
+    assert not worker.is_alive(), "rational_roots ran past 2 s"
+    assert results["small and large"] == ([(3, 1), (big, 1)], [1])
+    assert results["two large"] == ([(big, 1), (big + 2, 1)], [1])
+    assert results["deflated to two large"] == (
+        [(Fraction(1, 2), 1), (3, 1), (big, 1), (big + 2, 1)], [1])
+    assert isinstance(results["three large"], ValueError)
+
+
 def test_solve_cases():
     cols = [[Fraction(1), Fraction(0), Fraction(1)],
             [Fraction(0), Fraction(2), Fraction(2)]]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdr.scalars import CxHPoly, GaussRat, HPoly, HPolyMulti, I, TauNumber
+from qdr.scalars import GaussRat, HPoly, HPolyMulti, I, TauNumber
 
 
 def test_gauss_rat_ring():
@@ -77,17 +77,6 @@ def test_hpoly_multi_specialize():
     assert s == HPoly({2: -3, 1: 6})
     assert p + (-p) == 0
     assert (p * p).terms[(2, 2)] == 1
-
-
-def test_cx_hpoly():
-    z = CxHPoly(HPoly({1: 1}), HPoly({0: 1}))  # h + i
-    assert z * z.conj() == CxHPoly(HPoly({0: 1, 2: 1}), HPoly())
-    assert (z * I) == CxHPoly(HPoly({0: -1}), HPoly({1: 1}))
-    assert z.constant() == I * 1
-    w = CxHPoly.coerce(GaussRat(2, -3))
-    assert w.as_gauss() == GaussRat(2, -3)
-    with pytest.raises(ValueError):
-        z.as_gauss()
 
 
 def test_tau_number_field_ops():
