@@ -408,7 +408,6 @@ def hermitian_prefactor(p: int, q: int, variant: str = "derived") -> GaussRat:
 
 
 def hermitian_pairing(a: BigradedForm, b: BigradedForm,
-                      omega: SymplecticForm = None, J=None,
                       variant: str = "derived") -> GaussRat:
     """Contract the product at parameter one and apply the prefactor of
     the first argument's bidegree.  Antilinear in the second argument."""
@@ -417,11 +416,7 @@ def hermitian_pairing(a: BigradedForm, b: BigradedForm,
     deg = a.bidegree()
     if deg is None:
         raise ValueError("first pairing argument has mixed bidegree")
-    frame = standard_frame(a.n) if omega is None and J is None else \
-        Frame(omega if omega is not None else SymplecticForm(2 * a.n), J)
-    prod = quantum_wedge(a.form, b.conj().form, frame.wcx())
-    scalar = _h_at_one(prod.coeff(0))
-    return hermitian_prefactor(*deg, variant=variant) * scalar
+    return hermitian_prefactor(*deg, variant=variant) * raw_pairing(a, b)
 
 
 def hermitian_gram(n: int, variant: str = "derived"):

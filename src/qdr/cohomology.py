@@ -5,26 +5,27 @@ splits into finite blocks indexed by the mode vector k.  On mode k every
 entry of a d, delta or d_h block is i*tau*r with r rational (tau is the
 formal circle period), and the blocks are linear in k:
 A(k) = sum_j k_j * A_j over the blocks A_j of the unit modes e_j.  A
-complex builds the unit blade blocks once and divides out i*tau.
+complex builds the unit blade blocks once and divides out i*tau.  The
+zero mode's blocks are A(0) = 0.
 
-The d and d_h ranks of the nonzero modes come from one chain-homotopy
-identity checked exactly on the unit blocks.  For a constant bivector
-the unit d_h block is A_j = eps(e^j) - h*delta_j with delta_j a
-contraction (Brylinski, J. Differential Geom. 28, 1988), so with
-B_i = iota(e_i) and H(k) = sum_i k_i B_i / |k|^2, a degree whose unit
-blocks satisfy A_j B_i + B_i A_j = delta_ij I and A_i A_j + A_j A_i = 0
-has A(k)H(k) idempotent with image im A(k) for every k != 0; its trace,
-t = tr(A_j B_j), is the rank of every nonzero mode's block.  The zero
-mode, every delta rank, and any degree whose identity fails are ranked
-by exact elimination of per-direction blocks, built when first needed:
-block(c*k) = c*block(k) has the same rank, so a primitive direction's
-rank counts once per mode on its line.  Total degree counts the
-deformation parameter as degree 2.
+Every rank comes from an identity checked exactly on the unit blocks;
+a failed identity raises AssertionError, naming the differential, the
+degree and the first entry that is off.  For a constant bivector the
+unit d_h block is A_j = eps(e^j) - h*delta_j with delta_j a contraction
+(Brylinski, J. Differential Geom. 28, 1988), so with B_i = iota(e_i)
+and H(k) = sum_i k_i B_i / |k|^2, a degree whose unit blocks satisfy
+A_j B_i + B_i A_j = delta_ij I and A_i A_j + A_j A_i = 0 has A(k)H(k)
+idempotent with image im A(k) for every k != 0; its trace,
+t = tr(A_j B_j), is the d or d_h rank of every nonzero mode's block.
+On a symplectic torus delta = (-1)^(q+1) * d * on degree q, with * the
+symplectic star (Brylinski's identity), checked on every unit block;
+so the delta rank on degree q is the d rank on degree dim - q.  Total
+degree counts the deformation parameter as degree 2.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd
+from math import comb
 
 from .blades import blade_degree, insert_first_mask, masks_of_degree, \
     wedge_masks
@@ -36,23 +37,9 @@ from .fields import (
     quantum_d,
 )
 from .functions import FourierFn
-from .linalg import matrix_rank
 from .scalars import HPoly, TauNumber, add_term
-from .symplectic import SymplecticForm, bivector_of, contract_bivector
-
-_ZERO = Fraction(0)
-
-
-def primitive_direction(kvec):
-    """(direction, c) with kvec == c * direction, direction primitive and
-    its first nonzero entry positive; the zero mode is its own direction
-    with c = 0."""
-    g = gcd(*kvec)
-    if not g:
-        return tuple(kvec), 0
-    if next(k for k in kvec if k) < 0:
-        g = -g
-    return tuple(k // g for k in kvec), g
+from .symplectic import SymplecticForm, bivector_of, contract_bivector, \
+    symplectic_star
 
 
 def _over_i_tau(coeff: TauNumber, label: str) -> Fraction:
@@ -65,11 +52,6 @@ def _over_i_tau(coeff: TauNumber, label: str) -> Fraction:
                      "rational")
 
 
-# degree step of each differential: d and d_h raise the degree, delta
-# lowers the blade degree
-_STEP = {"d": 1, "delta": -1, "dh": 1}
-
-
 class TruncatedComplex:
     """Ranks of d, delta, and d_h on a torus truncation, with i*tau
     divided out.
@@ -78,11 +60,8 @@ class TruncatedComplex:
     total degree m: "laurent" keeps every integer p with 0 <= m - 2p <= dim,
     "polynomial" additionally demands p >= 0.
 
-    directions maps each primitive mode direction (up to sign) to the
-    number of truncated modes on its line; the zero mode is its own
-    direction.  Blocks are sparse columns ({row: entry} per basis
-    element) for the unit modes and dense rows for a direction; the
-    block of mode c * direction is c times the direction's.
+    fmodes lists the truncated mode vectors.  Unit blocks are sparse
+    columns, one {row: entry} per basis element.
     """
 
     def __init__(self, model, trunc: int, mode: str = "laurent",
@@ -101,10 +80,6 @@ class TruncatedComplex:
         self.max_degree = (self.dim + 2) if max_degree is None else max_degree
         self.fmodes = sorted(product(range(-trunc, trunc + 1),
                                      repeat=self.dim))
-        self.directions = {}
-        for kvec in self.fmodes:
-            direction, _ = primitive_direction(kvec)
-            self.directions[direction] = self.directions.get(direction, 0) + 1
         self._masks = {q: list(masks_of_degree(self.dim, q))
                        for q in range(self.dim + 1)}
         self._mask_pos = {mask: c for masks in self._masks.values()
@@ -225,44 +200,54 @@ class TruncatedComplex:
                 blocks[g] = [[] for _ in range(self.dim)]
         return blocks[g]
 
-    def _block(self, kind: str, direction, g: int):
-        """Dense block of the mode `direction` at degree g, rows over the
-        target degree: sum_j direction[j] * (unit block of e_j)."""
-        ncols = len(self._space(kind, g))
-        rows = [[_ZERO] * ncols
-                for _ in self._space(kind, g + _STEP[kind])]
-        for k, cols in zip(direction, self._unit(kind, g)):
-            if not k:
-                continue
-            for c, col in enumerate(cols):
-                for r, x in col.items():
-                    rows[r][c] += k * x
-        return rows
+    def _star(self, q: int):
+        """The symplectic star on the degree-q blades, as sparse columns
+        into degree dim - q."""
+        index = {mask: r for r, mask in enumerate(self._masks[self.dim - q])}
+        cols = []
+        for mask in self._masks[q]:
+            image = symplectic_star(QForm(self.dim, {mask: 1}),
+                                    self.model.omega)
+            cols.append({index[m]: c.coeff(0)
+                         for m, c in image.terms.items()})
+        return cols
 
     # -- exact ranks ---------------------------------------------------------
 
-    def _certified_rank(self, kind: str, g: int):
-        """The rank of every nonzero mode's degree-g block, from the
-        chain-homotopy identity on the unit blocks; None when it fails."""
-        prev, here, nxt = (self._space(kind, g + s) for s in (-1, 0, 1))
-        return _homotopy_rank(
-            self._unit(kind, g - 1), self._unit(kind, g),
-            [_interior(here, prev, i) for i in range(self.dim)],
-            [_interior(nxt, here, i) for i in range(self.dim)])
+    def _check_star(self, q: int):
+        """Brylinski's identity delta_j = (-1)^(q+1) * S d_j S on the unit
+        blocks of degree q, with S the symplectic star of the model's
+        omega (the standard form when it has none)."""
+        star, star_back = self._star(q), self._star(self.dim - q + 1)
+        sign = (-1) ** (q + 1)
+        units = zip(self._unit("d", self.dim - q), self._unit("delta", q))
+        for j, (d_j, delta_j) in enumerate(units):
+            for c, col in enumerate(star):
+                mid, out = {}, {}
+                _apply(d_j, col, mid)
+                _apply(star_back, mid, out)
+                if out != {r: sign * x for r, x in delta_j[c].items()}:
+                    raise AssertionError(
+                        f"delta degree {q}: delta is not (-1)^(q+1) * d * "
+                        f"on unit mode e_{j + 1}, column {c}")
 
     def _rank(self, kind: str, g: int) -> int:
         """Sum of the ranks of every mode's degree-g block."""
         key = (kind, g)
         if key not in self._rank_cache:
-            t = None if kind == "delta" else self._certified_rank(kind, g)
-            if t is None:
-                total, parts = 0, self.directions.items()
+            if kind == "delta":
+                self._check_star(g)
+                total = self.d_rank(self.dim - g)
             else:
-                # certified nonzero modes; the zero mode is eliminated
+                prev, here, nxt = (self._space(kind, g + s)
+                                   for s in (-1, 0, 1))
+                t = _homotopy_rank(
+                    f"{kind} degree {g}",
+                    self._unit(kind, g - 1), self._unit(kind, g),
+                    [_interior(here, prev, i) for i in range(self.dim)],
+                    [_interior(nxt, here, i) for i in range(self.dim)])
+                # t on every nonzero mode; the zero mode's block is 0
                 total = t * (len(self.fmodes) - 1)
-                parts = [((0,) * self.dim, 1)]
-            for direction, mult in parts:
-                total += mult * matrix_rank(self._block(kind, direction, g))
             self._rank_cache[key] = total
         return self._rank_cache[key]
 
@@ -300,8 +285,8 @@ def _apply(block, vec, acc):
             add_term(acc, s, x * y)
 
 
-def _homotopy_rank(a_prev, a, b, b_next):
-    """t such that every nonzero A(k) = sum_j k_j a[j] has rank t, or None.
+def _homotopy_rank(label, a_prev, a, b, b_next) -> int:
+    """t such that every nonzero A(k) = sum_j k_j a[j] has rank t.
 
     a_prev[j] and a[j] are the unit blocks into and out of one degree,
     b[i] and b_next[i] the contractions iota(e_i) on that degree and the
@@ -313,7 +298,8 @@ def _homotopy_rank(a_prev, a, b, b_next):
     A(k)A_prev(k) = 0.  So P = A(k)H(k) has P^2 = P and P A(k) = A(k):
     P projects onto im A(k), and rank A(k) = trace P = k^T T k / |k|^2
     with T_ij = trace(a[j] b_next[i]).  Certified only when T = t*I for
-    an integer t, so the rank is t on every nonzero mode.
+    an integer t, so the rank is t on every nonzero mode.  A failed
+    check raises AssertionError prefixed with label.
     """
     dim = len(a)
     for c in range(len(b[0])):
@@ -323,7 +309,9 @@ def _homotopy_rank(a_prev, a, b, b_next):
                 _apply(a_prev[j], b[i][c], acc)
                 _apply(b_next[i], a[j][c], acc)
                 if acc != ({c: 1} if i == j else {}):
-                    return None
+                    raise AssertionError(
+                        f"{label}: A_j B_i + B_i A_j is not delta_ij I at "
+                        f"(i, j) = ({i}, {j}), column {c}")
     for c in range(len(a_prev[0])):
         for i in range(dim):
             for j in range(i, dim):
@@ -331,7 +319,9 @@ def _homotopy_rank(a_prev, a, b, b_next):
                 _apply(a[i], a_prev[j][c], acc)
                 _apply(a[j], a_prev[i][c], acc)
                 if acc:
-                    return None
+                    raise AssertionError(
+                        f"{label}: A_i A_j + A_j A_i is not 0 at "
+                        f"(i, j) = ({i}, {j}), column {c}")
     trace = [[sum(a[j][r].get(c, 0) * x
                   for c, col in enumerate(b_next[i]) for r, x in col.items())
               for j in range(dim)] for i in range(dim)]
@@ -339,7 +329,9 @@ def _homotopy_rank(a_prev, a, b, b_next):
     if Fraction(t).denominator != 1 or any(
             trace[i][j] != (t if i == j else 0)
             for i in range(dim) for j in range(dim)):
-        return None
+        raise AssertionError(
+            f"{label}: the trace table tr(A_j B_i) is not t*I for an "
+            f"integer t: {[[str(x) for x in row] for row in trace]}")
     return int(t)
 
 
@@ -413,14 +405,7 @@ def poisson_homology_dims(c: TruncatedComplex) -> DimensionReport:
 
 
 def _window_prediction(c: TruncatedComplex, betti, m: int) -> int:
-    total = 0
-    for q in range(c.dim + 1):
-        if (m - q) % 2:
-            continue
-        if c.mode == "polynomial" and (m - q) // 2 < 0:
-            continue
-        total += betti[q]
-    return total
+    return sum(betti[q] for _, q in c.slots(m))
 
 
 def quantum_cohomology_dims(c: TruncatedComplex) -> DimensionReport:

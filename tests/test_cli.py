@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from qdr import cli, cpn
+from qdr import cli, cohomology, cpn
 from qdr.cli import (
     Options,
     ScenarioError,
@@ -465,6 +465,34 @@ def test_raising_relation17_fails_the_cpn_table_task(tmp_path, monkeypatch,
     task = run_scenario(path)["tasks"][0]
     assert task["pass"] is False and task["error"] == "forced failure"
     assert "nilpotency_order" not in task
+
+
+def test_failed_rank_identity_reports_fail(tmp_path, monkeypatch, capsys):
+    real = cohomology._interior
+
+    def flipped(src, tgt, i):
+        cols = real(src, tgt, i)
+        if i == 0:
+            cols = [{r: -x for r, x in col.items()} for col in cols]
+        return cols
+    monkeypatch.setattr(cohomology, "_interior", flipped)
+    path = scenario_file(tmp_path, {
+        "model": "torus", "n": 1, "truncation": 1,
+        "tasks": [{"op": "cohomology", "theory": "de_rham"}]})
+    for argv in (["--scenario", path],
+                 ["--check", "cohomology", "--n", "1", "--truncation", "1"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == \
+            "FAIL  1 checks, 1 failed, 1 tasks"
+    scenario = run_scenario(path)["tasks"][0]
+    assert "rows" not in scenario
+    # both reports meet the de Rham ranks first
+    for task in (scenario,
+                 check("cohomology", Options(n=1, truncation=1))["tasks"][0]):
+        assert task["pass"] is False
+        assert task["error"].startswith("d degree 0: ")
 
 
 @pytest.mark.parametrize("target", ["lemma62_check", "delta_component_check"])

@@ -1,12 +1,14 @@
 """Truncated-complex ranks, the graded integral, and the contraction
 constants of the symplectic power family. Frozen dimension tables first."""
 
+import sys
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 
-from qdr import cohomology
+from qdr import cohomology, linalg
 from qdr.blades import masks_of_degree
 from qdr.cohomology import (
     build_complex,
@@ -15,7 +17,6 @@ from qdr.cohomology import (
     e1_dims,
     lemma62_check,
     poisson_homology_dims,
-    primitive_direction,
     quantum_cohomology_dims,
     quantum_integral,
     stokes_check,
@@ -141,6 +142,13 @@ def test_torus4_dimension_tables():
 I_TAU = TauNumber.tau(1, GaussRat(0, 1))
 
 
+def _symplectic_torus(omega, n, N):
+    w = bivector_of(omega)
+    poisson = PoissonField(2 * n, {(i, j): c for i, j, c in w.upper_entries()})
+    return Model("torus", 2 * n, FourierFn, poisson, omega,
+                 torus_n=n, torus_N=N)
+
+
 def _darboux_torus(seed, n, N):
     """Torus whose constant symplectic form pairs shuffled coordinates,
     pair a scaled by 2/3, -3/2, 2/3, ...; distinct scales tell d - h*delta
@@ -153,11 +161,20 @@ def _darboux_torus(seed, n, N):
         i, j = perm[2 * a], perm[2 * a + 1]
         c = (Fraction(2, 3), Fraction(-3, 2))[a % 2]
         rows[i][j], rows[j][i] = c, -c
-    omega = SymplecticForm(dim, rows)
-    w = bivector_of(omega)
-    poisson = PoissonField(dim, {(i, j): c for i, j, c in w.upper_entries()})
-    return Model("torus", dim, FourierFn, poisson, omega,
-                 torus_n=n, torus_N=N)
+    return _symplectic_torus(SymplecticForm(dim, rows), n, N)
+
+
+def _dense_torus(seed, n, N):
+    """Torus whose constant symplectic form has every entry above the
+    diagonal nonzero, so its star is no signed permutation of blades."""
+    rng = Random(seed)
+    dim = 2 * n
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            rows[i][j], rows[j][i] = c, -c
+    return _symplectic_torus(SymplecticForm(dim, rows), n, N)
 
 
 def _over_i_tau(t):
@@ -188,19 +205,58 @@ def _masks(dim, q):
     return list(masks_of_degree(dim, q)) if 0 <= q <= dim else []
 
 
+def _primitive_direction(kvec):
+    """(direction, c) with kvec == c * direction, direction primitive and
+    its first nonzero entry positive; the zero mode is its own direction
+    with c = 0."""
+    g = gcd(*kvec)
+    if not g:
+        return tuple(kvec), 0
+    if next(k for k in kvec if k) < 0:
+        g = -g
+    return tuple(k // g for k in kvec), g
+
+
+def _directions(c):
+    """Each primitive mode direction (up to sign) with the number of
+    truncated modes on its line."""
+    counts = {}
+    for kvec in c.fmodes:
+        direction, _ = _primitive_direction(kvec)
+        counts[direction] = counts.get(direction, 0) + 1
+    return counts
+
+
+# degree step of each differential: d and d_h raise the degree, delta
+# lowers the blade degree
+_STEP = {"d": 1, "delta": -1, "dh": 1}
+
+
+def _block(c, kind, direction, g):
+    """Dense block of the mode `direction` at degree g, rows over the
+    target degree: sum_j direction[j] * (unit block of e_j)."""
+    ncols = len(c._space(kind, g))
+    rows = [[Fraction(0)] * ncols
+            for _ in c._space(kind, g + _STEP[kind])]
+    for k, cols in zip(direction, c._unit(kind, g)):
+        for col_index, col in enumerate(cols):
+            for r, x in col.items():
+                rows[r][col_index] += k * x
+    return rows
+
+
 COMPARED = {"torus(1,2)": torus(1, 2), "torus(2,1)": torus(2, 1),
             "darboux(2,1)": _darboux_torus(3, 2, 1)}
+RANKED = {**COMPARED, "dense(2,1)": _dense_torus(11, 2, 1)}
 
 
 @pytest.mark.parametrize("model", COMPARED.values(), ids=COMPARED.keys())
 def test_direction_blocks_match_fieldform_blocks(model):
     c = build_complex(model, model.torus_N, "laurent")
     dim = c.dim
-    counts = {}
     for kvec in c.fmodes:
-        direction, scale = primitive_direction(kvec)
+        direction, scale = _primitive_direction(kvec)
         assert tuple(scale * x for x in direction) == kvec
-        counts[direction] = counts.get(direction, 0) + 1
         for q in range(dim + 1):
             src = _masks(dim, q)
             elems = [FieldForm.from_fn(FourierFn.mode(dim, kvec), mask)
@@ -213,9 +269,9 @@ def test_direction_blocks_match_fieldform_blocks(model):
                 [koszul_delta(e, c.w) for e in elems], kvec,
                 {(0, m): r for r, m in enumerate(_masks(dim, q - 1))},
                 len(src))
-            assert d_ref == _scaled(scale, c._block("d", direction, q))
+            assert d_ref == _scaled(scale, _block(c, "d", direction, q))
             assert delta_ref == _scaled(scale,
-                                        c._block("delta", direction, q))
+                                        _block(c, "delta", direction, q))
         for m in range(-1, c.max_degree + 1):
             src = c.basis(m)
             images = [quantum_d(FieldForm.from_fn(
@@ -224,8 +280,7 @@ def test_direction_blocks_match_fieldform_blocks(model):
             dh_ref = _reference_block(
                 images, kvec,
                 {pm: r for r, pm in enumerate(c.basis(m + 1))}, len(src))
-            assert dh_ref == _scaled(scale, c._block("dh", direction, m))
-    assert counts == c.directions
+            assert dh_ref == _scaled(scale, _block(c, "dh", direction, m))
 
 
 # -- certified ranks against elimination -----------------------------------
@@ -238,8 +293,8 @@ def _degrees(c, kind):
 
 def _eliminated(c, kind, g):
     """Sum over directions of multiplicity * rank, every block eliminated."""
-    return sum(mult * matrix_rank(c._block(kind, direction, g))
-               for direction, mult in c.directions.items())
+    return sum(mult * matrix_rank(_block(c, kind, direction, g))
+               for direction, mult in _directions(c).items())
 
 
 def _rank(c, kind, g):
@@ -247,19 +302,20 @@ def _rank(c, kind, g):
 
 
 @pytest.mark.parametrize("mode", ("laurent", "polynomial"))
-@pytest.mark.parametrize("model", COMPARED.values(), ids=COMPARED.keys())
+@pytest.mark.parametrize("model", RANKED.values(), ids=RANKED.keys())
 def test_certified_ranks_match_elimination(model, mode):
     c = build_complex(model, model.torus_N, mode)
     zero = (0,) * c.dim
-    for kind in ("d", "dh"):
+    nonzero = len(c.fmodes) - 1
+    for kind in ("d", "delta", "dh"):
         for g in _degrees(c, kind):
-            t = c._certified_rank(kind, g)
-            assert t is not None, (kind, g)
-            for direction in c.directions:
-                if direction != zero:
-                    block = c._block(kind, direction, g)
-                    assert matrix_rank(block) == t, (kind, g, direction)
-            assert _rank(c, kind, g) == _eliminated(c, kind, g)
+            total = _rank(c, kind, g)
+            # every nonzero mode has one rank; the zero mode has 0
+            for direction in _directions(c):
+                rank = matrix_rank(_block(c, kind, direction, g))
+                assert rank * nonzero == (total if direction != zero else 0), \
+                    (kind, g, direction)
+            assert total == _eliminated(c, kind, g), (kind, g)
 
 
 def _all_ranks(c):
@@ -275,15 +331,14 @@ def test_flipped_contraction_fails_the_identity(monkeypatch):
         if i == 0:
             cols = [{r: -x for r, x in col.items()} for col in cols]
         return cols
-    ref = _all_ranks(build_complex(torus(2, 1), 1))
     monkeypatch.setattr(cohomology, "_interior", flipped)
     c = build_complex(torus(2, 1), 1)
     for kind in ("d", "dh"):
         for g in _degrees(c, kind):
             if c._space(kind, g):
-                assert c._certified_rank(kind, g) is None, (kind, g)
-    # every rank falls back to elimination and stays right
-    assert _all_ranks(c) == ref
+                with pytest.raises(AssertionError,
+                                   match=f"^{kind} degree {g}: "):
+                    _rank(c, kind, g)
 
 
 def _delta_positions(c):
@@ -294,10 +349,12 @@ def _delta_positions(c):
             for row in range(len(c._space("delta", q - 1)))]
 
 
-@pytest.mark.parametrize("model", (torus(1, 2), _darboux_torus(5, 2, 1)),
-                         ids=("torus(1,2)", "darboux(2,1)"))
-def test_perturbed_delta_entry_falls_back(model):
-    # some perturbations pass identity (a) on a degree and fail only (b)
+@pytest.mark.parametrize(
+    "model", (torus(1, 2), _darboux_torus(5, 2, 1), _dense_torus(2, 2, 1)),
+    ids=("torus(1,2)", "darboux(2,1)", "dense(2,1)"))
+def test_perturbed_delta_entry_fails_the_identities(model):
+    # some perturbations pass identity (a) on a degree and fail only (b);
+    # the star check rejects every one on the degree it touches
     positions = _delta_positions(build_complex(model, model.torus_N))
     if model.dim > 2:
         positions = Random(7).sample(positions, 8)
@@ -305,18 +362,29 @@ def test_perturbed_delta_entry_falls_back(model):
         c = build_complex(model, model.torus_N)
         entries = c._units["delta"][q][j][col]
         entries[row] = entries.get(row, 0) + 1
-        certified = [c._certified_rank("dh", m) for m in _degrees(c, "dh")]
-        assert None in certified, (q, j, col, row)
+        with pytest.raises(AssertionError, match=f"^delta degree {q}: "):
+            c.delta_rank(q)
+        failed = []
         for m in _degrees(c, "dh"):
-            assert c.dh_rank(m) == _eliminated(c, "dh", m), (q, j, col, m)
+            try:
+                rank = c.dh_rank(m)
+            except AssertionError as ex:
+                assert str(ex).startswith(f"dh degree {m}: "), ex
+                failed.append(m)
+                continue
+            # a degree whose identity holds keeps its rank
+            assert rank == _eliminated(c, "dh", m), (q, j, col, m)
+        assert failed, (q, j, col, row)
 
 
 def test_uniform_delta_rescale_keeps_identity_and_ranks():
     # Not a missed mutation: d - c*h*delta is conjugate to d - h*delta
-    # by h^p -> c^p h^p, so a uniform rescale of delta passes the
-    # identity and keeps every rank.  Do not "fix" this test to fail.
+    # by h^p -> c^p h^p, so a uniform rescale of delta passes the d_h
+    # identity and keeps every d_h rank.  Do not "fix" this part to
+    # fail.  The star check ties delta to omega, so every delta rank of
+    # the rescaled complex raises.
     model = _darboux_torus(3, 2, 1)
-    ref = _all_ranks(build_complex(model, 1))
+    ref = build_complex(model, 1)
     for scale in (Fraction(3), Fraction(-2, 5)):
         c = build_complex(model, 1)
         for per_j in c._units["delta"].values():
@@ -325,8 +393,17 @@ def test_uniform_delta_rescale_keeps_identity_and_ranks():
                     for row in col:
                         col[row] *= scale
         for m in _degrees(c, "dh"):
-            assert c._certified_rank("dh", m) is not None
-        assert _all_ranks(c) == ref
+            assert c.dh_rank(m) == ref.dh_rank(m)
+        for q in range(1, c.dim + 1):
+            with pytest.raises(AssertionError, match=f"^delta degree {q}: "):
+                c.delta_rank(q)
+
+
+def test_cohomology_keeps_one_rank_path():
+    for name in ("primitive_direction", "_STEP", "matrix_rank"):
+        assert not hasattr(cohomology, name), name
+    assert not hasattr(cohomology.TruncatedComplex, "_block")
+    assert not hasattr(build_complex(T2, 1), "directions")
 
 
 # -- what each report builds -----------------------------------------------
@@ -350,30 +427,26 @@ def test_de_rham_and_poisson_reports_assemble_no_dh_block(monkeypatch):
     assert calls
 
 
-def test_quantum_report_eliminates_only_zero_mode_blocks(monkeypatch):
-    built = []
+def test_reports_eliminate_no_block(monkeypatch):
     ranked = []
-    real_block = cohomology.TruncatedComplex._block
-    real_rank = cohomology.matrix_rank
-
-    def block(self, kind, direction, g):
-        built.append(direction)
-        return real_block(self, kind, direction, g)
+    real_rank = linalg.matrix_rank
 
     def rank(rows):
         ranked.append(rows)
         return real_rank(rows)
-    monkeypatch.setattr(cohomology.TruncatedComplex, "_block", block)
-    monkeypatch.setattr(cohomology, "matrix_rank", rank)
+    # every qdr namespace that holds the function, as a tracer would
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("qdr")
+                and getattr(module, "matrix_rank", None) is real_rank):
+            monkeypatch.setattr(module, "matrix_rank", rank)
     expected = {"laurent": (8,) * 6, "polynomial": (1, 4, 7, 8, 8, 8)}
     for mode, dims in expected.items():
-        built.clear()
-        ranked.clear()
         c = build_complex(torus(2, 1), 1, mode)
         assert quantum_cohomology_dims(c).dims == dims
-        assert ranked and len(ranked) == len(built)
-        assert set(built) == {(0, 0, 0, 0)}
-        assert all(not x for rows in ranked for row in rows for x in row)
+        assert dr_cohomology_dims(c).passed()
+        assert poisson_homology_dims(c).passed()
+        assert degeneracy_check(c)["degenerate"]
+    assert ranked == []
 
 
 def test_torus6_dimension_tables():
@@ -383,13 +456,6 @@ def test_torus6_dimension_tables():
     rep = quantum_cohomology_dims(c)
     assert rep.dims == (32,) * 8
     assert rep.passed()
-
-
-def test_primitive_direction():
-    assert primitive_direction((0, 0, 0)) == ((0, 0, 0), 0)
-    assert primitive_direction((2, -4)) == ((1, -2), 2)
-    assert primitive_direction((0, -3, 6)) == ((0, 1, -2), -3)
-    assert primitive_direction((-1, 1)) == ((1, -1), -1)
 
 
 def test_complex_builds_unit_blocks_once(monkeypatch):
@@ -402,7 +468,7 @@ def test_complex_builds_unit_blocks_once(monkeypatch):
         return real(form, w)
     monkeypatch.setattr(cohomology, "koszul_delta", counting)
     c = build_complex(torus(2, 1), 1)
-    assert len(c.fmodes) == 81 and len(c.directions) == 41
+    assert len(c.fmodes) == 81
     assert len(calls) == c.dim * 2 ** c.dim == 64
 
 
