@@ -90,6 +90,7 @@ class TruncatedComplex:
         self._units = {"d": {}, "delta": {}, "dh": {}}
         self._build_unit_blocks()
         self._rank_cache = {}
+        self._stars = {}
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -202,14 +203,17 @@ class TruncatedComplex:
 
     def _star(self, q: int):
         """The symplectic star on the degree-q blades, as sparse columns
-        into degree dim - q."""
-        index = {mask: r for r, mask in enumerate(self._masks[self.dim - q])}
-        cols = []
-        for mask in self._masks[q]:
-            image = symplectic_star(QForm(self.dim, {mask: 1}),
-                                    self.model.omega)
-            cols.append({index[m]: c.coeff(0)
-                         for m, c in image.terms.items()})
+        into degree dim - q; each degree's is built once per complex."""
+        cols = self._stars.get(q)
+        if cols is None:
+            index = {mask: r
+                     for r, mask in enumerate(self._masks[self.dim - q])}
+            cols = self._stars[q] = []
+            for mask in self._masks[q]:
+                image = symplectic_star(QForm(self.dim, {mask: 1}),
+                                        self.model.omega)
+                cols.append({index[m]: c.coeff(0)
+                             for m, c in image.terms.items()})
         return cols
 
     # -- exact ranks ---------------------------------------------------------

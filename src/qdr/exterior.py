@@ -21,11 +21,26 @@ increasing order, so it reaches each term of that determinant once and
 never carries a factorial. The sum terminates because each step lowers
 both degrees. Everything is exact: coefficients are polynomials
 (optionally Laurent) in h over the rationals.
+
+The kernel is fraction-free, after Bareiss (Math. Comp. 22, 1968). A
+pairing keeps its nonzero entries as numerators over one common
+denominator D, the lcm of the entries' denominators: ints for rational
+entries, Gaussian rationals with int parts for Gaussian ones, and
+function-valued entries as they are, with D = 1. So the kernel's
+level-n coefficient is the numerator D^n * sA * sB * det w[I, J], and
+its callers divide by D^n: quantum_wedge lifts every level-n numerator
+to the level top that no contraction passes, adds integer numerators
+over the one denominator da * db * D^top (da and db clear the
+denominators of the two factors) and divides once per surviving term,
+so every coefficient that leaves it is a Fraction or a Gaussian
+rational with Fraction parts again (scalars.clear_denominators and
+scalars.over).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .blades import (
     Blade,
@@ -37,7 +52,7 @@ from .blades import (
     wedge_masks,
 )
 from .scalars import (GaussRat, HPoly, HPolyMulti, SparseTerms, add_term,
-                      as_fraction)
+                      as_fraction, clear_denominators, convolve, over)
 
 
 class PairTensor:
@@ -59,10 +74,12 @@ class PairTensor:
                          for (i, j), c in sorted(self.entries.items())]
         self._constant = all(isinstance(c, (Fraction, int, GaussRat))
                              for c in self.entries.values())
-        # per row i, the (bit of j, w^{ij}, -w^{ij}) of its nonzero entries
+        # per row i, the (bit of j, num, -num) of its nonzero entries,
+        # num = D * w^{ij} over the common denominator D = self.den
+        nums, self.den = clear_denominators(c for _, _, c in self._ordered)
         self._rows = [[] for _ in range(dim + 1)]
-        for i, j, c in self._ordered:
-            self._rows[i].append((1 << (j - 1), c, -c))
+        for (i, j, _), num in zip(self._ordered, nums):
+            self._rows[i].append((1 << (j - 1), num, -num))
         self._cache = {}
 
     def entry(self, i: int, j: int):
@@ -139,19 +156,19 @@ class Bivector(PairTensor):
 def _contract(amask: int, bmask: int, pairing: PairTensor):
     """Every contraction state of one blade pair, before the final wedge.
 
-    Returns a list of (level n, a', b', coefficient): a' and b' are what
-    is left of a and b after n pair insertions, and the coefficient is
-    sA * sB * det w[I, J] for the removed index sets I and J (see the
-    module docstring), with neither the 1/n! nor the h^n factor. States
-    whose coefficient vanishes are dropped, so only nonzero terms are
-    ever extended. Each step removes from a' an index above every index
-    removed so far; the removed set is amask ^ a', so the next index to
-    try lies above its highest bit.
+    Returns a list of (level n, a', b', numerator): a' and b' are what
+    is left of a and b after n pair insertions, and the numerator is
+    D^n * sA * sB * det w[I, J] for the removed index sets I and J and
+    the pairing's common denominator D (see the module docstring), with
+    neither the 1/n! nor the h^n factor. States whose numerator vanishes
+    are dropped, so only nonzero terms are ever extended. Each step
+    removes from a' an index above every index removed so far; the
+    removed set is amask ^ a', so the next index to try lies above its
+    highest bit.
     """
     rows = pairing._rows
-    one = Fraction(1)
-    out = [(0, amask, bmask, one)]
-    level = {(amask, bmask): one}
+    out = [(0, amask, bmask, 1)]
+    level = {(amask, bmask): 1}
     n = 0
     while level:
         n += 1
@@ -188,9 +205,10 @@ def _contract(amask: int, bmask: int, pairing: PairTensor):
 def expand_blade_pair(amask: int, bmask: int, pairing: PairTensor):
     """All contraction levels of one blade pair.
 
-    Returns a tuple of (level n, result mask, coefficient). The
-    coefficient is the signed minor sA * sB * det w[I, J] of the module
-    docstring times the sign of the final wedge; it carries neither the
+    Returns a tuple of (level n, result mask, numerator). The numerator
+    is D^n times the signed minor sA * sB * det w[I, J] of the module
+    docstring times the sign of the final wedge, D being pairing.den;
+    over(numerator, D**n) is the coefficient. It carries neither the
     h^n factor nor any 1/n! weight, which cancels against the n!
     orderings of each set of pair insertions. Results for constant
     pairings are memoised on the pairing; function-valued entries change
@@ -274,7 +292,11 @@ class QForm(SparseTerms):
     def _operand(self, other):
         if isinstance(other, QForm):
             return other
-        if isinstance(other, (int, Fraction, str, GaussRat, HPoly)):
+        # exact-type tests first: isinstance against Fraction goes
+        # through the slow ABC check
+        t = type(other)
+        if t is int or t is Fraction or t is HPoly or isinstance(
+                other, (int, Fraction, str, GaussRat, HPoly)):
             return QForm(self.dim, {0: other}, laurent=self.laurent)
         return NotImplemented
 
@@ -284,12 +306,18 @@ class QForm(SparseTerms):
         return (self.dim, self.laurent or o.laurent)
 
     def __mul__(self, scalar):
-        if isinstance(scalar, QForm):
-            raise TypeError("use wedge or quantum_wedge for form products")
-        if isinstance(scalar, (int, str)):
-            scalar = as_fraction(scalar)
-        if not isinstance(scalar, (Fraction, GaussRat, HPoly)):
-            return NotImplemented
+        # exact-type tests first, as in _operand
+        t = type(scalar)
+        if t is int:
+            scalar = Fraction(scalar)
+        elif t is not Fraction and t is not HPoly:
+            if isinstance(scalar, QForm):
+                raise TypeError("use wedge or quantum_wedge for form "
+                                "products")
+            if isinstance(scalar, (int, str)):
+                scalar = as_fraction(scalar)
+            if not isinstance(scalar, (Fraction, GaussRat, HPoly)):
+                return NotImplemented
         laurent = self.laurent or (isinstance(scalar, HPoly) and scalar.laurent)
         return self._scale(scalar, self.dim, laurent)
 
@@ -431,26 +459,47 @@ def quantum_wedge(a: QForm, b: QForm, w: PairTensor) -> QForm:
         raise ValueError("dimension mismatch")
     if not w.is_constant():
         raise TypeError("quantum_wedge needs a constant pairing")
-    # per result mask: {h exponent: coefficient}, and whether a Laurent
+    ta, da = _numerators(a)
+    tb, db = _numerators(b)
+    # no contraction passes the lower of the two top blade degrees; a
+    # level-n numerator times D^(top - n) is over da * db * D^top
+    top = min(max((m.bit_count() for m in a.terms), default=0),
+              max((m.bit_count() for m in b.terms), default=0))
+    lift = [w.den ** (top - n) for n in range(top + 1)]
+    # per result mask: {h exponent: numerator}, and whether a Laurent
     # term has contributed since the sum was last zero
     acc, flags = {}, {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            base = ca * cb
-            pairs = base.terms.items()
+    for ma, la, ca in ta:
+        for mb, lb, cb in tb:
+            laurent = la or lb
+            pairs = convolve(ca, cb, add).items()
             for n, m, q in expand_blade_pair(ma, mb, w):
+                q = q * lift[n]
                 t = acc.get(m)
                 if t is None:
                     t = acc[m] = {}
-                    flags[m] = base.laurent
-                elif base.laurent:
+                    flags[m] = laurent
+                elif laurent:
                     flags[m] = True
                 for e, c in pairs:
                     add_term(t, e + n, c * q)
                 if not t:
                     del acc[m], flags[m]
-    return QForm._make({m: HPoly._make(t, flags[m]) for m, t in acc.items()},
+    den = da * db * w.den ** top
+    return QForm._make({m: HPoly._make({e: over(c, den)
+                                        for e, c in t.items()}, flags[m])
+                        for m, t in acc.items()},
                        a.dim, a.laurent or b.laurent)
+
+
+def _numerators(form: QForm):
+    """form's coefficients over one denominator: a list of (mask, Laurent
+    flag, {h exponent: numerator}) and the denominator."""
+    nums, den = clear_denominators(c for hc in form.terms.values()
+                                   for c in hc.terms.values())
+    it = iter(nums)
+    return [(m, hc.laurent, {e: next(it) for e in hc.terms})
+            for m, hc in form.terms.items()], den
 
 
 def quantum_power(a: QForm, k: int, w: PairTensor) -> QForm:
@@ -573,6 +622,7 @@ def quantum_wedge_multi(a: QForm, b: QForm, ws) -> MultiForm:
                 nxt = {}
                 for (am, bm), poly in state.items():
                     for n, a2, b2, q in _contract(am, bm, w):
+                        q = over(q, w.den ** n)
                         t = nxt.setdefault((a2, b2), {})
                         for e, c in poly.items():
                             e = e[:p] + (e[p] + n,) + e[p + 1:]

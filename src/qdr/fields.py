@@ -16,7 +16,7 @@ from .blades import blade_degree, blade_str, insert_first_mask, wedge_masks
 from .exterior import Bivector, QForm, expand_blade_pair
 from .functions import FourierFn, PolyFn
 from .scalars import (GaussRat, HPoly, SparseTerms, add_term, as_fraction,
-                      convolve)
+                      convolve, over)
 
 _PLAIN = (int, Fraction, GaussRat, str)
 
@@ -117,6 +117,11 @@ class FieldForm(SparseTerms):
         return (self.dim, self.fnring)
 
     def __mul__(self, other):
+        # exact-type tests first: isinstance against Fraction goes through
+        # the slow ABC check
+        t = type(other)
+        if t is int or t is Fraction or t is self.fnring:
+            return self._scale(other)
         if isinstance(other, str):
             other = as_fraction(other)
         if isinstance(other, HPoly):
@@ -200,8 +205,8 @@ def quantum_wedge_field(a: FieldForm, b: FieldForm, w: PoissonField):
     for (ha, ma), fa in a.terms.items():
         for (hb, mb), fb in b.terms.items():
             fab = fa * fb
-            for n, mask, coeff in expand_blade_pair(ma, mb, w):
-                add_term(t, (ha + hb + n, mask), fab * coeff)
+            for n, mask, num in expand_blade_pair(ma, mb, w):
+                add_term(t, (ha + hb + n, mask), fab * over(num, w.den ** n))
     return a._like(t)
 
 

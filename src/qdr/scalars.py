@@ -19,10 +19,18 @@ of a terms dict, and only the public constructors validate.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 
 def as_fraction(x) -> Fraction:
+    # exact-type tests first: isinstance against Fraction, a
+    # numbers.Rational, goes through the slow ABC check
+    t = type(x)
+    if t is Fraction:
+        return x
+    if t is int:
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -91,22 +99,34 @@ class SparseTerms:
 
     __slots__ = ("terms",)
 
+    def __init_subclass__(cls, **kwargs):
+        # the space's slot setter and copier are compiled once per class
+        # from one template, as dataclasses does for __init__: a setattr
+        # loop over the slot names costs twice as much per value
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        sets = "; ".join(f"x.{n} = {n}" for n in names) or "pass"
+        copies = "; ".join(f"x.{n} = o.{n}" for n in names) or "pass"
+        ns = {}
+        exec(f"def fill(x, {', '.join(names)}): {sets}\n"
+             f"def copy(x, o): {copies}\n", ns)
+        cls._fill = staticmethod(ns["fill"])
+        cls._copy = staticmethod(ns["copy"])
+
     @classmethod
     def _make(cls, terms: dict, *space):
         """Trusted constructor: terms is zero-free with exact values, and
         space fills the class's own __slots__ in order."""
         x = object.__new__(cls)
         x.terms = terms
-        for name, value in zip(cls.__slots__, space):
-            setattr(x, name, value)
+        cls._fill(x, *space)
         return x
 
     def _like(self, terms: dict):
         """_make on self's space."""
         x = object.__new__(type(self))
         x.terms = terms
-        for name in self.__slots__:
-            setattr(x, name, getattr(self, name))
+        self._copy(x, self)
         return x
 
     def _sum(self, other, sign: int):
@@ -170,7 +190,11 @@ class SparseRing(SparseTerms):
     _SCALARS = (int, Fraction)
 
     def __mul__(self, other):
-        if isinstance(other, self._SCALARS):
+        # exact-type tests first: isinstance against Fraction goes through
+        # the slow ABC check, and a value of the class is never a scalar
+        t = type(other)
+        if t is int or t is Fraction or (
+                t is not type(self) and isinstance(other, self._SCALARS)):
             return self._scale(other)
         o = self._operand(other)
         if o is NotImplemented:
@@ -227,6 +251,8 @@ class GaussRat:
         return GaussRat._make(-self.re, -self.im)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return GaussRat._make(self.re * other, self.im * other)
         if not isinstance(other, (GaussRat,) + GaussRat._COERCIBLE):
             return NotImplemented
         o = GaussRat.coerce(other)
@@ -313,6 +339,44 @@ class GaussRat:
 
 
 I = GaussRat(0, 1)
+
+
+def clear_denominators(values):
+    """(nums, den): den is the lcm of the values' denominators and nums
+    the values times den, rationals as ints and Gaussian rationals with
+    int parts. Fraction-free sums and products of nums are those of the
+    values scaled by a power of den; over(num, den) undoes the scaling.
+    Values of any other ring come back as they are, over den = 1."""
+    values = list(values)
+    den = 1
+    for v in values:
+        t = type(v)
+        if t is GaussRat:
+            den = lcm(den, v.re.denominator, v.im.denominator)
+        elif t is Fraction or t is int:
+            den = lcm(den, v.denominator)
+        else:
+            return values, 1
+    nums = []
+    for v in values:
+        if type(v) is GaussRat:
+            nums.append(GaussRat._make(
+                v.re.numerator * (den // v.re.denominator),
+                v.im.numerator * (den // v.im.denominator)))
+        else:
+            nums.append(v.numerator * (den // v.denominator))
+    return nums, den
+
+
+def over(num, den: int):
+    """num / den, the inverse of clear_denominators: an int numerator
+    gives a Fraction and a Gaussian one Fraction parts, even over 1."""
+    t = type(num)
+    if t is int:
+        return Fraction(num, den)
+    if t is GaussRat:
+        return GaussRat._make(Fraction(num.re, den), Fraction(num.im, den))
+    return num if den == 1 else num / den
 
 
 def _coeff_str(c) -> str:

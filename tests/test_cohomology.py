@@ -472,6 +472,22 @@ def test_complex_builds_unit_blocks_once(monkeypatch):
     assert len(calls) == c.dim * 2 ** c.dim == 64
 
 
+def test_poisson_report_builds_each_star_once(monkeypatch):
+    # one symplectic_star per blade of degree 1..dim: S_q serves degree
+    # q and, as the star back, degree dim - q + 1
+    calls = []
+    real = cohomology.symplectic_star
+
+    def counting(form, omega):
+        calls.append(form)
+        return real(form, omega)
+    monkeypatch.setattr(cohomology, "symplectic_star", counting)
+    c = build_complex(torus(2, 1), 1)
+    poisson_homology_dims(c)
+    assert len(calls) == 2 ** c.dim - 1
+    assert len({next(iter(f.terms)) for f in calls}) == len(calls)
+
+
 def test_complex_rejects_entries_off_i_tau():
     # a complex bivector gives real delta entries; a tau in the bivector
     # gives tau^2; a nonconstant one moves modes

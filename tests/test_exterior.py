@@ -37,10 +37,13 @@ from qdr.fixtures import heisenberg, lie_poisson_so3, torus
 from qdr.rand import (
     random_bivector,
     random_fieldform,
+    random_gauss,
     random_pairing,
+    random_polyfn,
     random_qform,
 )
-from qdr.scalars import HPoly, HPolyMulti
+from qdr.functions import PolyFn
+from qdr.scalars import GaussRat, HPoly, HPolyMulti, SparseTerms, over
 from qdr.symplectic import SymplecticForm
 
 E1 = QForm.one_form(2, 1)
@@ -326,6 +329,11 @@ def reference_quantum_wedge_multi(a, b, ws):
     return MultiForm(a.dim, r, out)
 
 
+def divided(expansion, w):
+    """The kernel's level-n numerators over D^n: its coefficients."""
+    return [(n, m, over(c, w.den ** n)) for n, m, c in expansion]
+
+
 def summed(expansion):
     """(level, mask) -> (coefficient, its type), zero sums dropped."""
     acc = {}
@@ -352,10 +360,10 @@ def test_kernel_matches_reference_on_random_pairings():
         w = (random_pairing(rng, dim) if trial % 2
              else random_bivector(rng, dim))
         a, b = rng.randrange(1 << dim), rng.randrange(1 << dim)
-        assert summed(expand_blade_pair(a, b, w)) == \
+        assert summed(divided(expand_blade_pair(a, b, w), w)) == \
             summed(reference_expand_blade_pair(a, b, w))
         # a second call answers from the memo and must agree too
-        assert summed(expand_blade_pair(a, b, w)) == \
+        assert summed(divided(expand_blade_pair(a, b, w), w)) == \
             summed(reference_expand_blade_pair(a, b, w))
     for trial in range(40):
         dim = 2 + trial % 5
@@ -375,7 +383,7 @@ def test_kernel_matches_reference_on_gaussian_pairings():
         dim = w.dim
         for _ in range(30):
             a, b = rng.randrange(1 << dim), rng.randrange(1 << dim)
-            assert summed(expand_blade_pair(a, b, w)) == \
+            assert summed(divided(expand_blade_pair(a, b, w), w)) == \
                 summed(reference_expand_blade_pair(a, b, w))
         x = random_qform(rng, dim, nterms=3)
         y = random_qform(rng, dim, nterms=3)
@@ -390,10 +398,20 @@ def test_field_product_matches_reference(build, monkeypatch):
     rng = Random(613)
     pairs = [(random_fieldform(rng, model, nterms=2),
               random_fieldform(rng, model, nterms=2)) for _ in range(6)]
-    new = [fields.quantum_wedge_field(x, y, model.poisson) for x, y in pairs]
-    monkeypatch.setattr(fields, "expand_blade_pair",
-                        reference_expand_blade_pair)
-    ref = [fields.quantum_wedge_field(x, y, model.poisson) for x, y in pairs]
+    assert_field_product_matches_reference(model.poisson, pairs, monkeypatch)
+
+
+def reference_numerators(amask, bmask, pairing):
+    """The reference expansion as the kernel's level-n numerators."""
+    return tuple((n, m, c * pairing.den ** n) for n, m, c in
+                 reference_expand_blade_pair(amask, bmask, pairing))
+
+
+def assert_field_product_matches_reference(w, pairs, monkeypatch):
+    new = [fields.quantum_wedge_field(x, y, w) for x, y in pairs]
+    with monkeypatch.context() as patch:
+        patch.setattr(fields, "expand_blade_pair", reference_numerators)
+        ref = [fields.quantum_wedge_field(x, y, w) for x, y in pairs]
     assert new == ref
     assert [f.serialize() for f in new] == [f.serialize() for f in ref]
 
@@ -406,7 +424,7 @@ def test_kernel_matches_reference_on_omega_powers_dim10():
         for q in powers:
             for a in p.terms:
                 for b in q.terms:
-                    assert summed(expand_blade_pair(a, b, w)) == \
+                    assert summed(divided(expand_blade_pair(a, b, w), w)) == \
                         summed(reference_expand_blade_pair(a, b, w))
     assert_same_product(quantum_wedge(powers[1], powers[2], w),
                         reference_quantum_wedge(powers[1], powers[2], w))
@@ -454,13 +472,141 @@ def test_level_coefficients_are_signed_minors():
         w = random_pairing(rng, dim, density=0.7) if trial % 2 \
             else random_bivector(rng, dim)
         a, b = rng.randrange(1 << dim), rng.randrange(1 << dim)
-        got = {(n, a2, b2): c for n, a2, b2, c in _contract(a, b, w)}
+        got = {(n, a2, b2): over(c, w.den ** n)
+               for n, a2, b2, c in _contract(a, b, w)}
         assert got == minor_oracle(a, b, w)
     # e1^e2 against e1^e2: the 2x2 level is det [[w11, w12], [w21, w22]]
     w = PairTensor(2, {(1, 1): 2, (1, 2): 3, (2, 1): 5, (2, 2): 7})
     top = mask_of_indices((1, 2))
-    got = {(n, a2, b2): c for n, a2, b2, c in _contract(top, top, w)}
+    got = {(n, a2, b2): over(c, w.den ** n)
+           for n, a2, b2, c in _contract(top, top, w)}
     assert got[(2, 0, 0)] == -(2 * 7 - 3 * 5)
+
+
+# --------------------------------------- numerators over one denominator
+
+
+MIXED = PairTensor(2, {(1, 1): Fraction(1, 2), (1, 2): Fraction(2, 3),
+                       (2, 1): Fraction(5, 4)})
+GAUSS = PairTensor(2, {(1, 2): GaussRat(Fraction(1, 2), Fraction(-1, 3)),
+                       (2, 1): GaussRat(0, Fraction(3, 4)),
+                       (2, 2): Fraction(2, 5)})
+
+
+def test_pairing_keeps_numerators_over_one_denominator():
+    assert MIXED.den == 12
+    assert [num for row in MIXED._rows for _, num, _ in row] == [6, 8, 15]
+    assert GAUSS.den == 60
+    nums = [num for row in GAUSS._rows for _, num, _ in row]
+    assert nums == [GaussRat(30, -20), GaussRat(0, 45), 24]
+    assert [type(x.re) for x in nums[:2]] == [int, int]
+    # a field-valued entry stays as it is, over 1
+    fn = fields.PoissonField(2, {(1, 2): PolyFn.coord(2, 1) * Fraction(1, 3)})
+    assert fn.den == 1
+    assert [num for row in fn._rows for _, num, _ in row] == \
+        [c for _, _, c in fn.ordered_entries()]
+
+
+def test_mixed_denominators_match_reference_with_laurent_flags():
+    # the e1^e2 sum of x *_h y cancels after two Laurent contributions
+    # and then starts afresh from a polynomial one, without the flag
+    lau = lambda c: HPoly({0: c}, laurent=True)
+    x = QForm(2, {0b01: lau(Fraction(2, 3)), 0b10: lau(Fraction(1, 2)),
+                  0b11: HPoly({0: Fraction(1, 5)})})
+    y = QForm(2, {0b10: Fraction(3, 4), 0b01: 1, 0: 7})
+    out = quantum_wedge(x, y, MIXED)
+    assert out.laurent and not flags(out)[0b11]
+    assert out.coeff(0b11) == HPoly({0: Fraction(7, 5)})
+    assert_same_product(out, reference_quantum_wedge(x, y, MIXED))
+    rng = Random(617)
+    units = [HPoly({0: Fraction(2, 3)}), HPoly({1: Fraction(-5, 4)}),
+             HPoly({-1: Fraction(3, 7)}, laurent=True),
+             HPoly({0: Fraction(-2, 3)}, laurent=True),
+             HPoly({0: Fraction(2, 3)}, laurent=True)]
+    for _ in range(60):
+        x, y = (QForm(2, {rng.randrange(4): rng.choice(units)
+                          for _ in range(3)}) for _ in range(2))
+        assert_same_product(quantum_wedge(x, y, MIXED),
+                            reference_quantum_wedge(x, y, MIXED))
+
+
+def test_gaussian_denominators_match_reference():
+    rng = Random(618)
+    for a in range(4):
+        for b in range(4):
+            assert summed(divided(expand_blade_pair(a, b, GAUSS), GAUSS)) \
+                == summed(reference_expand_blade_pair(a, b, GAUSS))
+    for _ in range(30):
+        x = random_qform(rng, 2, nterms=3)
+        y = QForm(2, {rng.randrange(4): HPoly({rng.randrange(2):
+                                               random_gauss(rng)})
+                      for _ in range(3)})
+        assert_same_product(quantum_wedge(x, y, GAUSS),
+                            reference_quantum_wedge(x, y, GAUSS))
+        assert_same_product(quantum_wedge(y, x, GAUSS),
+                            reference_quantum_wedge(y, x, GAUSS))
+
+
+def test_rational_poisson_field_matches_reference(monkeypatch):
+    w = fields.PoissonField(4, {(1, 2): Fraction(2, 3), (3, 4): Fraction(5, 4),
+                                (1, 3): Fraction(-1, 2)})
+    assert w.is_constant() and w.den == 12
+    rng = Random(619)
+    pairs = []
+    for _ in range(6):
+        x, y = (random_qform(rng, 4, nterms=3) for _ in range(2))
+        assert_same_product(quantum_wedge(x, y, w),
+                            reference_quantum_wedge(x, y, w))
+        assert fields.quantum_wedge_field(
+            fields.lift(x, PolyFn), fields.lift(y, PolyFn), w) == \
+            fields.lift(quantum_wedge(x, y, w), PolyFn)
+        pairs.append(tuple(
+            fields.FieldForm(4, PolyFn, {(rng.randrange(2), rng.randrange(16)):
+                                         random_polyfn(rng, 4)
+                                         for _ in range(2)})
+            for _ in range(2)))
+    assert_field_product_matches_reference(w, pairs, monkeypatch)
+
+
+def leaves(value):
+    """The innermost scalars of a value: Fraction parts and the like."""
+    if isinstance(value, SparseTerms):
+        for c in value.terms.values():
+            yield from leaves(c)
+    elif isinstance(value, GaussRat):
+        yield value.re
+        yield value.im
+    else:
+        yield value
+
+
+def test_only_fractions_leave_the_kernel():
+    rng = Random(620)
+    x, y = (random_qform(rng, 2, nterms=4) for _ in range(2))
+    z = QForm(2, {0b01: random_gauss(rng), 0b10: 1, 0b11: HPoly({1: 2})})
+    std = fields.PoissonField(2, {(1, 2): 1})
+    # Gaussian integers all through: every denominator is 1
+    gint = PairTensor(2, {(1, 2): GaussRat(0, 1), (2, 1): 2})
+    zint = QForm(2, {0b01: GaussRat(1, 2), 0b10: GaussRat(0, -1)})
+    assert gint.den == 1
+    products = [quantum_wedge(x, y, MIXED), quantum_wedge(z, y, MIXED),
+                quantum_wedge(x, y, GAUSS), quantum_wedge(z, z, GAUSS),
+                quantum_wedge(zint, zint, gint),
+                quantum_wedge(x, y, W2), quantum_wedge(E1, E2, std),
+                quantum_wedge_multi(x.classical(), y.classical(),
+                                    (MIXED, W2)),
+                fields.quantum_wedge_field(fields.lift(x, PolyFn),
+                                           fields.lift(y, PolyFn), std),
+                fields.quantum_wedge_field(fields.lift(x, PolyFn),
+                                           fields.lift(z, PolyFn), std)]
+    assert all(products)
+    for p in products:
+        assert {type(c) for c in leaves(p)} == {Fraction}, p
+    for w in (MIXED, GAUSS, gint, std):
+        for a in range(4):
+            for b in range(4):
+                for _, _, c in divided(expand_blade_pair(a, b, w), w):
+                    assert {type(v) for v in leaves(c)} == {Fraction}
 
 
 def test_multi_matches_reference_level_loop():
