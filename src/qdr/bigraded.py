@@ -9,12 +9,19 @@ deformation parameter counts (1,1).
 The Hermitian pairing contracts a product at parameter one and applies
 an exact sign prefactor; the adjoint law relating it to the product is
 derived from exhaustive evaluation rather than assumed.
+
+The raw pairing (no prefactor) is sesquilinear and setting h = 1 is a
+ring homomorphism, so its values on the frame monomials fix it: each n
+has one sparse table {(mask_a, mask_b): GaussRat} of them, built on
+first use, and every Hermitian function reads its forms at h = 1
+against that table.  Every frame has the same bivector on its
+covectors, so the table serves them all.
 """
 
 from fractions import Fraction
 
-from .blades import blade_degree, wedge_masks
-from .exterior import Bivector, QForm, quantum_wedge
+from .blades import blade_degree
+from .exterior import Bivector, QForm, quantum_wedge, substitute
 from .linalg import bareiss_det, mat_inv, mat_mul, transpose
 from .scalars import GaussRat, HPoly, I, add_term, as_fraction
 from .symplectic import SymplecticForm, bivector_of
@@ -24,13 +31,6 @@ _HALF = Fraction(1, 2)
 
 def i_pow(k: int) -> GaussRat:
     return (GaussRat(1), I, GaussRat(-1), -I)[k % 4]
-
-
-def _h_at_one(c: HPoly) -> GaussRat:
-    total = GaussRat()
-    for v in c.terms.values():
-        total = total + GaussRat.coerce(v)
-    return total
 
 
 def _swap_mask(mask: int, n: int):
@@ -253,39 +253,13 @@ class Frame:
         if mat_mul(self.J, mat_mul(wm, transpose(self.J))) != wm:
             raise ValueError("bivector is not preserved by J")
 
-    def _expand(self, terms, rows):
-        """terms with each frame covector i rewritten as the combination
-        rows[i] of the other frame's covectors."""
-        out = {}
-        for mask, c in terms.items():
-            expanded = {0: c}
-            i = 0
-            rest = mask
-            while rest:
-                if rest & 1:
-                    nxt = {}
-                    for m2, c2 in expanded.items():
-                        for idx, cf in enumerate(rows[i]):
-                            if not cf:
-                                continue
-                            sign, m3 = wedge_masks(m2, 1 << idx)
-                            if not sign:
-                                continue
-                            add_term(nxt, m3, c2 * (cf * sign))
-                    expanded = nxt
-                rest >>= 1
-                i += 1
-            for m2, c2 in expanded.items():
-                add_term(out, m2, c2)
-        return out
-
     def complexify(self, form: QForm) -> BigradedForm:
-        out = self._expand(form.terms, self._to_cx)
+        out = substitute(form.terms, self._to_cx)
         return BigradedForm(self.n, QForm._make(out, 2 * self.n, form.laurent))
 
     def realify(self, bform: BigradedForm) -> QForm:
         """Expand the frame covectors back out; coefficients must be real."""
-        out = self._expand(bform.form.terms, self._from_cx)
+        out = substitute(bform.form.terms, self._from_cx)
         real_terms = {}
         for mask, c in out.items():
             clean = {}
@@ -358,12 +332,31 @@ def _first_off(got, want):
 
 
 _STD_FRAMES = {}
+_RAW_GRAMS = {}
 
 
 def standard_frame(n: int) -> Frame:
     if n not in _STD_FRAMES:
         _STD_FRAMES[n] = Frame(SymplecticForm(2 * n))
     return _STD_FRAMES[n]
+
+
+def _raw_gram(n: int) -> dict:
+    """The nonzero raw pairings of the frame monomials: the one place
+    that expands a product to pair two forms."""
+    gram = _RAW_GRAMS.get(n)
+    if gram is None:
+        wcx = standard_frame(n).wcx()
+        monos = [BigradedForm.monomial(n, m) for m in range(1 << (2 * n))]
+        conjs = [b.conj().form for b in monos]
+        gram = {}
+        for ma, a in enumerate(monos):
+            for mb, bbar in enumerate(conjs):
+                val = _at_one(quantum_wedge(a.form, bbar, wcx)).get(0)
+                if val:
+                    gram[(ma, mb)] = val
+        _RAW_GRAMS[n] = gram
+    return gram
 
 
 def holomorphic_frame(omega: SymplecticForm, J=None, basis=None) -> Frame:
@@ -421,24 +414,38 @@ def hermitian_pairing(a: BigradedForm, b: BigradedForm,
 
 def hermitian_gram(n: int, variant: str = "derived"):
     """Pairing values on all frame monomials: {(mask_a, mask_b): value}."""
+    return {(ma, mb): hermitian_prefactor(*blade_bidegree(ma, n),
+                                          variant=variant) * val
+            for (ma, mb), val in _raw_gram(n).items()}
+
+
+def raw_pairing(a: BigradedForm, b: BigradedForm) -> GaussRat:
+    """The pairing without its sign prefactor: the scalar part of the
+    product with the conjugate at parameter one, read off the monomial
+    table."""
+    if a.n != b.n:
+        raise ValueError("frame dimension mismatch")
+    return _pair_at_one(_at_one(a.form), _at_one(b.form), _raw_gram(a.n))
+
+
+def _at_one(form: QForm) -> dict:
+    """The form at parameter one: {mask: nonzero GaussRat}."""
     out = {}
-    for ma in range(1 << (2 * n)):
-        a = BigradedForm.monomial(n, ma)
-        for mb in range(1 << (2 * n)):
-            val = hermitian_pairing(a, BigradedForm.monomial(n, mb),
-                                    variant=variant)
-            if val:
-                out[(ma, mb)] = val
+    for mask, c in form.terms.items():
+        for v in c.terms.values():
+            add_term(out, mask, GaussRat.coerce(v))
     return out
 
 
-def raw_pairing(a: BigradedForm, b: BigradedForm,
-                frame: Frame = None) -> GaussRat:
-    """The pairing without its sign prefactor: the scalar part of the
-    product with the conjugate at parameter one."""
-    frame = standard_frame(a.n) if frame is None else frame
-    prod = quantum_wedge(a.form, b.conj().form, frame.wcx())
-    return _h_at_one(prod.coeff(0))
+def _pair_at_one(a1: dict, b1: dict, gram: dict) -> GaussRat:
+    """The sum of a1[ma] conj(b1[mb]) G[ma, mb] over two forms at h = 1."""
+    total = GaussRat()
+    for ma, ca in a1.items():
+        for mb, cb in b1.items():
+            g = gram.get((ma, mb))
+            if g is not None:
+                total = total + ca * cb.conj() * g
+    return total
 
 
 def adjoint_check(a: BigradedForm, b: BigradedForm, g: BigradedForm) -> dict:
@@ -486,29 +493,31 @@ def derive_adjoint_law(n: int, variant: str = "derived") -> dict:
     ratio of the two first arguments.  On sectors where the middle
     factor has equal holomorphic and antiholomorphic degree s that
     ratio collapses to a constant: (-1)^s for the positive prefactor,
-    one for the printed prefactor.  Returns the verdicts and the
-    diagonal factor table.
+    one for the printed prefactor.  Each product is taken at parameter
+    one once and paired through the monomial table.  Returns the
+    verdicts and the diagonal factor table.
     """
+    gram = _raw_gram(n)
     w = bivector_of(SymplecticForm(2 * n))
     printed_all = True
     conjugated_all = True
     diagonal = {}
-    masks = list(range(1 << (2 * n)))
-    forms = [BigradedForm.monomial(n, m) for m in masks]
+    forms = [BigradedForm.monomial(n, m) for m in range(1 << (2 * n))]
+    ones = [_at_one(f.form) for f in forms]
     for b in forms:
         s, t = b.bidegree()
         bbar = b.conj()
-        middles = [(g, quantum_wedge_cx(b, g, w), quantum_wedge_cx(bbar, g, w))
-                   for g in forms]
-        for a in forms:
-            ab = quantum_wedge_cx(a, b, w)
+        middles = [(g, g1, _at_one(quantum_wedge_cx(b, g, w).form),
+                    _at_one(quantum_wedge_cx(bbar, g, w).form))
+                   for g, g1 in zip(forms, ones)]
+        for a, a1 in zip(forms, ones):
+            ab = _at_one(quantum_wedge_cx(a, b, w).form)
             p, q = a.bidegree()
             pref_ab = hermitian_prefactor(p + s, q + t, variant)
             pref_a = hermitian_prefactor(p, q, variant)
-            factor = pref_ab / pref_a
-            for g, bg, bbar_g in middles:
-                raw_lhs = raw_pairing(ab, g)
-                raw_rhs = raw_pairing(a, bbar_g)
+            for g, g1, bg, bbar_g in middles:
+                raw_lhs = _pair_at_one(ab, g1, gram)
+                raw_rhs = _pair_at_one(a1, bbar_g, gram)
                 if raw_lhs != raw_rhs:
                     raise AssertionError(
                         "raw adjoint law fails at masks "
@@ -516,12 +525,9 @@ def derive_adjoint_law(n: int, variant: str = "derived") -> dict:
                         f"{raw_lhs} vs {raw_rhs}")
                 lhs = pref_ab * raw_lhs
                 rhs_c = pref_a * raw_rhs
-                rhs_p = pref_a * raw_pairing(a, bg)
-                printed_all = printed_all and lhs == rhs_p
+                printed_all = printed_all and \
+                    lhs == pref_a * _pair_at_one(a1, bg, gram)
                 conjugated_all = conjugated_all and lhs == rhs_c
-                if lhs != factor * rhs_c:
-                    raise AssertionError(
-                        f"prefactor ratio law fails in sector {(s, t)}")
                 if s == t and rhs_c:
                     prev = diagonal.get(s)
                     ratio = lhs / rhs_c

@@ -449,6 +449,37 @@ def insert_last(form: QForm, v) -> QForm:
                        or any(c.laurent for c in out.values()))
 
 
+def substitute(terms: dict, rows) -> dict:
+    """terms {mask: coefficient} with each covector i (0-based) rewritten
+    as the combination rows[i] of covectors, wedged out in index order.
+
+    A blade's image is then the wedge of its rows, so the coefficient of
+    e^A in the image of e^B is the minor det [rows[b][a]] (a in A,
+    b in B)."""
+    out = {}
+    for mask, c in terms.items():
+        expanded = {0: c}
+        i = 0
+        rest = mask
+        while rest:
+            if rest & 1:
+                nxt = {}
+                for m2, c2 in expanded.items():
+                    for idx, cf in enumerate(rows[i]):
+                        if not cf:
+                            continue
+                        sign, m3 = wedge_masks(m2, 1 << idx)
+                        if not sign:
+                            continue
+                        add_term(nxt, m3, c2 * (cf * sign))
+                expanded = nxt
+            rest >>= 1
+            i += 1
+        for m2, c2 in expanded.items():
+            add_term(out, m2, c2)
+    return out
+
+
 def wedge(a: QForm, b: QForm) -> QForm:
     return a.wedge(b)
 

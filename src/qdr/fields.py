@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .bigraded import blade_bidegree, standard_frame
 from .blades import blade_degree, blade_str, insert_first_mask, wedge_masks
-from .exterior import Bivector, QForm, expand_blade_pair
+from .exterior import Bivector, QForm, expand_blade_pair, substitute
 from .functions import FourierFn, PolyFn
 from .scalars import (GaussRat, HPoly, SparseTerms, add_term, as_fraction,
                       convolve, over)
@@ -410,11 +410,11 @@ def _type_table(frame, rmask: int):
     table = _TYPE_TABLES.get((frame.n, rmask))
     if table is None:
         groups = {}
-        for cmask, c in frame._expand({rmask: GaussRat(1)},
-                                      frame._to_cx).items():
+        for cmask, c in substitute({rmask: GaussRat(1)},
+                                   frame._to_cx).items():
             groups.setdefault(blade_bidegree(cmask, frame.n), {})[cmask] = c
         table = _TYPE_TABLES[(frame.n, rmask)] = {
-            pq: frame._expand(group, frame._from_cx)
+            pq: substitute(group, frame._from_cx)
             for pq, group in groups.items()}
     return table
 

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from qdr import bigraded
 from qdr.bigraded import (
     BigradedForm,
     Frame,
@@ -24,7 +25,7 @@ from qdr.bigraded import (
 from qdr.blades import blade_degree
 from qdr.exterior import Bivector, QForm, quantum_wedge
 from qdr.rand import random_qform
-from qdr.scalars import GaussRat, I
+from qdr.scalars import GaussRat, HPoly, I
 from qdr.symplectic import SymplecticForm, bivector_of
 
 ONE1 = BigradedForm.monomial(1, 0)
@@ -60,11 +61,17 @@ def test_frame_rejects_bad_structures():
 
 
 def test_frame_accepts_rotated_basis():
-    # b2 = J b1 and both unit length for g: any g-rotation works
+    # b2 = J b1 and both unit length for g: any g-rotation works, and
+    # every frame sees the same frozen bivector on its covectors, so the
+    # raw pairing needs no frame
     fr = Frame(SymplecticForm(2),
                basis=[[Fraction(3, 5), Fraction(4, 5)],
                       [Fraction(-4, 5), Fraction(3, 5)]])
     assert fr.wcx().upper_entries() == [(1, 2, I * 2)]
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    fr2 = holomorphic_frame(SymplecticForm(4), basis=[
+        [c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
+    assert fr2.wcx() == standard_frame(2).wcx()
 
 
 def test_complexify_omega_is_pure_one_one():
@@ -244,6 +251,60 @@ def test_classical_pairs_share_bidegree():
                 b = BigradedForm.monomial(n, mb)
                 if raw_pairing(a, b):
                     assert a.bidegree() == b.bidegree()
+
+
+def direct_raw_pairing(a: BigradedForm, b: BigradedForm) -> GaussRat:
+    """The reference raw pairing: the scalar part at h = 1 of the full
+    product with the conjugate."""
+    prod = quantum_wedge(a.form, b.conj().form, standard_frame(a.n).wcx())
+    return sum((GaussRat.coerce(v) for v in prod.coeff(0).terms.values()),
+               GaussRat())
+
+
+def random_gaussian_form(rng: Random, n: int) -> BigradedForm:
+    """Up to four blades, each with one or two h powers from -1 to 2 and
+    Gaussian rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        terms[rng.randrange(1 << (2 * n))] = HPoly(
+            {rng.randint(-1, 2): GaussRat(Fraction(rng.randint(-5, 5),
+                                                   rng.randint(1, 4)),
+                                          rng.randint(-3, 3))
+             for _ in range(rng.randint(1, 2))}, laurent=True)
+    return BigradedForm(n, QForm(2 * n, terms, laurent=True))
+
+
+def test_raw_pairing_matches_direct_product():
+    rng = Random(76)
+    mixed = nonzero = 0
+    for _ in range(150):
+        n = rng.choice((1, 2))
+        a = random_gaussian_form(rng, n)
+        b = random_gaussian_form(rng, n)
+        want = direct_raw_pairing(a, b)
+        assert raw_pairing(a, b) == want
+        mixed += a.bidegree() is None
+        nonzero += bool(want)
+    assert mixed > 30 and nonzero > 30
+
+
+def test_raw_pairing_reads_the_table(monkeypatch):
+    raw_pairing(F1, F1)           # the n = 1 table exists from here on
+    calls = []
+    real = bigraded.quantum_wedge
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(bigraded, "quantum_wedge", counting)
+    assert raw_pairing(F1 + TOP1 * I, F1 * 3) == I * 6
+    assert hermitian_gram(1)[(0b11, 0b11)] == GaussRat(4)
+    assert not calls
+
+
+def test_raw_pairing_rejects_mixed_frames():
+    with pytest.raises(ValueError):
+        raw_pairing(F1, BigradedForm.monomial(2, 0b0001))
 
 
 def test_h_laden_pairs_break_bidegree_sharing():

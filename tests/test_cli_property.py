@@ -55,9 +55,8 @@ def _names(valid):
     return st.one_of(st.sampled_from(sorted(valid)), _NON_STRINGS)
 
 
-# suites run with count 1 and n 1; hermitian is left out, as one call
-# takes about 1.5 s on the flat dim-4 model
-_SUITE_NAMES = set(cli.SUITES) - {"hermitian"}
+# suites run with count 1 and n 1
+_SUITE_NAMES = set(cli.SUITES)
 
 TASKS = st.one_of(
     EXPRESSIONS.map(lambda e: {"op": "product", "expr": e}),

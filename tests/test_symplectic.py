@@ -5,7 +5,8 @@ from random import Random
 
 import pytest
 
-from qdr.exterior import QForm, wedge
+from qdr.blades import blade_degree, masks_of_degree
+from qdr.exterior import QForm, substitute, wedge
 from qdr import symplectic
 from qdr.linalg import char_poly
 from qdr.scalars import HPoly
@@ -97,6 +98,32 @@ def test_star_frozen_table_dim2():
     hform = QForm.scalar(2, HPoly({1: 1}))
     assert symplectic_star(hform, OM2) == \
         QForm(2, {(1, 2): HPoly({-1: 1}, laurent=True)}, laurent=True)
+
+
+# every off-diagonal entry of w is nonzero (over 31), so no minor
+# vanishes by Darboux position
+DENSE6 = SymplecticForm(6, [[0, -1, 1, -2, 2, -1], [1, 0, -1, -2, 2, 3],
+                            [-1, 1, 0, 2, 2, -1], [2, 2, -2, 0, 3, 1],
+                            [-2, -2, -2, -3, 0, -1], [1, -3, 1, -1, 1, 0]])
+
+
+def test_substitution_through_w_gives_the_star_minors():
+    # the blade b with each e^i replaced by the column sum_l w(l, i) e^l
+    # has coefficient lambda(w)(a, b) on e^a: one substitution per blade
+    # gives every minor the star needs
+    for om in (OM4, DENSE6):
+        w = om.bivector
+        cols = [[w.entry(l, i) for l in range(1, om.dim + 1)]
+                for i in range(1, om.dim + 1)]
+        for m in range(1 << om.dim):
+            want = {}
+            for a in masks_of_degree(om.dim, blade_degree(m)):
+                val = symplectic.lambda_pairing(w, a, m)
+                if val:
+                    want[a] = val
+            assert substitute({m: 1}, cols) == want
+    assert all(DENSE6.bivector.entry(i, j)
+               for i in range(1, 7) for j in range(1, 7) if i != j)
 
 
 def test_star_square_identity():
