@@ -61,7 +61,6 @@ from .cohomology import (
 )
 from .bigraded import (
     BigradedForm,
-    complexify,
     derive_adjoint_law,
     hermitian_gram,
     hermitian_pairing,
@@ -95,7 +94,7 @@ __all__ = [
     "PolyFn", "FourierFn", "moyal_product",
     "build_complex", "dr_cohomology_dims", "quantum_cohomology_dims",
     "poisson_homology_dims", "quantum_integral", "stokes_check",
-    "BigradedForm", "standard_frame", "complexify", "hermitian_pairing",
+    "BigradedForm", "standard_frame", "hermitian_pairing",
     "hermitian_gram", "derive_adjoint_law",
     "MatrixForm", "GaugeTransform", "quantum_curvature", "bianchi_check",
     "char_form", "chern_character",

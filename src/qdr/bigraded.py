@@ -16,6 +16,12 @@ has one sparse table {(mask_a, mask_b): GaussRat} of them, built on
 first use, and every Hermitian function reads its forms at h = 1
 against that table.  Every frame has the same bivector on its
 covectors, so the table serves them all.
+
+The sign prefactors are units fixed by bidegree, and only
+hermitian_prefactor knows both conventions (the printed exponent and
+the derived one every pairing uses).  The adjoint scan therefore checks
+the raw law once per triple and reads every prefactored statement off
+the bidegree sectors where the raw pairing is nonzero.
 """
 
 from fractions import Fraction
@@ -359,18 +365,6 @@ def _raw_gram(n: int) -> dict:
     return gram
 
 
-def holomorphic_frame(omega: SymplecticForm, J=None, basis=None) -> Frame:
-    return Frame(omega, J, basis)
-
-
-def complexify(form: QForm, frame: Frame) -> BigradedForm:
-    return frame.complexify(form)
-
-
-def bidegree_components(bform: BigradedForm):
-    return bform.components()
-
-
 def quantum_wedge_cx(a: BigradedForm, b: BigradedForm, w: Bivector,
                      frame: Frame = None) -> BigradedForm:
     if a.n != b.n:
@@ -386,11 +380,13 @@ def quantum_wedge_cx(a: BigradedForm, b: BigradedForm, w: Bivector,
 
 
 def hermitian_prefactor(p: int, q: int, variant: str = "derived") -> GaussRat:
-    """Sign prefactor of the pairing.
+    """Sign prefactor of the pairing: the one place that knows both
+    conventions.
 
     The printed exponent p + (p+q)(p+q-1)/2 makes half the frame
     monomials negative-norm; multiplying by (-1)^q, i.e. using
-    (p+q)(p+q+1)/2, restores positivity and is the variant used here.
+    (p+q)(p+q+1)/2, restores positivity and is the derived convention
+    every pairing here uses.
     """
     base = i_pow(p - q)
     if variant == "derived":
@@ -400,8 +396,7 @@ def hermitian_prefactor(p: int, q: int, variant: str = "derived") -> GaussRat:
     raise ValueError(f"unknown prefactor variant {variant!r}")
 
 
-def hermitian_pairing(a: BigradedForm, b: BigradedForm,
-                      variant: str = "derived") -> GaussRat:
+def hermitian_pairing(a: BigradedForm, b: BigradedForm) -> GaussRat:
     """Contract the product at parameter one and apply the prefactor of
     the first argument's bidegree.  Antilinear in the second argument."""
     if a.is_zero() or b.is_zero():
@@ -409,13 +404,12 @@ def hermitian_pairing(a: BigradedForm, b: BigradedForm,
     deg = a.bidegree()
     if deg is None:
         raise ValueError("first pairing argument has mixed bidegree")
-    return hermitian_prefactor(*deg, variant=variant) * raw_pairing(a, b)
+    return hermitian_prefactor(*deg) * raw_pairing(a, b)
 
 
-def hermitian_gram(n: int, variant: str = "derived"):
+def hermitian_gram(n: int):
     """Pairing values on all frame monomials: {(mask_a, mask_b): value}."""
-    return {(ma, mb): hermitian_prefactor(*blade_bidegree(ma, n),
-                                          variant=variant) * val
+    return {(ma, mb): hermitian_prefactor(*blade_bidegree(ma, n)) * val
             for (ma, mb), val in _raw_gram(n).items()}
 
 
@@ -448,99 +442,70 @@ def _pair_at_one(a1: dict, b1: dict, gram: dict) -> GaussRat:
     return total
 
 
-def adjoint_check(a: BigradedForm, b: BigradedForm, g: BigradedForm) -> dict:
-    """All readings of the adjoint property for one triple.
-
-    The raw pairing moves the middle factor across exactly, picking up
-    a conjugation.  The prefactored pairing then differs by the ratio
-    of the prefactors of the two first arguments, so the plain
-    prefactored statement only survives where that ratio is one.
-    """
-    n = a.n
-    w = bivector_of(SymplecticForm(2 * n))
-    ab = quantum_wedge_cx(a, b, w)
-    bg = quantum_wedge_cx(b, g, w)
-    bbar_g = quantum_wedge_cx(b.conj(), g, w)
-    lhs = hermitian_pairing(ab, g) if not ab.is_zero() else GaussRat()
-    rhs_printed = hermitian_pairing(a, bg)
-    rhs_conj = hermitian_pairing(a, bbar_g)
-    raw_lhs = raw_pairing(ab, g)
-    raw_rhs = raw_pairing(a, bbar_g)
-    da, db = a.bidegree(), b.bidegree()
-    factor = None
-    if da is not None and db is not None:
-        factor = hermitian_prefactor(da[0] + db[0], da[1] + db[1]) / \
-            hermitian_prefactor(*da)
-    return {
-        "lhs": lhs,
-        "printed": rhs_printed,
-        "conjugated": rhs_conj,
-        "printed_holds": lhs == rhs_printed,
-        "conjugated_holds": lhs == rhs_conj,
-        "raw_holds": raw_lhs == raw_rhs,
-        "factor": factor,
-        "factor_holds": factor is None or lhs == factor * rhs_conj,
-        "sector": b.bidegree(),
-    }
-
-
-def derive_adjoint_law(n: int, variant: str = "derived") -> dict:
+def derive_adjoint_law(n: int) -> dict:
     """Exhaustive adjoint scan over frame monomial triples.
 
-    Asserts the derived law: the raw pairing satisfies
-    raw(a wedge_w b, g) = raw(a, conj(b) wedge_w g) exactly, so the
-    prefactored pairing obeys the same relation up to the prefactor
-    ratio of the two first arguments.  On sectors where the middle
-    factor has equal holomorphic and antiholomorphic degree s that
-    ratio collapses to a constant: (-1)^s for the positive prefactor,
-    one for the printed prefactor.  Each product is taken at parameter
-    one once and paired through the monomial table.  Returns the
-    verdicts and the diagonal factor table.
+    Asserts the raw law raw(a wedge_w b, g) = raw(a, conj(b) wedge_w g)
+    on every triple, each product taken at parameter one once and
+    paired through the monomial table.  The prefactors are units fixed
+    by bidegree, so the prefactored pairing obeys the same law up to
+    the ratio pref(p+s, q+t)/pref(p, q) for a of bidegree (p, q) and b
+    of bidegree (s, t); every prefactored reading therefore follows
+    from the live sectors (p, q, s, t), those of the triples where the
+    raw pairing is nonzero.  Where s = t the ratio is constant in s:
+    (-1)^s for the derived prefactor, one for the printed prefactor.
+    Returns the verdicts and, for each convention, whether the
+    conjugated law holds without a ratio and the diagonal factor table.
+    The printed statement, with b unconjugated, is read with the
+    derived prefactor.
     """
     gram = _raw_gram(n)
-    w = bivector_of(SymplecticForm(2 * n))
+    wcx = standard_frame(n).wcx()
+    monos = [BigradedForm.monomial(n, m) for m in range(1 << (2 * n))]
+    forms = [x.form for x in monos]
+    ones = [_at_one(f) for f in forms]
+    degs = [blade_bidegree(m, n) for m in range(len(monos))]
+    live = set()
     printed_all = True
-    conjugated_all = True
-    diagonal = {}
-    forms = [BigradedForm.monomial(n, m) for m in range(1 << (2 * n))]
-    ones = [_at_one(f.form) for f in forms]
-    for b in forms:
-        s, t = b.bidegree()
-        bbar = b.conj()
-        middles = [(g, g1, _at_one(quantum_wedge_cx(b, g, w).form),
-                    _at_one(quantum_wedge_cx(bbar, g, w).form))
-                   for g, g1 in zip(forms, ones)]
-        for a, a1 in zip(forms, ones):
-            ab = _at_one(quantum_wedge_cx(a, b, w).form)
-            p, q = a.bidegree()
-            pref_ab = hermitian_prefactor(p + s, q + t, variant)
-            pref_a = hermitian_prefactor(p, q, variant)
-            for g, g1, bg, bbar_g in middles:
-                raw_lhs = _pair_at_one(ab, g1, gram)
+    for mb, b in enumerate(forms):
+        s, t = degs[mb]
+        bbar = monos[mb].conj().form
+        middles = [(mg, ones[mg], _at_one(quantum_wedge(b, g, wcx)),
+                    _at_one(quantum_wedge(bbar, g, wcx)))
+                   for mg, g in enumerate(forms)]
+        for ma, a in enumerate(forms):
+            p, q = degs[ma]
+            a1 = ones[ma]
+            ab = _at_one(quantum_wedge(a, b, wcx))
+            ratio = hermitian_prefactor(p + s, q + t) / \
+                hermitian_prefactor(p, q)
+            for mg, g1, bg, bbar_g in middles:
+                raw = _pair_at_one(ab, g1, gram)
                 raw_rhs = _pair_at_one(a1, bbar_g, gram)
-                if raw_lhs != raw_rhs:
+                if raw != raw_rhs:
+                    blade = monos[0].blade_str
                     raise AssertionError(
-                        "raw adjoint law fails at masks "
-                        f"{a.form.terms}, {b.form.terms}, {g.form.terms}: "
-                        f"{raw_lhs} vs {raw_rhs}")
-                lhs = pref_ab * raw_lhs
-                rhs_c = pref_a * raw_rhs
-                printed_all = printed_all and \
-                    lhs == pref_a * _pair_at_one(a1, bg, gram)
-                conjugated_all = conjugated_all and lhs == rhs_c
-                if s == t and rhs_c:
-                    prev = diagonal.get(s)
-                    ratio = lhs / rhs_c
-                    if prev is None:
-                        diagonal[s] = ratio
-                    elif prev != ratio:
-                        raise AssertionError(
-                            "diagonal-sector factor varies at s = "
-                            f"{s}: {prev} vs {ratio}")
-    return {
-        "raw_all": True,
-        "printed_all": printed_all,
-        "conjugated_all": conjugated_all,
-        "diagonal_factors": diagonal,
-        "variant": variant,
-    }
+                        f"raw adjoint law fails at n = {n}, a = "
+                        f"{blade(ma)}, b = {blade(mb)}, g = {blade(mg)}: "
+                        f"{raw} vs {raw_rhs}")
+                if raw:
+                    live.add((p, q, s, t))
+                if printed_all:
+                    printed_all = _pair_at_one(a1, bg, gram) == ratio * raw
+    law = {"raw_all": True, "printed_all": printed_all}
+    for convention in ("derived", "printed"):
+        conjugated_all = True
+        diagonal = {}
+        for p, q, s, t in sorted(live):
+            ratio = hermitian_prefactor(p + s, q + t, convention) / \
+                hermitian_prefactor(p, q, convention)
+            conjugated_all = conjugated_all and ratio == 1
+            if s == t:
+                prev = diagonal.setdefault(s, ratio)
+                if prev != ratio:
+                    raise AssertionError(
+                        f"{convention} diagonal-sector factor varies at "
+                        f"s = {s}: {prev} vs {ratio}")
+        law[convention] = {"conjugated_all": conjugated_all,
+                           "diagonal_factors": diagonal}
+    return law

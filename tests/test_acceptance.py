@@ -10,7 +10,7 @@ the printed reference values without asserting the printed ones.
 from fractions import Fraction
 from random import Random
 
-from qdr.bigraded import BigradedForm, derive_adjoint_law, hermitian_gram
+from qdr.bigraded import derive_adjoint_law
 from qdr.chernweil import MatrixForm, covariant_d, quantum_curvature
 from qdr.cli import (
     _line_bundle_example,
@@ -18,6 +18,7 @@ from qdr.cli import (
     chern_failures,
     complex_failures,
     dolbeault_failures,
+    gram_diagonal_failures,
     koszul_constants,
     moyal_failures,
     multiparameter_failures,
@@ -223,25 +224,19 @@ def test_criterion_10_hermitian_structure():
     # the raw adjoint relation holds on every basis monomial triple in
     # complex dimensions 1 and 2, and the pairing Gram matrix is
     # diagonal with entries 2^(p+q)
-    ok = True
+    ok = not gram_diagonal_failures((1, 2))
     factors = {}
     printed_all = {}
     for n in (1, 2):
         law = derive_adjoint_law(n)
         ok = ok and law["raw_all"]
-        factors[n] = dict(law["diagonal_factors"])
+        factors[n] = dict(law["derived"]["diagonal_factors"])
         printed_all[n] = law["printed_all"]
         expected = {s: GaussRat((-1) ** s) for s in range(n + 1)}
         ok = ok and factors[n] == expected
-        gram = hermitian_gram(n)
-        ok = ok and len(gram) == 1 << (2 * n)
-        for (ma, mb), val in gram.items():
-            ok = ok and ma == mb
-            p, q = BigradedForm.monomial(n, ma).bidegree()
-            ok = ok and val == GaussRat(2 ** (p + q))
     print("criterion 10 note: raw adjointness exhaustive; printed "
-          "prefactor variant holds on all triples: %s; derived diagonal "
-          "sector factors: %s" % (printed_all, factors))
+          "statement (b unconjugated) holds on all triples: %s; derived "
+          "diagonal sector factors: %s" % (printed_all, factors))
     assert _verdict(10, "hermitian structure", ok)
 
 

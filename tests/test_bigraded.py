@@ -10,19 +10,19 @@ from qdr import bigraded
 from qdr.bigraded import (
     BigradedForm,
     Frame,
-    adjoint_check,
-    bidegree_components,
+    _at_one,
+    _pair_at_one,
     derive_adjoint_law,
     hermitian_gram,
     hermitian_pairing,
     hermitian_prefactor,
-    holomorphic_frame,
     i_pow,
     quantum_wedge_cx,
     raw_pairing,
     standard_frame,
 )
 from qdr.blades import blade_degree
+from qdr.cli import Options, check, main
 from qdr.exterior import Bivector, QForm, quantum_wedge
 from qdr.rand import random_qform
 from qdr.scalars import GaussRat, HPoly, I
@@ -40,7 +40,7 @@ def test_standard_frame_builds():
     fr = standard_frame(1)
     assert fr.n == 1
     assert fr.wcx().upper_entries() == [(1, 2, I * 2)]
-    fr2 = holomorphic_frame(SymplecticForm(4))
+    fr2 = Frame(SymplecticForm(4))
     cx = [(i, j, str(c)) for i, j, c in fr2.wcx().upper_entries()]
     assert cx == [(1, 3, "2*i"), (2, 4, "2*i")]
 
@@ -69,7 +69,7 @@ def test_frame_accepts_rotated_basis():
                       [Fraction(-4, 5), Fraction(3, 5)]])
     assert fr.wcx().upper_entries() == [(1, 2, I * 2)]
     c, s = Fraction(3, 5), Fraction(4, 5)
-    fr2 = holomorphic_frame(SymplecticForm(4), basis=[
+    fr2 = Frame(SymplecticForm(4), basis=[
         [c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
     assert fr2.wcx() == standard_frame(2).wcx()
 
@@ -106,7 +106,7 @@ def test_bidegree_counts_h_as_one_one():
     assert BigradedForm.monomial(2, 0b1001, h_exp=2).bidegree() == (3, 3)
     mixed = F1 + F1B
     assert mixed.bidegree() is None
-    parts = bidegree_components(mixed)
+    parts = mixed.components()
     assert set(parts) == {(1, 0), (0, 1)}
     assert parts[(1, 0)] == F1 and parts[(0, 1)] == F1B
 
@@ -180,7 +180,8 @@ def test_pairing_frozen_values():
     assert hermitian_pairing(F1, F1) == GaussRat(2)
     assert hermitian_pairing(F1, F1B) == GaussRat()
     assert hermitian_pairing(F1B, F1B) == GaussRat(2)
-    assert hermitian_pairing(F1B, F1B, variant="printed") == GaussRat(-2)
+    assert hermitian_prefactor(0, 1, "printed") * raw_pairing(F1B, F1B) == \
+        GaussRat(-2)
     assert hermitian_pairing(TOP1, TOP1) == GaussRat(4)
 
 
@@ -223,9 +224,12 @@ def test_gram_diagonal_powers_of_two():
 
 
 def test_printed_prefactor_indefinite():
-    gram = hermitian_gram(1, variant="printed")
-    assert gram[(0b10, 0b10)] == GaussRat(-2)
-    assert gram[(0b01, 0b01)] == GaussRat(2)
+    # the printed prefactor on the raw n = 1 table: fb1 gets negative norm
+    raw = bigraded._raw_gram(1)
+    assert hermitian_prefactor(0, 1, "printed") * raw[(0b10, 0b10)] == \
+        GaussRat(-2)
+    assert hermitian_prefactor(1, 0, "printed") * raw[(0b01, 0b01)] == \
+        GaussRat(2)
 
 
 def test_prefactor_relation():
@@ -317,38 +321,113 @@ def test_h_laden_pairs_break_bidegree_sharing():
 
 
 def test_adjoint_single_triples():
-    out = adjoint_check(ONE1, F1, F1)
-    assert out["lhs"] == GaussRat(2)
-    assert out["printed"] == GaussRat()
-    assert not out["printed_holds"]
-    assert out["conjugated"] == I * 2
-    assert not out["conjugated_holds"]
-    assert out["raw_holds"]
-    assert out["factor"] == -I
-    assert out["factor_holds"]
-    # middle factor of balanced bidegree: factor squares away
-    out2 = adjoint_check(F1, TOP1, TOP1)
-    assert out2["raw_holds"] and out2["factor_holds"]
-    assert out2["factor"] == GaussRat(-1)
+    # a = 1, b = g = f1: the raw law moves b across as its conjugate,
+    # the printed statement (b unconjugated) fails, and the prefactored
+    # sides differ by the ratio pref(1, 0) / pref(0, 0) = -i
+    ab = quantum_wedge_cx(ONE1, F1, W2)
+    bbar_g = quantum_wedge_cx(F1.conj(), F1, W2)
+    lhs = hermitian_pairing(ab, F1)
+    conjugated = hermitian_pairing(ONE1, bbar_g)
+    assert lhs == GaussRat(2)
+    assert hermitian_pairing(ONE1, quantum_wedge_cx(F1, F1, W2)) == GaussRat()
+    assert conjugated == I * 2
+    assert raw_pairing(ab, F1) == raw_pairing(ONE1, bbar_g) == I * 2
+    factor = hermitian_prefactor(1, 0) / hermitian_prefactor(0, 0)
+    assert factor == -I and lhs == factor * conjugated
+    # b = g = f1^fb1 of balanced bidegree (1, 1): the ratio is -1
+    ab = quantum_wedge_cx(ONE1, TOP1, W2)
+    bbar_g = quantum_wedge_cx(TOP1.conj(), TOP1, W2)
+    assert raw_pairing(ab, TOP1) == raw_pairing(ONE1, bbar_g) == \
+        GaussRat(-4)
+    factor = hermitian_prefactor(1, 1) / hermitian_prefactor(0, 0)
+    assert factor == GaussRat(-1)
+    assert hermitian_pairing(ab, TOP1) == \
+        factor * hermitian_pairing(ONE1, bbar_g) == GaussRat(4)
+
+
+def reference_adjoint_law(n: int, variant: str):
+    """The per-triple prefactored scan: both sides of each reading are
+    multiplied by their prefactors on every triple.  Returns printed_all,
+    conjugated_all and {s: set of diagonal-sector ratios}."""
+    gram = bigraded._raw_gram(n)
+    w = bivector_of(SymplecticForm(2 * n))
+    printed_all = conjugated_all = True
+    diagonal = {}
+    forms = [BigradedForm.monomial(n, m) for m in range(1 << (2 * n))]
+    ones = [_at_one(f.form) for f in forms]
+    for b in forms:
+        s, t = b.bidegree()
+        middles = [(g1, _at_one(quantum_wedge_cx(b, g, w).form),
+                    _at_one(quantum_wedge_cx(b.conj(), g, w).form))
+                   for g, g1 in zip(forms, ones)]
+        for a, a1 in zip(forms, ones):
+            ab = _at_one(quantum_wedge_cx(a, b, w).form)
+            p, q = a.bidegree()
+            pref_ab = hermitian_prefactor(p + s, q + t, variant)
+            pref_a = hermitian_prefactor(p, q, variant)
+            for g1, bg, bbar_g in middles:
+                lhs = pref_ab * _pair_at_one(ab, g1, gram)
+                rhs_c = pref_a * _pair_at_one(a1, bbar_g, gram)
+                printed_all = printed_all and \
+                    lhs == pref_a * _pair_at_one(a1, bg, gram)
+                conjugated_all = conjugated_all and lhs == rhs_c
+                if s == t and rhs_c:
+                    diagonal.setdefault(s, set()).add(lhs / rhs_c)
+    return printed_all, conjugated_all, diagonal
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sector_readings_match_the_per_triple_scan(n):
+    law = derive_adjoint_law(n)
+    assert law["raw_all"]
+    for convention in ("derived", "printed"):
+        printed_all, conjugated_all, diagonal = \
+            reference_adjoint_law(n, convention)
+        if convention == "derived":
+            assert law["printed_all"] == printed_all
+        assert law[convention]["conjugated_all"] == conjugated_all
+        assert {s: {v} for s, v in
+                law[convention]["diagonal_factors"].items()} == diagonal
 
 
 def test_adjoint_law_exhaustive():
     law1 = derive_adjoint_law(1)
     assert law1["raw_all"]
     assert not law1["printed_all"]
-    assert not law1["conjugated_all"]
-    assert {s: v for s, v in law1["diagonal_factors"].items()} == \
+    assert not law1["derived"]["conjugated_all"]
+    assert law1["derived"]["diagonal_factors"] == \
         {0: GaussRat(1), 1: GaussRat(-1)}
     law2 = derive_adjoint_law(2)
     assert law2["raw_all"]
-    assert law2["diagonal_factors"] == {0: GaussRat(1), 1: GaussRat(-1),
-                                        2: GaussRat(1)}
+    assert law2["derived"]["diagonal_factors"] == \
+        {0: GaussRat(1), 1: GaussRat(-1), 2: GaussRat(1)}
 
 
 def test_adjoint_law_printed_prefactor_is_unital_on_diagonal():
-    law = derive_adjoint_law(1, variant="printed")
-    assert law["raw_all"]
-    assert law["diagonal_factors"] == {0: GaussRat(1), 1: GaussRat(1)}
+    for n in (1, 2):
+        printed = derive_adjoint_law(n)["printed"]
+        assert not printed["conjugated_all"]
+        assert printed["diagonal_factors"] == \
+            {s: GaussRat(1) for s in range(n + 1)}
+
+
+def test_raw_law_failure_names_the_triple(monkeypatch, capsys):
+    # triple one entry of the n = 1 table: the scan names n, the three
+    # frame blades and both raw values, and the suite reports FAIL
+    gram = bigraded._raw_gram(1)
+    monkeypatch.setitem(bigraded._RAW_GRAMS, 1,
+                        {**gram, (0b01, 0b01): gram[(0b01, 0b01)] * 3})
+    message = "raw adjoint law fails at n = 1, a = 1, b = f1, g = f1: " \
+        "6*i vs 2*i"
+    with pytest.raises(AssertionError) as raised:
+        derive_adjoint_law(1)
+    assert str(raised.value) == message
+    assert main(["--check", "hermitian", "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == \
+        "FAIL  1 checks, 1 failed, 1 tasks"
+    assert check("hermitian", Options(n=1))["tasks"][0]["error"] == message
 
 
 def test_i_pow_cycle():

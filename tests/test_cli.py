@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+import qdr
 from qdr import cli, cohomology, cpn
 from qdr.cli import (
     Options,
@@ -26,6 +27,13 @@ def scenario_file(tmp_path, data, name="scn.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def test_package_exports_resolve():
+    # deleting a function must take its name out of __all__ too, or
+    # "from qdr import *" fails
+    assert [name for name in qdr.__all__ if not hasattr(qdr, name)] == []
+    assert len(set(qdr.__all__)) == len(qdr.__all__)
 
 
 # ---------------------------------------------------------------- grammar

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from qdr import fields
-from qdr.bigraded import holomorphic_frame, standard_frame
+from qdr.bigraded import Frame, standard_frame
 from qdr.blades import (
     Blade,
     indices_of_mask,
@@ -378,7 +378,7 @@ def test_kernel_matches_reference_on_random_pairings():
 def test_kernel_matches_reference_on_gaussian_pairings():
     rng = Random(612)
     for frame in (standard_frame(1), standard_frame(2),
-                  holomorphic_frame(SymplecticForm(4))):
+                  Frame(SymplecticForm(4))):
         w = frame.wcx()
         dim = w.dim
         for _ in range(30):
