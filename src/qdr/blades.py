@@ -11,6 +11,12 @@ higher module agrees on conventions:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+# masks whose index tuple and label are kept; printing a form asks for
+# both once per term, and each result is an immutable value
+_LABELS = 1 << 12
+
 
 def mask_of_indices(indices) -> int:
     mask = 0
@@ -24,6 +30,7 @@ def mask_of_indices(indices) -> int:
     return mask
 
 
+@lru_cache(maxsize=_LABELS)
 def indices_of_mask(mask: int):
     out = []
     i = 1
@@ -122,6 +129,7 @@ class Blade:
     __repr__ = __str__
 
 
+@lru_cache(maxsize=_LABELS)
 def blade_str(mask: int, letter: str = "e") -> str:
     if not mask:
         return "1"

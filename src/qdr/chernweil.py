@@ -28,7 +28,11 @@ from .fields import (
 
 
 def mirror_pairing(w: PoissonField) -> PoissonField:
-    return PoissonField(w.dim, {(i, j): -c for i, j, c in w.upper_entries()})
+    """-w, built once per field and cached on it."""
+    if w._mirror is None:
+        w._mirror = PoissonField(w.dim, {(i, j): -c
+                                         for i, j, c in w.upper_entries()})
+    return w._mirror
 
 
 def bundle_wedge(a: FieldForm, b: FieldForm, w: PoissonField) -> FieldForm:

@@ -7,40 +7,47 @@ insertion operator exactly:
               (a -| e_{i1} -| ... ) ^ ( ... |- e_{j1} |- b)
 
 where -| fills the last argument slot of a and |- fills the first slot
-of b, innermost insertion first on both sides. The pair insertions
-commute, so the n! orderings of one set of pairs give equal terms and
-the 1/n! cancels: removing the indices I = {i1 < ... < in} from a and
-J = {j1 < ... < jn} from b contributes the signed minor
+of b, innermost insertion first on both sides. Summed over i, column j
+of the pairing is the vector w_j = sum_i w^{ij} e_i, and one pair
+insertion is R_{w_j} (x) L_j: R_v fills the last slot of a with v and
+L_j the first slot of b with e_j. The pair operators commute and square
+to zero, so the n! orderings of one index set give equal terms, the
+1/n! cancels, and
 
-    sA * sB * det w[I, J]
+    a *_h b = sum_J h^|J| (R_{w_j1} ... R_{w_jn} a) ^ (L_j1 ... L_jn b)
 
-where sA is the sign of removing i1, ..., in in that order from the
-last slot of a and sB that of removing j1, ..., jn in that order from
-the first slot of b. The contraction kernel removes the indices of a in
-increasing order, so it reaches each term of that determinant once and
-never carries a factorial. The sum terminates because each step lowers
-both degrees. Everything is exact: coefficients are polynomials
-(optionally Laurent) in h over the rationals.
+over the sets J = {j1 < ... < jn}. Expanding each R_{w_j} into
+sum_i w^{ij} R_i gives back the classical sum of signed minors
+det w[I, J] over the index sets I of a and J of b.
+
+The kernel, _contractions, walks the sets J depth first and keeps both
+factors whole: A_J and B_J come from J's parent, J without its lowest
+index, by one more contraction each. So blades of a that lose different
+indices to the same remainder merge into one term before the next
+contraction, and every blade of b that holds J shares one A_J. A branch
+ends when A_J is zero, so |J| never passes the lower of the two top
+blade degrees and a zero column of w prunes its branch. Everything is
+exact: coefficients are polynomials (optionally Laurent) in h over the
+rationals, or functions for fields.quantum_wedge_field.
 
 The kernel is fraction-free, after Bareiss (Math. Comp. 22, 1968). A
 pairing keeps its nonzero entries as numerators over one common
 denominator D, the lcm of the entries' denominators: ints for rational
 entries, Gaussian rationals with int parts for Gaussian ones, and
-function-valued entries as they are, with D = 1. So the kernel's
-level-n coefficient is the numerator D^n * sA * sB * det w[I, J], and
-its callers divide by D^n: quantum_wedge lifts every level-n numerator
-to the level top that no contraction passes, adds integer numerators
-over the one denominator da * db * D^top (da and db clear the
-denominators of the two factors) and divides once per surviving term,
-so every coefficient that leaves it is a Fraction or a Gaussian
-rational with Fraction parts again (scalars.clear_denominators and
-scalars.over).
+function-valued entries as they are, with D = 1. Each R_{w_j} then
+multiplies by numerators, so A_J is D^|J| times its value. quantum_wedge
+also puts the coefficients of a and b over their denominators da and
+db, lifts level n by D^(top - n) for the lower top degree top, adds
+integer numerators over the one denominator da * db * D^top and divides
+once per surviving coefficient, so every coefficient that leaves it is a
+Fraction or a Gaussian rational with Fraction parts again
+(scalars.clear_denominators and scalars.over). quantum_wedge_multi and
+fields.quantum_wedge_field divide B_J by D^|J| instead, once per B_J.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 
 from .blades import (
     Blade,
@@ -52,7 +59,7 @@ from .blades import (
     wedge_masks,
 )
 from .scalars import (GaussRat, HPoly, HPolyMulti, SparseTerms, add_term,
-                      as_fraction, clear_denominators, convolve, over)
+                      as_fraction, clear_denominators, over)
 
 
 class PairTensor:
@@ -74,13 +81,12 @@ class PairTensor:
                          for (i, j), c in sorted(self.entries.items())]
         self._constant = all(isinstance(c, (Fraction, int, GaussRat))
                              for c in self.entries.values())
-        # per row i, the (bit of j, num, -num) of its nonzero entries,
+        # per column j, the (bit of i, i, num) of its nonzero entries,
         # num = D * w^{ij} over the common denominator D = self.den
         nums, self.den = clear_denominators(c for _, _, c in self._ordered)
-        self._rows = [[] for _ in range(dim + 1)]
+        self._cols = [[] for _ in range(dim + 1)]
         for (i, j, _), num in zip(self._ordered, nums):
-            self._rows[i].append((1 << (j - 1), num, -num))
-        self._cache = {}
+            self._cols[j].append((1 << (i - 1), i, num))
 
     def entry(self, i: int, j: int):
         return self.entries.get((i, j), Fraction(0))
@@ -153,81 +159,96 @@ class Bivector(PairTensor):
         return Bivector(self.dim, out)
 
 
-def _contract(amask: int, bmask: int, pairing: PairTensor):
-    """Every contraction state of one blade pair, before the final wedge.
+def _contractions(A: dict, B: dict, w: PairTensor):
+    """Every term of the J-sum of the module docstring, as (n, A_J, B_J).
 
-    Returns a list of (level n, a', b', numerator): a' and b' are what
-    is left of a and b after n pair insertions, and the numerator is
-    D^n * sA * sB * det w[I, J] for the removed index sets I and J and
-    the pairing's common denominator D (see the module docstring), with
-    neither the 1/n! nor the h^n factor. States whose numerator vanishes
-    are dropped, so only nonzero terms are ever extended. Each step
-    removes from a' an index above every index removed so far; the
-    removed set is amask ^ a', so the next index to try lies above its
-    highest bit.
+    A and B are terms {(tag, mask): coefficient}; the tag passes through
+    unchanged. A_J = R_{w_j1} ... R_{w_jn} A and B_J = L_j1 ... L_jn B
+    for J = {j1 < ... < jn}, with R_{w_j} = sum_i w^{ij} R_i filling the
+    last slot of A's blades and L_j the first slot of B's, each by its
+    pairing numerator (over w.den). The sets J come depth first: a child
+    adds to its parent an index below the parent's lowest, so only the
+    bits of B's blades below that index are tried, and a branch ends
+    once A_J, whose merged terms are kept zero-free, is zero. The dicts
+    yielded are shared with the walk and must not be changed.
     """
-    rows = pairing._rows
-    out = [(0, amask, bmask, 1)]
-    level = {(amask, bmask): 1}
-    n = 0
-    while level:
-        n += 1
-        nxt = {}
-        for (a, b), c in level.items():
-            if not b:
+    cols = w._cols
+    stack = [(0, A, B, 1 << w.dim)]
+    while stack:
+        n, A, B, limit = stack.pop()
+        yield n, A, B
+        avail = 0
+        for _, m in B:
+            avail |= m
+        avail &= limit - 1
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            col = cols[bit.bit_length()]
+            if not col:
                 continue
-            low = (amask ^ a).bit_length()
-            rest = a >> low << low
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                i = bit.bit_length()
-                row = rows[i]
-                if not row:
-                    continue
-                a2 = a ^ bit
-                # last-slot sign: the bits of a above i
-                pa = (a >> i).bit_count()
-                for jbit, wij, neg in row:
-                    if not b & jbit:
+            A2 = {}
+            for (t, m), c in A.items():
+                for ibit, i, num in col:
+                    if not m & ibit:
                         continue
-                    # first-slot sign: the bits of b below j
-                    odd = (pa + (b & (jbit - 1)).bit_count()) & 1
-                    add = c * (neg if odd else wij)
-                    key = (a2, b ^ jbit)
-                    prev = nxt.get(key)
-                    nxt[key] = add if prev is None else prev + add
-        level = {k: v for k, v in nxt.items() if v}
-        out.extend((n, a, b, c) for (a, b), c in level.items())
-    return out
+                    key = (t, m ^ ibit)
+                    p = c * num
+                    prev = A2.get(key)
+                    # last-slot sign: the bits of the blade above i
+                    if (m >> i).bit_count() & 1:
+                        A2[key] = -p if prev is None else prev - p
+                    else:
+                        A2[key] = p if prev is None else prev + p
+            A2 = {k: c for k, c in A2.items() if c}
+            if not A2:
+                continue
+            # first-slot sign: the bits of the blade below j
+            B2 = {(t, m ^ bit): -c if (m & (bit - 1)).bit_count() & 1 else c
+                  for (t, m), c in B.items() if m & bit}
+            stack.append((n + 1, A2, B2, bit))
+
+
+def _wedge_into(acc: dict, n: int, A: dict, B: dict) -> None:
+    """acc[(ta + tb + n, ma | mb)] += sign * ca * cb over the terms of A
+    and B with disjoint blades, the sign that of concatenating the blades.
+    acc may keep zero sums."""
+    for (tb, mb), cb in B.items():
+        tb += n
+        # bit k of par is the parity of the bits of mb below k, so the
+        # concatenation sign of ma ^ mb is the parity of ma & par
+        par = 0
+        rest = mb
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            par ^= -(low << 1)
+        neg = -cb
+        for (ta, ma), ca in A.items():
+            if ma & mb:
+                continue
+            key = (ta + tb, ma | mb)
+            p = ca * (neg if (ma & par).bit_count() & 1 else cb)
+            prev = acc.get(key)
+            acc[key] = p if prev is None else prev + p
 
 
 def expand_blade_pair(amask: int, bmask: int, pairing: PairTensor):
     """All contraction levels of one blade pair.
 
-    Returns a tuple of (level n, result mask, numerator). The numerator
-    is D^n times the signed minor sA * sB * det w[I, J] of the module
-    docstring times the sign of the final wedge, D being pairing.den;
-    over(numerator, D**n) is the coefficient. It carries neither the
-    h^n factor nor any 1/n! weight, which cancels against the n!
-    orderings of each set of pair insertions. Results for constant
-    pairings are memoised on the pairing; function-valued entries change
-    under composition, so those are recomputed.
+    Returns a tuple of (level n, result mask, numerator): the terms of
+    the J-sum of the module docstring on two unit blades. The numerator
+    of level n is D^n times the coefficient, D being pairing.den, so
+    over(numerator, D**n) is the coefficient; it carries neither the
+    h^n factor nor any 1/n! weight. Several terms may share a level and
+    a mask.
     """
-    use_cache = pairing.is_constant()
-    if use_cache:
-        hit = pairing._cache.get((amask, bmask))
-        if hit is not None:
-            return hit
     out = []
-    for n, a, b, c in _contract(amask, bmask, pairing):
-        s, m = wedge_masks(a, b)
-        if s:
-            out.append((n, m, c if s > 0 else -c))
-    result = tuple(out)
-    if use_cache:
-        pairing._cache[(amask, bmask)] = result
-    return result
+    for n, A, B in _contractions({(0, amask): 1}, {(0, bmask): 1}, pairing):
+        acc = {}
+        _wedge_into(acc, n, A, B)
+        out.extend((n, m, c) for (_, m), c in acc.items() if c)
+    return tuple(out)
 
 
 def _normalize_vector(v, dim: int):
@@ -485,7 +506,10 @@ def wedge(a: QForm, b: QForm) -> QForm:
 
 
 def quantum_wedge(a: QForm, b: QForm, w: PairTensor) -> QForm:
-    """The deformed wedge product a *_h b for a constant pairing w."""
+    """The deformed wedge product a *_h b for a constant pairing w.
+
+    Every coefficient carries the Laurent flag a.laurent or b.laurent,
+    the flag coeff gives a blade the product does not have."""
     if a.dim != b.dim or a.dim != w.dim:
         raise ValueError("dimension mismatch")
     if not w.is_constant():
@@ -496,41 +520,32 @@ def quantum_wedge(a: QForm, b: QForm, w: PairTensor) -> QForm:
     # level-n numerator times D^(top - n) is over da * db * D^top
     top = min(max((m.bit_count() for m in a.terms), default=0),
               max((m.bit_count() for m in b.terms), default=0))
-    lift = [w.den ** (top - n) for n in range(top + 1)]
-    # per result mask: {h exponent: numerator}, and whether a Laurent
-    # term has contributed since the sum was last zero
-    acc, flags = {}, {}
-    for ma, la, ca in ta:
-        for mb, lb, cb in tb:
-            laurent = la or lb
-            pairs = convolve(ca, cb, add).items()
-            for n, m, q in expand_blade_pair(ma, mb, w):
-                q = q * lift[n]
-                t = acc.get(m)
-                if t is None:
-                    t = acc[m] = {}
-                    flags[m] = laurent
-                elif laurent:
-                    flags[m] = True
-                for e, c in pairs:
-                    add_term(t, e + n, c * q)
-                if not t:
-                    del acc[m], flags[m]
+    acc = {}
+    for n, A, B in _contractions(ta, tb, w):
+        lift = w.den ** (top - n)
+        if lift != 1:
+            B = {k: c * lift for k, c in B.items()}
+        _wedge_into(acc, n, A, B)
     den = da * db * w.den ** top
-    return QForm._make({m: HPoly._make({e: over(c, den)
-                                        for e, c in t.items()}, flags[m])
-                        for m, t in acc.items()},
-                       a.dim, a.laurent or b.laurent)
+    laurent = a.laurent or b.laurent
+    out = {}
+    for (e, m), c in acc.items():
+        if c:
+            t = out.get(m)
+            if t is None:
+                t = out[m] = {}
+            t[e] = over(c, den)
+    return QForm._make({m: HPoly._make(t, laurent) for m, t in out.items()},
+                       a.dim, laurent)
 
 
 def _numerators(form: QForm):
-    """form's coefficients over one denominator: a list of (mask, Laurent
-    flag, {h exponent: numerator}) and the denominator."""
+    """form's coefficients over one denominator: terms {(h exponent,
+    mask): numerator} and the denominator."""
+    keys = [(e, m) for m, hc in form.terms.items() for e in hc.terms]
     nums, den = clear_denominators(c for hc in form.terms.values()
                                    for c in hc.terms.values())
-    it = iter(nums)
-    return [(m, hc.laurent, {e: next(it) for e in hc.terms})
-            for m, hc in form.terms.items()], den
+    return dict(zip(keys, nums)), den
 
 
 def quantum_power(a: QForm, k: int, w: PairTensor) -> QForm:
@@ -644,27 +659,24 @@ def quantum_wedge_multi(a: QForm, b: QForm, ws) -> MultiForm:
         for c in form.terms.values():
             if set(c.terms) - {0}:
                 raise ValueError("multi-parameter product needs h-free inputs")
-    out = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            # {(a', b'): {exponent tuple: coefficient}}
-            state = {(ma, mb): {(0,) * r: ca.constant() * cb.constant()}}
-            for p, w in enumerate(ws):
-                nxt = {}
-                for (am, bm), poly in state.items():
-                    for n, a2, b2, q in _contract(am, bm, w):
-                        q = over(q, w.den ** n)
-                        t = nxt.setdefault((a2, b2), {})
-                        for e, c in poly.items():
-                            e = e[:p] + (e[p] + n,) + e[p + 1:]
-                            add_term(t, e, c * q)
-                state = {k: t for k, t in nxt.items() if t}
-            for (am, bm), poly in state.items():
-                s, m = wedge_masks(am, bm)
-                if not s:
-                    continue
-                t = out.setdefault(m, {})
-                for e, c in poly.items():
-                    add_term(t, e, c if s > 0 else -c)
+    # tensor states (exponent tuple, A, B), contracted by one pairing
+    # after the other
+    states = [((0,) * r, {(0, m): c.constant() for m, c in a.terms.items()},
+               {(0, m): c.constant() for m, c in b.terms.items()})]
+    for p, w in enumerate(ws):
+        nxt = []
+        for e, A, B in states:
+            for n, A2, B2 in _contractions(A, B, w):
+                if n and w.den != 1:
+                    den = w.den ** n
+                    B2 = {k: over(c, den) for k, c in B2.items()}
+                nxt.append((e[:p] + (e[p] + n,) + e[p + 1:], A2, B2))
+        states = nxt
+    acc = {}
+    for e, A, B in states:
+        t = {}
+        _wedge_into(t, 0, A, B)
+        for (_, m), c in t.items():
+            add_term(acc.setdefault(m, {}), e, c)
     return MultiForm._make({m: HPolyMulti._make(t, r)
-                            for m, t in out.items() if t}, a.dim, r)
+                            for m, t in acc.items() if t}, a.dim, r)

@@ -12,8 +12,10 @@ from the standard bigraded.Frame.
 from fractions import Fraction
 
 from .bigraded import blade_bidegree, standard_frame
-from .blades import blade_degree, blade_str, insert_first_mask, wedge_masks
-from .exterior import Bivector, QForm, expand_blade_pair, substitute
+from .blades import (blade_degree, blade_str, indices_of_mask,
+                     insert_first_mask, wedge_masks)
+from .exterior import (Bivector, QForm, _contractions, _wedge_into,
+                       substitute)
 from .functions import FourierFn, PolyFn
 from .scalars import (GaussRat, HPoly, SparseTerms, add_term, as_fraction,
                       convolve, over)
@@ -32,6 +34,7 @@ class PoissonField(Bivector):
     def __init__(self, dim: int, entries=None):
         super().__init__(dim, entries)
         self._jacobi = None
+        self._mirror = None
 
     def fnring(self):
         for _, _, c in self.ordered_entries():
@@ -133,8 +136,8 @@ class FieldForm(SparseTerms):
     __rmul__ = __mul__
 
     def sorted_terms(self):
-        keys = sorted(self.terms,
-                      key=lambda k: (-blade_degree(k[1]), _indices(k[1]), k[0]))
+        keys = sorted(self.terms, key=lambda k: (
+            -blade_degree(k[1]), indices_of_mask(k[1]), k[0]))
         return [(k, self.terms[k]) for k in keys]
 
     def __str__(self):
@@ -162,10 +165,6 @@ class FieldForm(SparseTerms):
             out.setdefault(blade_str(mask, "dx"), []).append(
                 [h, fn.serialize()])
         return out
-
-
-def _indices(mask: int):
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _mask_of(key) -> int:
@@ -201,13 +200,13 @@ def quantum_wedge_field(a: FieldForm, b: FieldForm, w: PoissonField):
         raise ValueError("form spaces differ")
     if w.dim != a.dim:
         raise ValueError("dimension mismatch")
-    t = {}
-    for (ha, ma), fa in a.terms.items():
-        for (hb, mb), fb in b.terms.items():
-            fab = fa * fb
-            for n, mask, num in expand_blade_pair(ma, mb, w):
-                add_term(t, (ha + hb + n, mask), fab * over(num, w.den ** n))
-    return a._like(t)
+    acc = {}
+    for n, A, B in _contractions(a.terms, b.terms, w):
+        if n and w.den != 1:
+            den = w.den ** n
+            B = {k: over(c, den) for k, c in B.items()}
+        _wedge_into(acc, n, A, B)
+    return a._like({k: c for k, c in acc.items() if c})
 
 
 def insert_coord(i: int, form: FieldForm) -> FieldForm:

@@ -6,10 +6,12 @@ from random import Random
 
 import pytest
 
+from qdr import chernweil
 from qdr.chernweil import (
     GaugeTransform,
     MatrixForm,
     bianchi_check,
+    bundle_wedge,
     char_form,
     chern_character,
     covariant_d,
@@ -18,8 +20,9 @@ from qdr.chernweil import (
     gauge_transform,
     quantum_curvature,
 )
-from qdr.fields import FieldForm, quantum_d, wedge_field
-from qdr.fixtures import standard_symplectic
+from qdr.fields import (FieldForm, PoissonField, quantum_d,
+                        quantum_wedge_field, wedge_field)
+from qdr.fixtures import lie_poisson_so3, standard_symplectic
 from qdr.functions import PolyFn
 from qdr.rand import random_fieldform, random_polyfn
 
@@ -54,6 +57,25 @@ def test_line_bundle_curvature():
     expect = R2.omega_form() + FieldForm.from_fn(R2.constant(1), 0, 1)
     assert curv.entries[0][0] == expect
     assert quantum_d(curv.entries[0][0], R2.poisson).is_zero()
+
+
+def test_bundle_wedge_builds_the_mirror_once(monkeypatch):
+    model = lie_poisson_so3()
+    w = model.poisson
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return PoissonField(*args)
+    monkeypatch.setattr(chernweil, "PoissonField", counted)
+    rng = Random(80)
+    a, b = (random_fieldform(rng, model, nterms=3) for _ in range(2))
+    first = bundle_wedge(a, b, w)
+    assert [bundle_wedge(a, b, w) for _ in range(3)] == [first] * 3
+    assert len(built) == 1
+    mirror = PoissonField(3, {(i, j): -c for i, j, c in w.upper_entries()})
+    assert first == quantum_wedge_field(a, b, mirror)
+    assert first != quantum_wedge_field(a, b, w)
 
 
 def test_covariant_d_zero_connection_is_quantum_d():

@@ -22,7 +22,7 @@ from qdr.exterior import (
     MultiForm,
     PairTensor,
     QForm,
-    _contract,
+    _contractions,
     expand_blade_pair,
     insert_first,
     insert_last,
@@ -43,7 +43,8 @@ from qdr.rand import (
     random_qform,
 )
 from qdr.functions import PolyFn
-from qdr.scalars import GaussRat, HPoly, HPolyMulti, SparseTerms, over
+from qdr.scalars import (GaussRat, HPoly, HPolyMulti, SparseTerms, add_term,
+                         over)
 from qdr.symplectic import SymplecticForm
 
 E1 = QForm.one_form(2, 1)
@@ -224,10 +225,10 @@ def test_blade_type():
 
 # ------------------------------------------------- contraction kernel
 #
-# The references below are the breadth-first kernel, the HPoly
-# accumulation and the per-parameter level loop the sparse kernel
-# replaced, kept as they were apart from the memo table: the reference
-# kernel must not share the pairing's memo with the kernel under test.
+# The references below expand every blade pair breadth first, one pair
+# insertion per level with a 1/n! weight, and accumulate HPolys, field
+# coefficients or one level loop per parameter: the slow paths the
+# whole-form kernel replaced. They share no code with it.
 
 
 def reference_expand_blade_pair(amask, bmask, pairing):
@@ -276,6 +277,16 @@ def reference_quantum_wedge(a, b, w):
                 else:
                     out.pop(m, None)
     return QForm(a.dim, out, laurent=laurent)
+
+
+def reference_quantum_wedge_field(a, b, w):
+    t = {}
+    for (ha, ma), fa in a.terms.items():
+        for (hb, mb), fb in b.terms.items():
+            fab = fa * fb
+            for n, m, q in reference_expand_blade_pair(ma, mb, w):
+                add_term(t, (ha + hb + n, m), fab * q)
+    return a._like(t)
 
 
 def reference_quantum_wedge_multi(a, b, ws):
@@ -350,7 +361,8 @@ def assert_same_product(new, ref):
     assert new == ref
     assert new.serialize() == ref.serialize()
     assert new.laurent == ref.laurent
-    assert flags(new) == flags(ref)
+    # every coefficient carries the product's flag, a.laurent or b.laurent
+    assert flags(new) == {m: new.laurent for m in new.terms}
 
 
 def test_kernel_matches_reference_on_random_pairings():
@@ -360,9 +372,6 @@ def test_kernel_matches_reference_on_random_pairings():
         w = (random_pairing(rng, dim) if trial % 2
              else random_bivector(rng, dim))
         a, b = rng.randrange(1 << dim), rng.randrange(1 << dim)
-        assert summed(divided(expand_blade_pair(a, b, w), w)) == \
-            summed(reference_expand_blade_pair(a, b, w))
-        # a second call answers from the memo and must agree too
         assert summed(divided(expand_blade_pair(a, b, w), w)) == \
             summed(reference_expand_blade_pair(a, b, w))
     for trial in range(40):
@@ -393,25 +402,17 @@ def test_kernel_matches_reference_on_gaussian_pairings():
 
 @pytest.mark.parametrize("build", [lie_poisson_so3, heisenberg,
                                    lambda: torus(1, 1), lambda: torus(2, 1)])
-def test_field_product_matches_reference(build, monkeypatch):
+def test_field_product_matches_reference(build):
     model = build()
     rng = Random(613)
     pairs = [(random_fieldform(rng, model, nterms=2),
               random_fieldform(rng, model, nterms=2)) for _ in range(6)]
-    assert_field_product_matches_reference(model.poisson, pairs, monkeypatch)
+    assert_field_product_matches_reference(model.poisson, pairs)
 
 
-def reference_numerators(amask, bmask, pairing):
-    """The reference expansion as the kernel's level-n numerators."""
-    return tuple((n, m, c * pairing.den ** n) for n, m, c in
-                 reference_expand_blade_pair(amask, bmask, pairing))
-
-
-def assert_field_product_matches_reference(w, pairs, monkeypatch):
+def assert_field_product_matches_reference(w, pairs):
     new = [fields.quantum_wedge_field(x, y, w) for x, y in pairs]
-    with monkeypatch.context() as patch:
-        patch.setattr(fields, "expand_blade_pair", reference_numerators)
-        ref = [fields.quantum_wedge_field(x, y, w) for x, y in pairs]
+    ref = [reference_quantum_wedge_field(x, y, w) for x, y in pairs]
     assert new == ref
     assert [f.serialize() for f in new] == [f.serialize() for f in ref]
 
@@ -465,6 +466,19 @@ def minor_oracle(amask, bmask, w):
     return out
 
 
+def contraction_minors(amask, bmask, w):
+    """(n, a', b') -> coefficient of the pair e^a' (x) e^b' in the
+    contractions of two unit blades: B_J is one signed blade, so each
+    term of A_J times it is one signed minor."""
+    out = {}
+    for n, A, B in _contractions({(0, amask): 1}, {(0, bmask): 1}, w):
+        [((_, b2), cb)] = B.items()
+        for (_, a2), ca in A.items():
+            assert (n, a2, b2) not in out
+            out[(n, a2, b2)] = over(ca * cb, w.den ** n)
+    return out
+
+
 def test_level_coefficients_are_signed_minors():
     rng = Random(614)
     for trial in range(150):
@@ -472,15 +486,38 @@ def test_level_coefficients_are_signed_minors():
         w = random_pairing(rng, dim, density=0.7) if trial % 2 \
             else random_bivector(rng, dim)
         a, b = rng.randrange(1 << dim), rng.randrange(1 << dim)
-        got = {(n, a2, b2): over(c, w.den ** n)
-               for n, a2, b2, c in _contract(a, b, w)}
-        assert got == minor_oracle(a, b, w)
+        assert contraction_minors(a, b, w) == minor_oracle(a, b, w)
     # e1^e2 against e1^e2: the 2x2 level is det [[w11, w12], [w21, w22]]
     w = PairTensor(2, {(1, 1): 2, (1, 2): 3, (2, 1): 5, (2, 2): 7})
     top = mask_of_indices((1, 2))
-    got = {(n, a2, b2): over(c, w.den ** n)
-           for n, a2, b2, c in _contract(top, top, w)}
-    assert got[(2, 0, 0)] == -(2 * 7 - 3 * 5)
+    assert contraction_minors(top, top, w)[(2, 0, 0)] == -(2 * 7 - 3 * 5)
+
+
+def full_form(rng, dim, degree, coeff):
+    """Every blade of one degree, with random nonzero coefficients."""
+    return QForm(dim, {m: coeff(rng) for m in range(1 << dim)
+                       if m.bit_count() == degree})
+
+
+def test_merged_blades_match_reference():
+    # full forms of degrees 3 and 4 at dim 6: blades of a that lose
+    # different indices to one remainder merge before the next
+    # contraction, and every blade of b that holds J shares one A_J
+    rng = Random(621)
+    general = random_pairing(rng, 6, density=0.7)
+    zero_col = PairTensor(6, {(i, j): c for i, j, c in
+                              random_pairing(rng, 6).ordered_entries()
+                              if j != 3})
+    assert not zero_col._cols[3]
+    gauss = standard_frame(3).wcx()
+    rational = lambda r: HPoly({r.randrange(2): Fraction(r.randint(1, 5),
+                                                         r.randint(1, 4))})
+    gaussian = lambda r: HPoly({r.randrange(2): random_gauss(r) or 1})
+    for w, coeff in ((general, rational), (zero_col, rational),
+                     (gauss, gaussian)):
+        x, y = full_form(rng, 6, 3, coeff), full_form(rng, 6, 4, coeff)
+        assert_same_product(quantum_wedge(x, y, w),
+                            reference_quantum_wedge(x, y, w))
 
 
 # --------------------------------------- numerators over one denominator
@@ -493,29 +530,39 @@ GAUSS = PairTensor(2, {(1, 2): GaussRat(Fraction(1, 2), Fraction(-1, 3)),
                        (2, 2): Fraction(2, 5)})
 
 
+def numerators(w):
+    """{(i, j): numerator of w^{ij}} from the pairing's column lists."""
+    out = {}
+    for j, col in enumerate(w._cols):
+        for bit, i, num in col:
+            assert bit == 1 << (i - 1)
+            out[(i, j)] = num
+    return out
+
+
 def test_pairing_keeps_numerators_over_one_denominator():
     assert MIXED.den == 12
-    assert [num for row in MIXED._rows for _, num, _ in row] == [6, 8, 15]
+    assert numerators(MIXED) == {(1, 1): 6, (1, 2): 8, (2, 1): 15}
     assert GAUSS.den == 60
-    nums = [num for row in GAUSS._rows for _, num, _ in row]
-    assert nums == [GaussRat(30, -20), GaussRat(0, 45), 24]
-    assert [type(x.re) for x in nums[:2]] == [int, int]
+    nums = numerators(GAUSS)
+    assert nums == {(1, 2): GaussRat(30, -20), (2, 1): GaussRat(0, 45),
+                    (2, 2): 24}
+    assert [type(nums[k].re) for k in ((1, 2), (2, 1))] == [int, int]
     # a field-valued entry stays as it is, over 1
     fn = fields.PoissonField(2, {(1, 2): PolyFn.coord(2, 1) * Fraction(1, 3)})
     assert fn.den == 1
-    assert [num for row in fn._rows for _, num, _ in row] == \
-        [c for _, _, c in fn.ordered_entries()]
+    assert numerators(fn) == fn.entries
 
 
 def test_mixed_denominators_match_reference_with_laurent_flags():
-    # the e1^e2 sum of x *_h y cancels after two Laurent contributions
-    # and then starts afresh from a polynomial one, without the flag
+    # the e1^e2 sum of x *_h y meets Laurent and polynomial contributions
+    # and cancels on the way; its coefficient carries x's flag all the same
     lau = lambda c: HPoly({0: c}, laurent=True)
     x = QForm(2, {0b01: lau(Fraction(2, 3)), 0b10: lau(Fraction(1, 2)),
                   0b11: HPoly({0: Fraction(1, 5)})})
     y = QForm(2, {0b10: Fraction(3, 4), 0b01: 1, 0: 7})
     out = quantum_wedge(x, y, MIXED)
-    assert out.laurent and not flags(out)[0b11]
+    assert out.laurent and flags(out)[0b11]
     assert out.coeff(0b11) == HPoly({0: Fraction(7, 5)})
     assert_same_product(out, reference_quantum_wedge(x, y, MIXED))
     rng = Random(617)
@@ -547,7 +594,7 @@ def test_gaussian_denominators_match_reference():
                             reference_quantum_wedge(y, x, GAUSS))
 
 
-def test_rational_poisson_field_matches_reference(monkeypatch):
+def test_rational_poisson_field_matches_reference():
     w = fields.PoissonField(4, {(1, 2): Fraction(2, 3), (3, 4): Fraction(5, 4),
                                 (1, 3): Fraction(-1, 2)})
     assert w.is_constant() and w.den == 12
@@ -565,7 +612,7 @@ def test_rational_poisson_field_matches_reference(monkeypatch):
                                          random_polyfn(rng, 4)
                                          for _ in range(2)})
             for _ in range(2)))
-    assert_field_product_matches_reference(w, pairs, monkeypatch)
+    assert_field_product_matches_reference(w, pairs)
 
 
 def leaves(value):
@@ -627,15 +674,15 @@ def test_quantum_wedge_keeps_laurent_flags():
     a = QForm(4, {(1,): laurent, (3,): HPoly({0: 1})})
     out = quantum_wedge(a, QForm.one_form(4, 2), W4)
     assert out.laurent
+    # a's flag reaches every coefficient, the polynomial e2^e3 one too
     assert flags(out) == {mask_of_indices((1, 2)): True, 0: True,
-                          mask_of_indices((2, 3)): False}
-    # the e1^e2 sum cancels to zero before its last, polynomial
-    # contribution, which then starts it afresh without the flag
+                          mask_of_indices((2, 3)): True}
+    # the e1^e2 sum cancels to zero on the way and keeps the flag
     flat = HPoly({0: 1}, laurent=True)
     x = QForm(2, {0b01: flat, 0b10: flat, 0b11: HPoly({0: 1})})
     y = QForm(2, {0b10: 1, 0b01: 1, 0: 1})
     out = quantum_wedge(x, y, W2)
-    assert not flags(out)[0b11]
+    assert flags(out)[0b11]
     assert_same_product(out, reference_quantum_wedge(x, y, W2))
     rng = Random(616)
     units = [HPoly({0: 1}), HPoly({0: -1}), HPoly({1: 1}),
