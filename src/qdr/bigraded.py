@@ -249,10 +249,6 @@ class Frame:
         F = self._from_cx
         return mat_mul(F, mat_mul(_bivector_matrix(w), transpose(F)))
 
-    def pairing_cx(self, w: Bivector) -> Bivector:
-        """The bivector's components on the frame covectors."""
-        return _upper_bivector(self._cx_matrix(w))
-
     def check_invariance(self, w: Bivector):
         """The complex structure must preserve the bivector."""
         wm = _bivector_matrix(w)
@@ -363,20 +359,6 @@ def _raw_gram(n: int) -> dict:
                     gram[(ma, mb)] = val
         _RAW_GRAMS[n] = gram
     return gram
-
-
-def quantum_wedge_cx(a: BigradedForm, b: BigradedForm, w: Bivector,
-                     frame: Frame = None) -> BigradedForm:
-    if a.n != b.n:
-        raise ValueError("frame dimension mismatch")
-    frame = standard_frame(a.n) if frame is None else frame
-    # the frame's own bivector is J-invariant by construction
-    if w == frame._wstd:
-        wcx = frame.wcx()
-    else:
-        frame.check_invariance(w)
-        wcx = frame.pairing_cx(w)
-    return BigradedForm(a.n, quantum_wedge(a.form, b.form, wcx))
 
 
 def hermitian_prefactor(p: int, q: int, variant: str = "derived") -> GaussRat:

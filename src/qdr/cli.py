@@ -778,8 +778,7 @@ def _run_chern(ctx, task):
     mat = MatrixForm(entries)
     w = ctx.model.poisson
     try:
-        curv = quantum_curvature(mat, w)
-        bianchi_check(mat, w)
+        curv = bianchi_check(mat, w)["curvature"]
         trace = char_form(curv, "trace", w)
         ok = True
         note = ""
@@ -1019,12 +1018,12 @@ def chern_failures(rng, ns, count):
                                                   max_deg=2)
                                  for _ in range(2)] for _ in range(2)])
             try:
-                bianchi_check(theta, w)
+                curv = bianchi_check(theta, w)["curvature"]
                 g = GaugeTransform(model, [[1, random_polyfn(rng, model.dim,
                                                              max_deg=1)],
                                            [0, 1]])
                 curvature_gauge_check(theta, g, w)
-                char_form(quantum_curvature(theta, w), "trace", w)
+                char_form(curv, "trace", w)
             except AssertionError:
                 bad += 1
     return bad

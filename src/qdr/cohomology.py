@@ -5,8 +5,12 @@ splits into finite blocks indexed by the mode vector k.  On mode k every
 entry of a d, delta or d_h block is i*tau*r with r rational (tau is the
 formal circle period), and the blocks are linear in k:
 A(k) = sum_j k_j * A_j over the blocks A_j of the unit modes e_j.  A
-complex builds the unit blade blocks once and divides out i*tau.  The
-zero mode's blocks are A(0) = 0.
+complex builds the unit blade blocks once, reading each unit blade's d
+and delta off one exterior derivative, and divides out i*tau.  The unit
+blocks then hold int numerators over one denominator den per complex
+(the lcm of the entries' denominators), so every identity below is
+checked in int arithmetic, with den in place of 1 (after Bareiss, Math.
+Comp. 22, 1968).  The zero mode's blocks are A(0) = 0.
 
 Every rank comes from an identity checked exactly on the unit blocks;
 a failed identity raises AssertionError, naming the differential, the
@@ -17,10 +21,12 @@ and H(k) = sum_i k_i B_i / |k|^2, a degree whose unit blocks satisfy
 A_j B_i + B_i A_j = delta_ij I and A_i A_j + A_j A_i = 0 has A(k)H(k)
 idempotent with image im A(k) for every k != 0; its trace,
 t = tr(A_j B_j), is the d or d_h rank of every nonzero mode's block.
-On a symplectic torus delta = (-1)^(q+1) * d * on degree q, with * the
-symplectic star (Brylinski's identity), checked on every unit block;
-so the delta rank on degree q is the d rank on degree dim - q.  Total
-degree counts the deformation parameter as degree 2.
+On the numerators the identities read den * delta_ij I, 0 and
+t * den.  On a symplectic torus delta = (-1)^(q+1) * d * on degree q,
+with * the symplectic star (Brylinski's identity), checked on every
+unit block against star columns cleared to ints over their own
+denominator; so the delta rank on degree q is the d rank on degree
+dim - q.  Total degree counts the deformation parameter as degree 2.
 """
 
 from fractions import Fraction
@@ -30,14 +36,9 @@ from math import comb
 from .blades import blade_degree, insert_first_mask, masks_of_degree, \
     wedge_masks
 from .exterior import QForm, insert_first, wedge
-from .fields import (
-    FieldForm,
-    exterior_d,
-    koszul_delta,
-    quantum_d,
-)
+from .fields import FieldForm, d_and_delta, quantum_d
 from .functions import FourierFn
-from .scalars import HPoly, TauNumber, add_term
+from .scalars import HPoly, TauNumber, add_term, clear_denominators, over
 from .symplectic import SymplecticForm, bivector_of, contract_bivector, \
     symplectic_star
 
@@ -60,8 +61,11 @@ class TruncatedComplex:
     total degree m: "laurent" keeps every integer p with 0 <= m - 2p <= dim,
     "polynomial" additionally demands p >= 0.
 
-    fmodes lists the truncated mode vectors.  Unit blocks are sparse
-    columns, one {row: entry} per basis element.
+    fmodes lists the truncated mode vectors.  Unit blocks are sparse int
+    columns over den, one {row: numerator} per basis element: an entry
+    of the block over i*tau is numerator / den, with den the lcm of the
+    denominators of every unit d and delta entry (the d_h blocks share
+    it).
     """
 
     def __init__(self, model, trunc: int, mode: str = "laurent",
@@ -88,7 +92,7 @@ class TruncatedComplex:
         # blocks of d (q -> q+1) and delta (q -> q-1) are built here, the
         # total-degree blocks of d_h (m -> m+1) on first use
         self._units = {"d": {}, "delta": {}, "dh": {}}
-        self._build_unit_blocks()
+        self.den = self._build_unit_blocks()
         self._rank_cache = {}
         self._stars = {}
 
@@ -151,8 +155,11 @@ class TruncatedComplex:
                 col[row] = _over_i_tau(coeff, label)
         return col
 
-    def _build_unit_blocks(self):
-        """d and delta blade blocks of every unit mode e_j, over i*tau."""
+    def _build_unit_blocks(self) -> int:
+        """d and delta blade blocks of every unit mode e_j, over i*tau,
+        both columns of a blade from one d_and_delta; the entries are
+        cleared to ints and their common denominator returned."""
+        cols = []
         for q in range(self.dim + 1):
             dtgt = {pm: r for r, pm in enumerate(self._space("d", q + 1))}
             deltatgt = {pm: r for r, pm in enumerate(self._space("d", q - 1))}
@@ -160,12 +167,18 @@ class TruncatedComplex:
             deltaq = self._units["delta"][q] = []
             for j in range(self.dim):
                 kvec = tuple(int(i == j) for i in range(self.dim))
-                elems = [self._mode_form(kvec, mask) for mask in self._masks[q]]
-                dq.append([self._column(exterior_d(e), kvec, dtgt, "d")
-                           for e in elems])
-                deltaq.append([self._column(koszul_delta(e, self.w), kvec,
-                                            deltatgt, "delta")
-                               for e in elems])
+                dcols, deltacols = [], []
+                for mask in self._masks[q]:
+                    df, delta = d_and_delta(self._mode_form(kvec, mask),
+                                            self.w)
+                    dcols.append(self._column(df, kvec, dtgt, "d"))
+                    deltacols.append(self._column(delta, kvec, deltatgt,
+                                                  "delta"))
+                dq.append(dcols)
+                deltaq.append(deltacols)
+                cols += dcols
+                cols += deltacols
+        return _clear_columns(cols)
 
     def _assemble_dh(self, j: int, m: int):
         """Unit d_h block of e_j at degree m from its blade blocks: d
@@ -202,35 +215,41 @@ class TruncatedComplex:
         return blocks[g]
 
     def _star(self, q: int):
-        """The symplectic star on the degree-q blades, as sparse columns
-        into degree dim - q; each degree's is built once per complex."""
-        cols = self._stars.get(q)
-        if cols is None:
+        """(cols, E_q): the symplectic star on the degree-q blades as
+        sparse int columns into degree dim - q, over their own
+        denominator E_q; each degree's is built once per complex."""
+        star = self._stars.get(q)
+        if star is None:
             index = {mask: r
                      for r, mask in enumerate(self._masks[self.dim - q])}
-            cols = self._stars[q] = []
+            cols = []
             for mask in self._masks[q]:
                 image = symplectic_star(QForm(self.dim, {mask: 1}),
                                         self.model.omega)
                 cols.append({index[m]: c.coeff(0)
                              for m, c in image.terms.items()})
-        return cols
+            star = self._stars[q] = (cols, _clear_columns(cols))
+        return star
 
     # -- exact ranks ---------------------------------------------------------
 
     def _check_star(self, q: int):
         """Brylinski's identity delta_j = (-1)^(q+1) * S d_j S on the unit
         blocks of degree q, with S the symplectic star of the model's
-        omega (the standard form when it has none)."""
-        star, star_back = self._star(q), self._star(self.dim - q + 1)
-        sign = (-1) ** (q + 1)
+        omega (the standard form when it has none).  On the int
+        numerators, with the stars over E_q and E_(dim-q+1) and d and
+        delta over the same den, it reads
+        S_back d_j S = E_q * E_(dim-q+1) * (-1)^(q+1) * delta_j."""
+        star, e = self._star(q)
+        star_back, e_back = self._star(self.dim - q + 1)
+        scale = (-1) ** (q + 1) * e * e_back
         units = zip(self._unit("d", self.dim - q), self._unit("delta", q))
         for j, (d_j, delta_j) in enumerate(units):
             for c, col in enumerate(star):
                 mid, out = {}, {}
                 _apply(d_j, col, mid)
                 _apply(star_back, mid, out)
-                if out != {r: sign * x for r, x in delta_j[c].items()}:
+                if out != {r: scale * x for r, x in delta_j[c].items()}:
                     raise AssertionError(
                         f"delta degree {q}: delta is not (-1)^(q+1) * d * "
                         f"on unit mode e_{j + 1}, column {c}")
@@ -246,7 +265,7 @@ class TruncatedComplex:
                 prev, here, nxt = (self._space(kind, g + s)
                                    for s in (-1, 0, 1))
                 t = _homotopy_rank(
-                    f"{kind} degree {g}",
+                    f"{kind} degree {g}", self.den,
                     self._unit(kind, g - 1), self._unit(kind, g),
                     [_interior(here, prev, i) for i in range(self.dim)],
                     [_interior(nxt, here, i) for i in range(self.dim)])
@@ -282,6 +301,17 @@ def _interior(src, tgt, i: int):
     return cols
 
 
+def _clear_columns(cols) -> int:
+    """Scale sparse columns in place to int numerators over one
+    denominator, the lcm of their entries' denominators; returns it."""
+    nums, den = clear_denominators(x for col in cols for x in col.values())
+    nums = iter(nums)
+    for col in cols:
+        for r in col:
+            col[r] = next(nums)
+    return den
+
+
 def _apply(block, vec, acc):
     """acc += block @ vec over sparse columns, zero-free."""
     for r, x in vec.items():
@@ -289,21 +319,24 @@ def _apply(block, vec, acc):
             add_term(acc, s, x * y)
 
 
-def _homotopy_rank(label, a_prev, a, b, b_next) -> int:
-    """t such that every nonzero A(k) = sum_j k_j a[j] has rank t.
+def _homotopy_rank(label, den, a_prev, a, b, b_next) -> int:
+    """t such that every nonzero A(k) = sum_j k_j a[j] / den has rank t.
 
-    a_prev[j] and a[j] are the unit blocks into and out of one degree,
-    b[i] and b_next[i] the contractions iota(e_i) on that degree and the
-    next, all sparse columns.  Checked exactly:
-      (a) a_prev[j] b[i] + b_next[i] a[j] = delta_ij I on the degree,
+    a_prev[j] and a[j] are the unit blocks into and out of one degree, as
+    int numerators over den, and b[i] and b_next[i] the contractions
+    iota(e_i) on that degree and the next, all sparse columns.  Checked
+    exactly, in ints:
+      (a) a_prev[j] b[i] + b_next[i] a[j] = den * delta_ij I on the
+          degree,
       (b) a[i] a_prev[j] + a[j] a_prev[i] = 0 into the next degree.
     For k != 0, with H(k) = sum_i k_i b[i] / |k|^2 on the degree (b_next
     on the next), (a) gives A_prev(k)H(k) + H(k)A(k) = I and (b) gives
     A(k)A_prev(k) = 0.  So P = A(k)H(k) has P^2 = P and P A(k) = A(k):
     P projects onto im A(k), and rank A(k) = trace P = k^T T k / |k|^2
-    with T_ij = trace(a[j] b_next[i]).  Certified only when T = t*I for
-    an integer t, so the rank is t on every nonzero mode.  A failed
-    check raises AssertionError prefixed with label.
+    with T_ij = trace(a[j] b_next[i]) / den.  Certified only when the
+    numerator table is t * den * I for an integer t, so the rank is t on
+    every nonzero mode.  A failed check raises AssertionError prefixed
+    with label; a trace table is printed over den.
     """
     dim = len(a)
     for c in range(len(b[0])):
@@ -312,7 +345,7 @@ def _homotopy_rank(label, a_prev, a, b, b_next) -> int:
                 acc = {}
                 _apply(a_prev[j], b[i][c], acc)
                 _apply(b_next[i], a[j][c], acc)
-                if acc != ({c: 1} if i == j else {}):
+                if acc != ({c: den} if i == j else {}):
                     raise AssertionError(
                         f"{label}: A_j B_i + B_i A_j is not delta_ij I at "
                         f"(i, j) = ({i}, {j}), column {c}")
@@ -329,13 +362,13 @@ def _homotopy_rank(label, a_prev, a, b, b_next) -> int:
     trace = [[sum(a[j][r].get(c, 0) * x
                   for c, col in enumerate(b_next[i]) for r, x in col.items())
               for j in range(dim)] for i in range(dim)]
-    t = trace[0][0]
-    if Fraction(t).denominator != 1 or any(
-            trace[i][j] != (t if i == j else 0)
-            for i in range(dim) for j in range(dim)):
+    t, rem = divmod(trace[0][0], den)
+    if rem or any(trace[i][j] != (trace[0][0] if i == j else 0)
+                  for i in range(dim) for j in range(dim)):
+        table = [[str(over(x, den)) for x in row] for row in trace]
         raise AssertionError(
             f"{label}: the trace table tr(A_j B_i) is not t*I for an "
-            f"integer t: {[[str(x) for x in row] for row in trace]}")
+            f"integer t: {table}")
     return int(t)
 
 
@@ -500,10 +533,10 @@ def stokes_check(form: FieldForm, model) -> dict:
     """The three integrals that must vanish: d, shifted delta, deformed d."""
     w = model.poisson
     omega = model.omega
+    df, delta = d_and_delta(form, w)
     vals = {
-        "d": quantum_integral(exterior_d(form), omega, model),
-        "h_delta": quantum_integral(
-            koszul_delta(form, w).h_shift(1), omega, model),
+        "d": quantum_integral(df, omega, model),
+        "h_delta": quantum_integral(delta.h_shift(1), omega, model),
         "d_h": quantum_integral(quantum_d(form, w), omega, model),
     }
     for name, val in vals.items():

@@ -256,15 +256,24 @@ def exterior_d(form: FieldForm) -> FieldForm:
     return form._like(t)
 
 
+def d_and_delta(form: FieldForm, w: PoissonField):
+    """(d form, delta form) from one exterior derivative of the form:
+    delta = iota_w d - d iota_w contracts the d it returns, so a caller
+    that needs both pays for d once.  koszul_delta, quantum_d and
+    quantum_d_mirror are read off this pair."""
+    df = exterior_d(form)
+    return df, contract_field(w, df) - exterior_d(contract_field(w, form))
+
+
 def koszul_delta(form: FieldForm, w: PoissonField) -> FieldForm:
     """delta = iota_w d - d iota_w; drops the form degree by one."""
-    return contract_field(w, exterior_d(form)) - \
-        exterior_d(contract_field(w, form))
+    return d_and_delta(form, w)[1]
 
 
 def quantum_d(form: FieldForm, w: PoissonField) -> FieldForm:
     """d - h delta; squares to zero exactly when w is Poisson."""
-    return exterior_d(form) - koszul_delta(form, w).h_shift(1)
+    df, delta = d_and_delta(form, w)
+    return df - delta.h_shift(1)
 
 
 def quantum_d_mirror(form: FieldForm, w: PoissonField) -> FieldForm:
@@ -279,7 +288,8 @@ def quantum_d_mirror(form: FieldForm, w: PoissonField) -> FieldForm:
     and the derivation property ties the product's orientation to the
     sign of the delta correction.
     """
-    return exterior_d(form) + koszul_delta(form, w).h_shift(1)
+    df, delta = d_and_delta(form, w)
+    return df + delta.h_shift(1)
 
 
 def lie_derivative(comps, form: FieldForm) -> FieldForm:

@@ -17,7 +17,6 @@ from qdr.bigraded import (
     hermitian_pairing,
     hermitian_prefactor,
     i_pow,
-    quantum_wedge_cx,
     raw_pairing,
     standard_frame,
 )
@@ -34,6 +33,27 @@ F1B = BigradedForm.monomial(1, 0b10)
 TOP1 = BigradedForm.monomial(1, 0b11)
 W2 = bivector_of(SymplecticForm(2))
 W4 = bivector_of(SymplecticForm(4))
+
+
+# -- test-local reference: the deformed product on the frame covectors ----
+
+def pairing_cx(frame, w: Bivector) -> Bivector:
+    """The bivector's components on the frame covectors."""
+    return bigraded._upper_bivector(frame._cx_matrix(w))
+
+
+def quantum_wedge_cx(a: BigradedForm, b: BigradedForm, w: Bivector,
+                     frame: Frame = None) -> BigradedForm:
+    if a.n != b.n:
+        raise ValueError("frame dimension mismatch")
+    frame = standard_frame(a.n) if frame is None else frame
+    # the frame's own bivector is J-invariant by construction
+    if w == frame._wstd:
+        wcx = frame.wcx()
+    else:
+        frame.check_invariance(w)
+        wcx = pairing_cx(frame, w)
+    return BigradedForm(a.n, quantum_wedge(a.form, b.form, wcx))
 
 
 def test_standard_frame_builds():

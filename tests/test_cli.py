@@ -4,11 +4,12 @@ emitters, exit codes, and the named check suites."""
 import hashlib
 import json
 import math
+from random import Random
 
 import pytest
 
 import qdr
-from qdr import cli, cohomology, cpn
+from qdr import chernweil, cli, cohomology, cpn
 from qdr.cli import (
     Options,
     ScenarioError,
@@ -299,6 +300,27 @@ def test_chern_task(tmp_path):
     assert line["curvature"][0][0] == "dx1^dx2 + h"
     assert rank2["pass"] and rank2["rank"] == 2
     assert rep["passed"]
+
+
+def test_chern_checks_compute_each_curvature_once(tmp_path, monkeypatch):
+    # the task and the suite take the curvature bianchi_check returns;
+    # only the gauge check computes those of theta and theta' apart
+    calls = []
+    real = chernweil.quantum_curvature
+
+    def counting(theta, w):
+        calls.append(theta)
+        return real(theta, w)
+    for module in (cli, chernweil):
+        monkeypatch.setattr(module, "quantum_curvature", counting)
+    path = scenario_file(tmp_path, {
+        "model": "flat", "dim": 2,
+        "tasks": [{"op": "chern", "theta": "x[1] * dx[2]"}]})
+    assert run_scenario(path)["passed"]
+    assert len(calls) == 1
+    calls.clear()
+    assert cli.chern_failures(Random(5), (1,), 2) == 0
+    assert len(calls) == 2 * 3
 
 
 def test_cpn_table_task(tmp_path):

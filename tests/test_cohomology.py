@@ -3,12 +3,12 @@ constants of the symplectic power family. Frozen dimension tables first."""
 
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from random import Random
 
 import pytest
 
-from qdr import cohomology, linalg
+from qdr import cohomology, fields, linalg
 from qdr.blades import masks_of_degree
 from qdr.cohomology import (
     build_complex,
@@ -234,14 +234,15 @@ _STEP = {"d": 1, "delta": -1, "dh": 1}
 
 def _block(c, kind, direction, g):
     """Dense block of the mode `direction` at degree g, rows over the
-    target degree: sum_j direction[j] * (unit block of e_j)."""
+    target degree: sum_j direction[j] * (unit block of e_j), the unit
+    blocks' numerators divided by the complex's den."""
     ncols = len(c._space(kind, g))
     rows = [[Fraction(0)] * ncols
             for _ in c._space(kind, g + _STEP[kind])]
     for k, cols in zip(direction, c._unit(kind, g)):
         for col_index, col in enumerate(cols):
             for r, x in col.items():
-                rows[r][col_index] += k * x
+                rows[r][col_index] += Fraction(k * x, c.den)
     return rows
 
 
@@ -459,17 +460,74 @@ def test_torus6_dimension_tables():
 
 
 def test_complex_builds_unit_blocks_once(monkeypatch):
-    # one koszul_delta per (unit mode, blade), however many modes
+    # one d_and_delta per (unit mode, blade), however many modes, and
+    # two exterior derivatives in each: d of the blade, d of iota_w
     calls = []
-    real = cohomology.koszul_delta
+    real = cohomology.d_and_delta
 
     def counting(form, w):
         calls.append(form)
         return real(form, w)
-    monkeypatch.setattr(cohomology, "koszul_delta", counting)
+    monkeypatch.setattr(cohomology, "d_and_delta", counting)
+    derivatives = []
+    real_d = fields.exterior_d
+
+    def counting_d(form):
+        derivatives.append(form)
+        return real_d(form)
+    # every qdr namespace that holds the function, as a tracer would
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("qdr")
+                and getattr(module, "exterior_d", None) is real_d):
+            monkeypatch.setattr(module, "exterior_d", counting_d)
     c = build_complex(torus(2, 1), 1)
     assert len(c.fmodes) == 81
     assert len(calls) == c.dim * 2 ** c.dim == 64
+    assert len(derivatives) == 2 * len(calls) == 128
+
+
+def test_unit_blocks_are_int_numerators_over_den():
+    # den is the lcm of the denominators of the delta entries over
+    # i*tau; d's entries are integers.  Scales 2/3 and -3/2 on a dim-4
+    # Darboux torus give denominators 2 and 3.
+    for model, den in ((torus(2, 1), 1), (_darboux_torus(3, 2, 1), 6)):
+        c = build_complex(model, 1)
+        want = 1
+        for q in range(c.dim + 1):
+            masks = _masks(c.dim, q)
+            for j in range(c.dim):
+                kvec = tuple(int(i == j) for i in range(c.dim))
+                for mask in masks:
+                    e = FieldForm.from_fn(FourierFn.mode(c.dim, kvec), mask)
+                    for fn in koszul_delta(e, c.w).terms.values():
+                        for coeff in fn.terms.values():
+                            want = lcm(want, _over_i_tau(coeff).denominator)
+        assert c.den == want == den
+        for kind in ("d", "delta"):
+            for per_j in c._units[kind].values():
+                for cols in per_j:
+                    for col in cols:
+                        assert all(type(x) is int for x in col.values())
+        for m in _degrees(c, "dh"):
+            for cols in c._unit("dh", m):
+                for col in cols:
+                    assert all(type(x) is int for x in col.values())
+        for q in range(c.dim + 1):
+            cols, e = c._star(q)
+            assert type(e) is int
+            assert all(type(x) is int for col in cols for x in col.values())
+
+
+def test_trace_table_off_den_fails_with_its_label():
+    # (a) and (b) force tr(a b_next) to a multiple of den, so only blocks
+    # whose contraction b lists no column of the degree reach the trace
+    # check with a bad table: here tr = 1 over den = 2
+    a, b_next = [[{0: 1}]], [[{0: 1}]]
+    with pytest.raises(AssertionError,
+                       match=r"^dh degree 3: the trace table .*'1/2'"):
+        cohomology._homotopy_rank("dh degree 3", 2, [[]], a, [[]], b_next)
+    assert cohomology._homotopy_rank("d degree 0", 1, [[]], a, [[]],
+                                     b_next) == 1
 
 
 def test_poisson_report_builds_each_star_once(monkeypatch):

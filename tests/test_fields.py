@@ -12,6 +12,7 @@ from qdr.fields import (
     PoissonField,
     bidegree_split,
     contract_field,
+    d_and_delta,
     delta_component_check,
     dolbeault_deltas,
     exterior_d,
@@ -183,6 +184,30 @@ def test_d_squared_and_poisson_identities():
             assert koszul_delta(koszul_delta(a, w), w).is_zero()
             assert (koszul_delta(d, w) + exterior_d(dl)).is_zero()
             assert quantum_d(quantum_d(a, w), w).is_zero()
+
+
+def _reference_delta(a, w):
+    """iota_w d - d iota_w with its own exterior derivative of a."""
+    return contract_field(w, exterior_d(a)) - exterior_d(contract_field(w, a))
+
+
+def test_shared_d_matches_the_three_derivative_compositions():
+    # the old operators: quantum_d and its mirror took d of the form
+    # once for themselves and once more inside koszul_delta
+    rng = Random(41)
+    for model in (FLAT1, torus(1, 1), torus(2, 1), SO3, HEIS):
+        w = model.poisson
+        live = 0
+        for _ in range(10):
+            a = random_fieldform(rng, model, nterms=3, max_h=1)
+            delta = _reference_delta(a, w)
+            live += not delta.is_zero()
+            assert d_and_delta(a, w) == (exterior_d(a), delta)
+            assert koszul_delta(a, w) == delta
+            assert quantum_d(a, w) == exterior_d(a) - delta.h_shift(1)
+            assert quantum_d_mirror(a, w) == \
+                exterior_d(a) + delta.h_shift(1)
+        assert live >= 5, model
 
 
 def test_jacobi_witness():
