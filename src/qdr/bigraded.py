@@ -222,8 +222,8 @@ class Frame:
         self._wcx_std = self._verify_pairings()
 
     def wcx(self) -> Bivector:
-        """The symplectic bivector on the frame covectors, kept so the
-        product kernel's pair memo stays warm across calls."""
+        """The symplectic bivector on the frame covectors, checked
+        against its frozen table once, when the frame is built."""
         return self._wcx_std
 
     def _verify_pairings(self) -> Bivector:
@@ -429,17 +429,18 @@ def derive_adjoint_law(n: int) -> dict:
 
     Asserts the raw law raw(a wedge_w b, g) = raw(a, conj(b) wedge_w g)
     on every triple, each product taken at parameter one once and
-    paired through the monomial table.  The prefactors are units fixed
-    by bidegree, so the prefactored pairing obeys the same law up to
-    the ratio pref(p+s, q+t)/pref(p, q) for a of bidegree (p, q) and b
-    of bidegree (s, t); every prefactored reading therefore follows
-    from the live sectors (p, q, s, t), those of the triples where the
-    raw pairing is nonzero.  Where s = t the ratio is constant in s:
+    paired through the monomial table; a failure raises AssertionError
+    naming the triple.  The prefactors are units fixed by bidegree, so
+    the prefactored pairing obeys the same law up to the ratio
+    pref(p+s, q+t)/pref(p, q) for a of bidegree (p, q) and b of
+    bidegree (s, t); every prefactored reading therefore follows from
+    the live sectors (p, q, s, t), those of the triples where the raw
+    pairing is nonzero.  Where s = t the ratio is constant in s:
     (-1)^s for the derived prefactor, one for the printed prefactor.
-    Returns the verdicts and, for each convention, whether the
-    conjugated law holds without a ratio and the diagonal factor table.
-    The printed statement, with b unconjugated, is read with the
-    derived prefactor.
+    Returns whether the printed statement holds and, for each
+    convention, whether the conjugated law holds without a ratio and
+    the diagonal factor table.  The printed statement, with b
+    unconjugated, is read with the derived prefactor.
     """
     gram = _raw_gram(n)
     wcx = standard_frame(n).wcx()
@@ -474,7 +475,7 @@ def derive_adjoint_law(n: int) -> dict:
                     live.add((p, q, s, t))
                 if printed_all:
                     printed_all = _pair_at_one(a1, bg, gram) == ratio * raw
-    law = {"raw_all": True, "printed_all": printed_all}
+    law = {"printed_all": printed_all}
     for convention in ("derived", "printed"):
         conjugated_all = True
         diagonal = {}

@@ -4,13 +4,13 @@ The differentials preserve each Fourier mode, so every complex built here
 splits into finite blocks indexed by the mode vector k.  On mode k every
 entry of a d, delta or d_h block is i*tau*r with r rational (tau is the
 formal circle period), and the blocks are linear in k:
-A(k) = sum_j k_j * A_j over the blocks A_j of the unit modes e_j.  A
-complex builds the unit blade blocks once, reading each unit blade's d
-and delta off one exterior derivative, and divides out i*tau.  The unit
-blocks then hold int numerators over one denominator den per complex
-(the lcm of the entries' denominators), so every identity below is
-checked in int arithmetic, with den in place of 1 (after Bareiss, Math.
-Comp. 22, 1968).  The zero mode's blocks are A(0) = 0.
+A(k) = sum_j k_j * A_j over the blocks A_j of the unit modes e_j.  For
+a constant bivector d and delta are first order and kill constants;
+since d e_j = i*tau * e_j e^j and d x_j = e^j, A_j over i*tau is the
+symbol read off d_and_delta(x_j * e^I), held as int numerators over one
+denominator den per complex (the lcm of the entries' denominators); so
+every identity below is checked in int arithmetic, with den in place of
+1 (after Bareiss, Math. Comp. 22, 1968).  The zero mode's blocks are 0.
 
 Every rank comes from an identity checked exactly on the unit blocks;
 a failed identity raises AssertionError, naming the differential, the
@@ -36,26 +36,15 @@ from math import comb
 from .blades import blade_degree, insert_first_mask, masks_of_degree, \
     wedge_masks
 from .exterior import QForm, insert_first, wedge
-from .fields import FieldForm, d_and_delta, quantum_d
-from .functions import FourierFn
+from .fields import FieldForm, d_and_delta
+from .functions import PolyFn
 from .scalars import HPoly, TauNumber, add_term, clear_denominators, over
 from .symplectic import SymplecticForm, bivector_of, contract_bivector, \
     symplectic_star
 
 
-def _over_i_tau(coeff: TauNumber, label: str) -> Fraction:
-    """r with coeff == i*tau*r."""
-    if coeff.terms.keys() == {1}:
-        g = coeff.terms[1]
-        if not g.re:
-            return g.im
-    raise ValueError(f"{label} block entry {coeff} is not i*tau times a "
-                     "rational")
-
-
 class TruncatedComplex:
-    """Ranks of d, delta, and d_h on a torus truncation, with i*tau
-    divided out.
+    """Ranks of d, delta, and d_h on a torus truncation, over i*tau.
 
     mode selects the coefficient window for the deformation exponent p at
     total degree m: "laurent" keeps every integer p with 0 <= m - 2p <= dim,
@@ -75,6 +64,16 @@ class TruncatedComplex:
         if not model.is_torus():
             raise ValueError(
                 f"cannot truncate {model}: coefficients are not periodic")
+        # x_j * e^I gives the unit blocks of e_j over i*tau only for a
+        # rational constant bivector
+        for i, j, c in model.poisson.upper_entries():
+            if type(c) is not Fraction:
+                moved = hasattr(c, "is_constant") and not c.is_constant()
+                raise ValueError(
+                    f"bivector entry w^{i}{j} = {c} is not a rational "
+                    "constant: " + ("delta's modes escaped their blocks"
+                                    if moved else "delta's entries are "
+                                    "not i*tau times a rational"))
         self.model = model
         self.trunc = trunc
         self.mode = mode
@@ -135,29 +134,20 @@ class TruncatedComplex:
 
     # -- block construction ------------------------------------------------
 
-    def _mode_form(self, kvec, mask: int) -> FieldForm:
-        fn = FourierFn.mode(self.dim, kvec)
-        return FieldForm.from_fn(fn, mask)
-
-    def _column(self, image: FieldForm, kvec, index, label):
+    def _column(self, image: FieldForm, index, label):
         col = {}
         for (p, mask), fn in image.terms.items():
-            for kv, coeff in fn.terms.items():
-                if kv != kvec:
-                    raise ValueError(
-                        f"truncation not closed under {label}: "
-                        f"mode {kv} escaped from {kvec}")
-                row = index.get((p, mask))
-                if row is None:
-                    raise ValueError(
-                        f"truncation not closed under {label}: "
-                        f"h^{p} blade {mask:b} is outside the window")
-                col[row] = _over_i_tau(coeff, label)
+            row = index.get((p, mask))
+            if row is None:
+                raise ValueError(
+                    f"truncation not closed under {label}: "
+                    f"h^{p} blade {mask:b} is outside the window")
+            col[row] = fn.constant_coeff()
         return col
 
     def _build_unit_blocks(self) -> int:
-        """d and delta blade blocks of every unit mode e_j, over i*tau,
-        both columns of a blade from one d_and_delta; the entries are
+        """d and delta blade blocks of every unit mode e_j over i*tau,
+        read off one d_and_delta(x_j * e^I) per blade; the entries are
         cleared to ints and their common denominator returned."""
         cols = []
         for q in range(self.dim + 1):
@@ -165,15 +155,14 @@ class TruncatedComplex:
             deltatgt = {pm: r for r, pm in enumerate(self._space("d", q - 1))}
             dq = self._units["d"][q] = []
             deltaq = self._units["delta"][q] = []
-            for j in range(self.dim):
-                kvec = tuple(int(i == j) for i in range(self.dim))
+            for j in range(1, self.dim + 1):
+                x_j = PolyFn.coord(self.dim, j)
                 dcols, deltacols = [], []
                 for mask in self._masks[q]:
-                    df, delta = d_and_delta(self._mode_form(kvec, mask),
+                    df, delta = d_and_delta(FieldForm.from_fn(x_j, mask),
                                             self.w)
-                    dcols.append(self._column(df, kvec, dtgt, "d"))
-                    deltacols.append(self._column(delta, kvec, deltatgt,
-                                                  "delta"))
+                    dcols.append(self._column(df, dtgt, "d"))
+                    deltacols.append(self._column(delta, deltatgt, "delta"))
                 dq.append(dcols)
                 deltaq.append(deltacols)
                 cols += dcols
@@ -537,7 +526,7 @@ def stokes_check(form: FieldForm, model) -> dict:
     vals = {
         "d": quantum_integral(df, omega, model),
         "h_delta": quantum_integral(delta.h_shift(1), omega, model),
-        "d_h": quantum_integral(quantum_d(form, w), omega, model),
+        "d_h": quantum_integral(df - delta.h_shift(1), omega, model),
     }
     for name, val in vals.items():
         if val != 0:

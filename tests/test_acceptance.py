@@ -222,14 +222,14 @@ def test_criterion_09_quantum_stokes():
 
 def test_criterion_10_hermitian_structure():
     # the raw adjoint relation holds on every basis monomial triple in
-    # complex dimensions 1 and 2, and the pairing Gram matrix is
-    # diagonal with entries 2^(p+q)
+    # complex dimensions 1 and 2 (derive_adjoint_law raises where it
+    # fails), and the pairing Gram matrix is diagonal with entries
+    # 2^(p+q)
     ok = not gram_diagonal_failures((1, 2))
     factors = {}
     printed_all = {}
     for n in (1, 2):
         law = derive_adjoint_law(n)
-        ok = ok and law["raw_all"]
         factors[n] = dict(law["derived"]["diagonal_factors"])
         printed_all[n] = law["printed_all"]
         expected = {s: GaussRat((-1) ** s) for s in range(n + 1)}

@@ -399,7 +399,6 @@ def reference_adjoint_law(n: int, variant: str):
 @pytest.mark.parametrize("n", [1, 2])
 def test_sector_readings_match_the_per_triple_scan(n):
     law = derive_adjoint_law(n)
-    assert law["raw_all"]
     for convention in ("derived", "printed"):
         printed_all, conjugated_all, diagonal = \
             reference_adjoint_law(n, convention)
@@ -412,13 +411,11 @@ def test_sector_readings_match_the_per_triple_scan(n):
 
 def test_adjoint_law_exhaustive():
     law1 = derive_adjoint_law(1)
-    assert law1["raw_all"]
     assert not law1["printed_all"]
     assert not law1["derived"]["conjugated_all"]
     assert law1["derived"]["diagonal_factors"] == \
         {0: GaussRat(1), 1: GaussRat(-1)}
     law2 = derive_adjoint_law(2)
-    assert law2["raw_all"]
     assert law2["derived"]["diagonal_factors"] == \
         {0: GaussRat(1), 1: GaussRat(-1), 2: GaussRat(1)}
 
