@@ -1,11 +1,12 @@
-"""Complexified quantum algebra on a compatible frame.
+"""Complexified quantum algebra on the standard complex frame.
 
-Real covectors pair into a holomorphic frame f^a = e^{2a-1} + i e^{2a}
-(indices 1..n) and its conjugates (indices n+1..2n).  Frame is the one
-complex structure of the package: the Dolbeault split in fields changes
-frame through it too.  Its tables and checks are products of exact
-matrices.  Forms over the frame carry a bidegree in which the
-deformation parameter counts (1,1).
+Real covectors pair into the holomorphic frame f^a = e^{2a-1} + i e^{2a}
+(indices 1..n) and its conjugates (indices n+1..2n) of the standard
+complex structure J(e_{2a-1}) = e_{2a}.  Frame is the one complex
+structure of the package: its tables are one fixed change of basis, its
+checks are products of exact matrices, and fields reads the Dolbeault
+operator del off its covectors and vectors.  Forms over the frame carry
+a bidegree in which the deformation parameter counts (1,1).
 The Hermitian pairing contracts a product at parameter one and applies
 an exact sign prefactor; the adjoint law relating it to the product is
 derived from exhaustive evaluation rather than assumed.
@@ -14,8 +15,7 @@ The raw pairing (no prefactor) is sesquilinear and setting h = 1 is a
 ring homomorphism, so its values on the frame monomials fix it: each n
 has one sparse table {(mask_a, mask_b): GaussRat} of them, built on
 first use, and every Hermitian function reads its forms at h = 1
-against that table.  Every frame has the same bivector on its
-covectors, so the table serves them all.
+against that table.
 
 The sign prefactors are units fixed by bidegree, and only
 hermitian_prefactor knows both conventions (the printed exponent and
@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .blades import blade_degree
 from .exterior import Bivector, QForm, quantum_wedge, substitute
-from .linalg import bareiss_det, mat_inv, mat_mul, transpose
-from .scalars import GaussRat, HPoly, I, add_term, as_fraction
+from .linalg import mat_mul, transpose
+from .scalars import GaussRat, HPoly, I, add_term
 from .symplectic import SymplecticForm, bivector_of
 
 _HALF = Fraction(1, 2)
@@ -165,59 +165,19 @@ class BigradedForm:
 
 
 class Frame:
-    """Holomorphic covector frame over a compatible pair (omega, J).
+    """The standard holomorphic frame f^a = e^{2a-1} + i e^{2a} and its
+    conjugates, whose tables are the fixed change of _frame_change; the
+    constructor checks omega and its bivector on the frame against their
+    frozen tables."""
 
-    The input basis must be g-orthonormal and interleaved as
-    {b_1, J b_1, ..., b_n, J b_n}; the constructor verifies this, the
-    compatibility of J with omega, positivity of g, and the frozen
-    pairing values of the frame covectors.  With B the matrix whose
-    columns are the basis vectors, coordinate covectors go to the frame
-    through B C and back through D B^-1, for the fixed change C of
-    _frame_change; every table and check is a product of such matrices.
-    """
-
-    def __init__(self, omega: SymplecticForm, J=None, basis=None):
-        dim = omega.dim
+    def __init__(self, omega: SymplecticForm):
         self.n = omega.n
         self.omega = omega
-        J = standard_J(dim) if J is None else \
-            [[as_fraction(x) for x in row] for row in J]
-        self.J = J
-        ident = [[Fraction(i == j) for j in range(dim)] for i in range(dim)]
-        if mat_mul(J, J) != [[-x for x in row] for row in ident]:
-            raise ValueError("J does not square to minus the identity")
-        Om = omega.matrix
-        if mat_mul(transpose(J), mat_mul(Om, J)) != Om:
-            raise ValueError("J is not compatible with the symplectic form")
-        G = mat_mul(Om, J)
-        if G != transpose(G):
-            raise ValueError("the induced metric is not symmetric")
-        for k in range(1, dim + 1):
-            if bareiss_det([row[:k] for row in G[:k]]) <= 0:
-                raise ValueError("the induced metric is not positive")
-        if basis is None:
-            basis = ident
-        else:
-            basis = [[as_fraction(x) for x in col] for col in basis]
-        if len(basis) != dim or any(len(v) != dim for v in basis):
-            raise ValueError("basis must have one vector of length "
-                             f"{dim} per dimension")
-        B = transpose(basis)          # columns are the basis vectors
-        J_of_basis = transpose(mat_mul(J, B))
-        for a in range(self.n):
-            if J_of_basis[2 * a] != basis[2 * a + 1]:
-                raise ValueError(
-                    f"basis vector {2 * a + 2} is not J of vector "
-                    f"{2 * a + 1}")
-        if mat_mul(basis, mat_mul(G, B)) != ident:
-            raise ValueError("basis is not orthonormal for the induced "
-                             "metric")
-        C, D = _frame_change(self.n)
+        self.J = standard_J(omega.dim)
         # row i of _to_cx is e^i on the frame covectors, row a of
         # _from_cx is f^a on the coordinate covectors; the columns of
         # _to_cx are the frame vectors dual to the f^a
-        self._to_cx = mat_mul(B, C)
-        self._from_cx = mat_mul(D, mat_inv(B))
+        self._to_cx, self._from_cx = _frame_change(self.n)
         self._wstd = bivector_of(omega)
         self._wcx_std = self._verify_pairings()
 

@@ -902,6 +902,33 @@ def relation17_failures(ns):
                   if not (r["ok"] and r["nilpotency_order"] == r["n"] + 1)]
 
 
+def lefschetz_failures(ns):
+    """The parity windows of h^-1 L_h for each n: their rows (det and
+    characteristic polynomial), the (n, parity) whose determinant is 0,
+    and whether the n = 1 odd window is the identity."""
+    rows, singular = [], []
+    for n in ns:
+        for parity in ("even", "odd"):
+            cp = lefschetz_matrix(n, parity).char_poly()
+            rows.append({"n": n, "parity": parity, "det": frac_str(cp.det),
+                         "char_poly": str(cp)})
+            if cp.det == 0:
+                singular.append((n, parity))
+    eye = [[Fraction(i == j) for j in range(2)] for i in range(2)]
+    return rows, singular, lefschetz_matrix(1, "odd").mat == eye
+
+
+def ledger_pattern_failures(ns):
+    """decomposition_report and relation_report for n in ns = 1, 2, ...:
+    the (dec, rel) pairs, and the n off n = 1's stable pattern, the same
+    dec and rel = (r0, n * r1) for n = 1's (r0, r1)."""
+    reports = [(decomposition_report(n), relation_report(n)) for n in ns]
+    dec1, rel1 = reports[0]
+    return reports, [n for n, (dec, rel) in zip(ns, reports)
+                     if not (dec == dec1 and rel[0] == rel1[0]
+                             and rel[1] == n * rel1[1])]
+
+
 def complex_failures(rng, models, count):
     """jacobi_check accepts each model, d_h² = 0 and the deformed Leibniz
     rule hold on count random pairs per model, and jacobi_check rejects
@@ -1095,7 +1122,6 @@ def _suite_recursion(o: Options):
 def _suite_complex(o: Options):
     count = o.count or 8
     n = o.n or 1
-    _check_dim(2 * n)
     models = [standard_symplectic(n),
               lie_poisson_so3(), heisenberg(),
               torus(1, o.truncation or 2)]
@@ -1117,41 +1143,21 @@ def _suite_cohomology(o: Options):
 
 
 def _suite_lefschetz(o: Options):
-    nmax = o.n or 2
-    rows = []
-    passed = True
-    for n in range(1, nmax + 1):
-        for parity in ("even", "odd"):
-            cp = lefschetz_matrix(n, parity).char_poly()
-            rows.append({"n": n, "parity": parity, "det": frac_str(cp.det),
-                         "char_poly": str(cp)})
-            passed = passed and cp.det != 0
-    ident = lefschetz_matrix(1, "odd")
-    eye = [[Fraction(i == j) for j in range(2)] for i in range(2)]
-    passed = passed and ident.mat == eye
-    return {"rows": rows, "identity_base_case": ident.mat == eye}, passed
+    rows, singular, base = lefschetz_failures(range(1, (o.n or 2) + 1))
+    return {"rows": rows, "identity_base_case": base}, not singular and base
 
 
 def _suite_ledger(o: Options):
-    rows = {"contraction_scaling": [], "dual_lefschetz": [],
-            "koszul_component": [], "window_identity": []}
-    passed = True
-    reports = [(decomposition_report(n), relation_report(n))
-               for n in (1, 2, 3)]
-    dec1, rel1 = reports[0]
-    for n, (dec, rel) in enumerate(reports, 1):
-        rows["contraction_scaling"].append(_jsonify(list(dec)))
-        rows["dual_lefschetz"].append(_jsonify(list(rel)))
-        # stable pattern: same contraction constants, dual relation (1, -2n)
-        passed = (passed and dec == dec1 and rel[0] == rel1[0]
-                  and rel[1] == n * rel1[1])
+    reports, off = ledger_pattern_failures((1, 2, 3))
+    rows = {"contraction_scaling": [_jsonify(list(dec)) for dec, _ in reports],
+            "dual_lefschetz": [_jsonify(list(rel)) for _, rel in reports]}
     cs, _matched = koszul_constants(Random(o.seed), (1, 2), o.count or 5)
     rows["koszul_component"] = _jsonify(sorted(cs))
     reps, bad = window_failures((1, 2))
     rows["window_identity"] = [
         _jsonify({"n": n, "k": k, "multiple": rep["part_i"]["multiple"]})
         for (n, k), rep in reps.items()]
-    return rows, passed and len(cs) == 1 and not bad
+    return rows, not off and len(cs) == 1 and not bad
 
 
 def _suite_stokes(o: Options):
@@ -1246,6 +1252,14 @@ def run_suite(name, opts: Options):
     if opts.count is not None and not 1 <= opts.count <= MAX_COUNT:
         raise ScenarioError(
             f"count must be from 1 to {MAX_COUNT}, got {opts.count}")
+    # a scenario's suite task has the same bounds; a 0 is rejected, never
+    # replaced by a suite's default
+    bounds = vars(opts)
+    for key, low in (("dim", 2), ("n", 1), ("truncation", 1)):
+        _int_key(bounds, key, low=low)
+    for dim in (opts.dim, opts.n and 2 * opts.n):
+        if dim and dim > max_dim():
+            _check_dim(dim)  # names the cap
     try:
         return SUITES[name](opts)
     except AssertionError as ex:

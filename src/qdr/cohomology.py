@@ -57,8 +57,7 @@ class TruncatedComplex:
     it).
     """
 
-    def __init__(self, model, trunc: int, mode: str = "laurent",
-                 max_degree: int = None):
+    def __init__(self, model, trunc: int, mode: str = "laurent"):
         if mode not in ("laurent", "polynomial"):
             raise ValueError(f"unknown coefficient mode {mode!r}")
         if not model.is_torus():
@@ -80,7 +79,7 @@ class TruncatedComplex:
         self.dim = model.dim
         self.n = model.dim // 2
         self.w = model.poisson
-        self.max_degree = (self.dim + 2) if max_degree is None else max_degree
+        self.max_degree = self.dim + 2
         self.fmodes = sorted(product(range(-trunc, trunc + 1),
                                      repeat=self.dim))
         self._masks = {q: list(masks_of_degree(self.dim, q))
@@ -94,6 +93,7 @@ class TruncatedComplex:
         self.den = self._build_unit_blocks()
         self._rank_cache = {}
         self._stars = {}
+        self._iotas = {}
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -251,17 +251,23 @@ class TruncatedComplex:
                 self._check_star(g)
                 total = self.d_rank(self.dim - g)
             else:
-                prev, here, nxt = (self._space(kind, g + s)
-                                   for s in (-1, 0, 1))
                 t = _homotopy_rank(
                     f"{kind} degree {g}", self.den,
                     self._unit(kind, g - 1), self._unit(kind, g),
-                    [_interior(here, prev, i) for i in range(self.dim)],
-                    [_interior(nxt, here, i) for i in range(self.dim)])
+                    self._iota(kind, g), self._iota(kind, g + 1))
                 # t on every nonzero mode; the zero mode's block is 0
                 total = t * (len(self.fmodes) - 1)
             self._rank_cache[key] = total
         return self._rank_cache[key]
+
+    def _iota(self, kind: str, g: int):
+        """iota(e_i) from degree g to g - 1 for each e_i, built once per
+        (kind, degree) and complex."""
+        if (kind, g) not in self._iotas:
+            here, prev = self._space(kind, g), self._space(kind, g - 1)
+            self._iotas[(kind, g)] = [_interior(here, prev, i)
+                                      for i in range(self.dim)]
+        return self._iotas[(kind, g)]
 
     def d_rank(self, q: int) -> int:
         if q < 0 or q > self.dim:
@@ -406,9 +412,9 @@ def _report_row(degree, dim, rank_out, rank_prev, expected):
     }
 
 
-def build_complex(model, trunc: int, mode: str = "laurent",
-                  max_degree: int = None) -> TruncatedComplex:
-    return TruncatedComplex(model, trunc, mode, max_degree)
+def build_complex(model, trunc: int, mode: str = "laurent"
+                  ) -> TruncatedComplex:
+    return TruncatedComplex(model, trunc, mode)
 
 
 def dr_cohomology_dims(c: TruncatedComplex) -> DimensionReport:

@@ -5,17 +5,17 @@ ring (PolyFn or FourierFn) together with integer powers of h. The
 differential layer provides d, the Koszul codifferential built from a
 bivector field, the deformed differential d - h*delta, and the Dolbeault
 split of both on flat models. The split has one complex structure, the
-standard one: its per-blade type tables and its J-invariance check come
-from the standard bigraded.Frame.
+standard one: del is read off the covectors and vectors of the standard
+bigraded.Frame, delbar is d - del from one exterior derivative, and the
+J-invariance check comes from the same frame.
 """
 
 from fractions import Fraction
 
-from .bigraded import blade_bidegree, standard_frame
+from .bigraded import standard_frame
 from .blades import (blade_degree, blade_str, indices_of_mask,
                      insert_first_mask, wedge_masks)
-from .exterior import (Bivector, QForm, _contractions, _wedge_into,
-                       substitute)
+from .exterior import Bivector, QForm, _contractions, _wedge_into
 from .functions import FourierFn, PolyFn
 from .scalars import (GaussRat, HPoly, SparseTerms, add_term, as_fraction,
                       convolve, over)
@@ -406,51 +406,28 @@ def _standard_frame(dim: int):
     return standard_frame(dim // 2)
 
 
-_TYPE_TABLES = {}
-
-
-def _type_table(frame, rmask: int):
-    """A real blade split by complex type: {(p, q): {real mask: coeff}}.
-
-    The blade is expanded on the frame covectors, its terms are grouped
-    by how many holomorphic (p) and antiholomorphic (q) factors they
-    have, and each group is expanded back to real covectors.
-    """
-    table = _TYPE_TABLES.get((frame.n, rmask))
-    if table is None:
-        groups = {}
-        for cmask, c in substitute({rmask: GaussRat(1)},
-                                   frame._to_cx).items():
-            groups.setdefault(blade_bidegree(cmask, frame.n), {})[cmask] = c
-        table = _TYPE_TABLES[(frame.n, rmask)] = {
-            pq: substitute(group, frame._from_cx)
-            for pq, group in groups.items()}
-    return table
-
-
-def bidegree_split(form: FieldForm):
-    """Decompose by complex type for the standard structure."""
-    frame = _standard_frame(form.dim)
-    comps = {}
-    for (h, mask), fn in form.terms.items():
-        for pq, sub in _type_table(frame, mask).items():
-            dest = comps.setdefault(pq, {})
-            for rm, c in sub.items():
-                add_term(dest, (h, rm), fn * c)
-    return {pq: form._like(t)
-            for pq, t in comps.items() if t}
-
-
 def _d_halves(form: FieldForm):
-    """(del, delbar): the type (1,0) and (0,1) pieces of d, from one
-    split of d of each type component."""
-    zero = FieldForm.zero(form.dim, form.fnring)
-    d10 = d01 = zero
-    for (p, q), comp in bidegree_split(form).items():
-        parts = bidegree_split(exterior_d(comp))
-        d10 = d10 + parts.get((p + 1, q), zero)
-        d01 = d01 + parts.get((p, q + 1), zero)
-    return d10, d01
+    """(del, delbar): del = sum_a f^a ^ d_{V_a} over the frame covectors
+    f^a (rows a <= n of _from_cx) and their dual vectors V_a (columns of
+    _to_cx), and delbar = d - del.  The frame is constant, so d is
+    sum_a (f^a ^ d_{V_a} + fbar^a ^ d_{Vbar_a}), and the first sum is the
+    part that raises p by one."""
+    frame = _standard_frame(form.dim)
+    covecs = [[(1 << i, c) for i, c in enumerate(row) if c]
+              for row in frame._from_cx[:frame.n]]
+    vecs = [[(j + 1, c) for j, c in enumerate(col) if c]
+            for col in list(zip(*frame._to_cx))[:frame.n]]
+    zero = form.fnring.zero(form.dim)
+    t = {}
+    for (h, mask), fn in form.terms.items():
+        for f, v in zip(covecs, vecs):
+            dv = sum((fn.partial(j) * c for j, c in v), zero)
+            for bit, c in f:
+                s, m = wedge_masks(bit, mask)
+                if s:
+                    add_term(t, (h, m), dv * (c * s))
+    d10 = form._like(t)
+    return d10, exterior_d(form) - d10
 
 
 def partial_d(form: FieldForm) -> FieldForm:

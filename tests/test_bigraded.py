@@ -65,35 +65,6 @@ def test_standard_frame_builds():
     assert cx == [(1, 3, "2*i"), (2, 4, "2*i")]
 
 
-def test_frame_rejects_bad_structures():
-    with pytest.raises(ValueError):
-        Frame(SymplecticForm(2), J=[[1, 0], [0, 1]])
-    # squares to -1 but scales omega, so compatibility fails
-    with pytest.raises(ValueError):
-        Frame(SymplecticForm(2), J=[[0, -2], [Fraction(1, 2), 0]])
-    # negatively oriented J: the induced metric comes out negative
-    with pytest.raises(ValueError):
-        Frame(SymplecticForm(2), J=[[0, 1], [-1, 0]])
-    with pytest.raises(ValueError):
-        Frame(SymplecticForm(2), basis=[[1, 0], [0, 2]])
-    with pytest.raises(ValueError):
-        Frame(SymplecticForm(2), basis=[[0, 1], [1, 0]])
-
-
-def test_frame_accepts_rotated_basis():
-    # b2 = J b1 and both unit length for g: any g-rotation works, and
-    # every frame sees the same frozen bivector on its covectors, so the
-    # raw pairing needs no frame
-    fr = Frame(SymplecticForm(2),
-               basis=[[Fraction(3, 5), Fraction(4, 5)],
-                      [Fraction(-4, 5), Fraction(3, 5)]])
-    assert fr.wcx().upper_entries() == [(1, 2, I * 2)]
-    c, s = Fraction(3, 5), Fraction(4, 5)
-    fr2 = Frame(SymplecticForm(4), basis=[
-        [c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
-    assert fr2.wcx() == standard_frame(2).wcx()
-
-
 def test_complexify_omega_is_pure_one_one():
     fr = standard_frame(1)
     om = QForm(2, {0b11: 1})

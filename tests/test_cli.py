@@ -597,6 +597,35 @@ def test_count_outside_its_range_is_rejected(count, tmp_path, capsys):
         assert captured.err.startswith("qdr: count must be")
 
 
+@pytest.mark.parametrize("suite, key", [("associativity", "dim"),
+                                        ("complex", "n"),
+                                        ("cohomology", "truncation")])
+def test_zero_bound_is_rejected_not_replaced(suite, key, tmp_path, capsys):
+    # a 0 must not fall back to the suite's default model
+    assert main(["--check", suite, f"--{key}", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"qdr: {key} must be")
+    path = scenario_file(tmp_path, {"model": "flat", "n": 1, "tasks": [
+        {"op": "suite", "name": suite, key: 0}]})
+    assert main(["--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == lines
+
+
+def test_dimension_over_the_cap_is_rejected_by_every_suite(monkeypatch,
+                                                           capsys):
+    # moyal reads neither dim nor n, yet a bound over the cap is refused
+    monkeypatch.delenv("QDR_MAX_DIM", raising=False)
+    for key, val in (("dim", "10"), ("n", "5")):
+        assert main(["--check", "moyal", f"--{key}", val]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qdr: dimension 10 exceeds QDR_MAX_DIM=8\n"
+
+
 def test_count_and_power_caps_admit_their_bound(tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.setitem(cli.SUITES, "moyal",

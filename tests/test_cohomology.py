@@ -101,9 +101,9 @@ def test_quantum_dims_torus2_laurent():
 
 
 def test_quantum_dims_torus2_polynomial():
-    c = build_complex(T2W, 2, "polynomial", max_degree=6)
+    c = build_complex(T2W, 2, "polynomial")
     rep = quantum_cohomology_dims(c)
-    assert rep.dims == (1, 2, 2, 2, 2, 2)
+    assert rep.dims == (1, 2, 2, 2)
     assert rep.passed()
 
 

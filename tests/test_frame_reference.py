@@ -1,11 +1,11 @@
 """The one complex frame against the loops it replaced.
 
 Test-local copies of the per-entry frame loops (covector rows, frame
-covectors, the bivector on the frame, the pairing checks), of the
-hand-typed Dolbeault blade split and of the two-pass Dolbeault operators
-are kept here as references; the matrix-product Frame and the
-frame-based split must reproduce them value for value and, where the
-result is a dict, term for term in the same order.
+covectors, the bivector on the frame, the pairing checks) are kept here
+as references, and the two-pass Dolbeault split of dolbeault_reference;
+the matrix-product Frame must reproduce the loops value for value, and
+del, delbar and the deformed split read off the frame must equal the
+two-pass split in value, in str and in serialize().
 """
 
 from fractions import Fraction
@@ -13,27 +13,31 @@ from random import Random
 
 import pytest
 
-from qdr.bigraded import Frame, _upper_bivector, standard_frame
-from qdr.blades import blade_degree, wedge_masks
+from dolbeault_reference import (
+    ref_dolbeault_deltas,
+    ref_partial_d,
+    ref_partial_dbar,
+    ref_quantum_dolbeault_split,
+    same_form,
+)
+from qdr import fields
+from qdr.bigraded import Frame, _upper_bivector, standard_frame, standard_J
 from qdr.exterior import Bivector
 from qdr.fields import (
     FieldForm,
-    bidegree_split,
-    contract_field,
-    exterior_d,
+    dolbeault_deltas,
+    partial_d,
+    partial_dbar,
     quantum_dolbeault_split,
 )
-from qdr.fixtures import standard_symplectic
+from qdr.fixtures import standard_symplectic, torus
 from qdr.functions import PolyFn
 from qdr.linalg import mat_inv, transpose
 from qdr.rand import random_bivector, random_fieldform
-from qdr.scalars import GaussRat, I, add_term
+from qdr.scalars import GaussRat, I
 from qdr.symplectic import SymplecticForm, bivector_of
 
 _HALF = Fraction(1, 2)
-
-ROTATED = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]]
-
 
 # -- reference frame loops -------------------------------------------------
 
@@ -132,7 +136,6 @@ def _frames():
     for n in (1, 2, 3):
         yield standard_frame(n), [[Fraction(i == j) for i in range(2 * n)]
                                   for j in range(2 * n)]
-    yield Frame(SymplecticForm(2), basis=ROTATED), ROTATED
 
 
 def test_frame_tables_match_the_loops():
@@ -184,105 +187,21 @@ def test_pairing_checks_name_the_same_first_pair():
 
 # -- reference Dolbeault split ---------------------------------------------
 
-def _indices(mask):
-    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def ref_halves(n, rmask):
-    half = GaussRat(Fraction(1, 2))
-    ihalf = GaussRat(0, Fraction(1, 2))
-    state = {0: GaussRat(1)}
-    for r in _indices(rmask):
-        a = (r + 1) // 2
-        if r % 2:
-            options = ((a, half), (n + a, half))
-        else:
-            options = ((a, -ihalf), (n + a, ihalf))
-        nxt = {}
-        for cm, co in state.items():
-            for idx, wgt in options:
-                s, m2 = wedge_masks(cm, 1 << (idx - 1))
-                if s:
-                    add_term(nxt, m2, co * wgt * s)
-        state = nxt
-    low = (1 << n) - 1
-    out = {}
-    one = GaussRat(1)
-    im = GaussRat(0, 1)
-    for cmask, co in state.items():
-        p = blade_degree(cmask & low)
-        q = blade_degree(cmask >> n)
-        back = {0: co}
-        for idx in _indices(cmask):
-            a = idx if idx <= n else idx - n
-            iw = im if idx <= n else -im
-            nxt = {}
-            for rm, c in back.items():
-                for rbit, wgt in (((2 * a - 1), one), ((2 * a), iw)):
-                    s, m2 = wedge_masks(rm, 1 << (rbit - 1))
-                    if s:
-                        add_term(nxt, m2, c * wgt * s)
-            back = nxt
-        dest = out.setdefault((p, q), {})
-        for rm, c in back.items():
-            add_term(dest, rm, c)
-    return {pq: sub for pq, sub in out.items() if sub}
-
-
-def ref_bidegree_split(form):
-    n = form.dim // 2
-    comps = {}
-    for (h, mask), fn in form.terms.items():
-        for pq, sub in ref_halves(n, mask).items():
-            dest = comps.setdefault(pq, {})
-            for rm, c in sub.items():
-                add_term(dest, (h, rm), fn * c)
-    return {pq: form._like(t) for pq, t in comps.items() if t}
-
-
-def _ref_project(form, p, q):
-    return ref_bidegree_split(form).get(
-        (p, q), FieldForm.zero(form.dim, form.fnring))
-
-
-def ref_partial_d(form):
-    out = FieldForm.zero(form.dim, form.fnring)
-    for (p, q), comp in ref_bidegree_split(form).items():
-        out = out + _ref_project(exterior_d(comp), p + 1, q)
-    return out
-
-
-def ref_partial_dbar(form):
-    out = FieldForm.zero(form.dim, form.fnring)
-    for (p, q), comp in ref_bidegree_split(form).items():
-        out = out + _ref_project(exterior_d(comp), p, q + 1)
-    return out
-
-
-def ref_quantum_dolbeault_split(form, w):
-    d10 = contract_field(w, ref_partial_dbar(form)) - \
-        ref_partial_dbar(contract_field(w, form))
-    d01 = contract_field(w, ref_partial_d(form)) - \
-        ref_partial_d(contract_field(w, form))
-    return (ref_partial_d(form) - d01.h_shift(1),
-            ref_partial_dbar(form) - d10.h_shift(1))
-
-
-def _same(a, b):
-    """Equal forms with their terms in the same order."""
-    return a == b and list(a.terms.items()) == list(b.terms.items())
-
-
 def test_blade_split_matches_the_hand_typed_halves():
+    # del and delbar of sum_k k*x_k times each blade, on every blade:
+    # d of it is sum_k k e^k ^ blade, split by the hand-typed halves
     for n in (1, 2, 3):
+        fn = sum((PolyFn.coord(2 * n, k) * k for k in range(2, 2 * n + 1)),
+                 PolyFn.coord(2 * n, 1))
         for mask in range(1 << (2 * n)):
-            blade = FieldForm(2 * n, PolyFn, {(0, mask): 1})
-            got, want = bidegree_split(blade), ref_bidegree_split(blade)
-            assert list(got) == list(want)
-            assert all(_same(got[pq], want[pq]) for pq in want)
+            form = FieldForm.from_fn(fn, mask)
+            assert same_form(partial_d(form), ref_partial_d(form))
+            assert same_form(partial_dbar(form), ref_partial_dbar(form))
 
 
 def test_dolbeault_split_matches_the_two_pass_split():
+    # equal in value, str and serialize(); the insertion order of the
+    # terms is not part of a result
     rng = Random(9002)
     for n in (1, 2):
         model = standard_symplectic(n)
@@ -292,14 +211,53 @@ def test_dolbeault_split_matches_the_two_pass_split():
                                     complex_ok=k % 2 == 1)
             got = quantum_dolbeault_split(form, w)
             want = ref_quantum_dolbeault_split(form, w)
-            assert all(_same(g, r) for g, r in zip(got, want))
+            assert all(same_form(g, r) for g, r in zip(got, want))
+
+
+def _dolbeault_forms():
+    """(model, form) pairs: n = 1, 2, 3 polynomial forms with real and
+    complex coefficients, and torus(1,1) and torus(2,1) forms times
+    complex scalars."""
+    rng = Random(9003)
+    for n in (1, 2, 3):
+        model = standard_symplectic(n)
+        for k in range(6):
+            yield model, random_fieldform(rng, model, nterms=2, max_h=1,
+                                          complex_ok=k % 2 == 1)
+    for model in (torus(1, 1), torus(2, 1)):
+        for k in range(4):
+            form = random_fieldform(rng, model, nterms=2, max_h=1)
+            yield model, form * GaussRat(rng.randint(-2, 2), k + 1) + \
+                random_fieldform(rng, model, nterms=1, max_h=1)
+
+
+def test_del_and_delbar_match_the_reference():
+    for model, form in _dolbeault_forms():
+        w = model.poisson
+        assert same_form(partial_d(form), ref_partial_d(form))
+        assert same_form(partial_dbar(form), ref_partial_dbar(form))
+        for got, want in ((dolbeault_deltas(form, w),
+                           ref_dolbeault_deltas(form, w)),
+                          (quantum_dolbeault_split(form, w),
+                           ref_quantum_dolbeault_split(form, w))):
+            assert all(same_form(g, r) for g, r in zip(got, want))
 
 
 def test_dolbeault_split_rejects_what_the_frame_rejects():
     form = FieldForm(3, PolyFn, {(0, 1): 1})
     with pytest.raises(ValueError):
-        bidegree_split(form)
+        partial_d(form)
     with pytest.raises(ValueError):
-        bidegree_split(FieldForm.zero(3, PolyFn))
+        partial_dbar(FieldForm.zero(3, PolyFn))
     with pytest.raises(ValueError):
         quantum_dolbeault_split(form, standard_symplectic(1).poisson)
+
+
+def test_one_standard_frame_and_no_type_tables():
+    for name in ("bidegree_split", "_type_table", "_TYPE_TABLES"):
+        assert not hasattr(fields, name)
+    omega = SymplecticForm(2)
+    with pytest.raises(TypeError):
+        Frame(omega, J=standard_J(2))
+    with pytest.raises(TypeError):
+        Frame(omega, basis=[[1, 0], [0, 1]])
