@@ -812,9 +812,8 @@ def _run_cpn_table(ctx, task):
 
 def _run_suite(ctx, task):
     opts = Options(
-        dim=_int_key(task, "dim", default=ctx.dim, low=2, high=max_dim()),
-        n=_int_key(task, "n", default=ctx.dim // 2, low=1,
-                   high=max_dim() // 2),
+        dim=_int_key(task, "dim", default=ctx.dim, low=2),
+        n=_int_key(task, "n", default=ctx.dim // 2, low=1),
         truncation=_int_key(task, "truncation", default=ctx.truncation,
                             low=1),
         count=_int_key(task, "count"),

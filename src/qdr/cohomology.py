@@ -2,7 +2,7 @@
 
 The differentials preserve each Fourier mode, so every complex built here
 splits into finite blocks indexed by the mode vector k.  On mode k every
-entry of a d, delta or d_h block is i*tau*r with r rational (tau is the
+entry of a d or delta block is i*tau*r with r rational (tau is the
 formal circle period), and the blocks are linear in k:
 A(k) = sum_j k_j * A_j over the blocks A_j of the unit modes e_j.  For
 a constant bivector d and delta are first order and kill constants;
@@ -14,19 +14,31 @@ every identity below is checked in int arithmetic, with den in place of
 
 Every rank comes from an identity checked exactly on the unit blocks;
 a failed identity raises AssertionError, naming the differential, the
-degree and the first entry that is off.  For a constant bivector the
-unit d_h block is A_j = eps(e^j) - h*delta_j with delta_j a contraction
-(Brylinski, J. Differential Geom. 28, 1988), so with B_i = iota(e_i)
-and H(k) = sum_i k_i B_i / |k|^2, a degree whose unit blocks satisfy
+degree and the first entry that is off.  The unit d block is
+A_j = eps(e^j), so with B_i = iota(e_i) and
+H(k) = sum_i k_i B_i / |k|^2, a degree whose unit blocks satisfy
 A_j B_i + B_i A_j = delta_ij I and A_i A_j + A_j A_i = 0 has A(k)H(k)
 idempotent with image im A(k) for every k != 0; its trace,
-t = tr(A_j B_j), is the d or d_h rank of every nonzero mode's block.
-On the numerators the identities read den * delta_ij I, 0 and
-t * den.  On a symplectic torus delta = (-1)^(q+1) * d * on degree q,
-with * the symplectic star (Brylinski's identity), checked on every
-unit block against star columns cleared to ints over their own
-denominator; so the delta rank on degree q is the d rank on degree
-dim - q.  Total degree counts the deformation parameter as degree 2.
+t = tr(A_j B_j), is the d rank of every nonzero mode's block.  On the
+numerators the identities read den * delta_ij I, 0 and t * den.
+
+On a symplectic torus delta = (-1)^(q+1) * d * on degree q, with * the
+symplectic star (Brylinski's identity, J. Differential Geom. 28, 1988),
+checked on every unit block against star columns cleared to ints over
+their own denominator; so the delta rank on degree q is the d rank on
+degree dim - q.
+
+The d_h = d - h*delta ranks come from the d ranks through the
+intertwiner Phi = exp(h * iota_w), h raising the deformation exponent
+by one.  With delta = [iota_w, d] (Koszul, Asterisque hors serie, 1985;
+Brylinski, ibid.) and [iota_w, delta] = 0, Phi d_h Phi^-1 = d; both
+brackets are checked on the unit blocks of each blade degree, against
+iota_w columns cleared to ints over one denominator e_w, and being
+linear in k they hold on every mode.  Total degree counts the
+deformation parameter as degree 2.  Phi is unipotent, raises the
+exponent and lowers the blade degree by 2, so it maps each total-degree
+window onto itself; d keeps the exponent, so the d_h rank on degree m
+is the sum of the d ranks over the blade degrees of the window.
 """
 
 from fractions import Fraction
@@ -51,10 +63,12 @@ class TruncatedComplex:
     "polynomial" additionally demands p >= 0.
 
     fmodes lists the truncated mode vectors.  Unit blocks are sparse int
-    columns over den, one {row: numerator} per basis element: an entry
-    of the block over i*tau is numerator / den, with den the lcm of the
-    denominators of every unit d and delta entry (the d_h blocks share
-    it).
+    columns over den, one {row: numerator} per blade: an entry of the
+    block over i*tau is numerator / den, with den the lcm of the
+    denominators of every unit d and delta entry.  No d_h block is
+    built: d_h ranks come from d ranks through Phi = exp(h * iota_w),
+    with iota_w's columns int numerators over e_w, the lcm of the
+    denominators of w's entries.
     """
 
     def __init__(self, model, trunc: int, mode: str = "laurent"):
@@ -84,16 +98,19 @@ class TruncatedComplex:
                                      repeat=self.dim))
         self._masks = {q: list(masks_of_degree(self.dim, q))
                        for q in range(self.dim + 1)}
-        self._mask_pos = {mask: c for masks in self._masks.values()
-                          for c, mask in enumerate(masks)}
-        # kind -> degree -> one sparse block per unit mode e_j; the blade
-        # blocks of d (q -> q+1) and delta (q -> q-1) are built here, the
-        # total-degree blocks of d_h (m -> m+1) on first use
-        self._units = {"d": {}, "delta": {}, "dh": {}}
+        # kind -> blade degree -> one sparse block per unit mode e_j: d
+        # (q -> q+1) and delta (q -> q-1)
+        self._units = {"d": {}, "delta": {}}
         self.den = self._build_unit_blocks()
+        entries = self.w.upper_entries()
+        nums, self.e_w = clear_denominators(c for _, _, c in entries)
+        self._w_nums = [(i - 1, j - 1, x)
+                        for (i, j, _), x in zip(entries, nums)]
         self._rank_cache = {}
         self._stars = {}
         self._iotas = {}
+        self._iota_ws = {}
+        self._phi_checked = set()
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -125,12 +142,9 @@ class TruncatedComplex:
             return 0
         return comb(self.dim, q) * len(self.fmodes)
 
-    def _space(self, kind: str, g: int):
-        """Basis of one mode's degree-g piece: (p, mask) pairs, p = 0 for
-        the blade degrees of d and delta."""
-        if kind == "dh":
-            return self.basis(g)
-        return [(0, mask) for mask in self._masks.get(g, ())]
+    def _space(self, q: int):
+        """Basis of one mode's blade-degree-q piece: (0, mask) pairs."""
+        return [(0, mask) for mask in self._masks.get(q, ())]
 
     # -- block construction ------------------------------------------------
 
@@ -151,8 +165,8 @@ class TruncatedComplex:
         cleared to ints and their common denominator returned."""
         cols = []
         for q in range(self.dim + 1):
-            dtgt = {pm: r for r, pm in enumerate(self._space("d", q + 1))}
-            deltatgt = {pm: r for r, pm in enumerate(self._space("d", q - 1))}
+            dtgt = {pm: r for r, pm in enumerate(self._space(q + 1))}
+            deltatgt = {pm: r for r, pm in enumerate(self._space(q - 1))}
             dq = self._units["d"][q] = []
             deltaq = self._units["delta"][q] = []
             for j in range(1, self.dim + 1):
@@ -169,39 +183,13 @@ class TruncatedComplex:
                 cols += deltacols
         return _clear_columns(cols)
 
-    def _assemble_dh(self, j: int, m: int):
-        """Unit d_h block of e_j at degree m from its blade blocks: d
-        minus shifted delta, the shift raising the deformation exponent
-        by one."""
-        tgt = {pm: r for r, pm in enumerate(self.basis(m + 1))}
-        cols = []
-        for p, mask in self.basis(m):
-            q = blade_degree(mask)
-            pos = self._mask_pos[mask]
-            col = {}
-            for r, val in self._units["d"][q][j][pos].items():
-                col[tgt[(p, self._masks[q + 1][r])]] = val
-            for r, val in self._units["delta"][q][j][pos].items():
-                row = tgt.get((p + 1, self._masks[q - 1][r]))
-                if row is None:
-                    raise ValueError(
-                        "truncation not closed under d_h: shifted "
-                        f"h^{p + 1} blade {self._masks[q - 1][r]:b} is "
-                        "outside the window")
-                col[row] = -val
-            cols.append(col)
-        return cols
-
-    def _unit(self, kind: str, g: int):
-        """The sparse blocks of the unit modes at degree g, one per e_j."""
+    def _unit(self, kind: str, q: int):
+        """The sparse blocks of the unit modes at blade degree q, one per
+        e_j; a degree outside 0..dim has a zero space and no columns."""
         blocks = self._units[kind]
-        if g not in blocks:
-            if kind == "dh":
-                blocks[g] = [self._assemble_dh(j, g) for j in range(self.dim)]
-            else:
-                # a blade degree outside 0..dim: the space is zero
-                blocks[g] = [[] for _ in range(self.dim)]
-        return blocks[g]
+        if q not in blocks:
+            blocks[q] = [[] for _ in range(self.dim)]
+        return blocks[q]
 
     def _star(self, q: int):
         """(cols, E_q): the symplectic star on the degree-q blades as
@@ -250,24 +238,82 @@ class TruncatedComplex:
             if kind == "delta":
                 self._check_star(g)
                 total = self.d_rank(self.dim - g)
+            elif kind == "dh":
+                # Phi carries d_h on the degree-g window to d, slot by slot
+                blades = [q for _, q in self.slots(g)]
+                for q in blades:
+                    self._check_phi(g, q)
+                total = sum(self.d_rank(q) for q in blades)
             else:
                 t = _homotopy_rank(
-                    f"{kind} degree {g}", self.den,
-                    self._unit(kind, g - 1), self._unit(kind, g),
-                    self._iota(kind, g), self._iota(kind, g + 1))
+                    f"d degree {g}", self.den,
+                    self._unit("d", g - 1), self._unit("d", g),
+                    self._iota(g), self._iota(g + 1))
                 # t on every nonzero mode; the zero mode's block is 0
                 total = t * (len(self.fmodes) - 1)
             self._rank_cache[key] = total
         return self._rank_cache[key]
 
-    def _iota(self, kind: str, g: int):
-        """iota(e_i) from degree g to g - 1 for each e_i, built once per
-        (kind, degree) and complex."""
-        if (kind, g) not in self._iotas:
-            here, prev = self._space(kind, g), self._space(kind, g - 1)
-            self._iotas[(kind, g)] = [_interior(here, prev, i)
-                                      for i in range(self.dim)]
-        return self._iotas[(kind, g)]
+    def _iota(self, q: int):
+        """iota(e_i) from blade degree q to q - 1 for each e_i, built once
+        per degree and complex."""
+        if q not in self._iotas:
+            here, prev = self._space(q), self._space(q - 1)
+            self._iotas[q] = [_interior(here, prev, i)
+                              for i in range(self.dim)]
+        return self._iotas[q]
+
+    def _iota_w(self, q: int):
+        """iota_w from blade degree q to q - 2 as sparse int columns over
+        e_w: iota(e_i), then iota(e_j), weighted by the numerator of w^ij
+        (i < j), as fields.contract_field inserts them; each degree's is
+        built once per complex."""
+        cols = self._iota_ws.get(q)
+        if cols is None:
+            first, second = self._iota(q), self._iota(q - 1)
+            cols = self._iota_ws[q] = []
+            for c in range(len(self._masks.get(q, ()))):
+                col = {}
+                for i, j, x in self._w_nums:
+                    _apply(second[j],
+                           {r: x * s for r, s in first[i][c].items()}, col)
+                cols.append(col)
+        return cols
+
+    def _check_phi(self, m: int, q: int):
+        """The brackets of iota_w with d and delta on the unit blocks of
+        blade degree q, checked once per degree and complex.  With I the
+        iota_w columns over e_w, and D_j and Delta_j the unit d and delta
+        blocks over den, they read on the numerators
+          (i)  I_(q+1) D_j,q - D_j,(q-2) I_q = e_w * Delta_j,q,
+          (ii) I_(q-1) Delta_j,q - Delta_j,(q-2) I_q = 0,
+        that is delta = [iota_w, d] and [iota_w, delta] = 0.  A failure
+        raises AssertionError naming the total degree m being ranked."""
+        if q in self._phi_checked:
+            return
+        up, down = self._iota_w(q + 1), self._iota_w(q - 1)
+        d, d_low = self._unit("d", q), self._unit("d", q - 2)
+        delta, delta_low = self._unit("delta", q), self._unit("delta", q - 2)
+        for c, col in enumerate(self._iota_w(q)):
+            minus = {r: -x for r, x in col.items()}
+            for j in range(self.dim):
+                acc = {}
+                _apply(up, d[j][c], acc)
+                _apply(d_low[j], minus, acc)
+                if acc != {r: self.e_w * x for r, x in delta[j][c].items()}:
+                    raise AssertionError(
+                        f"dh degree {m}: iota_w d - d iota_w is not delta "
+                        f"at blade degree {q}, unit mode e_{j + 1}, "
+                        f"column {c}")
+                acc = {}
+                _apply(down, delta[j][c], acc)
+                _apply(delta_low[j], minus, acc)
+                if acc:
+                    raise AssertionError(
+                        f"dh degree {m}: iota_w delta - delta iota_w is not "
+                        f"0 at blade degree {q}, unit mode e_{j + 1}, "
+                        f"column {c}")
+        self._phi_checked.add(q)
 
     def d_rank(self, q: int) -> int:
         if q < 0 or q > self.dim:
@@ -280,8 +326,6 @@ class TruncatedComplex:
         return self._rank("delta", q)
 
     def dh_rank(self, m: int) -> int:
-        if m < -1 or m > self.max_degree:
-            return 0
         return self._rank("dh", m)
 
 

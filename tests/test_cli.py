@@ -626,6 +626,21 @@ def test_dimension_over_the_cap_is_rejected_by_every_suite(monkeypatch,
         assert captured.err == "qdr: dimension 10 exceeds QDR_MAX_DIM=8\n"
 
 
+@pytest.mark.parametrize("task", [
+    {"op": "suite", "name": "associativity", "dim": 10},
+    {"op": "suite", "name": "complex", "n": 5}])
+def test_scenario_suite_over_the_cap_names_the_cap(task, tmp_path,
+                                                   monkeypatch, capsys):
+    # the same line as qdr --check prints for the same bound
+    monkeypatch.delenv("QDR_MAX_DIM", raising=False)
+    path = scenario_file(tmp_path, {"model": "flat", "n": 1,
+                                    "tasks": [task]})
+    assert main(["--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qdr: dimension 10 exceeds QDR_MAX_DIM=8\n"
+
+
 def test_count_and_power_caps_admit_their_bound(tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.setitem(cli.SUITES, "moyal",

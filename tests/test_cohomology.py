@@ -3,13 +3,13 @@ constants of the symplectic power family. Frozen dimension tables first."""
 
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from random import Random
 
 import pytest
 
 from qdr import cohomology, fields, linalg
-from qdr.blades import masks_of_degree
+from qdr.blades import blade_degree, masks_of_degree
 from qdr.cohomology import (
     build_complex,
     degeneracy_check,
@@ -232,14 +232,52 @@ def _directions(c):
 _STEP = {"d": 1, "delta": -1, "dh": 1}
 
 
+def _assemble_dh(c, j: int, m: int):
+    """Unit d_h block of e_j at degree m from its blade blocks: d
+    minus shifted delta, the shift raising the deformation exponent
+    by one."""
+    tgt = {pm: r for r, pm in enumerate(c.basis(m + 1))}
+    cols = []
+    for p, mask in c.basis(m):
+        q = blade_degree(mask)
+        pos = c._masks[q].index(mask)
+        col = {}
+        for r, val in c._units["d"][q][j][pos].items():
+            col[tgt[(p, c._masks[q + 1][r])]] = val
+        for r, val in c._units["delta"][q][j][pos].items():
+            row = tgt.get((p + 1, c._masks[q - 1][r]))
+            if row is None:
+                raise ValueError(
+                    "truncation not closed under d_h: shifted "
+                    f"h^{p + 1} blade {c._masks[q - 1][r]:b} is "
+                    "outside the window")
+            col[row] = -val
+        cols.append(col)
+    return cols
+
+
+def _space(c, kind, g):
+    """Basis of one mode's degree-g piece: total degree for d_h, blade
+    degree for d and delta."""
+    return c.basis(g) if kind == "dh" else c._space(g)
+
+
+def _units(c, kind, g):
+    """The unit blocks of kind at degree g, one per e_j; d_h's are
+    assembled by the reference above."""
+    if kind == "dh":
+        return [_assemble_dh(c, j, g) for j in range(c.dim)]
+    return c._unit(kind, g)
+
+
 def _block(c, kind, direction, g):
     """Dense block of the mode `direction` at degree g, rows over the
     target degree: sum_j direction[j] * (unit block of e_j), the unit
     blocks' numerators divided by the complex's den."""
-    ncols = len(c._space(kind, g))
+    ncols = len(_space(c, kind, g))
     rows = [[Fraction(0)] * ncols
-            for _ in c._space(kind, g + _STEP[kind])]
-    for k, cols in zip(direction, c._unit(kind, g)):
+            for _ in _space(c, kind, g + _STEP[kind])]
+    for k, cols in zip(direction, _units(c, kind, g)):
         for col_index, col in enumerate(cols):
             for r, x in col.items():
                 rows[r][col_index] += Fraction(k * x, c.den)
@@ -288,7 +326,7 @@ def test_direction_blocks_match_fieldform_blocks(model):
 
 def _degrees(c, kind):
     if kind == "dh":
-        return range(-1, c.max_degree + 1)
+        return range(-3, c.dim + 5)
     return range(c.dim + 1)
 
 
@@ -336,7 +374,7 @@ def test_flipped_contraction_fails_the_identity(monkeypatch):
     c = build_complex(torus(2, 1), 1)
     for kind in ("d", "dh"):
         for g in _degrees(c, kind):
-            if c._space(kind, g):
+            if _space(c, kind, g):
                 with pytest.raises(AssertionError,
                                    match=f"^{kind} degree {g}: "):
                     _rank(c, kind, g)
@@ -346,16 +384,17 @@ def _delta_positions(c):
     """(q, j, column, row) of every entry of the unit delta blocks."""
     return [(q, j, col, row)
             for q in range(c.dim + 1) for j in range(c.dim)
-            for col in range(len(c._space("delta", q)))
-            for row in range(len(c._space("delta", q - 1)))]
+            for col in range(len(c._space(q)))
+            for row in range(len(c._space(q - 1)))]
 
 
 @pytest.mark.parametrize(
     "model", (torus(1, 2), _darboux_torus(5, 2, 1), _dense_torus(2, 2, 1)),
     ids=("torus(1,2)", "darboux(2,1)", "dense(2,1)"))
 def test_perturbed_delta_entry_fails_the_identities(model):
-    # some perturbations pass identity (a) on a degree and fail only (b);
-    # the star check rejects every one on the degree it touches
+    # a perturbed entry of Delta_j,q breaks delta = [iota_w, d] on blade
+    # degree q, so every d_h degree whose window holds q raises and the
+    # others keep their rank; the star check rejects it on degree q
     positions = _delta_positions(build_complex(model, model.torus_N))
     if model.dim > 2:
         positions = Random(7).sample(positions, 8)
@@ -375,29 +414,130 @@ def test_perturbed_delta_entry_fails_the_identities(model):
                 continue
             # a degree whose identity holds keeps its rank
             assert rank == _eliminated(c, "dh", m), (q, j, col, m)
-        assert failed, (q, j, col, row)
+        assert failed == [m for m in _degrees(c, "dh")
+                          if any(b == q for _, b in c.slots(m))], \
+            (q, j, col, row)
 
 
-def test_uniform_delta_rescale_keeps_identity_and_ranks():
-    # Not a missed mutation: d - c*h*delta is conjugate to d - h*delta
-    # by h^p -> c^p h^p, so a uniform rescale of delta passes the d_h
-    # identity and keeps every d_h rank.  Do not "fix" this part to
-    # fail.  The star check ties delta to omega, so every delta rank of
-    # the rescaled complex raises.
+@pytest.mark.parametrize("mode", ("laurent", "polynomial"))
+def test_uniform_delta_rescale_fails_the_dh_and_delta_identities(mode):
+    # d - c*h*delta is conjugate to d - h*delta by h^p -> c^p h^p and has
+    # the same ranks, but a rescaled delta is no longer [iota_w, d]: every
+    # d_h degree whose window reaches a nonzero delta block raises, and
+    # the others keep their rank.  The star check ties delta to omega,
+    # so every delta rank of the rescaled complex raises too.
     model = _darboux_torus(3, 2, 1)
-    ref = build_complex(model, 1)
+    ref = build_complex(model, 1, mode)
     for scale in (Fraction(3), Fraction(-2, 5)):
-        c = build_complex(model, 1)
+        c = build_complex(model, 1, mode)
         for per_j in c._units["delta"].values():
             for cols in per_j:
                 for col in cols:
                     for row in col:
                         col[row] *= scale
+        failed = []
         for m in _degrees(c, "dh"):
-            assert c.dh_rank(m) == ref.dh_rank(m)
+            if any(col for _, q in c.slots(m)
+                   for cols in c._unit("delta", q) for col in cols):
+                with pytest.raises(AssertionError,
+                                   match=f"^dh degree {m}: iota_w d - d "
+                                   "iota_w is not delta at blade degree"):
+                    c.dh_rank(m)
+                failed.append(m)
+            else:
+                assert c.dh_rank(m) == ref.dh_rank(m)
+        # every window but the polynomial ones of degree <= 0
+        assert failed == list(range(-3 if mode == "laurent" else 1,
+                                    c.dim + 5))
         for q in range(1, c.dim + 1):
             with pytest.raises(AssertionError, match=f"^delta degree {q}: "):
                 c.delta_rank(q)
+
+
+def test_delta_bracketed_from_a_perturbed_d_fails_the_second_bracket():
+    # delta recomputed as [iota_w, d] from a perturbed unit d block passes
+    # bracket (i) by construction; [iota_w, delta] = 0 catches it
+    c = build_complex(torus(2, 1), 1)
+    assert c.e_w == 1
+    c._units["d"][0][0][0][0] += 1
+    for q in range(c.dim + 1):
+        for j in range(c.dim):
+            bracket = []
+            for col, iota in enumerate(c._iota_w(q)):
+                acc = {}
+                cohomology._apply(c._iota_w(q + 1), c._unit("d", q)[j][col],
+                                  acc)
+                cohomology._apply(c._unit("d", q - 2)[j],
+                                  {r: -x for r, x in iota.items()}, acc)
+                bracket.append(acc)
+            c._units["delta"][q][j] = bracket
+    with pytest.raises(AssertionError, match="^dh degree 0: iota_w delta - "
+                       "delta iota_w is not 0 at blade degree 4, unit mode "
+                       "e_1, column 0$"):
+        c.dh_rank(0)
+
+
+def _dense(cols, nrows):
+    rows = [[Fraction(0)] * len(cols) for _ in range(nrows)]
+    for c, col in enumerate(cols):
+        for r, x in col.items():
+            rows[r][c] = Fraction(x)
+    return rows
+
+
+def _matmul(a, b):
+    return [[sum(x * b[k][c] for k, x in enumerate(row))
+             for c in range(len(b[0]) if b else 0)] for row in a]
+
+
+def _phi_plus(c, m):
+    """Phi_+ = sum_k h^k / k! * iota_w^k on the degree-m basis, iota_w
+    applied by contract_field to constant unit forms."""
+    basis = c.basis(m)
+    index = {pm: r for r, pm in enumerate(basis)}
+    cols = []
+    for p, mask in basis:
+        col = {}
+        term = FieldForm.from_fn(PolyFn.constant(c.dim, 1), mask, p)
+        k = 0
+        while term.terms:
+            for (e, image), fn in term.terms.items():
+                col[index[(e + k, image)]] = \
+                    fn.constant_coeff() / factorial(k)
+            term = fields.contract_field(c.w, term)
+            k += 1
+        cols.append(col)
+    return _dense(cols, len(basis))
+
+
+def _d_on_total_degree(c, j, m):
+    """Unit d block of e_j from degree m to m + 1, slot by slot."""
+    tgt = {pm: r for r, pm in enumerate(c.basis(m + 1))}
+    cols = []
+    for p, mask in c.basis(m):
+        q = blade_degree(mask)
+        col = c._unit("d", q)[j][c._masks[q].index(mask)]
+        cols.append({tgt[(p, c._masks[q + 1][r])]: x
+                     for r, x in col.items()})
+    return cols
+
+
+@pytest.mark.parametrize("mode", ("laurent", "polynomial"))
+@pytest.mark.parametrize("model", COMPARED.values(), ids=COMPARED.keys())
+def test_phi_conjugates_assembled_dh_blocks_to_d(model, mode):
+    # Phi_+ A_dh,j = A_d,j Phi_+ on the reference d_h blocks of every
+    # degree, Phi_+ built from contract_field, not from the complex
+    c = build_complex(model, model.torus_N, mode)
+    checked = 0
+    for m in _degrees(c, "dh"):
+        rows = len(c.basis(m + 1))
+        phi, phi_next = _phi_plus(c, m), _phi_plus(c, m + 1)
+        for j in range(c.dim):
+            dh = _dense(_assemble_dh(c, j, m), rows)
+            d = _dense(_d_on_total_degree(c, j, m), rows)
+            assert _matmul(phi_next, dh) == _matmul(d, phi), (m, j)
+            checked += any(any(row) for row in dh)
+    assert checked
 
 
 def test_cohomology_keeps_one_rank_path():
@@ -411,21 +551,25 @@ def test_cohomology_keeps_one_rank_path():
 
 
 def test_de_rham_and_poisson_reports_assemble_no_dh_block(monkeypatch):
-    calls = []
-    real = cohomology.TruncatedComplex._assemble_dh
+    # d_h ranks come through Phi from the d ranks: no report ranks a d_h
+    # block by the homotopy identity, and no d_h block is assembled
+    assert not hasattr(cohomology.TruncatedComplex, "_assemble_dh")
+    labels = []
+    real = cohomology._homotopy_rank
 
-    def counting(self, j, m):
-        calls.append((j, m))
-        return real(self, j, m)
-    monkeypatch.setattr(cohomology.TruncatedComplex, "_assemble_dh",
-                        counting)
+    def recording(label, *args):
+        labels.append(label)
+        return real(label, *args)
+    monkeypatch.setattr(cohomology, "_homotopy_rank", recording)
     for mode in ("laurent", "polynomial"):
         c = build_complex(torus(2, 1), 1, mode)
         assert dr_cohomology_dims(c).passed()
         assert poisson_homology_dims(c).passed()
-        assert calls == []
-    assert quantum_cohomology_dims(c).passed()
-    assert calls
+        assert quantum_cohomology_dims(c).passed()
+        assert degeneracy_check(c)["degenerate"]
+        assert set(c._units) == {"d", "delta"}
+    assert labels
+    assert all(label.startswith("d degree ") for label in labels), labels
 
 
 def test_reports_eliminate_no_block(monkeypatch):
@@ -510,10 +654,12 @@ def test_unit_blocks_are_int_numerators_over_den():
                 for cols in per_j:
                     for col in cols:
                         assert all(type(x) is int for x in col.values())
-        for m in _degrees(c, "dh"):
-            for cols in c._unit("dh", m):
-                for col in cols:
-                    assert all(type(x) is int for x in col.values())
+        assert c.e_w == lcm(*(x.denominator
+                              for _, _, x in c.w.upper_entries()))
+        assert type(c.e_w) is int
+        for q in range(-1, c.dim + 2):
+            for col in c._iota_w(q):
+                assert all(type(x) is int for x in col.values())
         for q in range(c.dim + 1):
             cols, e = c._star(q)
             assert type(e) is int
