@@ -7,9 +7,10 @@ against that table rather than assumed.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 
-from .exterior import Bivector, QForm, quantum_power, quantum_wedge
+from .exterior import Bivector, QForm, quantum_powers, quantum_wedge
 from .linalg import rational_roots
 from .scalars import HPoly
 
@@ -133,9 +134,11 @@ def verify_relation_17(n: int) -> dict:
     pairs literally equals omega - n h.
 
     The reported order is the first k <= n + 1 with (omega - n h)^k_h
-    = 0, or None when even the (n + 1)-st power survives; the scan steps
-    down from n + 1, since a vanishing power stays zero under further
-    products. ok says whether that order is n + 1.
+    = 0, or None when even the (n + 1)-st power survives. Each power is
+    the one before it times omega - n h, so the scan takes at most n + 1
+    products, and it stops at the first zero power going upward, since a
+    zero power stays zero under further products. ok says whether that
+    order is n + 1.
     """
     if n > 4:
         raise ValueError("the nilpotency check is run for n <= 4")
@@ -150,10 +153,11 @@ def verify_relation_17(n: int) -> dict:
     if assembled != shifted:
         raise AssertionError("assembled deformed form is not omega - n h")
     order = None
-    for k in range(n + 1, 0, -1):
-        if not quantum_power(shifted, k, w).is_zero():
+    powers = islice(quantum_powers(shifted, w), 1, n + 2)
+    for k, power in enumerate(powers, start=1):
+        if power.is_zero():
+            order = k
             break
-        order = k
     return {"n": n, "nilpotency_order": order, "ok": order == n + 1}
 
 
@@ -166,7 +170,7 @@ def omega_power_expansion(n: int) -> dict:
     dim = 2 * n
     w = Bivector.standard(dim)
     omega = _omega(n)
-    qpow = [quantum_power(omega, k, w) for k in range(n + 2)]
+    qpow = list(islice(quantum_powers(omega, w), n + 2))
     value = qpow[n + 1]
 
     printed = QForm.zero(dim)
@@ -239,7 +243,7 @@ def scalar_shift_report(n: int) -> dict:
     dim = 2 * n
     w = Bivector.standard(dim)
     omega = ring.omega
-    qpow = [quantum_power(omega, k, w) for k in range(n + 2)]
+    qpow = list(islice(quantum_powers(omega, w), n + 2))
     # coefficient of lambda^{n+1-k} is binom(n+1, k) h^{n+1-k} (omega)_h^k
     lam_polys = {}
     for k in range(n + 2):

@@ -37,17 +37,22 @@ entries, Gaussian rationals with int parts for Gaussian ones, and
 function-valued entries as they are, with D = 1. Each R_{w_j} then
 multiplies by numerators, so A_J is D^|J| times its value. quantum_wedge
 also puts the coefficients of a and b over their denominators da and
-db, lifts level n by D^(top - n) for the lower top degree top, adds
-integer numerators over the one denominator da * db * D^top and divides
-once per surviving coefficient, so every coefficient that leaves it is a
-Fraction or a Gaussian rational with Fraction parts again
-(scalars.clear_denominators and scalars.over). quantum_wedge_multi and
-fields.quantum_wedge_field divide B_J by D^|J| instead, once per B_J.
+db (scalars.clear_denominators), lifts level n by D^(top - n) for the
+lower top degree top and adds integer numerators over the one
+denominator da * db * D^top. The product it returns keeps them pending
+(scalars.SparseTerms): the first read of its terms divides each once,
+into a Fraction or a Gaussian rational with Fraction parts
+(scalars.over). Until then a later quantum_wedge takes the numerators
+and the denominator as they are, and == between two pending products
+cross-multiplies them, so an associativity check divides nothing it
+does not print. quantum_wedge_multi and fields.quantum_wedge_field
+divide B_J by D^|J| instead, once per B_J.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .blades import (
     Blade,
@@ -277,9 +282,8 @@ class QForm(SparseTerms):
     __slots__ = ("dim", "laurent")
 
     def __init__(self, dim: int, terms=None, laurent: bool = False):
-        self.dim = dim
-        self.laurent = laurent
-        self.terms = {}
+        out = {}
+        flag = laurent
         for key, val in dict(terms or {}).items():
             if isinstance(key, Blade):
                 mask = key.mask
@@ -291,8 +295,23 @@ class QForm(SparseTerms):
                 raise ValueError("blade index exceeds dimension")
             c = val if isinstance(val, HPoly) else HPoly(val, laurent=laurent)
             if c.laurent:
-                self.laurent = True
-            add_term(self.terms, mask, c)
+                flag = True
+            add_term(out, mask, c)
+        self.terms = out
+        self._fill(self, dim, flag)
+
+    def _settle(self, nums, den):
+        # the numerators of quantum_wedge, keyed (h exponent, mask): each
+        # mask's h exponents in the numerators' order, every coefficient
+        # over den with the form's Laurent flag
+        out = {}
+        for (e, m), c in nums.items():
+            t = out.get(m)
+            if t is None:
+                t = out[m] = {}
+            t[e] = over(c, den)
+        laurent = self.laurent
+        return {m: HPoly._make(t, laurent) for m, t in out.items()}
 
     @staticmethod
     def zero(dim: int, laurent: bool = False) -> "QForm":
@@ -508,8 +527,9 @@ def wedge(a: QForm, b: QForm) -> QForm:
 def quantum_wedge(a: QForm, b: QForm, w: PairTensor) -> QForm:
     """The deformed wedge product a *_h b for a constant pairing w.
 
-    Every coefficient carries the Laurent flag a.laurent or b.laurent,
-    the flag coeff gives a blade the product does not have."""
+    The product is pending until its terms are read (see the module
+    docstring). Every coefficient carries the Laurent flag a.laurent or
+    b.laurent, the flag coeff gives a blade the product does not have."""
     if a.dim != b.dim or a.dim != w.dim:
         raise ValueError("dimension mismatch")
     if not w.is_constant():
@@ -518,44 +538,46 @@ def quantum_wedge(a: QForm, b: QForm, w: PairTensor) -> QForm:
     tb, db = _numerators(b)
     # no contraction passes the lower of the two top blade degrees; a
     # level-n numerator times D^(top - n) is over da * db * D^top
-    top = min(max((m.bit_count() for m in a.terms), default=0),
-              max((m.bit_count() for m in b.terms), default=0))
+    top = min(max((m.bit_count() for _, m in ta), default=0),
+              max((m.bit_count() for _, m in tb), default=0))
     acc = {}
     for n, A, B in _contractions(ta, tb, w):
         lift = w.den ** (top - n)
         if lift != 1:
             B = {k: c * lift for k, c in B.items()}
         _wedge_into(acc, n, A, B)
-    den = da * db * w.den ** top
-    laurent = a.laurent or b.laurent
-    out = {}
-    for (e, m), c in acc.items():
-        if c:
-            t = out.get(m)
-            if t is None:
-                t = out[m] = {}
-            t[e] = over(c, den)
-    return QForm._make({m: HPoly._make(t, laurent) for m, t in out.items()},
-                       a.dim, laurent)
+    return QForm._make_pending({k: c for k, c in acc.items() if c},
+                               da * db * w.den ** top, a.dim,
+                               a.laurent or b.laurent)
 
 
 def _numerators(form: QForm):
     """form's coefficients over one denominator: terms {(h exponent,
-    mask): numerator} and the denominator."""
+    mask): numerator} and the denominator. A pending product gives the
+    numerators it holds."""
+    pending = form._pending
+    if pending is not None:
+        return pending
     keys = [(e, m) for m, hc in form.terms.items() for e in hc.terms]
     nums, den = clear_denominators(c for hc in form.terms.values()
                                    for c in hc.terms.values())
     return dict(zip(keys, nums)), den
 
 
+def quantum_powers(a: QForm, w: PairTensor):
+    """The deformed powers 1, a, a *_h a, ... without end: each is the
+    one before it times a, one product each."""
+    power = QForm.scalar(a.dim, 1, laurent=a.laurent)
+    while True:
+        yield power
+        power = quantum_wedge(power, a, w)
+
+
 def quantum_power(a: QForm, k: int, w: PairTensor) -> QForm:
     """k-fold deformed product a *_h ... *_h a (k = 0 gives 1)."""
     if k < 0:
         raise ValueError("negative power")
-    out = QForm.scalar(a.dim, 1, laurent=a.laurent)
-    for _ in range(k):
-        out = quantum_wedge(out, a, w)
-    return out
+    return next(islice(quantum_powers(a, w), k, None))
 
 
 def quantum_exp(a: QForm, w: PairTensor, order: int) -> QForm:
@@ -565,12 +587,12 @@ def quantum_exp(a: QForm, w: PairTensor, order: int) -> QForm:
     beyond it are dropped wholesale. (A filter on monomial degree would
     never terminate for arguments with a scalar part.)
     """
+    if order < 0:
+        raise ValueError("negative order")
     out = QForm.zero(a.dim, laurent=a.laurent)
-    power = QForm.scalar(a.dim, 1, laurent=a.laurent)
     fact = Fraction(1)
-    for k in range(order + 1):
+    for k, power in zip(range(order + 1), quantum_powers(a, w)):
         if k:
-            power = quantum_wedge(power, a, w)
             fact = fact * k
         out = out + power / fact
     return out

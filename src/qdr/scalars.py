@@ -11,8 +11,9 @@ Every ring and form class of the package (HPoly, HPolyMulti, TauNumber
 here, PolyFn and FourierFn in functions, QForm and MultiForm in exterior,
 FieldForm in fields) is a SparseTerms: one zero-free terms dict on one
 space. That one core owns their sums, negation, scalar multiples,
-equality and the trusted constructor _make; SparseRing adds the
-convolution product of the five rings. add_term is the one accumulator
+equality, the trusted constructor _make and the pending values of a
+class that says how to settle them (QForm's products); SparseRing adds
+the convolution product of the five rings. add_term is the one accumulator
 of a terms dict, and only the public constructors validate.
 """
 
@@ -95,9 +96,20 @@ class SparseTerms:
 
     The rings take their product from SparseRing; the forms multiply by
     wedge and quantum_wedge.
+
+    A class that defines the hook _settle(nums, den) can also hold
+    pending values, built by _make_pending: their terms are still
+    zero-free numerators {key: numerator} over one denominator den, in
+    the form of clear_denominators, and terms stays unset. The first read
+    of terms settles the value once, through the hook. == between two
+    pending values compares their key sets and cross-multiplied
+    numerators and settles neither; every other reader, and == with a
+    settled side, sees terms.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_pending")
+    # the hook of a class whose values can be pending; the others never are
+    _settle = None
 
     def __init_subclass__(cls, **kwargs):
         # the space's slot setter and copier are compiled once per class
@@ -105,8 +117,17 @@ class SparseTerms:
         # loop over the slot names costs twice as much per value
         super().__init_subclass__(**kwargs)
         names = cls.__slots__
-        sets = "; ".join(f"x.{n} = {n}" for n in names) or "pass"
-        copies = "; ".join(f"x.{n} = o.{n}" for n in names) or "pass"
+        sets = [f"x.{n} = {n}" for n in names]
+        copies = [f"x.{n} = o.{n}" for n in names]
+        if cls._settle is not None:
+            # a value built from a terms dict is settled; the hook goes on
+            # this class alone, as a class with __getattr__ reads every
+            # attribute on the slow path
+            sets.append("x._pending = None")
+            copies.append("x._pending = None")
+            cls.__getattr__ = SparseTerms._settled_terms
+        sets = "; ".join(sets) or "pass"
+        copies = "; ".join(copies) or "pass"
         ns = {}
         exec(f"def fill(x, {', '.join(names)}): {sets}\n"
              f"def copy(x, o): {copies}\n", ns)
@@ -121,6 +142,26 @@ class SparseTerms:
         x.terms = terms
         cls._fill(x, *space)
         return x
+
+    @classmethod
+    def _make_pending(cls, nums: dict, den, *space):
+        """Trusted constructor of a pending value: nums is zero-free
+        {key: numerator} over den, and cls._settle(nums, den) gives the
+        terms."""
+        x = object.__new__(cls)
+        cls._fill(x, *space)
+        x._pending = (nums, den)
+        return x
+
+    def _settled_terms(self, name):
+        # the __getattr__ of a class with _settle: only an unset slot gets
+        # here, and terms is unset while the value is pending, so divide
+        # its numerators once
+        if name != "terms":
+            raise AttributeError(name)
+        t = self.terms = self._settle(*self._pending)
+        self._pending = None
+        return t
 
     def _like(self, terms: dict):
         """_make on self's space."""
@@ -166,7 +207,12 @@ class SparseTerms:
         o = NotImplemented if isinstance(other, str) else self._operand(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.terms != o.terms:
+        if type(self)._settle is not None and self._pending and o._pending:
+            (na, da), (nb, db) = self._pending, o._pending
+            if na.keys() != nb.keys() or not all(
+                    c * db == nb[k] * da for k, c in na.items()):
+                return False
+        elif self.terms != o.terms:
             return False
         try:
             self._join(o)

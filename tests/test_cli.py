@@ -563,13 +563,15 @@ def test_ledger_is_computed_once(monkeypatch):
 
 
 def test_relation17_fails_on_a_wrong_nilpotency_order(monkeypatch, capsys):
-    real = cpn.quantum_power
+    real = cpn.quantum_powers
 
-    def one_too_many(a, k, w):
+    def one_too_many(a, w):
         # every power one factor further on: the observed order drops
-        return real(a, k + 1, w)
+        powers = real(a, w)
+        next(powers)
+        return powers
 
-    monkeypatch.setattr(cpn, "quantum_power", one_too_many)
+    monkeypatch.setattr(cpn, "quantum_powers", one_too_many)
     assert main(["--check", "relation17", "--n", "2"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == \
         "FAIL  1 checks, 1 failed, 1 tasks"

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from qdr import exterior
 from qdr.cpn import (
     CPnRing,
     cpn_structure_constants,
@@ -88,6 +89,25 @@ def test_power_expansion_report():
         assert not rep["printed_matches"]
         assert rep["binomial_matches"]
         assert rep["classical_layer_zero"]
+
+
+def test_each_power_is_computed_once(monkeypatch):
+    # each power is the one before it times the base: n + 1 products
+    # for the powers up to n + 1, where a fresh power per k took
+    # (n + 1)(n + 2)/2 products
+    calls = []
+    real = exterior.quantum_wedge
+
+    def counting(a, b, w):
+        calls.append(1)
+        return real(a, b, w)
+    monkeypatch.setattr(exterior, "quantum_wedge", counting)
+    for n in (1, 2, 3):
+        for report in (verify_relation_17, omega_power_expansion,
+                       scalar_shift_report):
+            calls.clear()
+            report(n)
+            assert len(calls) == n + 1, (report.__name__, n)
 
 
 def test_recursion_coefficients():
