@@ -117,9 +117,6 @@ class MatrixForm:
     def qmul(self, other: "MatrixForm", w: PoissonField) -> "MatrixForm":
         return self.matmul(other, lambda a, b: bundle_wedge(a, b, w))
 
-    def scale_right(self, form: FieldForm, w: PoissonField) -> "MatrixForm":
-        return self.map(lambda e: bundle_wedge(e, form, w))
-
     def trace(self) -> FieldForm:
         acc = self.entries[0][0]
         for i in range(1, self.rank):
@@ -136,10 +133,6 @@ class MatrixForm:
                     if h != 0 or blade_degree(mask) != 1:
                         return False
         return True
-
-    def degrees(self):
-        return {blade_degree(mask) + 2 * h
-                for row in self.entries for e in row for (h, mask) in e.terms}
 
     def __eq__(self, other):
         return (isinstance(other, MatrixForm) and self.rank == other.rank

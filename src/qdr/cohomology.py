@@ -72,6 +72,8 @@ class TruncatedComplex:
     """
 
     def __init__(self, model, trunc: int, mode: str = "laurent"):
+        if type(trunc) is not int or trunc < 0:
+            raise ValueError("truncation bound must be nonnegative")
         if mode not in ("laurent", "polynomial"):
             raise ValueError(f"unknown coefficient mode {mode!r}")
         if not model.is_torus():
@@ -504,16 +506,6 @@ def e1_dims(c: TruncatedComplex) -> DimensionReport:
         rows.append({"degree": m, "dim": None, "ker": None, "im_prev": None,
                      "dim_h": val, "expected": None, "ok": True})
     return DimensionReport(f"e1_{c.mode}", rows)
-
-
-def degeneracy_check(c: TruncatedComplex) -> dict:
-    """Assert the computed quantum dimensions equal the E1 prediction."""
-    quantum = quantum_cohomology_dims(c).dims
-    e1 = e1_dims(c).dims
-    if quantum != e1:
-        raise AssertionError(
-            f"dimension collapse fails: quantum {quantum} vs E1 {e1}")
-    return {"quantum": quantum, "e1": e1, "degenerate": True}
 
 
 # -- graded integral -------------------------------------------------------

@@ -8,10 +8,9 @@ against that table rather than assumed.
 
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial
+from math import factorial
 
 from .exterior import Bivector, QForm, quantum_powers, quantum_wedge
-from .linalg import rational_roots
 from .scalars import HPoly
 
 
@@ -93,20 +92,6 @@ class CPnRing:
     def entry(self, k: int, l: int):
         return self.table[(k, l)]
 
-    def mul_vec(self, u, v):
-        """Product of two basis expansions, reduced via the table."""
-        out = [HPoly() for _ in range(self.n + 1)]
-        for k, a in enumerate(u):
-            if not a:
-                continue
-            for l, b in enumerate(v):
-                if not b:
-                    continue
-                scale = a * b
-                for j, c in enumerate(self.table[(k, l)]):
-                    out[j] = out[j] + c * scale
-        return tuple(out)
-
     def serialize(self):
         return {
             "n": self.n,
@@ -161,39 +146,6 @@ def verify_relation_17(n: int) -> dict:
     return {"n": n, "nilpotency_order": order, "ok": order == n + 1}
 
 
-def omega_power_expansion(n: int) -> dict:
-    """Compare the (n+1)-st quantum power of omega against the printed
-    display and against the binomial consequence of the nilpotency
-    relation; report which of the two matches."""
-    if n > 4:
-        raise ValueError("the expansion report is run for n <= 4")
-    dim = 2 * n
-    w = Bivector.standard(dim)
-    omega = _omega(n)
-    qpow = list(islice(quantum_powers(omega, w), n + 2))
-    value = qpow[n + 1]
-
-    printed = QForm.zero(dim)
-    for k in range(n + 1):
-        sign = (-1) ** (n - k)
-        printed = printed + qpow[k] * HPoly({n + 1 - k: sign * comb(n + 1,
-                                                                    k)})
-
-    binomial = QForm.zero(dim)
-    for k in range(n + 1):
-        c = comb(n + 1, k) * Fraction(-n) ** (n + 1 - k)
-        binomial = binomial - qpow[k] * HPoly({n + 1 - k: c})
-
-    return {
-        "n": n,
-        "value": value.serialize(),
-        "printed_matches": value == printed,
-        "binomial_matches": value == binomial,
-        "classical_layer_zero": all(
-            c.coeff(0) == 0 for c in value.terms.values()),
-    }
-
-
 def derived_recursion_report(n: int) -> dict:
     """Extract the exact three-term recursion for multiplying by omega
     and compare its coefficients against both candidate formulas."""
@@ -230,40 +182,3 @@ def derived_recursion_report(n: int) -> dict:
                                 Fraction(-k * (n - k + 1))),
         })
     return {"n": n, "rows": rows}
-
-
-def scalar_shift_report(n: int) -> dict:
-    """The unique rational shift making omega + lambda h nilpotent.
-
-    Expands (omega + lambda h)^{n+1} with the binomial theorem over the
-    central scalar, collects each basis coefficient as a polynomial in
-    lambda, and intersects the rational root sets.
-    """
-    ring = cpn_structure_constants(n)
-    dim = 2 * n
-    w = Bivector.standard(dim)
-    omega = ring.omega
-    qpow = list(islice(quantum_powers(omega, w), n + 2))
-    # coefficient of lambda^{n+1-k} is binom(n+1, k) h^{n+1-k} (omega)_h^k
-    lam_polys = {}
-    for k in range(n + 2):
-        form = qpow[k] * HPoly({n + 1 - k: comb(n + 1, k)})
-        for mask, c in form.terms.items():
-            for e, v in c.terms.items():
-                key = (mask, e)
-                poly = lam_polys.setdefault(key, {})
-                d = n + 1 - k
-                poly[d] = poly.get(d, Fraction(0)) + v
-    common = None
-    for poly in lam_polys.values():
-        if not any(poly.values()):
-            continue
-        found, _ = rational_roots(
-            [poly.get(d, Fraction(0)) for d in range(max(poly) + 1)])
-        roots = {root for root, _mult in found}
-        common = roots if common is None else common & roots
-    if common is None or len(common) != 1:
-        raise AssertionError(
-            f"shift is not unique: candidates {sorted(common or ())}")
-    lam = common.pop()
-    return {"n": n, "lambda": lam, "unique": True}

@@ -384,10 +384,6 @@ class QForm(SparseTerms):
         c = self.terms.get(key)
         return HPoly._make({}, self.laurent) if c is None else c
 
-    def grade(self, k: int) -> "QForm":
-        return self._like({m: c for m, c in self.terms.items()
-                           if m.bit_count() == k})
-
     def blade_degrees(self):
         return sorted({m.bit_count() for m in self.terms})
 

@@ -95,14 +95,6 @@ class FieldForm(SparseTerms):
             return "mixed"
         return degs.pop()
 
-    def grade(self, k: int) -> "FieldForm":
-        return self._like({key: fn for key, fn in self.terms.items()
-                           if blade_degree(key[1]) == k})
-
-    def h_coefficient(self, p: int) -> "FieldForm":
-        return self._like({(0, m): fn for (h, m), fn in self.terms.items()
-                           if h == p})
-
     def h_shift(self, k: int) -> "FieldForm":
         return self._like({(h + k, m): fn
                            for (h, m), fn in self.terms.items()})

@@ -110,9 +110,6 @@ class PolyFn(SparseRing):
             total = total + v
         return total
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def conj(self) -> "PolyFn":
         return self._like({e: c.conj() if isinstance(c, (GaussRat, HPoly))
                            else c for e, c in self.terms.items()})
@@ -228,10 +225,6 @@ class FourierFn(SparseRing):
             if k:
                 t[mode] = c * TauNumber.tau(1, GaussRat(0, k))
         return self._like(t)
-
-    def sup_norm(self) -> int:
-        return max((max(abs(k) for k in m) if m else 0
-                    for m in self.terms), default=0)
 
     def conj(self) -> "FourierFn":
         return self._like({tuple(-k for k in m): c.conj()

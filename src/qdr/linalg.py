@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import HPoly, as_fraction, frac_str
+from .scalars import as_fraction, frac_str
 
 
 def mat_mul(a, b):
@@ -161,9 +161,6 @@ class CharPolynomial:
         if isinstance(other, CharPolynomial):
             return self.coeffs == other.coeffs
         return NotImplemented
-
-    def as_hpoly(self) -> HPoly:
-        return HPoly({e: c for e, c in enumerate(self.coeffs)})
 
     def rational_roots(self):
         """All rational roots with multiplicities: [(root, mult)], sorted,

@@ -220,14 +220,6 @@ def apply_A(form: QForm, omega=None) -> QForm:
     return form * (omega.n - k)
 
 
-def _apply_A_graded(form: QForm, omega: SymplecticForm) -> QForm:
-    # linear extension of A across blade degrees, for operator composition
-    out = QForm.zero(form.dim, laurent=form.laurent)
-    for k in form.blade_degrees():
-        out = out + form.grade(k) * (omega.n - k)
-    return out
-
-
 def apply_Lh(form: QForm, omega=None) -> QForm:
     omega = _coerce_symplectic(omega, form.dim)
     return quantum_wedge(omega.form, form, omega.bivector)
@@ -253,10 +245,32 @@ def apply_Ah(form: QForm, omega=None) -> QForm:
     return QForm(form.dim, out, laurent=True)
 
 
-def kstar_op(form: QForm, omega=None) -> QForm:
-    """K* := -(* K *)."""
-    omega = _coerce_symplectic(omega, form.dim)
-    return -symplectic_star(apply_K(symplectic_star(form, omega)), omega)
+def _fit(n: int, target, terms, what: str):
+    """Constants c with target = sum_i c_i terms[i] on the blade basis.
+
+    Each operator is called as op(form, omega) on every basis blade of
+    dimension 2n; every (mask, h exponent) coefficient of the images is
+    one linear equation. Raises if no constant solution fits.
+    """
+    omega = SymplecticForm(2 * n)
+    cols = [[] for _ in terms]
+    rhs = []
+    for mask in range(1 << omega.dim):
+        base = QForm(omega.dim, {mask: 1})
+        lhs = target(base, omega)
+        parts = [op(base, omega) for op in terms]
+        keys = set()
+        for f in (lhs, *parts):
+            for m, c in f.terms.items():
+                keys.update((m, e) for e in c.terms)
+        for m, e in sorted(keys):
+            for col, f in zip(cols, parts):
+                col.append(f.coeff(m).coeff(e))
+            rhs.append(lhs.coeff(m).coeff(e))
+    sol = solve(cols, rhs)
+    if sol is None:
+        raise AssertionError(f"no {what} exists")
+    return tuple(sol)
 
 
 def decomposition_report(n: int):
@@ -264,110 +278,19 @@ def decomposition_report(n: int):
 
     Solved over the full blade basis; raises if no constant solution fits.
     """
-    omega = SymplecticForm(2 * n)
-    cols = [[], [], []]
-    rhs = []
-    for mask in range(1 << omega.dim):
-        base = QForm(omega.dim, {mask: 1})
-        lh = apply_Lh(base, omega)
-        l0 = apply_L(base, omega)
-        kk = apply_K(base, omega).h_shift(1)
-        iw = apply_Lstar(base, omega).h_shift(2)
-        keys = set()
-        for f in (lh, l0, kk, iw):
-            for m, c in f.terms.items():
-                keys.update((m, e) for e in c.terms)
-        for key in sorted(keys):
-            m, e = key
-            cols[0].append(l0.coeff(m).coeff(e))
-            cols[1].append(kk.coeff(m).coeff(e))
-            cols[2].append(iw.coeff(m).coeff(e))
-            rhs.append(lh.coeff(m).coeff(e))
-    sol = solve(cols, rhs)
-    if sol is None:
-        raise AssertionError("no constant decomposition exists")
-    return tuple(sol)
+    return _fit(n, apply_Lh, (
+        apply_L,
+        lambda f, om: apply_K(f, om).h_shift(1),
+        lambda f, om: apply_Lstar(f, om).h_shift(2),
+    ), "constant decomposition")
 
 
 def relation_report(n: int):
     """Constants (a, b) with L_h* = a h^-2 L_h + b h^-1 Id on the basis."""
-    omega = SymplecticForm(2 * n)
-    cols = [[], []]
-    rhs = []
-    for mask in range(1 << omega.dim):
-        base = QForm(omega.dim, {mask: 1})
-        lhs = apply_Lhstar(base, omega)
-        t1 = apply_Lh(base, omega).h_shift(-2)
-        t2 = base.h_shift(-1)
-        keys = set()
-        for f in (lhs, t1, t2):
-            for m, c in f.terms.items():
-                keys.update((m, e) for e in c.terms)
-        for key in sorted(keys):
-            m, e = key
-            cols[0].append(t1.coeff(m).coeff(e))
-            cols[1].append(t2.coeff(m).coeff(e))
-            rhs.append(lhs.coeff(m).coeff(e))
-    sol = solve(cols, rhs)
-    if sol is None:
-        raise AssertionError("no affine relation exists")
-    return tuple(sol)
-
-
-def family_ops(n: int, sign: int = -1, p=None, q=None, r=0):
-    """The deformed operator family: X + (sign) h H + h^2 Y + p h, etc.
-
-    X, Y, H are realized as L, the w-insertion, and A. Returns the three
-    operators as callables after verifying the bracket relations
-    [F, A_r] = 2F, [F*, A_r] = -2F*, [F, F*] = 0 on a graded basis, and
-    the ladder relations [D, h^{+-1}] = +-2 h^{+-1} for the degree
-    operator D = -A_h.
-    """
-    omega = SymplecticForm(2 * n)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    p = as_fraction(n if p is None else p)
-    q = as_fraction(-n if q is None else q)
-    r = as_fraction(r)
-
-    def fam_L(form: QForm) -> QForm:
-        return (apply_L(form, omega)
-                + sign * _apply_A_graded(form, omega).h_shift(1)
-                + apply_Lstar(form, omega).h_shift(2)
-                + p * form.h_shift(1))
-
-    def fam_Lstar(form: QForm) -> QForm:
-        return (apply_Lstar(form, omega)
-                + sign * _apply_A_graded(form, omega).h_shift(-1)
-                + apply_L(form, omega).h_shift(-2)
-                + q * form.h_shift(-1))
-
-    def fam_A(form: QForm) -> QForm:
-        return apply_Ah(form, omega) + r * form
-
-    def commutator(f, g, form):
-        return f(g(form)) - g(f(form))
-
-    for mask in range(1 << omega.dim):
-        for j in (-1, 0, 1):
-            base = QForm(omega.dim, {mask: HPoly({j: 1}, laurent=True)},
-                         laurent=True)
-            if commutator(fam_L, fam_A, base) != 2 * fam_L(base):
-                raise AssertionError("[F, A] = 2F fails")
-            if commutator(fam_Lstar, fam_A, base) != -2 * fam_Lstar(base):
-                raise AssertionError("[F*, A] = -2F* fails")
-            if commutator(fam_L, fam_Lstar, base) != QForm.zero(
-                    omega.dim, laurent=True):
-                raise AssertionError("[F, F*] = 0 fails")
-            # ladder pair: multiplication by h^{+-1} against the degree
-            # operator D = -A_h (D counts blade degree plus twice h degree)
-            for s in (1, -1):
-                mplus = base.h_shift(s)
-                lhs = -apply_Ah(mplus, omega) - (-apply_Ah(base, omega)
-                                                 ).h_shift(s)
-                if lhs != (2 * s) * mplus:
-                    raise AssertionError("[D, h^s] = 2 s h^s fails")
-    return fam_L, fam_Lstar, fam_A
+    return _fit(n, apply_Lhstar, (
+        lambda f, om: apply_Lh(f, om).h_shift(-2),
+        lambda f, om: f.h_shift(-1),
+    ), "affine relation")
 
 
 class LinOp:
@@ -429,7 +352,7 @@ def window_matrix(op, n: int, m_from: int, m_to: int):
 def lefschetz_matrix(n: int, parity) -> LinOp:
     """Matrix of h^-1 (deformed L) on the parity window, rational entries."""
     if isinstance(parity, str):
-        parity = {"even": 0, "odd": 1}[parity]
+        parity = {"even": 0, "odd": 1}.get(parity)
     if parity not in (0, 1):
         raise ValueError("parity must be 0/'even' or 1/'odd'")
     omega = SymplecticForm(2 * n)
@@ -441,72 +364,3 @@ def lefschetz_matrix(n: int, parity) -> LinOp:
     basis = [(p, Blade(2 * n, mask))
              for p, mask in graded_window_basis(n, parity)]
     return LinOp(basis, mat)
-
-
-def det_recursion_check(m1, depth: int):
-    """Doubling recursion for block matrices built from a seed matrix.
-
-    Builds M_{j+1} = [[M_j, -I], [I, M_j + 2I]] and checks, as exact
-    polynomial identities in t:
-      (a) det(M_{j+1} + tI) = det(M_j + (t+1)I)^2 at every level, and
-      (b) det(M_{k+1} + tI) = det(M_1 + (t+k)I)^(2^k) at the final level,
-    plus the mirrored recursion [[M, I], [-I, M - 2I]] against
-    det(M_1 + (t-k)I)^(2^k).
-    """
-    if depth > 4:
-        raise ValueError("depth capped at 4")
-    m1 = [[as_fraction(x) for x in row] for row in m1]
-    size = len(m1) * (1 << depth)
-    if size > 64:
-        raise ValueError("final size capped at 64")
-
-    def shifted_det(mat, shift_units: int):
-        # det(mat + (t + s) I) = det(tI - N) for N = -(mat + s I)
-        neg = [[-x - shift_units if i == j else -x
-                for j, x in enumerate(row)] for i, row in enumerate(mat)]
-        return char_poly(neg).as_hpoly()
-
-    def step(mat, flip: bool):
-        k = len(mat)
-        out = []
-        for i in range(k):
-            out.append(mat[i][:] + [Fraction(-1 if not flip else 1)
-                                    if i == j else Fraction(0)
-                                    for j in range(k)])
-        for i in range(k):
-            row = [Fraction(1 if not flip else -1) if i == j else Fraction(0)
-                   for j in range(k)]
-            diag = 2 if not flip else -2
-            row += [mat[i][j] + (diag if i == j else 0) for j in range(k)]
-            out.append(row)
-        return out
-
-    report = {"levels": [], "depth": depth, "size": size}
-    mats = [m1]
-    for _ in range(depth):
-        mats.append(step(mats[-1], flip=False))
-    for j in range(depth):
-        lhs = shifted_det(mats[j + 1], 0)
-        inner = shifted_det(mats[j], 1)
-        ok = lhs == inner * inner
-        report["levels"].append(ok)
-        if not ok:
-            raise AssertionError("single-step determinant identity fails")
-    base = shifted_det(m1, depth)
-    closed = HPoly({0: 1})
-    for _ in range(1 << depth):
-        closed = closed * base
-    report["closed_form"] = shifted_det(mats[depth], 0) == closed
-    if not report["closed_form"]:
-        raise AssertionError("closed-form determinant identity fails")
-    mirror = [m1]
-    for _ in range(depth):
-        mirror.append(step(mirror[-1], flip=True))
-    mbase = shifted_det(m1, -depth)
-    mclosed = HPoly({0: 1})
-    for _ in range(1 << depth):
-        mclosed = mclosed * mbase
-    report["mirror"] = shifted_det(mirror[depth], 0) == mclosed
-    if not report["mirror"]:
-        raise AssertionError("mirrored determinant identity fails")
-    return report

@@ -12,7 +12,6 @@ from qdr import cohomology, fields, linalg
 from qdr.blades import blade_degree, masks_of_degree
 from qdr.cohomology import (
     build_complex,
-    degeneracy_check,
     dr_cohomology_dims,
     e1_dims,
     lemma62_check,
@@ -90,6 +89,14 @@ def test_constants_only_truncation():
     assert q.dims == (2, 2, 2, 2)
 
 
+def test_truncation_must_be_a_nonnegative_int():
+    # a negative bound has no modes at all, so its ranks would read -1
+    for trunc in (-1, True, 1.0):
+        with pytest.raises(ValueError, match="truncation bound must be "
+                                             "nonnegative"):
+            build_complex(torus(1, 1), trunc)
+
+
 def test_quantum_dims_torus2_laurent():
     c = build_complex(T2W, 2, "laurent")
     rep = quantum_cohomology_dims(c)
@@ -110,9 +117,7 @@ def test_quantum_dims_torus2_polynomial():
 def test_degeneracy_reports():
     for mode in ("laurent", "polynomial"):
         c = build_complex(T2W, 2, mode)
-        out = degeneracy_check(c)
-        assert out["degenerate"]
-        assert out["quantum"] == e1_dims(c).dims
+        assert quantum_cohomology_dims(c).dims == e1_dims(c).dims
 
 
 def test_report_serialization():
@@ -134,7 +139,7 @@ def test_torus4_dimension_tables():
     rep = quantum_cohomology_dims(c)
     assert rep.dims == (8, 8, 8, 8, 8, 8)
     assert rep.passed()
-    assert degeneracy_check(c)["degenerate"]
+    assert quantum_cohomology_dims(c).dims == e1_dims(c).dims
 
 
 # -- per-direction blocks against the per-mode FieldForm build -------------
@@ -566,7 +571,7 @@ def test_de_rham_and_poisson_reports_assemble_no_dh_block(monkeypatch):
         assert dr_cohomology_dims(c).passed()
         assert poisson_homology_dims(c).passed()
         assert quantum_cohomology_dims(c).passed()
-        assert degeneracy_check(c)["degenerate"]
+        assert quantum_cohomology_dims(c).dims == e1_dims(c).dims
         assert set(c._units) == {"d", "delta"}
     assert labels
     assert all(label.startswith("d degree ") for label in labels), labels
@@ -590,7 +595,7 @@ def test_reports_eliminate_no_block(monkeypatch):
         assert quantum_cohomology_dims(c).dims == dims
         assert dr_cohomology_dims(c).passed()
         assert poisson_homology_dims(c).passed()
-        assert degeneracy_check(c)["degenerate"]
+        assert quantum_cohomology_dims(c).dims == e1_dims(c).dims
     assert ranked == []
 
 

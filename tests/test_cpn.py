@@ -2,7 +2,8 @@
 and the corrected recursion coefficients."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
+from math import comb
 
 import pytest
 
@@ -11,11 +12,10 @@ from qdr.cpn import (
     CPnRing,
     cpn_structure_constants,
     derived_recursion_report,
-    omega_power_expansion,
-    scalar_shift_report,
     verify_relation_17,
 )
-from qdr.exterior import Bivector
+from qdr.exterior import Bivector, QForm, quantum_powers
+from qdr.linalg import rational_roots
 from qdr.scalars import HPoly
 from qdr.symplectic import SymplecticForm, bivector_of
 
@@ -45,6 +45,15 @@ def test_table_symmetric_and_windowed():
 def test_table_associativity():
     for n in (1, 2, 3, 4):
         ring = cpn_structure_constants(n)
+
+        def mul(u, v):
+            # product of two basis expansions, reduced via the table
+            out = [HPoly() for _ in range(n + 1)]
+            for (k, l), coeffs in ring.table.items():
+                for j, c in enumerate(coeffs):
+                    out[j] = out[j] + c * u[k] * v[l]
+            return tuple(out)
+
         basis = []
         for k in range(n + 1):
             vec = [HPoly() for _ in range(n + 1)]
@@ -53,8 +62,8 @@ def test_table_associativity():
         for a, b, c in product(range(n + 1), repeat=3):
             if a + b + c > n + 2:
                 continue
-            left = ring.mul_vec(ring.mul_vec(basis[a], basis[b]), basis[c])
-            right = ring.mul_vec(basis[a], ring.mul_vec(basis[b], basis[c]))
+            left = mul(mul(basis[a], basis[b]), basis[c])
+            right = mul(basis[a], mul(basis[b], basis[c]))
             assert left == right
 
 
@@ -65,8 +74,6 @@ def test_rank_limits():
         CPnRing(0)
     with pytest.raises(ValueError):
         verify_relation_17(5)
-    with pytest.raises(ValueError):
-        omega_power_expansion(5)
     # the largest tabulated ring still builds
     assert cpn_structure_constants(5).entry(5, 5)[0]
 
@@ -81,14 +88,29 @@ def test_nilpotency_relation():
         assert bivector_of(SymplecticForm(dim)) == Bivector.standard(dim)
 
 
+def omega_powers(n):
+    # omega^0..omega^{n+1} under the quantum product in dimension 2n
+    omega = SymplecticForm(2 * n).form
+    return list(islice(quantum_powers(omega, Bivector.standard(2 * n)),
+                       n + 2))
+
+
 def test_power_expansion_report():
-    rep = omega_power_expansion(1)
-    assert rep["printed_matches"] and rep["binomial_matches"]
-    for n in (2, 3):
-        rep = omega_power_expansion(n)
-        assert not rep["printed_matches"]
-        assert rep["binomial_matches"]
-        assert rep["classical_layer_zero"]
+    # the (n+1)-st quantum power of omega against the printed display
+    # sum_k (-1)^{n-k} C(n+1, k) h^{n+1-k} omega^k and against the
+    # binomial consequence of (omega - n h)^{n+1} = 0; only the second
+    # holds past n = 1, and the classical layer of the power is zero
+    for n in (1, 2, 3):
+        qpow = omega_powers(n)
+        printed = binomial = QForm.zero(2 * n)
+        for k in range(n + 1):
+            printed = printed + qpow[k] * HPoly(
+                {n + 1 - k: (-1) ** (n - k) * comb(n + 1, k)})
+            binomial = binomial - qpow[k] * HPoly(
+                {n + 1 - k: comb(n + 1, k) * Fraction(-n) ** (n + 1 - k)})
+        assert (qpow[n + 1] == printed) == (n == 1)
+        assert qpow[n + 1] == binomial
+        assert all(c.coeff(0) == 0 for c in qpow[n + 1].terms.values())
 
 
 def test_each_power_is_computed_once(monkeypatch):
@@ -103,11 +125,9 @@ def test_each_power_is_computed_once(monkeypatch):
         return real(a, b, w)
     monkeypatch.setattr(exterior, "quantum_wedge", counting)
     for n in (1, 2, 3):
-        for report in (verify_relation_17, omega_power_expansion,
-                       scalar_shift_report):
-            calls.clear()
-            report(n)
-            assert len(calls) == n + 1, (report.__name__, n)
+        calls.clear()
+        verify_relation_17(n)
+        assert len(calls) == n + 1, n
 
 
 def test_recursion_coefficients():
@@ -125,10 +145,26 @@ def test_recursion_coefficients():
 
 
 def test_scalar_shift():
+    # omega + lambda h is nilpotent for one rational lambda, -n: expand
+    # (omega + lambda h)^{n+1} binomially over the central scalar and
+    # intersect the rational roots of each coefficient as a polynomial
+    # in lambda
     for n in (1, 2, 3):
-        rep = scalar_shift_report(n)
-        assert rep["unique"]
-        assert rep["lambda"] == Fraction(-n)
+        lam_polys = {}
+        for k, power in enumerate(omega_powers(n)):
+            for mask, c in power.terms.items():
+                for e, v in c.terms.items():
+                    poly = lam_polys.setdefault((mask, e + n + 1 - k), {})
+                    d = n + 1 - k
+                    poly[d] = poly.get(d, 0) + comb(n + 1, k) * v
+        common = None
+        for poly in lam_polys.values():
+            if any(poly.values()):
+                found, _ = rational_roots(
+                    [poly.get(d, Fraction(0)) for d in range(max(poly) + 1)])
+                roots = {root for root, _mult in found}
+                common = roots if common is None else common & roots
+        assert common == {Fraction(-n)}
 
 
 def test_serialize_shape():

@@ -209,7 +209,7 @@ def _check_forms(rng):
                 _binary_law(a, b, _check(r))
         for r in (-a, a * 0, a * 3, a * HPoly({1: 1}, laurent=True),
                   a * GaussRat(0, 1), a / 2, a / HPoly({1: 2}), a.h_shift(2),
-                  a.h_shift(-1), a.grade(2), insert_first(2, a),
+                  a.h_shift(-1), insert_first(2, a),
                   insert_last(a, {1: 2, 3: HPoly({-1: 1}, laurent=True)}),
                   insert_first([1, 0, HPoly({-1: 1}, laurent=True), 0], a),
                   symplectic_star(a), a - a):
@@ -241,8 +241,8 @@ def _check_fields(rng):
                           quantum_wedge_field(a, b, w)):
                     _check(r)
             for r in (-a, a * 0, a * 2, a * GaussRat(1, 1), a * fn,
-                      a * HPoly({-1: 1, 2: 3}, laurent=True), a.grade(1),
-                      a.h_shift(-2), a.h_coefficient(1), insert_coord(1, a),
+                      a * HPoly({-1: 1, 2: 3}, laurent=True),
+                      a.h_shift(-2), insert_coord(1, a),
                       contract_field(w, a), exterior_d(a), koszul_delta(a, w),
                       quantum_d(a, w)):
                 _check(r)

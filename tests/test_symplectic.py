@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from lefschetz_reference import det_recursion_holds
 from qdr.blades import blade_degree, masks_of_degree
 from qdr.exterior import QForm, substitute, wedge
 from qdr import symplectic
@@ -22,11 +23,8 @@ from qdr.symplectic import (
     bivector_of,
     contract_bivector,
     decomposition_report,
-    det_recursion_check,
-    family_ops,
     flat,
     graded_window_basis,
-    kstar_op,
     lefschetz_matrix,
     relation_report,
     sharp,
@@ -206,20 +204,57 @@ def test_l_insertion_bracket_sign():
 
 
 def test_kstar_identity():
+    # K* := -(* K *) is K - 2n Id
     for om in (OM2, OM4):
         for b in blades(om.dim):
-            assert kstar_op(b, om) == apply_K(b) - 2 * om.n * b
+            kstar = -symplectic_star(apply_K(symplectic_star(b, om)), om)
+            assert kstar == apply_K(b) - 2 * om.n * b
 
 
 def test_lh_family_brackets():
-    # verified internally by family_ops; also check the base case matches
-    fam_L, fam_Lstar, fam_A = family_ops(1)
-    for b in blades(2):
-        assert fam_L(b) == apply_Lh(b, OM2)
-        assert fam_Lstar(b) == apply_Lhstar(b, OM2)
-        assert fam_A(b) == apply_Ah(b, OM2)
-    family_ops(1, sign=1, p=Fraction(1, 2), q=3, r=-2)
-    family_ops(2, sign=-1, p=0, q=0, r=0)
+    # F = L + s h A + h^2 iota_w + p h, F* = iota_w + s h^-1 A + h^-2 L
+    # + q h^-1 and A_r = A_h + r, with A extended linearly across blade
+    # degrees: [F, A_r] = 2F, [F*, A_r] = -2F*, [F, F*] = 0 on a graded
+    # basis, and [D, h^s] = 2 s h^s for D = -A_h; the default family
+    # (s, p, q, r) = (-1, n, -n, 0) is L_h, L_h* and A_h
+    for n, s, p, q, r in ((1, -1, 1, -1, 0), (1, 1, Fraction(1, 2), 3, -2),
+                          (2, -1, 0, 0, 0)):
+        om = SymplecticForm(2 * n)
+
+        def a_graded(f):
+            return QForm(f.dim, {m: c * (n - blade_degree(m))
+                                 for m, c in f.terms.items()}, laurent=True)
+
+        def fam_l(f):
+            return (apply_L(f, om) + s * a_graded(f).h_shift(1)
+                    + apply_Lstar(f, om).h_shift(2) + p * f.h_shift(1))
+
+        def fam_lstar(f):
+            return (apply_Lstar(f, om) + s * a_graded(f).h_shift(-1)
+                    + apply_L(f, om).h_shift(-2) + q * f.h_shift(-1))
+
+        def fam_a(f):
+            return apply_Ah(f, om) + r * f
+
+        def bracket(f, g, form):
+            return f(g(form)) - g(f(form))
+
+        if (s, p, q, r) == (-1, n, -n, 0):
+            for b in blades(om.dim):
+                assert fam_l(b) == apply_Lh(b, om)
+                assert fam_lstar(b) == apply_Lhstar(b, om)
+                assert fam_a(b) == apply_Ah(b, om)
+        for mask in range(1 << om.dim):
+            for j in (-1, 0, 1):
+                bj = QForm(om.dim, {mask: HPoly({j: 1}, laurent=True)},
+                           laurent=True)
+                assert bracket(fam_l, fam_a, bj) == 2 * fam_l(bj)
+                assert bracket(fam_lstar, fam_a, bj) == -2 * fam_lstar(bj)
+                assert bracket(fam_l, fam_lstar, bj).is_zero()
+                for t in (1, -1):
+                    up = bj.h_shift(t)
+                    assert (-apply_Ah(up, om) + apply_Ah(bj, om).h_shift(t)
+                            == (2 * t) * up)
 
 
 def test_lh_lhstar_commute_and_ah_brackets():
@@ -250,6 +285,12 @@ def test_lefschetz_matrix_frozen():
     assert cp.rational_roots()[0] == [(Fraction(1), 2)]
 
 
+def test_unknown_parity_is_rejected():
+    for parity in ("oddd", 2, None):
+        with pytest.raises(ValueError, match="parity must be"):
+            lefschetz_matrix(1, parity)
+
+
 def test_lefschetz_invertible():
     for n in (1, 2, 3):
         for parity in ("even", "odd"):
@@ -276,10 +317,8 @@ def test_window_shift_invariance():
 
 
 def test_det_recursion_frozen():
-    rep = det_recursion_check([[Fraction(2)]], 1)
-    assert rep["levels"] == [True] and rep["closed_form"] and rep["mirror"]
-    rep2 = det_recursion_check([[Fraction(0)]], 2)
-    assert rep2["closed_form"] and rep2["mirror"]
+    assert det_recursion_holds([[Fraction(2)]], 1)
+    assert det_recursion_holds([[Fraction(0)]], 2)
 
 
 def test_det_recursion_random():
@@ -291,8 +330,7 @@ def test_det_recursion_random():
         depth = rng.randint(1, 3)
         if size * (1 << depth) > 64:
             continue
-        rep = det_recursion_check(m1, depth)
-        assert all(rep["levels"]) and rep["closed_form"] and rep["mirror"]
+        assert det_recursion_holds(m1, depth)
 
 
 def test_char_poly_linop_api():
