@@ -39,6 +39,9 @@ deformation parameter as degree 2.  Phi is unipotent, raises the
 exponent and lowers the blade degree by 2, so it maps each total-degree
 window onto itself; d keeps the exponent, so the d_h rank on degree m
 is the sum of the d ranks over the blade degrees of the window.
+
+Each table is built and each identity checked once per blade degree, on
+its first read, so a failure names only the degrees that read it.
 """
 
 from fractions import Fraction
@@ -63,12 +66,14 @@ class TruncatedComplex:
     "polynomial" additionally demands p >= 0.
 
     fmodes lists the truncated mode vectors.  Unit blocks are sparse int
-    columns over den, one {row: numerator} per blade: an entry of the
-    block over i*tau is numerator / den, with den the lcm of the
-    denominators of every unit d and delta entry.  No d_h block is
-    built: d_h ranks come from d ranks through Phi = exp(h * iota_w),
-    with iota_w's columns int numerators over e_w, the lcm of the
-    denominators of w's entries.
+    columns over den, one {row: numerator} per blade, rows and columns
+    numbering the blades of one degree (_masks, empty outside 0..dim):
+    an entry of the block over i*tau is numerator / den, with den the
+    lcm of the denominators of every unit d and delta entry.  No d_h
+    block is built: d_h ranks come from d ranks through
+    Phi = exp(h * iota_w), with iota_w's columns int numerators over
+    e_w, the lcm of the denominators of w's entries.  Tables, d ranks
+    and checked identities sit in one memo keyed by degree.
     """
 
     def __init__(self, model, trunc: int, mode: str = "laurent"):
@@ -98,8 +103,9 @@ class TruncatedComplex:
         self.max_degree = self.dim + 2
         self.fmodes = sorted(product(range(-trunc, trunc + 1),
                                      repeat=self.dim))
-        self._masks = {q: list(masks_of_degree(self.dim, q))
-                       for q in range(self.dim + 1)}
+        # the blades of every degree an identity reads
+        self._masks = {q: masks_of_degree(self.dim, q)
+                       for q in range(-3, self.dim + 2)}
         # kind -> blade degree -> one sparse block per unit mode e_j: d
         # (q -> q+1) and delta (q -> q-1)
         self._units = {"d": {}, "delta": {}}
@@ -108,97 +114,65 @@ class TruncatedComplex:
         nums, self.e_w = clear_denominators(c for _, _, c in entries)
         self._w_nums = [(i - 1, j - 1, x)
                         for (i, j, _), x in zip(entries, nums)]
-        self._rank_cache = {}
-        self._stars = {}
-        self._iotas = {}
-        self._iota_ws = {}
-        self._phi_checked = set()
+        self._memo = {}
+
+    def _once(self, key, build):
+        """The value memoised under key, built on its first read; a build
+        that raises stores nothing, so the next read raises again."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- basis bookkeeping -------------------------------------------------
 
     def slots(self, m: int):
         """(p, q) pairs contributing to total degree m."""
-        out = []
-        for q in range(self.dim + 1):
-            if (m - q) % 2:
-                continue
-            p = (m - q) // 2
-            if self.mode == "polynomial" and p < 0:
-                continue
-            out.append((p, q))
-        return out
-
-    def basis(self, m: int):
-        """Ordered (p, mask) pairs of the degree-m piece, one per mode."""
-        out = []
-        for p, q in self.slots(m):
-            for mask in self._masks[q]:
-                out.append((p, mask))
-        return out
+        return [((m - q) // 2, q) for q in range(self.dim + 1)
+                if (m - q) % 2 == 0
+                and (self.mode == "laurent" or m >= q)]
 
     def space_dim(self, m: int) -> int:
-        return len(self.basis(m)) * len(self.fmodes)
+        return sum(comb(self.dim, q) for _, q in self.slots(m)) \
+            * len(self.fmodes)
 
     def blade_space_dim(self, q: int) -> int:
         if q < 0 or q > self.dim:
             return 0
         return comb(self.dim, q) * len(self.fmodes)
 
-    def _space(self, q: int):
-        """Basis of one mode's blade-degree-q piece: (0, mask) pairs."""
-        return [(0, mask) for mask in self._masks.get(q, ())]
-
     # -- block construction ------------------------------------------------
-
-    def _column(self, image: FieldForm, index, label):
-        col = {}
-        for (p, mask), fn in image.terms.items():
-            row = index.get((p, mask))
-            if row is None:
-                raise ValueError(
-                    f"truncation not closed under {label}: "
-                    f"h^{p} blade {mask:b} is outside the window")
-            col[row] = fn.constant_coeff()
-        return col
 
     def _build_unit_blocks(self) -> int:
         """d and delta blade blocks of every unit mode e_j over i*tau,
         read off one d_and_delta(x_j * e^I) per blade; the entries are
         cleared to ints and their common denominator returned."""
         cols = []
-        for q in range(self.dim + 1):
-            dtgt = {pm: r for r, pm in enumerate(self._space(q + 1))}
-            deltatgt = {pm: r for r, pm in enumerate(self._space(q - 1))}
+        coords = [PolyFn.coord(self.dim, j) for j in range(1, self.dim + 1)]
+        for q in range(-2, self.dim + 1):
+            dtgt = {mask: r for r, mask in enumerate(self._masks[q + 1])}
+            deltatgt = {mask: r for r, mask in enumerate(self._masks[q - 1])}
             dq = self._units["d"][q] = []
             deltaq = self._units["delta"][q] = []
-            for j in range(1, self.dim + 1):
-                x_j = PolyFn.coord(self.dim, j)
+            for x_j in coords:
                 dcols, deltacols = [], []
                 for mask in self._masks[q]:
                     df, delta = d_and_delta(FieldForm.from_fn(x_j, mask),
                                             self.w)
-                    dcols.append(self._column(df, dtgt, "d"))
-                    deltacols.append(self._column(delta, deltatgt, "delta"))
+                    dcols.append({dtgt[b]: fn.constant_coeff()
+                                  for (_, b), fn in df.terms.items()})
+                    deltacols.append({deltatgt[b]: fn.constant_coeff()
+                                      for (_, b), fn in delta.terms.items()})
                 dq.append(dcols)
                 deltaq.append(deltacols)
                 cols += dcols
                 cols += deltacols
         return _clear_columns(cols)
 
-    def _unit(self, kind: str, q: int):
-        """The sparse blocks of the unit modes at blade degree q, one per
-        e_j; a degree outside 0..dim has a zero space and no columns."""
-        blocks = self._units[kind]
-        if q not in blocks:
-            blocks[q] = [[] for _ in range(self.dim)]
-        return blocks[q]
-
     def _star(self, q: int):
         """(cols, E_q): the symplectic star on the degree-q blades as
         sparse int columns into degree dim - q, over their own
-        denominator E_q; each degree's is built once per complex."""
-        star = self._stars.get(q)
-        if star is None:
+        denominator E_q."""
+        def build():
             index = {mask: r
                      for r, mask in enumerate(self._masks[self.dim - q])}
             cols = []
@@ -207,8 +181,30 @@ class TruncatedComplex:
                                         self.model.omega)
                 cols.append({index[m]: c.coeff(0)
                              for m, c in image.terms.items()})
-            star = self._stars[q] = (cols, _clear_columns(cols))
-        return star
+            return cols, _clear_columns(cols)
+        return self._once(("star", q), build)
+
+    def _iota(self, q: int):
+        """iota(e_i) from blade degree q to q - 1 for each e_i."""
+        return self._once(("iota", q), lambda: [
+            _interior(self._masks[q], self._masks[q - 1], i)
+            for i in range(self.dim)])
+
+    def _iota_w(self, q: int):
+        """iota_w from blade degree q to q - 2 as sparse int columns over
+        e_w: iota(e_i), then iota(e_j), weighted by the numerator of w^ij
+        (i < j), as fields.contract_field inserts them."""
+        def build():
+            first, second = self._iota(q), self._iota(q - 1)
+            cols = []
+            for c in range(len(self._masks[q])):
+                col = {}
+                for i, j, x in self._w_nums:
+                    _apply(second[j],
+                           {r: x * s for r, s in first[i][c].items()}, col)
+                cols.append(col)
+            return cols
+        return self._once(("iota_w", q), build)
 
     # -- exact ranks ---------------------------------------------------------
 
@@ -222,7 +218,7 @@ class TruncatedComplex:
         star, e = self._star(q)
         star_back, e_back = self._star(self.dim - q + 1)
         scale = (-1) ** (q + 1) * e * e_back
-        units = zip(self._unit("d", self.dim - q), self._unit("delta", q))
+        units = zip(self._units["d"][self.dim - q], self._units["delta"][q])
         for j, (d_j, delta_j) in enumerate(units):
             for c, col in enumerate(star):
                 mid, out = {}, {}
@@ -233,69 +229,19 @@ class TruncatedComplex:
                         f"delta degree {q}: delta is not (-1)^(q+1) * d * "
                         f"on unit mode e_{j + 1}, column {c}")
 
-    def _rank(self, kind: str, g: int) -> int:
-        """Sum of the ranks of every mode's degree-g block."""
-        key = (kind, g)
-        if key not in self._rank_cache:
-            if kind == "delta":
-                self._check_star(g)
-                total = self.d_rank(self.dim - g)
-            elif kind == "dh":
-                # Phi carries d_h on the degree-g window to d, slot by slot
-                blades = [q for _, q in self.slots(g)]
-                for q in blades:
-                    self._check_phi(g, q)
-                total = sum(self.d_rank(q) for q in blades)
-            else:
-                t = _homotopy_rank(
-                    f"d degree {g}", self.den,
-                    self._unit("d", g - 1), self._unit("d", g),
-                    self._iota(g), self._iota(g + 1))
-                # t on every nonzero mode; the zero mode's block is 0
-                total = t * (len(self.fmodes) - 1)
-            self._rank_cache[key] = total
-        return self._rank_cache[key]
-
-    def _iota(self, q: int):
-        """iota(e_i) from blade degree q to q - 1 for each e_i, built once
-        per degree and complex."""
-        if q not in self._iotas:
-            here, prev = self._space(q), self._space(q - 1)
-            self._iotas[q] = [_interior(here, prev, i)
-                              for i in range(self.dim)]
-        return self._iotas[q]
-
-    def _iota_w(self, q: int):
-        """iota_w from blade degree q to q - 2 as sparse int columns over
-        e_w: iota(e_i), then iota(e_j), weighted by the numerator of w^ij
-        (i < j), as fields.contract_field inserts them; each degree's is
-        built once per complex."""
-        cols = self._iota_ws.get(q)
-        if cols is None:
-            first, second = self._iota(q), self._iota(q - 1)
-            cols = self._iota_ws[q] = []
-            for c in range(len(self._masks.get(q, ()))):
-                col = {}
-                for i, j, x in self._w_nums:
-                    _apply(second[j],
-                           {r: x * s for r, s in first[i][c].items()}, col)
-                cols.append(col)
-        return cols
-
     def _check_phi(self, m: int, q: int):
         """The brackets of iota_w with d and delta on the unit blocks of
-        blade degree q, checked once per degree and complex.  With I the
-        iota_w columns over e_w, and D_j and Delta_j the unit d and delta
-        blocks over den, they read on the numerators
+        blade degree q.  With I the iota_w columns over e_w, and D_j and
+        Delta_j the unit d and delta blocks over den, they read on the
+        numerators
           (i)  I_(q+1) D_j,q - D_j,(q-2) I_q = e_w * Delta_j,q,
           (ii) I_(q-1) Delta_j,q - Delta_j,(q-2) I_q = 0,
         that is delta = [iota_w, d] and [iota_w, delta] = 0.  A failure
         raises AssertionError naming the total degree m being ranked."""
-        if q in self._phi_checked:
-            return
         up, down = self._iota_w(q + 1), self._iota_w(q - 1)
-        d, d_low = self._unit("d", q), self._unit("d", q - 2)
-        delta, delta_low = self._unit("delta", q), self._unit("delta", q - 2)
+        d, d_low = self._units["d"][q], self._units["d"][q - 2]
+        delta = self._units["delta"][q]
+        delta_low = self._units["delta"][q - 2]
         for c, col in enumerate(self._iota_w(q)):
             minus = {r: -x for r, x in col.items()}
             for j in range(self.dim):
@@ -315,30 +261,43 @@ class TruncatedComplex:
                         f"dh degree {m}: iota_w delta - delta iota_w is not "
                         f"0 at blade degree {q}, unit mode e_{j + 1}, "
                         f"column {c}")
-        self._phi_checked.add(q)
 
     def d_rank(self, q: int) -> int:
+        """Sum of the ranks of every mode's degree-q d block: the
+        homotopy rank t on every nonzero mode; the zero mode's block is
+        0."""
         if q < 0 or q > self.dim:
             return 0
-        return self._rank("d", q)
+        return self._once(("d", q), lambda: _homotopy_rank(
+            f"d degree {q}", self.den, self._units["d"][q - 1],
+            self._units["d"][q], self._iota(q), self._iota(q + 1))
+            * (len(self.fmodes) - 1))
 
     def delta_rank(self, q: int) -> int:
+        """The d rank on degree dim - q, once the star identity holds."""
         if q < 1 or q > self.dim:
             return 0
-        return self._rank("delta", q)
+        self._once(("star check", q), lambda: self._check_star(q))
+        return self.d_rank(self.dim - q)
 
     def dh_rank(self, m: int) -> int:
-        return self._rank("dh", m)
+        """Phi carries d_h on the degree-m window to d, slot by slot: the
+        sum of the d ranks over the window, once the brackets hold on
+        each of its blade degrees."""
+        blades = [q for _, q in self.slots(m)]
+        for q in blades:
+            self._once(("phi check", q), lambda: self._check_phi(m, q))
+        return sum(self.d_rank(q) for q in blades)
 
 
 def _interior(src, tgt, i: int):
-    """iota(e_i) as sparse columns from basis src to basis tgt, both
-    lists of (p, mask); the exponent p passes through."""
-    index = {pm: r for r, pm in enumerate(tgt)}
+    """iota(e_i) as sparse columns from the blades src to the blades tgt,
+    both lists of masks."""
+    index = {mask: r for r, mask in enumerate(tgt)}
     cols = []
-    for p, mask in src:
+    for mask in src:
         sign, rest = insert_first_mask(i + 1, mask)
-        cols.append({index[(p, rest)]: sign} if sign else {})
+        cols.append({index[rest]: sign} if sign else {})
     return cols
 
 
@@ -547,17 +506,10 @@ def quantum_integral(form: FieldForm, omega: SymplecticForm, model) -> HPoly:
         cscale = powers[k].coeff(comp).coeff(0)
         if not cscale:
             continue
-        sign = _wedge_sign(mask, comp)
-        if sign == 0:
-            continue
+        sign, _ = wedge_masks(mask, comp)
         add_term(out, h, fn.constant_coeff() * (cscale * sign))
     out = {h: _scalarize(v) for h, v in out.items()}
     return HPoly(out, laurent=any(h < 0 for h in out))
-
-
-def _wedge_sign(a: int, b: int) -> int:
-    sign, _ = wedge_masks(a, b)
-    return sign
 
 
 def stokes_check(form: FieldForm, model) -> dict:
@@ -582,10 +534,7 @@ def stokes_check(form: FieldForm, model) -> dict:
 def _proportionality(lhs: QForm, rhs: QForm):
     """lhs == c * rhs with c exact, or None when rhs == 0 (then lhs must
     also vanish)."""
-    ref = None
-    for mask, coeff in rhs.terms.items():
-        ref = (mask, coeff)
-        break
+    ref = next(iter(rhs.terms.items()), None)
     if ref is None:
         if lhs.terms:
             raise AssertionError("no proportionality: rhs is zero, lhs not")

@@ -434,7 +434,7 @@ class QForm(SparseTerms):
         return out
 
 
-def format_terms(triples, letter: str = "e") -> str:
+def format_terms(triples) -> str:
     """Render (mask, h exponent, coefficient) triples: 'e1^e2 + (-1)*h'."""
     parts = []
     for mask, e, c in triples:
@@ -454,7 +454,7 @@ def format_terms(triples, letter: str = "e") -> str:
         elif e != 0:
             pieces.append(f"h^{e}")
         if mask:
-            pieces.append(blade_str(mask, letter))
+            pieces.append(blade_str(mask))
         if not pieces:
             pieces.append("1")
         parts.append("*".join(pieces))

@@ -353,7 +353,7 @@ def lefschetz_matrix(n: int, parity) -> LinOp:
     """Matrix of h^-1 (deformed L) on the parity window, rational entries."""
     if isinstance(parity, str):
         parity = {"even": 0, "odd": 1}.get(parity)
-    if parity not in (0, 1):
+    if type(parity) is not int or parity not in (0, 1):
         raise ValueError("parity must be 0/'even' or 1/'odd'")
     omega = SymplecticForm(2 * n)
 

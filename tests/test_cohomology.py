@@ -49,10 +49,16 @@ def test_build_rejects_unknown_mode():
         build_complex(T2, 1, "formal")
 
 
+def _basis(c, m):
+    """Ordered (p, mask) pairs of the degree-m window of one mode: the
+    reference basis of the assembled d_h blocks."""
+    return [(p, mask) for p, q in c.slots(m) for mask in c._masks[q]]
+
+
 def test_laurent_degree_zero_slots():
     c = build_complex(T2, 1, "laurent")
     assert c.slots(0) == [(0, 0), (-1, 2)]
-    assert [p for p, _ in c.basis(0)] == [0, -1]
+    assert [p for p, _ in _basis(c, 0)] == [0, -1]
 
 
 def test_polynomial_slots_drop_negative_exponents():
@@ -241,9 +247,9 @@ def _assemble_dh(c, j: int, m: int):
     """Unit d_h block of e_j at degree m from its blade blocks: d
     minus shifted delta, the shift raising the deformation exponent
     by one."""
-    tgt = {pm: r for r, pm in enumerate(c.basis(m + 1))}
+    tgt = {pm: r for r, pm in enumerate(_basis(c, m + 1))}
     cols = []
-    for p, mask in c.basis(m):
+    for p, mask in _basis(c, m):
         q = blade_degree(mask)
         pos = c._masks[q].index(mask)
         col = {}
@@ -264,7 +270,7 @@ def _assemble_dh(c, j: int, m: int):
 def _space(c, kind, g):
     """Basis of one mode's degree-g piece: total degree for d_h, blade
     degree for d and delta."""
-    return c.basis(g) if kind == "dh" else c._space(g)
+    return _basis(c, g) if kind == "dh" else c._masks[g]
 
 
 def _units(c, kind, g):
@@ -272,7 +278,7 @@ def _units(c, kind, g):
     assembled by the reference above."""
     if kind == "dh":
         return [_assemble_dh(c, j, g) for j in range(c.dim)]
-    return c._unit(kind, g)
+    return c._units[kind][g]
 
 
 def _block(c, kind, direction, g):
@@ -317,13 +323,13 @@ def test_direction_blocks_match_fieldform_blocks(model):
             assert delta_ref == _scaled(scale,
                                         _block(c, "delta", direction, q))
         for m in range(-1, c.max_degree + 1):
-            src = c.basis(m)
+            src = _basis(c, m)
             images = [quantum_d(FieldForm.from_fn(
                 FourierFn.mode(dim, kvec), mask, p), c.w)
                 for p, mask in src]
             dh_ref = _reference_block(
                 images, kvec,
-                {pm: r for r, pm in enumerate(c.basis(m + 1))}, len(src))
+                {pm: r for r, pm in enumerate(_basis(c, m + 1))}, len(src))
             assert dh_ref == _scaled(scale, _block(c, "dh", direction, m))
 
 
@@ -389,8 +395,8 @@ def _delta_positions(c):
     """(q, j, column, row) of every entry of the unit delta blocks."""
     return [(q, j, col, row)
             for q in range(c.dim + 1) for j in range(c.dim)
-            for col in range(len(c._space(q)))
-            for row in range(len(c._space(q - 1)))]
+            for col in range(len(c._masks[q]))
+            for row in range(len(c._masks[q - 1]))]
 
 
 @pytest.mark.parametrize(
@@ -443,7 +449,7 @@ def test_uniform_delta_rescale_fails_the_dh_and_delta_identities(mode):
         failed = []
         for m in _degrees(c, "dh"):
             if any(col for _, q in c.slots(m)
-                   for cols in c._unit("delta", q) for col in cols):
+                   for cols in c._units["delta"][q] for col in cols):
                 with pytest.raises(AssertionError,
                                    match=f"^dh degree {m}: iota_w d - d "
                                    "iota_w is not delta at blade degree"):
@@ -470,9 +476,9 @@ def test_delta_bracketed_from_a_perturbed_d_fails_the_second_bracket():
             bracket = []
             for col, iota in enumerate(c._iota_w(q)):
                 acc = {}
-                cohomology._apply(c._iota_w(q + 1), c._unit("d", q)[j][col],
+                cohomology._apply(c._iota_w(q + 1), c._units["d"][q][j][col],
                                   acc)
-                cohomology._apply(c._unit("d", q - 2)[j],
+                cohomology._apply(c._units["d"][q - 2][j],
                                   {r: -x for r, x in iota.items()}, acc)
                 bracket.append(acc)
             c._units["delta"][q][j] = bracket
@@ -498,7 +504,7 @@ def _matmul(a, b):
 def _phi_plus(c, m):
     """Phi_+ = sum_k h^k / k! * iota_w^k on the degree-m basis, iota_w
     applied by contract_field to constant unit forms."""
-    basis = c.basis(m)
+    basis = _basis(c, m)
     index = {pm: r for r, pm in enumerate(basis)}
     cols = []
     for p, mask in basis:
@@ -517,11 +523,11 @@ def _phi_plus(c, m):
 
 def _d_on_total_degree(c, j, m):
     """Unit d block of e_j from degree m to m + 1, slot by slot."""
-    tgt = {pm: r for r, pm in enumerate(c.basis(m + 1))}
+    tgt = {pm: r for r, pm in enumerate(_basis(c, m + 1))}
     cols = []
-    for p, mask in c.basis(m):
+    for p, mask in _basis(c, m):
         q = blade_degree(mask)
-        col = c._unit("d", q)[j][c._masks[q].index(mask)]
+        col = c._units["d"][q][j][c._masks[q].index(mask)]
         cols.append({tgt[(p, c._masks[q + 1][r])]: x
                      for r, x in col.items()})
     return cols
@@ -535,7 +541,7 @@ def test_phi_conjugates_assembled_dh_blocks_to_d(model, mode):
     c = build_complex(model, model.torus_N, mode)
     checked = 0
     for m in _degrees(c, "dh"):
-        rows = len(c.basis(m + 1))
+        rows = len(_basis(c, m + 1))
         phi, phi_next = _phi_plus(c, m), _phi_plus(c, m + 1)
         for j in range(c.dim):
             dh = _dense(_assemble_dh(c, j, m), rows)
@@ -548,7 +554,8 @@ def test_phi_conjugates_assembled_dh_blocks_to_d(model, mode):
 def test_cohomology_keeps_one_rank_path():
     for name in ("primitive_direction", "_STEP", "matrix_rank"):
         assert not hasattr(cohomology, name), name
-    assert not hasattr(cohomology.TruncatedComplex, "_block")
+    for name in ("_block", "_rank", "_space", "_unit", "_column", "basis"):
+        assert not hasattr(cohomology.TruncatedComplex, name), name
     assert not hasattr(build_complex(T2, 1), "directions")
 
 
@@ -770,3 +777,41 @@ def test_lemma62_constants():
             for p, entry in r["part_ii"].items():
                 if entry["constant"] is not None:
                     assert entry["constant"] == entry["printed"]
+
+
+class _RecordingMemo(dict):
+    """A memo that records the key of every value stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def test_quantum_report_certifies_each_blade_degree_once(monkeypatch):
+    # one homotopy identity per blade degree 0..dim, and each iota_w
+    # table and Phi check built once, however many windows share the
+    # degree; a second report on the complex builds none of them again
+    labels = []
+    real = cohomology._homotopy_rank
+
+    def recording(label, *args):
+        labels.append(label)
+        return real(label, *args)
+    monkeypatch.setattr(cohomology, "_homotopy_rank", recording)
+    c = build_complex(torus(2, 1), 1)
+    monkeypatch.setattr(c, "_memo", _RecordingMemo())
+    assert quantum_cohomology_dims(c).passed()
+    assert labels == [f"d degree {q}" for q in range(c.dim + 1)]
+    built = list(c._memo.stored)
+    assert len(built) == len(set(built))
+    assert sorted(q for kind, q in built if kind == "iota_w") == \
+        list(range(-1, c.dim + 2))
+    assert sorted(q for kind, q in built if kind == "phi check") == \
+        list(range(c.dim + 1))
+    quantum_cohomology_dims(c)
+    assert len(labels) == c.dim + 1
+    assert c._memo.stored == built

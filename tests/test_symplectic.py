@@ -286,7 +286,7 @@ def test_lefschetz_matrix_frozen():
 
 
 def test_unknown_parity_is_rejected():
-    for parity in ("oddd", 2, None):
+    for parity in ("oddd", 2, None, True, False):
         with pytest.raises(ValueError, match="parity must be"):
             lefschetz_matrix(1, parity)
 
