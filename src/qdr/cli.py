@@ -1048,7 +1048,7 @@ def chern_failures(rng, ns, count):
                 g = GaugeTransform(model, [[1, random_polyfn(rng, model.dim,
                                                              max_deg=1)],
                                            [0, 1]])
-                curvature_gauge_check(theta, g, w)
+                curvature_gauge_check(theta, g, w, curv)
                 char_form(curv, "trace", w)
             except AssertionError:
                 bad += 1

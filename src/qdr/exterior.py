@@ -42,17 +42,21 @@ lower top degree top and adds integer numerators over the one
 denominator da * db * D^top. The product it returns keeps them pending
 (scalars.SparseTerms): the first read of its terms divides each once,
 into a Fraction or a Gaussian rational with Fraction parts
-(scalars.over). Until then a later quantum_wedge takes the numerators
-and the denominator as they are, and == between two pending products
-cross-multiplies them, so an associativity check divides nothing it
-does not print. quantum_wedge_multi and fields.quantum_wedge_field
-divide B_J by D^|J| instead, once per B_J.
+(scalars.over). Until then the numerators are read as they are: a
+later quantum_wedge takes them with the denominator, == between two
+pending products cross-multiplies them, a rational multiple scales
+them, the zero test asks whether there are any, and str reduces each
+over the denominator by their gcd (Gaussian ones settle first). So an
+associativity or supercommutativity check, and the zero test of a
+deformed power, divide nothing. quantum_wedge_multi and
+fields.quantum_wedge_field divide B_J by D^|J| instead, once per B_J.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 from .blades import (
     Blade,
@@ -348,9 +352,19 @@ class QForm(SparseTerms):
     def __mul__(self, scalar):
         # exact-type tests first, as in _operand
         t = type(scalar)
-        if t is int:
-            scalar = Fraction(scalar)
-        elif t is not Fraction and t is not HPoly:
+        if t is int or t is Fraction:
+            pending = self._pending
+            if pending is not None and scalar:
+                # a pending product times p/q stays pending, as its
+                # numerators times p over its denominator times q
+                nums, den = pending
+                p = scalar.numerator
+                return QForm._make_pending({k: c * p for k, c in nums.items()},
+                                           den * scalar.denominator,
+                                           self.dim, self.laurent)
+            if t is int:
+                scalar = Fraction(scalar)
+        elif t is not HPoly:
             if isinstance(scalar, QForm):
                 raise TypeError("use wedge or quantum_wedge for form "
                                 "products")
@@ -418,11 +432,27 @@ class QForm(SparseTerms):
         return QForm._make(out, *space)
 
     def __str__(self):
+        # a pending product prints from its int numerators, each reduced
+        # over the denominator, and stays pending; Gaussian ones settle
+        pending = self._pending
+        if pending is not None:
+            nums, den = pending
+            rows = {}
+            for (e, m), c in nums.items():
+                if type(c) is not int:
+                    break
+                g = gcd(c, den)
+                row = rows.get(m)
+                if row is None:
+                    row = rows[m] = []
+                row.append((e, c // g, den // g))
+            else:
+                return format_terms(rows)
         return format_terms(
-            [(m, e, c) for m, hc in sorted(
-                self.terms.items(),
-                key=lambda t: (-t[0].bit_count(), indices_of_mask(t[0])))
-             for e, c in sorted(hc.terms.items())])
+            {m: [(e, c, 1) if type(c) is GaussRat
+                 else (e, c.numerator, c.denominator)
+                 for e, c in hc.terms.items()]
+             for m, hc in self.terms.items()})
 
     __repr__ = __str__
 
@@ -434,30 +464,37 @@ class QForm(SparseTerms):
         return out
 
 
-def format_terms(triples) -> str:
-    """Render (mask, h exponent, coefficient) triples: 'e1^e2 + (-1)*h'."""
+def format_terms(rows) -> str:
+    """Render rows {mask: [(h exponent, numerator, denominator)]} as
+    'e1^e2 + (-1)*h': blades by descending degree, then by their
+    indices, and each blade's h powers ascending. A rational coefficient
+    comes as its numerator and denominator in lowest terms, the
+    denominator positive, and any other scalar as itself over 1."""
     parts = []
-    for mask, e, c in triples:
-        pieces = []
-        if c == 1:
-            if e == 0 and not mask:
+    for mask in sorted(rows, key=lambda m: (-m.bit_count(),
+                                            indices_of_mask(m))):
+        blade = blade_str(mask) if mask else None
+        for e, p, q in sorted(rows[mask]):
+            pieces = []
+            if q != 1:
+                pieces.append(f"({p}/{q})")
+            elif p == 1:
+                if e == 0 and not mask:
+                    pieces.append("1")
+            elif p == -1 and (e != 0 or mask):
+                pieces.append("(-1)")
+            else:
+                s = str(p)
+                pieces.append(s if s.isdigit() else f"({s})")
+            if e == 1:
+                pieces.append("h")
+            elif e != 0:
+                pieces.append(f"h^{e}")
+            if blade:
+                pieces.append(blade)
+            if not pieces:
                 pieces.append("1")
-        elif c == -1 and (e != 0 or mask):
-            pieces.append("(-1)")
-        else:
-            s = str(c)
-            if s.startswith("-") or "/" in s or not s.isdigit():
-                s = f"({s})"
-            pieces.append(s)
-        if e == 1:
-            pieces.append("h")
-        elif e != 0:
-            pieces.append(f"h^{e}")
-        if mask:
-            pieces.append(blade_str(mask))
-        if not pieces:
-            pieces.append("1")
-        parts.append("*".join(pieces))
+            parts.append("*".join(pieces))
     return " + ".join(parts) if parts else "0"
 
 

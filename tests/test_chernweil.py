@@ -182,6 +182,13 @@ def test_gauge_conjugation_random():
             g = random_unipotent(rng, model, lower=bool(rng.getrandbits(1)))
             out = curvature_gauge_check(theta, g, model.poisson)
             assert out["ok"]
+            # theta's curvature handed in is the one the check conjugates
+            curv = quantum_curvature(theta, model.poisson)
+            given = curvature_gauge_check(theta, g, model.poisson, curv)
+            assert given["curvature"] == out["curvature"]
+            with pytest.raises(AssertionError):
+                curvature_gauge_check(theta, g, model.poisson,
+                                      curv + MatrixForm.identity(2, model))
 
 
 def test_gauge_transform_constant_determinant():

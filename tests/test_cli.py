@@ -303,8 +303,8 @@ def test_chern_task(tmp_path):
 
 
 def test_chern_checks_compute_each_curvature_once(tmp_path, monkeypatch):
-    # the task and the suite take the curvature bianchi_check returns;
-    # only the gauge check computes those of theta and theta' apart
+    # the task, the suite and the gauge check take the curvature
+    # bianchi_check returns; only that of theta' is computed apart
     calls = []
     real = chernweil.quantum_curvature
 
@@ -320,7 +320,7 @@ def test_chern_checks_compute_each_curvature_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     calls.clear()
     assert cli.chern_failures(Random(5), (1,), 2) == 0
-    assert len(calls) == 2 * 3
+    assert len(calls) == 2 * 2
 
 
 def test_cpn_table_task(tmp_path):

@@ -798,6 +798,35 @@ def test_pending_product_settles_as_the_eager_loop():
     assert zeros >= 3
 
 
+def test_pending_product_prints_scales_and_tests_zero_from_numerators():
+    rng = Random(925)
+    seen = set()
+    for a, b, _, w in fast_path_cases(rng):
+        p = quantum_wedge(a, b, w)
+        ref = settled(quantum_wedge(a, b, w))
+        gauss = any(type(c) is not int for c in p._pending[0].values())
+        assert p.is_zero() == ref.is_zero() and bool(p) == bool(ref)
+        for s in (-1, Fraction(2, 3), -7):
+            q = p * s
+            assert pending(q) and pending(s * p)
+            assert layout(settled(q)) == layout(ref * s)
+        assert pending(p)
+        text = str(p)
+        assert text == str(ref) == repr(p)
+        # Gaussian numerators settle to print
+        assert pending(p) == (not gauss)
+        for term in text.split(" + "):
+            seen.add("zero" if text == "0"
+                     else "-1" if term.startswith("(-1)*")
+                     else "unit" if term[0] in "eh"
+                     else "int" if term[0].isdigit()
+                     else "gauss" if "i)" in term
+                     else "parenthesised")
+            seen.update(("laurent",) if "h^-" in term else ())
+    assert seen == {"zero", "-1", "unit", "int", "gauss", "parenthesised",
+                    "laurent"}
+
+
 def assert_same_settled(new, ref):
     # a pending operand hands over its numerators in the kernel's order,
     # not mask by mask, so only the terms' order may differ
@@ -888,3 +917,14 @@ def test_associativity_check_clears_only_its_three_operands(monkeypatch):
     assert left == right
     assert pending(left) and pending(right)
     assert len(calls) == 6
+    # printing reads the numerators and divides none
+    divided = []
+    real_over = exterior.over
+
+    def counting_over(num, den):
+        divided.append(1)
+        return real_over(num, den)
+    monkeypatch.setattr(exterior, "over", counting_over)
+    text = str(left)
+    assert pending(left) and not divided
+    assert text == str(settled(right)) and divided
