@@ -258,14 +258,12 @@ def gauge_transform(theta: MatrixForm, g: GaugeTransform) -> MatrixForm:
 
 
 def curvature_gauge_check(theta: MatrixForm, g: GaugeTransform,
-                          w: PoissonField, curvature=None) -> dict:
+                          w: PoissonField, curvature: MatrixForm) -> dict:
     """Asserts that the curvature of the transformed connection is the
-    conjugated curvature. curvature, if given, is theta's, as
-    bianchi_check returns it, and is not computed again."""
+    conjugated curvature. The caller supplies theta's curvature, as
+    bianchi_check returns it."""
     prime = gauge_transform(theta, g)
     lhs = quantum_curvature(prime, w)
-    if curvature is None:
-        curvature = quantum_curvature(theta, w)
     rhs = g.conjugate(curvature)
     if lhs != rhs:
         raise AssertionError("curvature does not conjugate under the gauge "

@@ -40,7 +40,7 @@ also puts the coefficients of a and b over their denominators da and
 db (scalars.clear_denominators), lifts level n by D^(top - n) for the
 lower top degree top and adds integer numerators over the one
 denominator da * db * D^top. The product it returns keeps them pending
-(scalars.SparseTerms): the first read of its terms divides each once,
+(scalars.PendingTerms): the first read of its terms divides each once,
 into a Fraction or a Gaussian rational with Fraction parts
 (scalars.over). Until then the numerators are read as they are: a
 later quantum_wedge takes them with the denominator, == between two
@@ -67,8 +67,9 @@ from .blades import (
     mask_of_indices,
     wedge_masks,
 )
-from .scalars import (GaussRat, HPoly, HPolyMulti, SparseTerms, add_term,
-                      as_fraction, clear_denominators, over)
+from .scalars import (GaussRat, HPoly, HPolyMulti, PendingTerms,
+                      SparseTerms, add_term, as_fraction, clear_denominators,
+                      over)
 
 
 class PairTensor:
@@ -280,7 +281,7 @@ def _normalize_vector(v, dim: int):
             for i, c in comps if c]
 
 
-class QForm(SparseTerms):
+class QForm(PendingTerms):
     """A form with polynomial h coefficients on a fixed R^dim frame."""
 
     __slots__ = ("dim", "laurent")

@@ -101,9 +101,10 @@ class SparseTerms:
     pending values, built by _make_pending: their terms are still
     zero-free numerators {key: numerator} over one denominator den, in
     the form of clear_denominators, and terms stays unset. The first read
-    of terms settles the value once, through the hook. Truth and is_zero
-    read the numerators: a pending value is zero exactly when it has
-    none. == between two pending values compares their key sets and
+    of terms settles the value once, through the hook. Such a class
+    derives from PendingTerms, whose truth and is_zero read the
+    numerators: a pending value is zero exactly when it has none. ==
+    between two pending values compares their key sets and
     cross-multiplied numerators and settles neither. A class may read
     its numerators in more places (QForm prints and scales them); every
     other reader, and == with a settled side, sees terms.
@@ -223,11 +224,24 @@ class SparseTerms:
         return True
 
     def __bool__(self):
-        # a pending value's numerators are zero-free, so it is zero
-        # exactly when it holds none, and the test settles nothing
-        if type(self)._settle is not None and self._pending is not None:
-            return bool(self._pending[0])
         return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class PendingTerms(SparseTerms):
+    """The base of a class with _settle: its truth and is_zero also read
+    a pending value's numerators, so a class that is never pending pays
+    nothing for them."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        # the numerators are zero-free, so a pending value is zero exactly
+        # when it holds none, and the test settles nothing
+        p = self._pending
+        return bool(p[0] if p is not None else self.terms)
 
     def is_zero(self) -> bool:
         return not self
