@@ -32,14 +32,15 @@ rationals, or functions for fields.quantum_wedge_field.
 
 The kernel is fraction-free, after Bareiss (Math. Comp. 22, 1968). A
 pairing keeps its nonzero entries as numerators over one common
-denominator D, the lcm of the entries' denominators: ints for rational
-entries, Gaussian rationals with int parts for Gaussian ones, and
-function-valued entries as they are, with D = 1. Each R_{w_j} then
-multiplies by numerators, so A_J is D^|J| times its value. quantum_wedge
-also puts the coefficients of a and b over their denominators da and
-db (scalars.clear_denominators), lifts level n by D^(top - n) for the
-lower top degree top and adds integer numerators over the one
-denominator da * db * D^top. The product it returns keeps them pending
+denominator D, the lcm of the entries' denominators
+(scalars.clear_denominators): ints for rational entries, Gaussian
+rationals with int parts for Gaussian ones and PolyFns with int leaves
+for polynomial ones. Each R_{w_j} then multiplies by numerators, so A_J
+is D^|J| times its value. One driver, product_numerators, takes both
+factors as numerators over their denominators da and db, lifts level n
+by D^(top - n) for the lower top degree top and adds numerators over
+the one denominator da * db * D^top. quantum_wedge clears its factors'
+coefficients and keeps the driver's integer numerators pending
 (scalars.PendingTerms): the first read of its terms divides each once,
 into a Fraction or a Gaussian rational with Fraction parts
 (scalars.over). Until then the numerators are read as they are: a
@@ -48,8 +49,12 @@ pending products cross-multiplies them, a rational multiple scales
 them, the zero test asks whether there are any, and str reduces each
 over the denominator by their gcd (Gaussian ones settle first). So an
 associativity or supercommutativity check, and the zero test of a
-deformed power, divide nothing. quantum_wedge_multi and
-fields.quantum_wedge_field divide B_J by D^|J| instead, once per B_J.
+deformed power, divide nothing. fields.quantum_wedge_field clears its
+factors' coefficient functions to int leaves, calls the same driver
+and divides each coefficient of the product once. A value with leaves
+that clearing does not reach (a Moyal product's HPoly-valued PolyFn)
+goes through as it is, over 1. quantum_wedge_multi divides B_J by
+D^|J| instead, once per B_J.
 """
 
 from __future__ import annotations
@@ -568,10 +573,18 @@ def quantum_wedge(a: QForm, b: QForm, w: PairTensor) -> QForm:
         raise ValueError("dimension mismatch")
     if not w.is_constant():
         raise TypeError("quantum_wedge needs a constant pairing")
-    ta, da = _numerators(a)
-    tb, db = _numerators(b)
-    # no contraction passes the lower of the two top blade degrees; a
-    # level-n numerator times D^(top - n) is over da * db * D^top
+    nums, den = product_numerators(*_numerators(a), *_numerators(b), w)
+    return QForm._make_pending(nums, den, a.dim, a.laurent or b.laurent)
+
+
+def product_numerators(ta: dict, da, tb: dict, db, w: PairTensor):
+    """The J-sum of two operands given as numerators {(h exponent,
+    mask): numerator} over da and db: (nums, den), the product's
+    zero-free numerators on the same keys over den = da * db * D^top.
+
+    No contraction passes the lower top blade degree top of the two, so
+    level n, whose A_J is D^n times its value, is lifted by D^(top - n)
+    and every level adds into one sum."""
     top = min(max((m.bit_count() for _, m in ta), default=0),
               max((m.bit_count() for _, m in tb), default=0))
     acc = {}
@@ -580,9 +593,7 @@ def quantum_wedge(a: QForm, b: QForm, w: PairTensor) -> QForm:
         if lift != 1:
             B = {k: c * lift for k, c in B.items()}
         _wedge_into(acc, n, A, B)
-    return QForm._make_pending({k: c for k, c in acc.items() if c},
-                               da * db * w.den ** top, a.dim,
-                               a.laurent or b.laurent)
+    return {k: c for k, c in acc.items() if c}, da * db * w.den ** top
 
 
 def _numerators(form: QForm):

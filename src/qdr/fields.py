@@ -1,11 +1,14 @@
 """Differential calculus with function coefficients.
 
 FieldForm carries forms whose coefficients live in a coordinate-function
-ring (PolyFn or FourierFn) together with integer powers of h. The
-differential layer provides d, the Koszul codifferential built from a
-bivector field, the deformed differential d - h*delta, and the Dolbeault
-split of both on flat models. The split has one complex structure, the
-standard one: del is read off the covectors and vectors of the standard
+ring (PolyFn or FourierFn) together with integer powers of h. Their
+deformed product runs the product driver of exterior on the
+coefficient functions cleared to int leaves over one denominator, and
+divides each coefficient of the product once. The differential layer
+provides d, the Koszul codifferential built from a bivector field, the
+deformed differential d - h*delta, and the Dolbeault split of both on
+flat models. The split has one complex structure, the standard one:
+del is read off the covectors and vectors of the standard
 bigraded.Frame, delbar is d - del from one exterior derivative, and the
 J-invariance check comes from the same frame.
 """
@@ -15,10 +18,10 @@ from fractions import Fraction
 from .bigraded import standard_frame
 from .blades import (blade_degree, blade_str, indices_of_mask,
                      insert_first_mask, wedge_masks)
-from .exterior import Bivector, QForm, _contractions, _wedge_into
+from .exterior import Bivector, QForm, product_numerators
 from .functions import FourierFn, PolyFn
 from .scalars import (GaussRat, HPoly, SparseTerms, add_term, as_fraction,
-                      convolve, over)
+                      clear_denominators, convolve, over)
 
 _PLAIN = (int, Fraction, GaussRat, str)
 
@@ -187,18 +190,24 @@ def wedge_field(a: FieldForm, b: FieldForm) -> FieldForm:
 
 
 def quantum_wedge_field(a: FieldForm, b: FieldForm, w: PoissonField):
-    """Pointwise deformed product; h bookkeeping as for constant forms."""
+    """Pointwise deformed product; h bookkeeping as for constant forms.
+
+    The coefficient functions go through exterior.product_numerators as
+    numerators over one denominator each (scalars.clear_denominators),
+    and each coefficient of the product is divided once (scalars.over)."""
     if a.dim != b.dim or a.fnring is not b.fnring:
         raise ValueError("form spaces differ")
     if w.dim != a.dim:
         raise ValueError("dimension mismatch")
-    acc = {}
-    for n, A, B in _contractions(a.terms, b.terms, w):
-        if n and w.den != 1:
-            den = w.den ** n
-            B = {k: over(c, den) for k, c in B.items()}
-        _wedge_into(acc, n, A, B)
-    return a._like({k: c for k, c in acc.items() if c})
+    nums, den = product_numerators(*_numerators(a), *_numerators(b), w)
+    return a._like({k: over(c, den) for k, c in nums.items()})
+
+
+def _numerators(form: FieldForm):
+    """form's coefficient functions over one denominator: terms
+    {(h exponent, mask): numerator} and the denominator."""
+    nums, den = clear_denominators(form.terms.values())
+    return dict(zip(form.terms, nums)), den
 
 
 def insert_coord(i: int, form: FieldForm) -> FieldForm:

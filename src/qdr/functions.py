@@ -64,6 +64,8 @@ class PolyFn(SparseRing):
 
     _KEYSUM = staticmethod(add_keys)
     _SCALARS = (int, Fraction, GaussRat, HPoly)
+    # Moyal products' HPoly values are left out of clearing
+    _LEAVES = (Fraction, int, GaussRat)
 
     def _operand(self, other):
         if isinstance(other, PolyFn):
@@ -196,6 +198,7 @@ class FourierFn(SparseRing):
 
     _KEYSUM = staticmethod(add_keys)
     _SCALARS = (int, Fraction, GaussRat, TauNumber)
+    _LEAVES = (TauNumber,)
 
     def _operand(self, other):
         if isinstance(other, FourierFn):

@@ -113,6 +113,9 @@ class SparseTerms:
     __slots__ = ("terms", "_pending")
     # the hook of a class whose values can be pending; the others never are
     _settle = None
+    # the types of term value that clear_denominators and over reach
+    # through; a class without any is left as it is
+    _LEAVES = ()
 
     def __init_subclass__(cls, **kwargs):
         # the space's slot setter and copier are compiled once per class
@@ -201,8 +204,15 @@ class SparseTerms:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def _scale(self, s, *space):
-        """The scalar multiple self * s, on space if one is given."""
-        t = {k: c * s for k, c in self.terms.items()} if s else {}
+        """The scalar multiple self * s, on space if one is given. An int
+        or Fraction equal to 1 or -1 multiplies nothing: the terms are
+        copied or their values negated."""
+        u = type(s)
+        if (u is int or u is Fraction) and (s == 1 or s == -1):
+            t = (dict(self.terms) if s == 1
+                 else {k: -c for k, c in self.terms.items()})
+        else:
+            t = {k: c * s for k, c in self.terms.items()} if s else {}
         return self._make(t, *space) if space else self._like(t)
 
     def __eq__(self, other):
@@ -410,38 +420,92 @@ I = GaussRat(0, 1)
 def clear_denominators(values):
     """(nums, den): den is the lcm of the values' denominators and nums
     the values times den, rationals as ints and Gaussian rationals with
-    int parts. Fraction-free sums and products of nums are those of the
-    values scaled by a power of den; over(num, den) undoes the scaling.
-    Values of any other ring come back as they are, over den = 1."""
+    int parts. A sparse value whose class names its leaf types in
+    _LEAVES (HPoly and PolyFn over rationals and Gaussian rationals,
+    TauNumber, FourierFn through TauNumber) counts the denominators of
+    its leaves and comes back as a copy with int leaves. Fraction-free
+    sums and products of nums are those of the values scaled by a power
+    of den; over(num, den) undoes the scaling. If any value has a leaf
+    of another kind (a PolyFn with HPoly values, a form), the values
+    come back as they are, over den = 1."""
     values = list(values)
     den = 1
     for v in values:
         t = type(v)
-        if t is GaussRat:
-            den = lcm(den, v.re.denominator, v.im.denominator)
-        elif t is Fraction or t is int:
+        if t is Fraction or t is int:
             den = lcm(den, v.denominator)
+        elif t is GaussRat:
+            den = lcm(den, v.re.denominator, v.im.denominator)
         else:
-            return values, 1
+            d = _leaf_den(v)
+            if not d:
+                return values, 1
+            den = lcm(den, d)
     nums = []
     for v in values:
-        if type(v) is GaussRat:
+        t = type(v)
+        if t is Fraction or t is int:
+            nums.append(v.numerator * (den // v.denominator))
+        elif t is GaussRat:
             nums.append(GaussRat._make(
                 v.re.numerator * (den // v.re.denominator),
                 v.im.numerator * (den // v.im.denominator)))
         else:
-            nums.append(v.numerator * (den // v.denominator))
+            nums.append(_times(v, den))
     return nums, den
+
+
+def _leaf_den(v) -> int:
+    """The lcm of the denominators of a sparse value's leaves, or 0 if
+    clearing does not reach all of them."""
+    leaves = getattr(type(v), "_LEAVES", ())
+    if not leaves:
+        return 0
+    den = 1
+    for c in v.terms.values():
+        t = type(c)
+        if t not in leaves:
+            return 0
+        if t is Fraction or t is int:
+            den = lcm(den, c.denominator)
+        elif t is GaussRat:
+            den = lcm(den, c.re.denominator, c.im.denominator)
+        else:
+            d = _leaf_den(c)
+            if not d:
+                return 0
+            den = lcm(den, d)
+    return den
+
+
+def _times(v, den: int):
+    """A sparse value times den, a multiple of its leaves' denominators,
+    with int leaves."""
+    t = {}
+    for k, c in v.terms.items():
+        u = type(c)
+        if u is Fraction or u is int:
+            t[k] = c.numerator * (den // c.denominator)
+        elif u is GaussRat:
+            t[k] = GaussRat._make(c.re.numerator * (den // c.re.denominator),
+                                  c.im.numerator * (den // c.im.denominator))
+        else:
+            t[k] = _times(c, den)
+    return v._like(t)
 
 
 def over(num, den: int):
     """num / den, the inverse of clear_denominators: an int numerator
-    gives a Fraction and a Gaussian one Fraction parts, even over 1."""
+    gives a Fraction and a Gaussian one Fraction parts, even over 1, and
+    a sparse value with _LEAVES a copy with each of its values divided
+    so. Any other value is divided as it is."""
     t = type(num)
     if t is int:
         return Fraction(num, den)
     if t is GaussRat:
         return GaussRat._make(Fraction(num.re, den), Fraction(num.im, den))
+    if getattr(t, "_LEAVES", ()):
+        return num._like({k: over(c, den) for k, c in num.terms.items()})
     return num if den == 1 else num / den
 
 
@@ -488,6 +552,7 @@ class HPoly(SparseRing):
         return HPoly({exp: as_fraction(coeff)}, laurent=laurent)
 
     _KEYSUM = staticmethod(add)
+    _LEAVES = (Fraction, int, GaussRat)
 
     def _operand(self, other):
         if isinstance(other, HPoly):
@@ -717,6 +782,7 @@ class TauNumber(SparseRing):
         return TauNumber({exp: GaussRat.coerce(coeff)})
 
     _KEYSUM = staticmethod(add)
+    _LEAVES = (GaussRat,)
 
     def _operand(self, other):
         if isinstance(other, TauNumber):

@@ -1,6 +1,8 @@
 """Deformed wedge product: frozen values first, then ring properties,
 then the contraction kernel against slow reference paths."""
 
+import ast
+import inspect
 from fractions import Fraction
 from itertools import combinations, permutations
 from random import Random
@@ -34,16 +36,18 @@ from qdr.exterior import (
     total_degree,
     wedge,
 )
-from qdr.fixtures import heisenberg, lie_poisson_so3, torus
+from qdr.fixtures import (heisenberg, lie_poisson_so3, standard_symplectic,
+                          torus)
 from qdr.rand import (
     random_bivector,
     random_fieldform,
+    random_fourierfn,
     random_gauss,
     random_pairing,
     random_polyfn,
     random_qform,
 )
-from qdr.functions import PolyFn
+from qdr.functions import FourierFn, PolyFn, moyal_product
 from qdr.scalars import (GaussRat, HPoly, HPolyMulti, SparseTerms, add_term,
                          clear_denominators, over)
 from qdr.symplectic import SymplecticForm
@@ -426,6 +430,127 @@ def assert_field_product_matches_reference(w, pairs):
     assert [f.serialize() for f in new] == [f.serialize() for f in ref]
 
 
+def _x(dim, j, c=1):
+    return PolyFn.coord(dim, j) * Fraction(c)
+
+
+def _flat_rescaled(rng):
+    # the flat model's pairing times 2/3, and one more entry: den 12
+    model = standard_symplectic(2)
+    entries = {(i, j): c * Fraction(2, 3)
+               for i, j, c in model.poisson.upper_entries()}
+    entries[(1, 3)] = Fraction(-3, 4)
+    w = fields.PoissonField(4, entries)
+    assert w.den == 12
+    return w, [(random_fieldform(rng, model, nterms=3),
+                random_fieldform(rng, model, nterms=3)) for _ in range(5)]
+
+
+def _polyfn_fractions(rng):
+    # PolyFn entries and coefficients over non-unit denominators, with h
+    # exponents from -2 to 1
+    w = fields.PoissonField(3, {(1, 2): _x(3, 3, Fraction(1, 2)),
+                                (2, 3): _x(3, 1),
+                                (3, 1): _x(3, 2, Fraction(-2, 5))})
+    assert w.den == 10
+
+    def form():
+        return fields.FieldForm(3, PolyFn, {
+            (rng.randint(-2, 1), rng.randrange(8)):
+            random_polyfn(rng, 3) * Fraction(1, rng.choice([2, 3, 5, 7]))
+            for _ in range(3)})
+    return w, [(form(), form()) for _ in range(5)]
+
+
+def _fourier_gauss(rng):
+    # FourierFn coefficients with Gaussian-rational TauNumber values
+    model = torus(1, 1)
+    w = fields.PoissonField(2, {(1, 2): Fraction(-3, 4)})
+
+    def form():
+        return fields.FieldForm(2, FourierFn, {
+            (rng.randint(-1, 1), rng.randrange(4)):
+            random_fourierfn(rng, 2) * GaussRat(Fraction(1, 2),
+                                                Fraction(-1, 5))
+            for _ in range(3)})
+    pairs = [(form(), form()) for _ in range(5)]
+    pairs.append((random_fieldform(rng, model), model.zero_form()))
+    return w, pairs
+
+
+def _mixed_entries(rng):
+    # a PoissonField with constant and PolyFn entries, complex and
+    # rational coefficients
+    model = lie_poisson_so3()
+    w = fields.PoissonField(3, {(1, 2): Fraction(1, 2),
+                                (2, 3): _x(3, 1, Fraction(2, 3)),
+                                (1, 3): Fraction(-3)})
+    assert w.den == 6 and not w.is_constant()
+    return w, [(random_fieldform(rng, model, nterms=3, complex_ok=k % 2),
+                random_fieldform(rng, model, nterms=3))
+               for k in range(5)]
+
+
+def _moyal_values(rng):
+    # HPoly-valued PolyFn coefficients, which clearing leaves as they are
+    w = fields.PoissonField(2, {(1, 2): Fraction(2, 3)})
+    flat = Bivector.standard(2)
+
+    def form():
+        return fields.FieldForm(2, PolyFn, {
+            (rng.randint(0, 1), rng.randrange(4)):
+            moyal_product(random_polyfn(rng, 2), random_polyfn(rng, 2), flat)
+            for _ in range(2)})
+    return w, [(form(), form()) for _ in range(4)]
+
+
+@pytest.mark.parametrize("build", [_flat_rescaled, _polyfn_fractions,
+                                   _fourier_gauss, _mixed_entries,
+                                   _moyal_values])
+def test_field_product_matches_reference_on_denominators(build):
+    w, pairs = build(Random(625))
+    assert_field_product_matches_reference(w, pairs)
+
+
+def test_field_product_divides_once_per_output_coefficient(monkeypatch):
+    w, pairs = _polyfn_fractions(Random(626))
+    divided, levels = [], []
+    real_over, real_walk = fields.over, exterior._contractions
+
+    def counting_over(num, den):
+        divided.append(1)
+        return real_over(num, den)
+
+    def walk(A, B, w):
+        for level in real_walk(A, B, w):
+            # nothing is divided while the J-sum is walked
+            assert not divided
+            levels.append(level[0])
+            yield level
+    monkeypatch.setattr(fields, "over", counting_over)
+    monkeypatch.setattr(exterior, "_contractions", walk)
+    for x, y in pairs:
+        divided.clear()
+        out = fields.quantum_wedge_field(x, y, w)
+        assert len(divided) == len(out.terms)
+        assert out == reference_quantum_wedge_field(x, y, w)
+    assert max(levels) >= 2
+
+
+def test_fields_runs_no_kernel_of_its_own():
+    tree = ast.parse(inspect.getsource(fields))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {"_contractions", "_wedge_into"}
+    assert "product_numerators" in names
+
+
 def test_kernel_matches_reference_on_omega_powers_dim10():
     w = Bivector.standard(10)
     om = omega(10)
@@ -557,10 +682,23 @@ def test_pairing_keeps_numerators_over_one_denominator():
     assert nums == {(1, 2): GaussRat(30, -20), (2, 1): GaussRat(0, 45),
                     (2, 2): 24}
     assert [type(nums[k].re) for k in ((1, 2), (2, 1))] == [int, int]
-    # a field-valued entry stays as it is, over 1
-    fn = fields.PoissonField(2, {(1, 2): PolyFn.coord(2, 1) * Fraction(1, 3)})
-    assert fn.den == 1
-    assert numerators(fn) == fn.entries
+    # a PolyFn entry is cleared too: x1/3 is the int-leaf x1 over 3
+    x1 = PolyFn.coord(2, 1)
+    fn = fields.PoissonField(2, {(1, 2): x1 * Fraction(1, 3)})
+    assert fn.den == 3
+    nums = numerators(fn)
+    assert nums == {(1, 2): x1, (2, 1): -x1}
+    assert [type(c) for k in ((1, 2), (2, 1))
+            for c in nums[k].terms.values()] == [int, int]
+    # an HPoly-valued PolyFn entry, as moyal_product builds, leaves every
+    # entry as it is, over 1: the rational one too
+    moyal = moyal_product(x1, PolyFn.coord(2, 2), W2)
+    assert {type(c) for c in moyal.terms.values()} == {HPoly}
+    hw = PairTensor(2, {(1, 2): moyal, (2, 1): Fraction(1, 2)})
+    assert hw.den == 1
+    nums = numerators(hw)
+    assert nums == hw.entries
+    assert all(nums[k] is hw.entries[k] for k in nums)
 
 
 def test_mixed_denominators_match_reference_with_laurent_flags():

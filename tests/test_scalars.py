@@ -1,10 +1,14 @@
 """Exact scalar rings: rationals with i, h-polynomials, tau numbers."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from qdr.scalars import GaussRat, HPoly, HPolyMulti, I, TauNumber
+from qdr.exterior import Bivector, QForm
+from qdr.functions import FourierFn, PolyFn, moyal_product
+from qdr.scalars import (GaussRat, HPoly, HPolyMulti, I, SparseTerms,
+                         TauNumber, clear_denominators, over)
 
 
 def test_gauss_rat_ring():
@@ -88,3 +92,88 @@ def test_tau_number_field_ops():
         a / a  # not a monomial divisor
     assert t - t == 0
     assert str(t) == "tau"
+
+
+# ------------------------------------------------ clearing and over
+
+
+def _leaf_types(value):
+    """The types of the innermost scalars of a value: GaussRat parts too."""
+    if isinstance(value, SparseTerms):
+        return {t for c in value.terms.values() for t in _leaf_types(c)}
+    if isinstance(value, GaussRat):
+        return {type(value.re), type(value.im)}
+    return {type(value)}
+
+
+def _layout(value):
+    """Type and terms in insertion order, all the way down."""
+    if isinstance(value, SparseTerms):
+        return (type(value).__name__,
+                [(k, _layout(c)) for k, c in value.terms.items()])
+    if isinstance(value, GaussRat):
+        return ("GaussRat", value.re, value.im, type(value.re),
+                type(value.im))
+    return (type(value).__name__, value)
+
+
+X = PolyFn(2, {(1, 0): Fraction(2, 3), (0, 2): Fraction(-5, 4),
+               (0, 0): 7})
+XC = PolyFn(2, {(1, 1): GaussRat(Fraction(1, 6), Fraction(-3, 2)),
+                (0, 1): Fraction(1, 9)})
+F = FourierFn(2, {(1, -1): TauNumber({0: GaussRat(Fraction(1, 2), 3),
+                                      2: GaussRat(0, Fraction(-4, 5))}),
+                  (0, 0): TauNumber({1: Fraction(7, 3)})})
+HP = HPoly({-1: Fraction(3, 8), 0: GaussRat(1, Fraction(1, 6)), 2: 5},
+           laurent=True)
+
+
+@pytest.mark.parametrize("values, den", [
+    ([X], 12),
+    ([XC], 18),
+    ([F], 30),
+    ([HP], 24),
+    ([TauNumber({1: GaussRat(Fraction(1, 4), 0)})], 4),
+    # mixed lists: scalars and sparse values over one lcm
+    ([Fraction(1, 5), X, GaussRat(0, Fraction(1, 7)), XC, 3],
+     lcm(5, 12, 7, 18)),
+    ([F, Fraction(1, 4), TauNumber({0: GaussRat(0, Fraction(1, 9))})],
+     lcm(30, 4, 9)),
+    ([HP, X, PolyFn.zero(2), Fraction(2, 1)], lcm(24, 12)),
+])
+def test_clearing_reaches_function_leaves_and_over_undoes_it(values, den):
+    nums, d = clear_denominators(values)
+    assert d == den
+    for v, num in zip(values, nums, strict=True):
+        rational = isinstance(v, (int, Fraction))
+        assert type(num) is (int if rational else type(v))
+        assert _leaf_types(num) <= {int}
+        # the numerator is v times den, leaf by leaf, in v's key order
+        assert num == v * den
+        if not rational and not isinstance(v, GaussRat):
+            assert list(num.terms) == list(v.terms)
+        # and over gives v back with Fraction leaves, the ints too
+        back = over(num, den)
+        assert _layout(back) == _layout(Fraction(v) if rational else v)
+        assert _leaf_types(back) <= {Fraction}
+
+
+def test_clearing_leaves_other_leaves_as_they_are():
+    moyal = moyal_product(PolyFn.coord(2, 1), PolyFn.coord(2, 2),
+                          Bivector.standard(2))
+    assert {type(c) for c in moyal.terms.values()} == {HPoly}
+    others = [moyal,
+              # one HPoly value among rational ones
+              PolyFn(2, {(0, 0): Fraction(1, 2), (1, 0): HPoly({1: 1})}),
+              QForm(2, {(1,): Fraction(1, 2)}),
+              HPolyMulti(2, {(1, 0): Fraction(1, 3)})]
+    for other in others:
+        for values in ([other], [X, other], [Fraction(1, 3), other, F],
+                       [HP, XC, GaussRat(0, Fraction(1, 5)), other]):
+            nums, den = clear_denominators(iter(values))
+            assert den == 1
+            assert len(nums) == len(values)
+            assert all(n is v for n, v in zip(nums, values))
+    # over divides such a value as it is
+    assert _layout(over(moyal, 1)) == _layout(moyal)
+    assert _layout(over(moyal, 6)) == _layout(moyal / 6)

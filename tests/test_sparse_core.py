@@ -467,6 +467,34 @@ def test_scalar_multiples_match_and_keep_the_zero_short_cut():
             _expect(a * 0, cls, _ref_space(a), {})
 
 
+def _ref_times(c, s):
+    """c * s by the loop the core ran before its short cut for 1 and -1:
+    every value multiplied by s, all the way down to the leaves."""
+    if isinstance(c, SparseTerms):
+        return c._like({k: _ref_times(v, s) for k, v in c.terms.items()})
+    return c * s
+
+
+def test_unit_multiples_copy_or_negate_as_the_loop_multiplies():
+    rng = Random(90)
+    ops = _operands(rng)
+    for cls in _CLASSES:
+        for a in ops[cls]:
+            for s in (1, -1, Fraction(1), Fraction(-1)):
+                want = {k: _ref_times(c, s) for k, c in a.terms.items()}
+                results = [a._scale(s)]
+                if cls is not MultiForm:
+                    results += [a * s, s * a]
+                for r in results:
+                    _expect(r, cls, _ref_space(a), want)
+                    _check(r)
+                    assert r.terms is not a.terms
+                    if s == 1:
+                        # nothing is multiplied: the values are a's own
+                        assert all(r.terms[k] is c
+                                   for k, c in a.terms.items())
+
+
 def test_space_mismatch_raises_and_compares_unequal():
     pairs = [
         (HPolyMulti(2, {(1, 0): 1}), HPolyMulti(3, {(1, 0, 0): 1}), True),
