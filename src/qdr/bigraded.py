@@ -79,8 +79,7 @@ class BigradedForm:
     @classmethod
     def monomial(cls, n: int, mask: int, coeff=1, h_exp: int = 0
                  ) -> "BigradedForm":
-        c = HPoly({h_exp: coeff}, laurent=h_exp < 0)
-        return cls(n, QForm(2 * n, {mask: c}, laurent=h_exp < 0))
+        return cls(n, QForm(2 * n, {mask: HPoly({h_exp: coeff})}))
 
     def components(self):
         """Pure-(p, q) parts; the deformation exponent adds (1, 1)."""
@@ -90,9 +89,8 @@ class BigradedForm:
             for e, v in c.terms.items():
                 # each h power of one blade lands in its own (p, q)
                 out.setdefault((p0 + e, q0 + e), {})[mask] = \
-                    HPoly._make({e: v}, True)
-        return {key: BigradedForm(self.n, QForm._make(terms, 2 * self.n,
-                                                      True))
+                    HPoly._make({e: v})
+        return {key: BigradedForm(self.n, QForm._make(terms, 2 * self.n))
                 for key, terms in sorted(out.items())}
 
     def bidegree(self):
@@ -217,7 +215,7 @@ class Frame:
 
     def complexify(self, form: QForm) -> BigradedForm:
         out = substitute(form.terms, self._to_cx)
-        return BigradedForm(self.n, QForm._make(out, 2 * self.n, form.laurent))
+        return BigradedForm(self.n, QForm._make(out, 2 * self.n))
 
     def realify(self, bform: BigradedForm) -> QForm:
         """Expand the frame covectors back out; coefficients must be real."""
@@ -231,7 +229,7 @@ class Frame:
                     raise ValueError("form does not descend to the real "
                                      f"frame: coefficient {g}")
                 clean[e] = g.re
-            real_terms[mask] = HPoly._make(clean, c.laurent)
+            real_terms[mask] = HPoly._make(clean)
         return bform.form._like(real_terms)
 
 

@@ -470,14 +470,6 @@ def e1_dims(c: TruncatedComplex) -> DimensionReport:
 # -- graded integral -------------------------------------------------------
 
 
-def _omega_powers(omega: SymplecticForm):
-    """omega^k / k! for k = 0..n as plain forms."""
-    out = [QForm(omega.dim, {0: 1})]
-    for k in range(1, omega.n + 1):
-        out.append(wedge(out[-1], omega.form) * Fraction(1, k))
-    return out
-
-
 def _scalarize(t: TauNumber):
     terms = dict(t.terms)
     if set(terms) == {0}:
@@ -494,7 +486,7 @@ def quantum_integral(form: FieldForm, omega: SymplecticForm, model) -> HPoly:
         raise ValueError(
             f"integral normalization requires a torus model, got {model}")
     n = model.dim // 2
-    powers = _omega_powers(omega)
+    powers = omega.powers
     full = (1 << model.dim) - 1
     out = {}
     for (h, mask), fn in form.terms.items():
@@ -509,7 +501,7 @@ def quantum_integral(form: FieldForm, omega: SymplecticForm, model) -> HPoly:
         sign, _ = wedge_masks(mask, comp)
         add_term(out, h, fn.constant_coeff() * (cscale * sign))
     out = {h: _scalarize(v) for h, v in out.items()}
-    return HPoly(out, laurent=any(h < 0 for h in out))
+    return HPoly(out)
 
 
 def stokes_check(form: FieldForm, model) -> dict:
@@ -560,7 +552,7 @@ def lemma62_check(n: int, k: int) -> dict:
     """
     omega = SymplecticForm(2 * n)
     w = bivector_of(omega)
-    powers = _omega_powers(omega)
+    powers = omega.powers
     hi = powers[k + 1] if k + 1 <= n else QForm(2 * n, {})
     lo = powers[k]
     part_i = _proportionality(contract_bivector(w, hi), lo)

@@ -10,15 +10,9 @@ from fractions import Fraction
 from itertools import islice
 from math import factorial
 
-from .exterior import Bivector, QForm, quantum_powers, quantum_wedge
+from .exterior import Bivector, QForm, quantum_powers, quantum_wedge, wedge
 from .scalars import HPoly
-
-
-def _omega(n: int) -> QForm:
-    out = QForm.zero(2 * n)
-    for a in range(1, n + 1):
-        out = out + QForm.basis(2 * n, (2 * a - 1, 2 * a))
-    return out
+from .symplectic import SymplecticForm
 
 
 def _block_mask(j: int) -> int:
@@ -39,10 +33,10 @@ class CPnRing:
         if n < 1:
             raise ValueError("the ring needs n >= 1")
         self.n = n
-        self.omega = _omega(n)
+        self.omega = SymplecticForm(2 * n).form
         powers = [QForm.scalar(2 * n, 1)]
         for _ in range(n):
-            powers.append(_classical_wedge(powers[-1], self.omega))
+            powers.append(wedge(powers[-1], self.omega))
         self.powers = powers
         w = Bivector.standard(2 * n)
         self.table = {}
@@ -103,10 +97,6 @@ class CPnRing:
         }
 
 
-def _classical_wedge(a: QForm, b: QForm) -> QForm:
-    return quantum_wedge(a, b, Bivector(a.dim))
-
-
 def cpn_structure_constants(n: int) -> CPnRing:
     if n > 5:
         raise ValueError("structure constants are tabulated for n <= 5")
@@ -129,7 +119,7 @@ def verify_relation_17(n: int) -> dict:
         raise ValueError("the nilpotency check is run for n <= 4")
     dim = 2 * n
     w = Bivector.standard(dim)
-    omega = _omega(n)
+    omega = SymplecticForm(dim).form
     assembled = QForm.zero(dim)
     for a in range(1, n + 1):
         assembled = assembled + quantum_wedge(

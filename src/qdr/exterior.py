@@ -27,8 +27,8 @@ indices to the same remainder merge into one term before the next
 contraction, and every blade of b that holds J shares one A_J. A branch
 ends when A_J is zero, so |J| never passes the lower of the two top
 blade degrees and a zero column of w prunes its branch. Everything is
-exact: coefficients are polynomials (optionally Laurent) in h over the
-rationals, or functions for fields.quantum_wedge_field.
+exact: coefficients are Laurent polynomials in h over the rationals, or
+functions for fields.quantum_wedge_field.
 
 The kernel is fraction-free, after Bareiss (Math. Comp. 22, 1968). A
 pairing keeps its nonzero entries as numerators over one common
@@ -77,6 +77,11 @@ from .scalars import (GaussRat, HPoly, HPolyMulti, PendingTerms,
                       over)
 
 
+# the entry of a pairing off its support, built once: Fractions are
+# immutable, so every reader may share it
+_ZERO = Fraction(0)
+
+
 class PairTensor:
     """A bilinear deformation pairing phi^{ij}, not assumed antisymmetric."""
 
@@ -104,7 +109,7 @@ class PairTensor:
             self._cols[j].append((1 << (i - 1), i, num))
 
     def entry(self, i: int, j: int):
-        return self.entries.get((i, j), Fraction(0))
+        return self.entries.get((i, j), _ZERO)
 
     def ordered_entries(self):
         return self._ordered
@@ -287,13 +292,13 @@ def _normalize_vector(v, dim: int):
 
 
 class QForm(PendingTerms):
-    """A form with polynomial h coefficients on a fixed R^dim frame."""
+    """A form with Laurent polynomial h coefficients on a fixed R^dim
+    frame."""
 
-    __slots__ = ("dim", "laurent")
+    __slots__ = ("dim",)
 
-    def __init__(self, dim: int, terms=None, laurent: bool = False):
+    def __init__(self, dim: int, terms=None):
         out = {}
-        flag = laurent
         for key, val in dict(terms or {}).items():
             if isinstance(key, Blade):
                 mask = key.mask
@@ -303,33 +308,30 @@ class QForm(PendingTerms):
                 mask = int(key)
             if mask >> dim:
                 raise ValueError("blade index exceeds dimension")
-            c = val if isinstance(val, HPoly) else HPoly(val, laurent=laurent)
-            if c.laurent:
-                flag = True
+            c = val if isinstance(val, HPoly) else HPoly(val)
             add_term(out, mask, c)
         self.terms = out
-        self._fill(self, dim, flag)
+        self._fill(self, dim)
 
     def _settle(self, nums, den):
         # the numerators of quantum_wedge, keyed (h exponent, mask): each
         # mask's h exponents in the numerators' order, every coefficient
-        # over den with the form's Laurent flag
+        # over den
         out = {}
         for (e, m), c in nums.items():
             t = out.get(m)
             if t is None:
                 t = out[m] = {}
             t[e] = over(c, den)
-        laurent = self.laurent
-        return {m: HPoly._make(t, laurent) for m, t in out.items()}
+        return {m: HPoly._make(t) for m, t in out.items()}
 
     @staticmethod
-    def zero(dim: int, laurent: bool = False) -> "QForm":
-        return QForm(dim, laurent=laurent)
+    def zero(dim: int) -> "QForm":
+        return QForm(dim)
 
     @staticmethod
-    def scalar(dim: int, c=1, laurent: bool = False) -> "QForm":
-        return QForm(dim, {0: c}, laurent=laurent)
+    def scalar(dim: int, c=1) -> "QForm":
+        return QForm(dim, {0: c})
 
     @staticmethod
     def basis(dim: int, indices, coeff=1) -> "QForm":
@@ -347,13 +349,13 @@ class QForm(PendingTerms):
         t = type(other)
         if t is int or t is Fraction or t is HPoly or isinstance(
                 other, (int, Fraction, str, GaussRat, HPoly)):
-            return QForm(self.dim, {0: other}, laurent=self.laurent)
+            return QForm(self.dim, {0: other})
         return NotImplemented
 
     def _join(self, o):
         if o.dim != self.dim:
             raise ValueError("dimension mismatch")
-        return (self.dim, self.laurent or o.laurent)
+        return (self.dim,)
 
     def __mul__(self, scalar):
         # exact-type tests first, as in _operand
@@ -367,7 +369,7 @@ class QForm(PendingTerms):
                 p = scalar.numerator
                 return QForm._make_pending({k: c * p for k, c in nums.items()},
                                            den * scalar.denominator,
-                                           self.dim, self.laurent)
+                                           self.dim)
             if t is int:
                 scalar = Fraction(scalar)
         elif t is not HPoly:
@@ -378,23 +380,19 @@ class QForm(PendingTerms):
                 scalar = as_fraction(scalar)
             if not isinstance(scalar, (Fraction, GaussRat, HPoly)):
                 return NotImplemented
-        laurent = self.laurent or (isinstance(scalar, HPoly) and scalar.laurent)
-        return self._scale(scalar, self.dim, laurent)
+        return self._scale(scalar)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if isinstance(scalar, int):
             scalar = Fraction(scalar)
-        out = {m: c / scalar for m, c in self.terms.items()}
-        # dividing by an h-monomial can make a coefficient Laurent
-        return QForm._make(out, self.dim, self.laurent
-                           or any(c.laurent for c in out.values()))
+        # an h-monomial divisor shifts every exponent, below 0 too
+        return self._like({m: c / scalar for m, c in self.terms.items()})
 
     def h_shift(self, k: int) -> "QForm":
         """Multiply by h^k."""
-        return QForm._make({m: c.shift(k) for m, c in self.terms.items()},
-                           self.dim, self.laurent or k < 0)
+        return self._like({m: c.shift(k) for m, c in self.terms.items()})
 
     def coeff(self, key) -> HPoly:
         if isinstance(key, Blade):
@@ -402,7 +400,7 @@ class QForm(PendingTerms):
         elif isinstance(key, tuple):
             key = mask_of_indices(key)
         c = self.terms.get(key)
-        return HPoly._make({}, self.laurent) if c is None else c
+        return HPoly._make({}) if c is None else c
 
     def blade_degrees(self):
         return sorted({m.bit_count() for m in self.terms})
@@ -422,7 +420,8 @@ class QForm(PendingTerms):
                                 for m, c in self.terms.items()})
 
     def classical(self) -> "QForm":
-        """The h -> 0 limit (only valid for polynomial mode coefficients)."""
+        """The h -> 0 limit; a negative power of h raises
+        ZeroDivisionError, as HPoly.subs does."""
         return self.subs_h(Fraction(0))
 
     def wedge(self, other: "QForm") -> "QForm":
@@ -512,8 +511,7 @@ def insert_first(v, form: QForm) -> QForm:
             s, m2 = insert_first_mask(i, m)
             if s:
                 add_term(out, m2, c * (ci * s))
-    return QForm._make(out, form.dim, form.laurent
-                       or any(c.laurent for c in out.values()))
+    return form._like(out)
 
 
 def insert_last(form: QForm, v) -> QForm:
@@ -524,8 +522,7 @@ def insert_last(form: QForm, v) -> QForm:
             s, m2 = insert_last_mask(m, i)
             if s:
                 add_term(out, m2, c * (ci * s))
-    return QForm._make(out, form.dim, form.laurent
-                       or any(c.laurent for c in out.values()))
+    return form._like(out)
 
 
 def substitute(terms: dict, rows) -> dict:
@@ -567,14 +564,14 @@ def quantum_wedge(a: QForm, b: QForm, w: PairTensor) -> QForm:
     """The deformed wedge product a *_h b for a constant pairing w.
 
     The product is pending until its terms are read (see the module
-    docstring). Every coefficient carries the Laurent flag a.laurent or
-    b.laurent, the flag coeff gives a blade the product does not have."""
+    docstring); its coefficients are Laurent polynomials in h, as the
+    operands' are."""
     if a.dim != b.dim or a.dim != w.dim:
         raise ValueError("dimension mismatch")
     if not w.is_constant():
         raise TypeError("quantum_wedge needs a constant pairing")
     nums, den = product_numerators(*_numerators(a), *_numerators(b), w)
-    return QForm._make_pending(nums, den, a.dim, a.laurent or b.laurent)
+    return QForm._make_pending(nums, den, a.dim)
 
 
 def product_numerators(ta: dict, da, tb: dict, db, w: PairTensor):
@@ -612,7 +609,7 @@ def _numerators(form: QForm):
 def quantum_powers(a: QForm, w: PairTensor):
     """The deformed powers 1, a, a *_h a, ... without end: each is the
     one before it times a, one product each."""
-    power = QForm.scalar(a.dim, 1, laurent=a.laurent)
+    power = QForm.scalar(a.dim, 1)
     while True:
         yield power
         power = quantum_wedge(power, a, w)
@@ -634,7 +631,7 @@ def quantum_exp(a: QForm, w: PairTensor, order: int) -> QForm:
     """
     if order < 0:
         raise ValueError("negative order")
-    out = QForm.zero(a.dim, laurent=a.laurent)
+    out = QForm.zero(a.dim)
     fact = Fraction(1)
     for k, power in zip(range(order + 1), quantum_powers(a, w)):
         if k:
@@ -690,7 +687,7 @@ class MultiForm(SparseTerms):
         out = {}
         for m, c in self.terms.items():
             add_term(out, m, c.specialize(coeffs))
-        return QForm._make(out, self.dim, False)
+        return QForm._make(out, self.dim)
 
     def __str__(self):
         parts = []

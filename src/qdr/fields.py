@@ -21,7 +21,7 @@ from .blades import (blade_degree, blade_str, indices_of_mask,
 from .exterior import Bivector, QForm, product_numerators
 from .functions import FourierFn, PolyFn
 from .scalars import (GaussRat, HPoly, SparseTerms, add_term, as_fraction,
-                      clear_denominators, convolve, over)
+                      clear_denominators, convolve, int_exponent, over)
 
 _PLAIN = (int, Fraction, GaussRat, str)
 
@@ -72,7 +72,7 @@ class FieldForm(SparseTerms):
                 raise ValueError(f"blade mask {mask} out of range")
             if isinstance(fn, _PLAIN) or not isinstance(fn, fnring):
                 fn = fnring.constant(dim, fn)
-            add_term(self.terms, (int(h), mask), fn)
+            add_term(self.terms, (int_exponent(h), mask), fn)
 
     @classmethod
     def zero(cls, dim: int, fnring) -> "FieldForm":

@@ -9,7 +9,7 @@ leaves exact arithmetic.
 from fractions import Fraction
 
 from .scalars import (GaussRat, HPoly, SparseRing, TauNumber, _coeff_str,
-                      add_keys, add_term, as_fraction, frac_str)
+                      add_keys, add_term, as_fraction, frac_str, int_exponent)
 
 _COEFFS = (int, Fraction, GaussRat, HPoly, str)
 
@@ -36,7 +36,7 @@ class PolyFn(SparseRing):
         self.dim = dim
         self.terms = {}
         for expo, c in dict(terms or {}).items():
-            expo = tuple(int(e) for e in expo)
+            expo = tuple(map(int_exponent, expo))
             if len(expo) != dim or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent tuple {expo} for dim {dim}")
             add_term(self.terms, expo, _coerce_scalar(c))
@@ -173,7 +173,7 @@ class FourierFn(SparseRing):
         self.dim = dim
         self.terms = {}
         for mode, c in dict(terms or {}).items():
-            mode = tuple(int(k) for k in mode)
+            mode = tuple(map(int_exponent, mode))
             if len(mode) != dim:
                 raise ValueError(f"bad mode {mode} for dim {dim}")
             add_term(self.terms, mode, TauNumber.coerce(c))
@@ -283,7 +283,7 @@ def moyal_product(u: PolyFn, v: PolyFn, w) -> PolyFn:
         level = PolyFn.zero(u.dim)
         for a, b, c in pairs:
             level = level + (a * b) * c
-        out = out + level * HPoly._make({n: factinv}, False)
+        out = out + level * HPoly._make({n: factinv})
         nxt = []
         for a, b, c in pairs:
             for i, j, wij in entries:

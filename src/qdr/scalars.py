@@ -1,8 +1,8 @@
 """Exact scalar rings: rationals, Gaussian rationals, deformation polynomials.
 
 Everything here is exact. The deformation parameter is written h; a scalar
-in the deformed setting is a polynomial (or Laurent polynomial) in h with
-rational coefficients. Multi-parameter variants carry one exponent per
+in the deformed setting is a Laurent polynomial in h with rational
+coefficients. Multi-parameter variants carry one exponent per
 parameter. Gaussian rationals a + b*i back the complexified frames, and
 tau-graded Gaussian rationals back torus boundary matrices (tau stands in
 for the circle period so that nothing is ever evaluated in floating point).
@@ -14,7 +14,8 @@ space. That one core owns their sums, negation, scalar multiples,
 equality, the trusted constructor _make and the pending values of a
 class that says how to settle them (QForm's products); SparseRing adds
 the convolution product of the five rings. add_term is the one accumulator
-of a terms dict, and only the public constructors validate.
+of a terms dict, and only the public constructors validate: an exponent
+key must be an int (int_exponent).
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def int_exponent(e) -> int:
+    """e itself if it is an int; a TypeError for any other exponent, a
+    bool or a float among them, as an exponent is never rounded."""
+    if type(e) is int or (isinstance(e, int) and not isinstance(e, bool)):
+        return e
+    raise TypeError(f"exponent must be an int, got {e!r}")
 
 
 def frac_str(x: Fraction) -> str:
@@ -86,13 +95,12 @@ class SparseTerms:
     The core implements, once for all of them, + and - from either side,
     negation, the scalar multiple, equality, truth and the trusted
     constructor _make. A subclass's own __slots__ name its space (dim,
-    nparams, fnring, the Laurent flag), and it supplies the two hooks the
+    nparams, fnring, or none at all), and it supplies the two hooks the
     core calls:
 
     - _operand(other): other as a value of the class, or NotImplemented;
     - _join(o): the space of a binary result, in __slots__ order; it
-      raises ValueError when the operands' spaces differ and ORs the
-      Laurent flags.
+      raises ValueError when the operands' spaces differ.
 
     The rings take their product from SparseRing; the forms multiply by
     wedge and quantum_wedge.
@@ -390,29 +398,6 @@ class GaussRat:
             return f"{frac_str(self.re)}+{frac_str(self.im)}*i"
         return f"{frac_str(self.re)}-{frac_str(abs(self.im))}*i"
 
-    @staticmethod
-    def parse(s: str) -> "GaussRat":
-        s = s.strip().replace(" ", "")
-        if s.endswith("*i") or s.endswith("i"):
-            # split the trailing imaginary part off the real part, if any
-            body = s[:-2] if s.endswith("*i") else s[:-1]
-            for k in range(len(body) - 1, 0, -1):
-                if body[k] in "+-" and body[k - 1] not in "+-/*":
-                    re_s, im_s = body[:k], body[k:]
-                    if im_s.endswith("*"):
-                        im_s = im_s[:-1]
-                    if im_s in ("+", "-"):
-                        im_s += "1"
-                    return GaussRat(Fraction(re_s), Fraction(im_s))
-            if body.endswith("*"):
-                body = body[:-1]
-            if body in ("", "+"):
-                body = "1"
-            elif body == "-":
-                body = "-1"
-            return GaussRat(0, Fraction(body))
-        return GaussRat(Fraction(s))
-
 
 I = GaussRat(0, 1)
 
@@ -519,17 +504,17 @@ def _coeff_str(c) -> str:
 
 
 class HPoly(SparseRing):
-    """Polynomial (or Laurent polynomial) in the deformation parameter h.
+    """Laurent polynomial in the deformation parameter h.
 
-    terms maps exponent -> coefficient; coefficients are Fractions by
-    default but any exact scalar with ring operations works. The laurent
-    flag gates negative exponents: a plain polynomial scalar refuses them.
+    terms maps an int exponent, of either sign, to its coefficient;
+    coefficients are Fractions by default but any exact scalar with ring
+    operations works. Negative powers are plain data: the star maps h to
+    h^-1 and the Lefschetz operator is h^-1 L_h.
     """
 
-    __slots__ = ("laurent",)
+    __slots__ = ()
 
-    def __init__(self, terms=None, laurent: bool = False):
-        self.laurent = laurent
+    def __init__(self, terms=None):
         self.terms = {}
         if terms is None:
             return
@@ -538,18 +523,11 @@ class HPoly(SparseRing):
         elif isinstance(terms, GaussRat):
             terms = {0: terms}
         for e, c in dict(terms).items():
+            e = int_exponent(e)
             if not isinstance(c, GaussRat):
                 c = as_fraction(c)
             if c:
-                if e < 0 and not laurent:
-                    raise ValueError("negative h exponent in polynomial mode")
                 self.terms[e] = c
-
-    @staticmethod
-    def h(exp: int = 1, coeff=1, laurent: bool = False) -> "HPoly":
-        if exp < 0:
-            laurent = True
-        return HPoly({exp: as_fraction(coeff)}, laurent=laurent)
 
     _KEYSUM = staticmethod(add)
     _LEAVES = (Fraction, int, GaussRat)
@@ -562,7 +540,7 @@ class HPoly(SparseRing):
         return NotImplemented
 
     def _join(self, o):
-        return (self.laurent or o.laurent,)
+        return ()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -578,9 +556,8 @@ class HPoly(SparseRing):
         raise TypeError("can only divide by a scalar or an h-monomial")
 
     def shift(self, k: int) -> "HPoly":
-        """Multiply by h^k (k may be negative; result is laurent if needed)."""
-        t = {e + k: c for e, c in self.terms.items()}
-        return HPoly._make(t, self.laurent or any(e < 0 for e in t))
+        """Multiply by h^k (k may be negative)."""
+        return self._like({e + k: c for e, c in self.terms.items()})
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
@@ -643,13 +620,6 @@ class HPoly(SparseRing):
             out.append([e, cs])
         return out
 
-    @staticmethod
-    def parse(data, laurent: bool = False) -> "HPoly":
-        t = {}
-        for e, cs in data:
-            t[int(e)] = GaussRat.parse(cs) if ("i" in cs) else Fraction(cs)
-        return HPoly(t, laurent=laurent)
-
 
 class HPolyMulti(SparseRing):
     """Polynomial in several deformation parameters h_1..h_r.
@@ -667,7 +637,7 @@ class HPolyMulti(SparseRing):
         if isinstance(terms, (int, Fraction, str)):
             terms = {(0,) * nparams: as_fraction(terms)}
         for e, c in dict(terms).items():
-            e = tuple(int(x) for x in e)
+            e = tuple(map(int_exponent, e))
             if len(e) != nparams:
                 raise ValueError("exponent tuple arity mismatch")
             if any(x < 0 for x in e):
@@ -716,7 +686,7 @@ class HPolyMulti(SparseRing):
             for ej, cj in zip(e, coeffs):
                 scale *= cj ** ej
             add_term(out, sum(e), scale)
-        return HPoly._make(out, False)
+        return HPoly._make(out)
 
     def constant(self):
         return self.terms.get((0,) * self.nparams, Fraction(0))
@@ -767,9 +737,10 @@ class TauNumber(SparseRing):
         if isinstance(terms, (int, Fraction, GaussRat)):
             terms = {0: GaussRat.coerce(terms)}
         for e, c in dict(terms).items():
+            e = int_exponent(e)
             c = GaussRat.coerce(c)
             if c:
-                self.terms[int(e)] = c
+                self.terms[e] = c
 
     @staticmethod
     def coerce(x) -> "TauNumber":

@@ -44,7 +44,7 @@ class SymplecticForm:
         self.matrix = rows
         self._winv = mat_inv(rows)  # raises on singular input
         self._bivector = None
-        self._volume = None
+        self._powers = None
 
     @staticmethod
     def standard(dim: int) -> "SymplecticForm":
@@ -67,16 +67,20 @@ class SymplecticForm:
         return self._bivector
 
     @property
+    def powers(self) -> tuple:
+        """The plain forms omega^k / k! for k = 0..n, worked out once."""
+        if self._powers is None:
+            form = self.form
+            out = [QForm.scalar(self.dim, 1)]
+            for k in range(1, self.n + 1):
+                out.append(wedge(out[-1], form) * Fraction(1, k))
+            self._powers = tuple(out)
+        return self._powers
+
+    @property
     def volume(self) -> QForm:
         """The normalized volume form: n-th wedge power over n factorial."""
-        if self._volume is None:
-            out = QForm.scalar(self.dim, 1)
-            fact = 1
-            for k in range(1, self.n + 1):
-                out = wedge(out, self.form)
-                fact *= k
-            self._volume = out / fact
-        return self._volume
+        return self.powers[-1]
 
     @property
     def volume_coeff(self) -> Fraction:
@@ -149,7 +153,7 @@ def contract_bivector(w: Bivector, form: QForm) -> QForm:
     """Insert the pairing into the first two slots: i < j, e_i then e_j."""
     if w.dim != form.dim:
         raise ValueError("dimension mismatch")
-    out = QForm.zero(form.dim, laurent=form.laurent)
+    out = QForm.zero(form.dim)
     for i, j, c in w.upper_entries():
         out = out + c * insert_first(j, insert_first(i, form))
     return out
@@ -175,7 +179,7 @@ def symplectic_star(form: QForm, omega=None) -> QForm:
     top = (1 << omega.dim) - 1
     out = {}
     for m, c in form.terms.items():
-        flipped = HPoly._make({-e: q for e, q in c.terms.items()}, True)
+        flipped = HPoly._make({-e: q for e, q in c.terms.items()})
         k = blade_degree(m)
         for amask in masks_of_degree(omega.dim, k):
             val = lambda_pairing(w, amask, m)
@@ -184,7 +188,7 @@ def symplectic_star(form: QForm, omega=None) -> QForm:
             cm = (top ^ amask)
             s, _ = wedge_masks(amask, cm)
             add_term(out, cm, flipped * (val * vol / s))
-    return QForm._make(out, form.dim, True)
+    return QForm._make(out, form.dim)
 
 
 def apply_L(form: QForm, omega=None) -> QForm:
@@ -202,7 +206,7 @@ def _require_homogeneous(form: QForm) -> int:
 def apply_K(form: QForm, omega=None) -> QForm:
     """Degree counting operator, realized as sum of e^j ^ (e_j insertion)."""
     _require_homogeneous(form)
-    out = QForm.zero(form.dim, laurent=form.laurent)
+    out = QForm.zero(form.dim)
     for j in range(1, form.dim + 1):
         out = out + wedge(QForm.one_form(form.dim, j),
                           insert_first(j, form))
@@ -237,12 +241,12 @@ def apply_Ah(form: QForm, omega=None) -> QForm:
     out = {}
     for m, c in form.terms.items():
         k = blade_degree(m)
-        acc = HPoly(laurent=True)
+        acc = HPoly()
         for e, q in c.terms.items():
-            acc = acc + HPoly({e: q * (omega.n - k - 2 * e)}, laurent=True)
+            acc = acc + HPoly({e: q * (omega.n - k - 2 * e)})
         if acc:
             out[m] = acc
-    return QForm(form.dim, out, laurent=True)
+    return QForm(form.dim, out)
 
 
 def _fit(n: int, target, terms, what: str):
@@ -336,8 +340,7 @@ def window_matrix(op, n: int, m_from: int, m_to: int):
     index = {key: i for i, key in enumerate(cod)}
     cols = []
     for p, mask in dom:
-        image = op(QForm(dim, {mask: HPoly({p: 1}, laurent=True)},
-                         laurent=True))
+        image = op(QForm(dim, {mask: HPoly({p: 1})}))
         col = [Fraction(0)] * len(cod)
         for mk, c in image.terms.items():
             for e, v in c.terms.items():

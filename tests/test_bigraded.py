@@ -265,8 +265,8 @@ def random_gaussian_form(rng: Random, n: int) -> BigradedForm:
             {rng.randint(-1, 2): GaussRat(Fraction(rng.randint(-5, 5),
                                                    rng.randint(1, 4)),
                                           rng.randint(-3, 3))
-             for _ in range(rng.randint(1, 2))}, laurent=True)
-    return BigradedForm(n, QForm(2 * n, terms, laurent=True))
+             for _ in range(rng.randint(1, 2))})
+    return BigradedForm(n, QForm(2 * n, terms))
 
 
 def test_raw_pairing_matches_direct_product():

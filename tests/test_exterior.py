@@ -187,6 +187,9 @@ def test_classical_limit_is_plain_wedge():
         a = random_qform(rng, dim, nterms=2, max_h=0)
         b = random_qform(rng, dim, nterms=2, max_h=0)
         assert quantum_wedge(a, b, w).classical() == wedge(a, b)
+    # h -> 0 has no value on a negative power of h
+    with pytest.raises(ZeroDivisionError):
+        E1.h_shift(-1).classical()
 
 
 def test_grading_h_counts_double():
@@ -277,7 +280,6 @@ def reference_expand_blade_pair(amask, bmask, pairing):
 
 def reference_quantum_wedge(a, b, w):
     out = {}
-    laurent = a.laurent or b.laurent
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             base = ca * cb
@@ -289,7 +291,7 @@ def reference_quantum_wedge(a, b, w):
                     out[m] = add
                 else:
                     out.pop(m, None)
-    return QForm(a.dim, out, laurent=laurent)
+    return QForm(a.dim, out)
 
 
 def reference_quantum_wedge_field(a, b, w):
@@ -366,16 +368,9 @@ def summed(expansion):
     return {k: (c, type(c)) for k, c in acc.items() if c}
 
 
-def flags(form):
-    return {m: c.laurent for m, c in form.terms.items()}
-
-
 def assert_same_product(new, ref):
     assert new == ref
     assert new.serialize() == ref.serialize()
-    assert new.laurent == ref.laurent
-    # every coefficient carries the product's flag, a.laurent or b.laurent
-    assert flags(new) == {m: new.laurent for m in new.terms}
 
 
 def test_kernel_matches_reference_on_random_pairings():
@@ -701,22 +696,32 @@ def test_pairing_keeps_numerators_over_one_denominator():
     assert all(nums[k] is hw.entries[k] for k in nums)
 
 
+def test_pairing_entry_reads_one_shared_zero_off_its_support():
+    w = PairTensor(3, {(1, 2): Fraction(2, 3), (3, 1): GaussRat(0, 1)})
+    assert w.entry(1, 2) == Fraction(2, 3)
+    assert w.entry(1, 2) is w.entries[(1, 2)]
+    assert w.entry(3, 1) == GaussRat(0, 1)
+    zero = w.entry(2, 1)
+    assert zero == 0 and type(zero) is Fraction
+    # a miss builds nothing: every one reads the same zero
+    assert w.entry(1, 1) is zero and W4.entry(1, 3) is zero
+    assert W4.entry(1, 2) == -1 and W4.entry(2, 1) == 1
+
+
 def test_mixed_denominators_match_reference_with_laurent_flags():
-    # the e1^e2 sum of x *_h y meets Laurent and polynomial contributions
-    # and cancels on the way; its coefficient carries x's flag all the same
-    lau = lambda c: HPoly({0: c}, laurent=True)
-    x = QForm(2, {0b01: lau(Fraction(2, 3)), 0b10: lau(Fraction(1, 2)),
+    # the e1^e2 sum of x *_h y meets several denominators and cancels on
+    # the way to its value
+    x = QForm(2, {0b01: HPoly({0: Fraction(2, 3)}),
+                  0b10: HPoly({0: Fraction(1, 2)}),
                   0b11: HPoly({0: Fraction(1, 5)})})
     y = QForm(2, {0b10: Fraction(3, 4), 0b01: 1, 0: 7})
     out = quantum_wedge(x, y, MIXED)
-    assert out.laurent and flags(out)[0b11]
     assert out.coeff(0b11) == HPoly({0: Fraction(7, 5)})
     assert_same_product(out, reference_quantum_wedge(x, y, MIXED))
     rng = Random(617)
     units = [HPoly({0: Fraction(2, 3)}), HPoly({1: Fraction(-5, 4)}),
-             HPoly({-1: Fraction(3, 7)}, laurent=True),
-             HPoly({0: Fraction(-2, 3)}, laurent=True),
-             HPoly({0: Fraction(2, 3)}, laurent=True)]
+             HPoly({-1: Fraction(3, 7)}), HPoly({0: Fraction(-2, 3)}),
+             HPoly({0: Fraction(2, 3)})]
     for _ in range(60):
         x, y = (QForm(2, {rng.randrange(4): rng.choice(units)
                           for _ in range(3)}) for _ in range(2))
@@ -817,24 +822,24 @@ def test_multi_matches_reference_level_loop():
 
 
 def test_quantum_wedge_keeps_laurent_flags():
-    laurent = HPoly({-1: 1}, laurent=True)
+    laurent = HPoly({-1: 1})
     a = QForm(4, {(1,): laurent, (3,): HPoly({0: 1})})
-    out = quantum_wedge(a, QForm.one_form(4, 2), W4)
-    assert out.laurent
-    # a's flag reaches every coefficient, the polynomial e2^e3 one too
-    assert flags(out) == {mask_of_indices((1, 2)): True, 0: True,
-                          mask_of_indices((2, 3)): True}
-    # the e1^e2 sum cancels to zero on the way and keeps the flag
-    flat = HPoly({0: 1}, laurent=True)
-    x = QForm(2, {0b01: flat, 0b10: flat, 0b11: HPoly({0: 1})})
+    e2 = QForm.one_form(4, 2)
+    out = quantum_wedge(a, e2, W4)
+    # the h^-1 of a's e1 coefficient meets the h of one contraction in
+    # the scalar part
+    assert out == QForm(4, {(1, 2): laurent, 0: -1, (2, 3): -1})
+    assert_same_product(out, reference_quantum_wedge(a, e2, W4))
+    # the e1^e2 sum cancels on the way to its value
+    one = HPoly({0: 1})
+    x = QForm(2, {0b01: one, 0b10: one, 0b11: one})
     y = QForm(2, {0b10: 1, 0b01: 1, 0: 1})
     out = quantum_wedge(x, y, W2)
-    assert flags(out)[0b11]
+    assert out.coeff(0b11) == one
     assert_same_product(out, reference_quantum_wedge(x, y, W2))
     rng = Random(616)
-    units = [HPoly({0: 1}), HPoly({0: -1}), HPoly({1: 1}),
-             HPoly({-1: 1}, laurent=True), HPoly({0: 1}, laurent=True),
-             HPoly({0: -1}, laurent=True)]
+    units = [HPoly({0: 1}), HPoly({0: -1}), HPoly({1: 1}), HPoly({-1: 1}),
+             HPoly({0: 1}), HPoly({0: -1})]
     for _ in range(60):
         dim = rng.choice([2, 4])
         w = random_bivector(rng, dim, span=1)
@@ -849,8 +854,8 @@ def test_quantum_wedge_keeps_laurent_flags():
 # quantum_wedge leaves its integer numerators pending over one
 # denominator; reading terms divides them. eager_quantum_wedge is the
 # loop that divided every coefficient as it left the kernel, kept as the
-# reference for the dict, insertion order and Laurent flags a pending
-# product settles to.
+# reference for the dict and insertion order a pending product settles
+# to.
 
 
 def eager_quantum_wedge(a, b, w):
@@ -870,20 +875,18 @@ def eager_quantum_wedge(a, b, w):
             B = {k: c * lift for k, c in B.items()}
         _wedge_into(acc, n, A, B)
     den = da * db * w.den ** top
-    laurent = a.laurent or b.laurent
     out = {}
     for (e, m), c in acc.items():
         if c:
             out.setdefault(m, {})[e] = over(c, den)
-    return QForm._make({m: HPoly._make(t, laurent) for m, t in out.items()},
-                       a.dim, laurent)
+    return QForm._make({m: HPoly._make(t) for m, t in out.items()}, a.dim)
 
 
 def layout(form):
-    """Space, terms in insertion order, each coefficient's flag and its
-    terms in insertion order with their types."""
-    return (form.dim, form.laurent,
-            [(m, c.laurent, [(e, v, type(v)) for e, v in c.terms.items()])
+    """Space and terms in insertion order, each coefficient's terms in
+    insertion order with their types."""
+    return (form.dim,
+            [(m, [(e, v, type(v)) for e, v in c.terms.items()])
              for m, c in form.terms.items()])
 
 
@@ -900,7 +903,7 @@ def settled(form):
 def fast_path_cases(rng):
     """(a, b, c, w): random operands at dims 2 to 8, some Laurent, some
     Gaussian, some whose products vanish."""
-    lau = HPoly({-1: Fraction(2, 3), 1: 1}, laurent=True)
+    lau = HPoly({-1: Fraction(2, 3), 1: 1})
     cases = []
     for trial in range(70):
         dim = 2 + trial % 7
@@ -928,7 +931,6 @@ def test_pending_product_settles_as_the_eager_loop():
     for a, b, _, w in fast_path_cases(rng):
         p = quantum_wedge(a, b, w)
         assert pending(p) and p.dim == a.dim
-        assert p.laurent == (a.laurent or b.laurent)
         assert layout(settled(p)) == layout(eager_quantum_wedge(a, b, w))
         zeros += p.is_zero()
         # a second read divides nothing more

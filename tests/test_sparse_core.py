@@ -1,12 +1,14 @@
 """The sparse-term core: every ring and form value that arithmetic builds
-is what its public constructor would build from the same dict, holds no
-zero coefficient and no bare int, and carries the Laurent flag of its
-operands. The public constructors still reject malformed outside input."""
+is what its public constructor would build from the same dict and holds
+no zero coefficient and no bare int. No value carries a mode: negative
+powers of h are plain data. The public constructors still reject
+malformed outside input."""
 
 import ast
 import inspect
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -67,7 +69,7 @@ def _rebuilt(x):
     if isinstance(x, GaussRat):
         return GaussRat(x.re, x.im)
     if isinstance(x, HPoly):
-        return HPoly(dict(x.terms), laurent=x.laurent)
+        return HPoly(dict(x.terms))
     if isinstance(x, HPolyMulti):
         return HPolyMulti(x.nparams, dict(x.terms))
     if isinstance(x, TauNumber):
@@ -75,7 +77,7 @@ def _rebuilt(x):
     if isinstance(x, (PolyFn, FourierFn)):
         return type(x)(x.dim, dict(x.terms))
     if isinstance(x, QForm):
-        return QForm(x.dim, dict(x.terms), laurent=x.laurent)
+        return QForm(x.dim, dict(x.terms))
     if isinstance(x, MultiForm):
         return MultiForm(x.dim, x.nparams, dict(x.terms))
     if isinstance(x, FieldForm):
@@ -104,7 +106,7 @@ def _check(x):
         assert (y.re, y.im) == (x.re, x.im)
     else:
         assert y.terms == x.terms
-    for attr in ("laurent", "dim", "nparams", "fnring"):
+    for attr in ("dim", "nparams", "fnring"):
         if hasattr(x, attr):
             assert getattr(y, attr) == getattr(x, attr), attr
     for leaf in _leaves(x):
@@ -115,16 +117,12 @@ def _check(x):
 def _hpolys(rng):
     out = []
     for _ in range(2):
-        # p, its Laurent shift, and p flagged Laurent with no negative power
+        # p, its Laurent shift, and p rebuilt by the public constructor
         p = random_hpoly(rng)
-        out += [p, p.shift(-1), HPoly(dict(p.terms), laurent=True)]
+        out += [p, p.shift(-1), HPoly(dict(p.terms))]
     out.append(HPoly({0: random_gauss(rng), 1: random_fraction(rng) or 1}))
-    out.append(HPoly(laurent=True))
+    out.append(HPoly())
     return out
-
-
-def _binary_law(a, b, r):
-    assert r.laurent == (a.laurent or b.laurent)
 
 
 def _check_scalars(rng):
@@ -132,15 +130,14 @@ def _check_scalars(rng):
     for a in ps:
         for b in ps:
             for r in (a + b, a - b, a * b, (a + b) - b):
-                _binary_law(a, b, _check(r))
+                _check(r)
         for r in (-a, a * 3, a * 0, a * Fraction(2, 3), a * "1/2",
                   a * GaussRat(1, -2), a / 2, a / GaussRat(0, 3),
                   a / HPoly({2: 3}), a.shift(2), a.shift(-3), a.conj(),
                   a + 1, 1 - a, a + GaussRat(0, 1), a - a):
             _check(r)
-        assert (a - a).laurent == a.laurent
-        assert a.shift(-3).laurent == (a.laurent
-                                       or any(e < 3 for e in a.terms))
+        assert a - a == HPoly()
+        assert a.shift(-3) == HPoly({e - 3: c for e, c in a.terms.items()})
 
     g, k = random_gauss(rng), random_gauss(rng) + GaussRat(0, 1)
     for r in (g + k, g - k, -g, g * k, g / k, g.conj(), g + 2, 3 * g, 1 - g,
@@ -200,18 +197,17 @@ def _check_forms(rng):
     w = random_bivector(rng, dim)
     base = [random_qform(rng, dim), random_qform(rng, dim, max_h=0)]
     forms = base + [base[0].h_shift(-1),
-                    QForm(dim, dict(base[1].terms), laurent=True),
-                    QForm.zero(dim, laurent=True)]
+                    QForm(dim, dict(base[1].terms)), QForm.zero(dim)]
     for a in forms:
         for b in forms:
             for r in (a + b, a - b, a.wedge(b), quantum_wedge(a, b, w),
                       (a + b) - b):
-                _binary_law(a, b, _check(r))
-        for r in (-a, a * 0, a * 3, a * HPoly({1: 1}, laurent=True),
+                _check(r)
+        for r in (-a, a * 0, a * 3, a * HPoly({1: 1}),
                   a * GaussRat(0, 1), a / 2, a / HPoly({1: 2}), a.h_shift(2),
                   a.h_shift(-1), insert_first(2, a),
-                  insert_last(a, {1: 2, 3: HPoly({-1: 1}, laurent=True)}),
-                  insert_first([1, 0, HPoly({-1: 1}, laurent=True), 0], a),
+                  insert_last(a, {1: 2, 3: HPoly({-1: 1})}),
+                  insert_first([1, 0, HPoly({-1: 1}), 0], a),
                   symplectic_star(a), a - a):
             _check(r)
     frame = standard_frame(2)
@@ -241,7 +237,7 @@ def _check_fields(rng):
                           quantum_wedge_field(a, b, w)):
                     _check(r)
             for r in (-a, a * 0, a * 2, a * GaussRat(1, 1), a * fn,
-                      a * HPoly({-1: 1, 2: 3}, laurent=True),
+                      a * HPoly({-1: 1, 2: 3}),
                       a.h_shift(-2), insert_coord(1, a),
                       contract_field(w, a), exterior_d(a), koszul_delta(a, w),
                       quantum_d(a, w)):
@@ -283,7 +279,7 @@ _FN = PoissonField(2, {(1, 2): PolyFn.coord(2, 1)})
 
 MALFORMED = [
     (lambda: GaussRat(1.5), TypeError),
-    (lambda: HPoly({-1: 1}), ValueError),
+    (lambda: HPoly({0.5: 1}), TypeError),
     (lambda: HPoly({0: 0.5}), TypeError),
     (lambda: HPolyMulti(2, {(1,): 1}), ValueError),
     (lambda: HPolyMulti(2, {(-1, 0): 1}), ValueError),
@@ -296,7 +292,7 @@ MALFORMED = [
     (lambda: FourierFn(1, {(0,): 0.5}), TypeError),
     (lambda: QForm(2, {0b100: 1}), ValueError),
     (lambda: QForm(2, {0: 0.5}), TypeError),
-    (lambda: QForm(2, {0: {-1: 1}}), ValueError),
+    (lambda: QForm(2, {0: {1.5: 3}}), TypeError),
     (lambda: MultiForm(2, 2, {0: {(1,): 1}}), ValueError),
     (lambda: FieldForm(2, PolyFn, {(0, 0b100): 1}), ValueError),
     (lambda: FieldForm(2, PolyFn, {(0, 0): 0.5}), TypeError),
@@ -307,6 +303,13 @@ MALFORMED = [
                                  [_FN]), TypeError),
     (lambda: quantum_wedge(QForm.basis(2, (1,)), QForm.basis(2, (2,)),
                            PairTensor(2, {(1, 2): HPoly({1: 1})})), TypeError),
+    # an exponent key is an int: never a float, never a bool
+    (lambda: HPoly({True: 1}), TypeError),
+    (lambda: HPolyMulti(2, {(1.5, 0): 1}), TypeError),
+    (lambda: TauNumber({0.5: 1}), TypeError),
+    (lambda: PolyFn(2, {(1.5, 0): 1}), TypeError),
+    (lambda: FourierFn(2, {(0, 0.5): 1}), TypeError),
+    (lambda: FieldForm(2, PolyFn, {(0.5, 0): 1}), TypeError),
 ]
 
 
@@ -359,12 +362,9 @@ def _ref_times_hpoly(form, p):
     return t
 
 
-def _ref_space(a, b=None):
-    space = {k: getattr(a, k) for k in ("dim", "nparams", "fnring")
-             if hasattr(a, k)}
-    if hasattr(a, "laurent"):
-        space["laurent"] = a.laurent or bool(b is not None and b.laurent)
-    return space
+def _ref_space(a):
+    return {k: getattr(a, k) for k in ("dim", "nparams", "fnring")
+            if hasattr(a, k)}
 
 
 def _ref_hash(x):
@@ -380,8 +380,8 @@ def _shape(x):
     """Type, space and terms in insertion order, all the way down."""
     if not hasattr(x, "terms"):
         return (type(x).__name__, x)
-    space = {k: getattr(x, k) for k in ("dim", "nparams", "fnring",
-                                         "laurent") if hasattr(x, k)}
+    space = {k: getattr(x, k) for k in ("dim", "nparams", "fnring")
+             if hasattr(x, k)}
     return (type(x).__name__, space,
             [(k, _shape(c)) for k, c in x.terms.items()])
 
@@ -416,8 +416,7 @@ def _operands(rng):
                  moyal_product(random_polyfn(rng, 2), random_polyfn(rng, 2),
                                random_bivector(rng, 2)), PolyFn.zero(2)],
         FourierFn: [random_fourierfn(rng, 2) for _ in range(3)],
-        QForm: [qs[0], qs[1].h_shift(-1), QForm(4, dict(qs[2].terms),
-                                                laurent=True),
+        QForm: [qs[0], qs[1].h_shift(-1), QForm(4, dict(qs[2].terms)),
                 QForm.zero(4)],
         MultiForm: [quantum_wedge_multi(qs[k], qs[k + 1], ws)
                     for k in range(2)],
@@ -432,16 +431,14 @@ def test_core_matches_the_per_class_loops():
             for a in values:
                 _expect(-a, cls, _ref_space(a), _ref_neg(a))
                 for b in values:
-                    _expect(a + b, cls, _ref_space(a, b), _ref_sum(a, b, 1))
-                    _expect(a - b, cls, _ref_space(a, b),
-                            _ref_sum(a, b, -1))
+                    _expect(a + b, cls, _ref_space(a), _ref_sum(a, b, 1))
+                    _expect(a - b, cls, _ref_space(a), _ref_sum(a, b, -1))
                     assert (a == b) == (a.terms == b.terms)
                     if cls in _RINGS:
-                        _expect(a * b, cls, _ref_space(a, b),
+                        _expect(a * b, cls, _ref_space(a),
                                 _ref_convolve(a, b))
                 if cls is FieldForm:
-                    p = HPoly({-1: 2, 0: 1, 3: random_fraction(rng) or 1},
-                              laurent=True)
+                    p = HPoly({-1: 2, 0: 1, 3: random_fraction(rng) or 1})
                     _expect(a * p, cls, _ref_space(a),
                             _ref_times_hpoly(a, p))
 
@@ -453,13 +450,12 @@ def test_scalar_multiples_match_and_keep_the_zero_short_cut():
                TauNumber: (3, Fraction(1, 2)),
                PolyFn: (3, GaussRat(1, 1), HPoly({1: 2})),
                FourierFn: (3, GaussRat(0, 2), TauNumber.tau()),
-               QForm: (3, GaussRat(0, 1), HPoly({1: 1}, laurent=True)),
+               QForm: (3, GaussRat(0, 1), HPoly({1: 1})),
                FieldForm: (3, GaussRat(1, 1))}
     for cls, values in scalars.items():
         for a in ops[cls]:
             for s in values:
-                space = _ref_space(a, s if isinstance(s, HPoly)
-                                   and cls is QForm else None)
+                space = _ref_space(a)
                 _expect(a * s, cls, space,
                         {k: c * s for k, c in a.terms.items()})
                 _expect(s * a, cls, space,
@@ -516,9 +512,6 @@ def test_space_mismatch_raises_and_compares_unequal():
     # zero values on different spaces differ too
     assert PolyFn.zero(1) != PolyFn.zero(2)
     assert QForm.zero(2) != QForm.zero(4)
-    # the Laurent flag is not part of equality
-    assert HPoly({0: 1}) == HPoly({0: 1}, laurent=True)
-    assert QForm.scalar(2, 1) == QForm.scalar(2, 1, laurent=True)
 
 
 def test_scalars_combine_from_either_side():
@@ -569,3 +562,27 @@ def test_no_class_keeps_its_own_arithmetic():
                              and isinstance(n.func, ast.Name)]
                     assert "add_term" not in calls, \
                         f"{cls.__name__}.{fn.name} keeps a product loop"
+
+
+def test_no_value_carries_a_laurent_flag():
+    # negative powers of h are plain data: no class of the package keeps
+    # a laurent slot and no function takes a laurent parameter
+    src = Path(__file__).resolve().parent.parent / "src" / "qdr"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.Assign) and any(
+                            isinstance(t, ast.Name) and t.id == "__slots__"
+                            for t in stmt.targets)
+                            and "laurent" in ast.literal_eval(stmt.value)):
+                        found.append(f"{path.name}:{node.name}.__slots__")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [
+                    p for p in (a.vararg, a.kwarg) if p]
+                if any(p.arg == "laurent" for p in params):
+                    found.append(f"{path.name}:{node.name}")
+    assert found == []
+    assert HPoly.__slots__ == () and QForm.__slots__ == ("dim",)

@@ -95,7 +95,7 @@ def test_star_frozen_table_dim2():
     # h flips sign of exponent through the star
     hform = QForm.scalar(2, HPoly({1: 1}))
     assert symplectic_star(hform, OM2) == \
-        QForm(2, {(1, 2): HPoly({-1: 1}, laurent=True)}, laurent=True)
+        QForm(2, {(1, 2): HPoly({-1: 1})})
 
 
 # every off-diagonal entry of w is nonzero (over 31), so no minor
@@ -130,6 +130,24 @@ def test_star_square_identity():
             assert symplectic_star(symplectic_star(b, om), om) == b
 
 
+def test_omega_powers_are_worked_out_once():
+    for om in (OM2, OM4, OM6):
+        powers = om.powers
+        assert powers is om.powers
+        assert len(powers) == om.n + 1
+        assert powers[0] == QForm.scalar(om.dim, 1)
+        assert powers[1] == om.form
+        fact = 1
+        power = QForm.scalar(om.dim, 1)
+        for k in range(1, om.n + 1):
+            fact *= k
+            power = wedge(power, om.form)
+            assert powers[k] == power * Fraction(1, fact)
+        assert om.volume is powers[-1]
+        top = (1 << om.dim) - 1
+        assert om.volume == QForm(om.dim, {top: om.volume_coeff})
+
+
 def test_star_volume():
     assert symplectic_star(QForm.scalar(4, 1), OM4) == OM4.volume
     assert symplectic_star(OM4.volume, OM4) == QForm.scalar(4, 1)
@@ -157,11 +175,10 @@ def test_lefschetz_quantum_frozen():
 
 def test_lhstar_frozen():
     out = apply_Lhstar(QForm.scalar(2, 1), OM2)
-    want = QForm(2, {(1, 2): HPoly({-2: 1}, laurent=True),
-                     0: HPoly({-1: -2}, laurent=True)}, laurent=True)
+    want = QForm(2, {(1, 2): HPoly({-2: 1}), 0: HPoly({-1: -2})})
     assert out == want
     assert apply_Lhstar(QForm.one_form(2, 1), OM2) == \
-        QForm(2, {(1,): HPoly({-1: -1}, laurent=True)}, laurent=True)
+        QForm(2, {(1,): HPoly({-1: -1})})
 
 
 def test_ah_counting():
@@ -223,7 +240,7 @@ def test_lh_family_brackets():
 
         def a_graded(f):
             return QForm(f.dim, {m: c * (n - blade_degree(m))
-                                 for m, c in f.terms.items()}, laurent=True)
+                                 for m, c in f.terms.items()})
 
         def fam_l(f):
             return (apply_L(f, om) + s * a_graded(f).h_shift(1)
@@ -246,8 +263,7 @@ def test_lh_family_brackets():
                 assert fam_a(b) == apply_Ah(b, om)
         for mask in range(1 << om.dim):
             for j in (-1, 0, 1):
-                bj = QForm(om.dim, {mask: HPoly({j: 1}, laurent=True)},
-                           laurent=True)
+                bj = QForm(om.dim, {mask: HPoly({j: 1})})
                 assert bracket(fam_l, fam_a, bj) == 2 * fam_l(bj)
                 assert bracket(fam_lstar, fam_a, bj) == -2 * fam_lstar(bj)
                 assert bracket(fam_l, fam_lstar, bj).is_zero()
