@@ -33,6 +33,9 @@ from .scalars import GaussRat, HPoly, I, add_term
 from .symplectic import SymplecticForm, bivector_of
 
 _HALF = Fraction(1, 2)
+# GaussRat values are never changed in place, so every sum and table
+# starts from this one zero
+_ZERO = GaussRat()
 
 
 def i_pow(k: int) -> GaussRat:
@@ -248,9 +251,9 @@ def _frame_change(n: int):
     """C and its inverse D on 2n covectors: kappa^j = sum_a C[j][a] f^a
     for the frame f^a = kappa^{2a-1} + i kappa^{2a} and its conjugate
     f^{n+a} = kappa^{2a-1} - i kappa^{2a}, which are the rows of D."""
-    zero, one, half = GaussRat(), GaussRat(1), GaussRat(_HALF)
-    C = [[zero] * (2 * n) for _ in range(2 * n)]
-    D = [[zero] * (2 * n) for _ in range(2 * n)]
+    one, half = GaussRat(1), GaussRat(_HALF)
+    C = [[_ZERO] * (2 * n) for _ in range(2 * n)]
+    D = [[_ZERO] * (2 * n) for _ in range(2 * n)]
     for a in range(n):
         D[a][2 * a], D[a][2 * a + 1] = one, I
         D[n + a][2 * a], D[n + a][2 * a + 1] = one, -I
@@ -274,8 +277,7 @@ def _upper_bivector(wm) -> Bivector:
 
 def _conjugate_pairs(n: int, val):
     """The 2n x 2n table with val at (a, n + a) and -val at (n + a, a)."""
-    zero = GaussRat()
-    out = [[zero] * (2 * n) for _ in range(2 * n)]
+    out = [[_ZERO] * (2 * n) for _ in range(2 * n)]
     for a in range(n):
         out[a][n + a], out[n + a][a] = val, -val
     return out
@@ -340,7 +342,7 @@ def hermitian_pairing(a: BigradedForm, b: BigradedForm) -> GaussRat:
     """Contract the product at parameter one and apply the prefactor of
     the first argument's bidegree.  Antilinear in the second argument."""
     if a.is_zero() or b.is_zero():
-        return GaussRat()
+        return _ZERO
     deg = a.bidegree()
     if deg is None:
         raise ValueError("first pairing argument has mixed bidegree")
@@ -373,7 +375,7 @@ def _at_one(form: QForm) -> dict:
 
 def _pair_at_one(a1: dict, b1: dict, gram: dict) -> GaussRat:
     """The sum of a1[ma] conj(b1[mb]) G[ma, mb] over two forms at h = 1."""
-    total = GaussRat()
+    total = _ZERO
     for ma, ca in a1.items():
         for mb, cb in b1.items():
             g = gram.get((ma, mb))

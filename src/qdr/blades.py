@@ -103,17 +103,6 @@ class Blade:
     def indices(self):
         return indices_of_mask(self.mask)
 
-    @property
-    def degree(self) -> int:
-        return blade_degree(self.mask)
-
-    def wedge(self, other: "Blade"):
-        """Returns (sign, Blade); sign 0 means the product vanishes."""
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        s, m = wedge_masks(self.mask, other.mask)
-        return s, Blade(self.dim, m)
-
     def __eq__(self, other):
         return (isinstance(other, Blade) and self.dim == other.dim
                 and self.mask == other.mask)

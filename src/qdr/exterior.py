@@ -24,11 +24,20 @@ The kernel, _contractions, walks the sets J depth first and keeps both
 factors whole: A_J and B_J come from J's parent, J without its lowest
 index, by one more contraction each. So blades of a that lose different
 indices to the same remainder merge into one term before the next
-contraction, and every blade of b that holds J shares one A_J. A branch
-ends when A_J is zero, so |J| never passes the lower of the two top
-blade degrees and a zero column of w prunes its branch. Everything is
-exact: coefficients are Laurent polynomials in h over the rationals, or
-functions for fields.quantum_wedge_field.
+contraction, and every blade of b that holds J shares one A_J. A term
+of A_J is dropped the moment its sum reaches zero, so A_J is zero-free
+as it is built, and a branch ends when A_J is empty: |J| never passes
+the lower of the two top blade degrees and a zero column of w prunes
+its branch. Everything is exact: coefficients are Laurent polynomials
+in h over the rationals, or functions for fields.quantum_wedge_field.
+
+The walk draws J from the blades of its right factor, so its cost
+follows that factor. Reversal, e^{i1}^...^e^{ik} -> (-1)^(k(k-1)/2)
+e^{i1}^...^e^{ik}, reverses the factors of a wedge and turns R_v into
+L_v, so rev(a *_w b) = rev(b) *_{w^T} rev(a). When b's blades admit more
+sets J than a's, counted as the sum of 2^k over the terms of blade
+degree k, product_numerators walks the reversed product on the
+pairing's row table, the column table of w^T, and reverses the result.
 
 The kernel is fraction-free, after Bareiss (Math. Comp. 22, 1968). A
 pairing keeps its nonzero entries as numerators over one common
@@ -38,23 +47,23 @@ rationals with int parts for Gaussian ones and PolyFns with int leaves
 for polynomial ones. Each R_{w_j} then multiplies by numerators, so A_J
 is D^|J| times its value. One driver, product_numerators, takes both
 factors as numerators over their denominators da and db, lifts level n
-by D^(top - n) for the lower top degree top and adds numerators over
-the one denominator da * db * D^top. quantum_wedge clears its factors'
-coefficients and keeps the driver's integer numerators pending
-(scalars.PendingTerms): the first read of its terms divides each once,
-into a Fraction or a Gaussian rational with Fraction parts
-(scalars.over). Until then the numerators are read as they are: a
-later quantum_wedge takes them with the denominator, == between two
-pending products cross-multiplies them, a rational multiple scales
-them, the zero test asks whether there are any, and str reduces each
-over the denominator by their gcd (Gaussian ones settle first). So an
-associativity or supercommutativity check, and the zero test of a
+by D^(top - n) for the lower top degree top, as it multiplies B_J into
+the sum, and adds numerators over the one denominator da * db * D^top.
+quantum_wedge clears its factors' coefficients and keeps the driver's
+integer numerators pending (scalars.PendingTerms): the first read of
+its terms divides each once, into a Fraction or a Gaussian rational
+with Fraction parts (scalars.over). Until then the numerators are read
+as they are: a later quantum_wedge takes them with the denominator, ==
+between two pending products cross-multiplies them, a rational multiple
+scales them, the zero test asks whether there are any, and str reduces
+each over the denominator by their gcd (Gaussian ones settle first). So
+an associativity or supercommutativity check, and the zero test of a
 deformed power, divide nothing. fields.quantum_wedge_field clears its
-factors' coefficient functions to int leaves, calls the same driver
-and divides each coefficient of the product once. A value with leaves
-that clearing does not reach (a Moyal product's HPoly-valued PolyFn)
-goes through as it is, over 1. quantum_wedge_multi divides B_J by
-D^|J| instead, once per B_J.
+factors' coefficient functions to int leaves, calls the same driver and
+divides each coefficient of the product once. A value with leaves that
+clearing does not reach (a Moyal product's HPoly-valued PolyFn) goes
+through as it is, over 1. quantum_wedge_multi divides B_J by D^|J|
+instead, once per B_J.
 """
 
 from __future__ import annotations
@@ -102,11 +111,15 @@ class PairTensor:
         self._constant = all(isinstance(c, (Fraction, int, GaussRat))
                              for c in self.entries.values())
         # per column j, the (bit of i, i, num) of its nonzero entries,
-        # num = D * w^{ij} over the common denominator D = self.den
+        # num = D * w^{ij} over the common denominator D = self.den, and
+        # per row i the (bit of j, j, num) of the same entries: the
+        # column table of the transpose
         nums, self.den = clear_denominators(c for _, _, c in self._ordered)
         self._cols = [[] for _ in range(dim + 1)]
+        self._rows = [[] for _ in range(dim + 1)]
         for (i, j, _), num in zip(self._ordered, nums):
             self._cols[j].append((1 << (i - 1), i, num))
+            self._rows[i].append((1 << (j - 1), j, num))
 
     def entry(self, i: int, j: int):
         return self.entries.get((i, j), _ZERO)
@@ -179,21 +192,24 @@ class Bivector(PairTensor):
         return Bivector(self.dim, out)
 
 
-def _contractions(A: dict, B: dict, w: PairTensor):
+def _contractions(A: dict, B: dict, cols: list):
     """Every term of the J-sum of the module docstring, as (n, A_J, B_J).
 
     A and B are terms {(tag, mask): coefficient}; the tag passes through
-    unchanged. A_J = R_{w_j1} ... R_{w_jn} A and B_J = L_j1 ... L_jn B
+    unchanged. cols is a pairing's column table: cols[j] lists the
+    (bit of i, i, numerator of w^{ij}) of column j, over the pairing's
+    denominator. A_J = R_{w_j1} ... R_{w_jn} A and B_J = L_j1 ... L_jn B
     for J = {j1 < ... < jn}, with R_{w_j} = sum_i w^{ij} R_i filling the
     last slot of A's blades and L_j the first slot of B's, each by its
-    pairing numerator (over w.den). The sets J come depth first: a child
-    adds to its parent an index below the parent's lowest, so only the
-    bits of B's blades below that index are tried, and a branch ends
-    once A_J, whose merged terms are kept zero-free, is zero. The dicts
-    yielded are shared with the walk and must not be changed.
+    pairing numerator. The sets J come depth first: a child adds to its
+    parent an index below the parent's lowest, so only the bits of B's
+    blades below that index are tried. A_J drops a term as soon as its
+    sum reaches zero, so it is zero-free as it is built, and a branch
+    ends once it is empty. The dicts yielded are shared with the walk
+    and must not be changed.
     """
-    cols = w._cols
-    stack = [(0, A, B, 1 << w.dim)]
+    # the first limit lies above every index
+    stack = [(0, A, B, 1 << len(cols))]
     while stack:
         n, A, B, limit = stack.pop()
         yield n, A, B
@@ -216,11 +232,14 @@ def _contractions(A: dict, B: dict, w: PairTensor):
                     p = c * num
                     prev = A2.get(key)
                     # last-slot sign: the bits of the blade above i
-                    if (m >> i).bit_count() & 1:
-                        A2[key] = -p if prev is None else prev - p
+                    if prev is None:
+                        A2[key] = -p if (m >> i).bit_count() & 1 else p
+                        continue
+                    p = prev - p if (m >> i).bit_count() & 1 else prev + p
+                    if p:
+                        A2[key] = p
                     else:
-                        A2[key] = p if prev is None else prev + p
-            A2 = {k: c for k, c in A2.items() if c}
+                        del A2[key]
             if not A2:
                 continue
             # first-slot sign: the bits of the blade below j
@@ -229,12 +248,14 @@ def _contractions(A: dict, B: dict, w: PairTensor):
             stack.append((n + 1, A2, B2, bit))
 
 
-def _wedge_into(acc: dict, n: int, A: dict, B: dict) -> None:
-    """acc[(ta + tb + n, ma | mb)] += sign * ca * cb over the terms of A
-    and B with disjoint blades, the sign that of concatenating the blades.
-    acc may keep zero sums."""
+def _wedge_into(acc: dict, n: int, A: dict, B: dict, lift=1) -> None:
+    """acc[(ta + tb + n, ma | mb)] += sign * ca * cb * lift over the terms
+    of A and B with disjoint blades, the sign that of concatenating the
+    blades. acc may keep zero sums."""
     for (tb, mb), cb in B.items():
         tb += n
+        if lift != 1:
+            cb = cb * lift
         # bit k of par is the parity of the bits of mb below k, so the
         # concatenation sign of ma ^ mb is the parity of ma & par
         par = 0
@@ -243,14 +264,16 @@ def _wedge_into(acc: dict, n: int, A: dict, B: dict) -> None:
             low = rest & -rest
             rest ^= low
             par ^= -(low << 1)
-        neg = -cb
         for (ta, ma), ca in A.items():
             if ma & mb:
                 continue
             key = (ta + tb, ma | mb)
-            p = ca * (neg if (ma & par).bit_count() & 1 else cb)
+            p = ca * cb
             prev = acc.get(key)
-            acc[key] = p if prev is None else prev + p
+            if (ma & par).bit_count() & 1:
+                acc[key] = -p if prev is None else prev - p
+            else:
+                acc[key] = p if prev is None else prev + p
 
 
 def expand_blade_pair(amask: int, bmask: int, pairing: PairTensor):
@@ -264,7 +287,8 @@ def expand_blade_pair(amask: int, bmask: int, pairing: PairTensor):
     a mask.
     """
     out = []
-    for n, A, B in _contractions({(0, amask): 1}, {(0, bmask): 1}, pairing):
+    for n, A, B in _contractions({(0, amask): 1}, {(0, bmask): 1},
+                                 pairing._cols):
         acc = {}
         _wedge_into(acc, n, A, B)
         out.extend((n, m, c) for (_, m), c in acc.items() if c)
@@ -581,16 +605,36 @@ def product_numerators(ta: dict, da, tb: dict, db, w: PairTensor):
 
     No contraction passes the lower top blade degree top of the two, so
     level n, whose A_J is D^n times its value, is lifted by D^(top - n)
-    and every level adds into one sum."""
+    and every level adds into one sum. The walk draws its sets J from
+    the blades of its right factor, so when b's blades admit more sets
+    than a's, it runs on the reversed product rev(b) *_{w^T} rev(a),
+    whose reversal is a *_w b."""
     top = min(max((m.bit_count() for _, m in ta), default=0),
               max((m.bit_count() for _, m in tb), default=0))
+    cols = w._cols
+    flip = _index_sets(tb) > _index_sets(ta)
+    if flip:
+        ta, tb, cols = _reversed(tb), _reversed(ta), w._rows
+    den = w.den
     acc = {}
-    for n, A, B in _contractions(ta, tb, w):
-        lift = w.den ** (top - n)
-        if lift != 1:
-            B = {k: c * lift for k, c in B.items()}
-        _wedge_into(acc, n, A, B)
-    return {k: c for k, c in acc.items() if c}, da * db * w.den ** top
+    for n, A, B in _contractions(ta, tb, cols):
+        _wedge_into(acc, n, A, B, den ** (top - n))
+    nums = {k: c for k, c in acc.items() if c}
+    return _reversed(nums) if flip else nums, da * db * den ** top
+
+
+def _index_sets(terms: dict) -> int:
+    """The sum of 2^k over terms {(tag, mask): c} of blade degree k: a
+    bound on the sets J the walk draws from them."""
+    return sum(1 << m.bit_count() for _, m in terms)
+
+
+def _reversed(terms: dict) -> dict:
+    """Reversal, e^{i1}^...^e^{ik} -> (-1)^(k(k-1)/2) e^{i1}^...^e^{ik},
+    on terms {(tag, mask): c}. It reverses the order of the factors of a
+    wedge and swaps the first and last slots, so it turns a *_w b into
+    rev(b) *_{w^T} rev(a)."""
+    return {k: -c if k[1].bit_count() & 2 else c for k, c in terms.items()}
 
 
 def _numerators(form: QForm):
@@ -730,7 +774,7 @@ def quantum_wedge_multi(a: QForm, b: QForm, ws) -> MultiForm:
     for p, w in enumerate(ws):
         nxt = []
         for e, A, B in states:
-            for n, A2, B2 in _contractions(A, B, w):
+            for n, A2, B2 in _contractions(A, B, w._cols):
                 if n and w.den != 1:
                     den = w.den ** n
                     B2 = {k: over(c, den) for k, c in B2.items()}

@@ -646,13 +646,6 @@ class HPolyMulti(SparseRing):
             if c:
                 self.terms[e] = c
 
-    @staticmethod
-    def h(nparams: int, j: int, exp: int = 1, coeff=1) -> "HPolyMulti":
-        """The monomial coeff * h_j^exp (j is 1-based)."""
-        e = [0] * nparams
-        e[j - 1] = exp
-        return HPolyMulti(nparams, {tuple(e): as_fraction(coeff)})
-
     _KEYSUM = staticmethod(add_keys)
 
     def _operand(self, other):

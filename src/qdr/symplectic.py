@@ -43,22 +43,22 @@ class SymplecticForm:
                     raise ValueError("matrix is not antisymmetric")
         self.matrix = rows
         self._winv = mat_inv(rows)  # raises on singular input
+        self._form = None
         self._bivector = None
         self._powers = None
 
-    @staticmethod
-    def standard(dim: int) -> "SymplecticForm":
-        return SymplecticForm(dim)
-
     @property
     def form(self) -> QForm:
-        terms = {}
-        for i in range(1, self.dim + 1):
-            for j in range(i + 1, self.dim + 1):
-                c = self.matrix[i - 1][j - 1]
-                if c:
-                    terms[(i, j)] = c
-        return QForm(self.dim, terms)
+        """The plain form sum_{i<j} omega_ij e^i ^ e^j, built once."""
+        if self._form is None:
+            terms = {}
+            for i in range(1, self.dim + 1):
+                for j in range(i + 1, self.dim + 1):
+                    c = self.matrix[i - 1][j - 1]
+                    if c:
+                        terms[(i, j)] = c
+            self._form = QForm(self.dim, terms)
+        return self._form
 
     @property
     def bivector(self) -> Bivector:

@@ -13,6 +13,7 @@ from qdr import exterior, fields
 from qdr.bigraded import Frame, standard_frame
 from qdr.blades import (
     Blade,
+    blade_degree,
     indices_of_mask,
     insert_first_mask,
     insert_last_mask,
@@ -230,9 +231,9 @@ def test_multi_requires_classical_inputs():
 
 def test_blade_type():
     b = Blade(4, (1, 3))
-    assert b.degree == 2 and b.indices == (1, 3)
-    s, c = b.wedge(Blade(4, (2,)))
-    assert s == -1 and c.indices == (1, 2, 3)
+    assert blade_degree(b.mask) == 2 and b.indices == (1, 3)
+    s, m = wedge_masks(b.mask, Blade(4, (2,)).mask)
+    assert s == -1 and indices_of_mask(m) == (1, 2, 3)
     with pytest.raises(ValueError):
         Blade(2, (1, 3))
     with pytest.raises(ValueError):
@@ -318,7 +319,9 @@ def reference_quantum_wedge_multi(a, b, ws):
                 n = 0
                 fact = Fraction(1)
                 while level:
-                    weight = HPolyMulti.h(r, p, n, Fraction(1) / fact)
+                    # the monomial h_p^n / n!
+                    weight = HPolyMulti(r, {(0,) * (p - 1) + (n,)
+                                            + (0,) * (r - p): 1 / fact})
                     for key, c in level.items():
                         add = c * weight
                         prev = acc.get(key)
@@ -516,8 +519,8 @@ def test_field_product_divides_once_per_output_coefficient(monkeypatch):
         divided.append(1)
         return real_over(num, den)
 
-    def walk(A, B, w):
-        for level in real_walk(A, B, w):
+    def walk(A, B, cols):
+        for level in real_walk(A, B, cols):
             # nothing is divided while the J-sum is walked
             assert not divided
             levels.append(level[0])
@@ -600,7 +603,8 @@ def contraction_minors(amask, bmask, w):
     contractions of two unit blades: B_J is one signed blade, so each
     term of A_J times it is one signed minor."""
     out = {}
-    for n, A, B in _contractions({(0, amask): 1}, {(0, bmask): 1}, w):
+    for n, A, B in _contractions({(0, amask): 1}, {(0, bmask): 1},
+                                 w._cols):
         [((_, b2), cb)] = B.items()
         for (_, a2), ca in A.items():
             assert (n, a2, b2) not in out
@@ -853,9 +857,9 @@ def test_quantum_wedge_keeps_laurent_flags():
 #
 # quantum_wedge leaves its integer numerators pending over one
 # denominator; reading terms divides them. eager_quantum_wedge is the
-# loop that divided every coefficient as it left the kernel, kept as the
-# reference for the dict and insertion order a pending product settles
-# to.
+# loop that divided every coefficient as it left the kernel, always
+# drawing the sets J from b, kept as the reference for the values and
+# coefficient types a pending product settles to.
 
 
 def eager_quantum_wedge(a, b, w):
@@ -869,11 +873,8 @@ def eager_quantum_wedge(a, b, w):
     top = min(max((m.bit_count() for m in a.terms), default=0),
               max((m.bit_count() for m in b.terms), default=0))
     acc = {}
-    for n, A, B in _contractions(ta, tb, w):
-        lift = w.den ** (top - n)
-        if lift != 1:
-            B = {k: c * lift for k, c in B.items()}
-        _wedge_into(acc, n, A, B)
+    for n, A, B in _contractions(ta, tb, w._cols):
+        _wedge_into(acc, n, A, B, w.den ** (top - n))
     den = da * db * w.den ** top
     out = {}
     for (e, m), c in acc.items():
@@ -888,6 +889,25 @@ def layout(form):
     return (form.dim,
             [(m, [(e, v, type(v)) for e, v in c.terms.items()])
              for m, c in form.terms.items()])
+
+
+def typed(form):
+    """Space and {(mask, h exponent): (coefficient, its type)}, in no
+    order."""
+    return (form.dim, {(m, e): (v, type(v)) for m, c in form.terms.items()
+                       for e, v in c.terms.items()})
+
+
+def settled_by_hand(form):
+    """The layout a pending form settles to: its numerators in their
+    order, grouped by mask in order of first appearance, each over the
+    denominator."""
+    nums, den = form._pending
+    out = {}
+    for (e, m), c in nums.items():
+        v = over(c, den)
+        out.setdefault(m, []).append((e, v, type(v)))
+    return form.dim, list(out.items())
 
 
 def pending(form):
@@ -931,7 +951,10 @@ def test_pending_product_settles_as_the_eager_loop():
     for a, b, _, w in fast_path_cases(rng):
         p = quantum_wedge(a, b, w)
         assert pending(p) and p.dim == a.dim
-        assert layout(settled(p)) == layout(eager_quantum_wedge(a, b, w))
+        by_hand = settled_by_hand(p)
+        eager = eager_quantum_wedge(a, b, w)
+        assert layout(settled(p)) == by_hand
+        assert p == eager and typed(p) == typed(eager)
         zeros += p.is_zero()
         # a second read divides nothing more
         assert p.terms is p.terms
@@ -1068,3 +1091,126 @@ def test_associativity_check_clears_only_its_three_operands(monkeypatch):
     text = str(left)
     assert pending(left) and not divided
     assert text == str(settled(right)) and divided
+
+
+# ------------------------------------------------ orientation of the walk
+#
+# The walk draws its sets J from the blades of its right factor. Reversal
+# e^I -> (-1)^(k(k-1)/2) e^I, k = |I|, reverses the factors of a wedge
+# and swaps the first and last slots, so rev(a *_w b) = rev(b) *_{w^T}
+# rev(a): product_numerators walks that product instead when b's blades
+# admit more sets than a's.
+
+
+def reversal_sign(mask):
+    k = mask.bit_count()
+    return (-1) ** (k * (k - 1) // 2)
+
+
+def reversed_form(form):
+    if isinstance(form, QForm):
+        return QForm(form.dim, {m: c * reversal_sign(m)
+                                for m, c in form.terms.items()})
+    return fields.FieldForm(form.dim, form.fnring,
+                            {(e, m): c * reversal_sign(m)
+                             for (e, m), c in form.terms.items()})
+
+
+def transposed(w):
+    return PairTensor(w.dim, {(j, i): c for i, j, c in w.ordered_entries()})
+
+
+def index_sets(terms):
+    return sum(2 ** m.bit_count() for _, m in terms)
+
+
+def forced_walk(ta, da, tb, db, w, reverse):
+    """(nums, den) of the product from the kernel's pieces, the sets J
+    drawn from b's blades, or from a's through the reversed product.
+    Every A_J the walk yields is checked to be zero-free."""
+    top = min(max((m.bit_count() for _, m in ta), default=0),
+              max((m.bit_count() for _, m in tb), default=0))
+
+    def rev(terms):
+        return {(t, m): c * reversal_sign(m) for (t, m), c in terms.items()}
+    cols = w._cols
+    if reverse:
+        ta, tb, cols = rev(tb), rev(ta), w._rows
+    acc = {}
+    for n, A, B in _contractions(ta, tb, cols):
+        assert all(A.values())
+        _wedge_into(acc, n, A, B, w.den ** (top - n))
+    nums = {k: c for k, c in acc.items() if c}
+    return rev(nums) if reverse else nums, da * db * w.den ** top
+
+
+def orientation_cases():
+    """(a, b, w, the module's _numerators): the fast-path operands in
+    both orders, and FieldForm pairs over pairings with PolyFn
+    entries."""
+    cases = [(x, y, w, exterior._numerators)
+             for a, b, _, w in fast_path_cases(Random(926))
+             for x, y in ((a, b), (b, a))]
+    rng = Random(927)
+    for model in (lie_poisson_so3(), heisenberg()):
+        for _ in range(8):
+            x, y = (random_fieldform(rng, model, nterms=rng.randint(1, 4))
+                    for _ in range(2))
+            cases.append((x, y, model.poisson, fields._numerators))
+    return cases
+
+
+def test_both_orientations_give_the_same_numerators(monkeypatch):
+    real_walk = exterior._contractions
+    right = []
+
+    def walk(A, B, cols):
+        right.append(B)
+        return real_walk(A, B, cols)
+    monkeypatch.setattr(exterior, "_contractions", walk)
+    flips = set()
+    for a, b, w, numerators in orientation_cases():
+        ta, da = numerators(a)
+        tb, db = numerators(b)
+        right.clear()
+        got = exterior.product_numerators(ta, da, tb, db, w)
+        assert got == forced_walk(ta, da, tb, db, w, False) \
+            == forced_walk(ta, da, tb, db, w, True)
+        # the walk's right factor is the one with fewer sets J, b on a tie
+        flip = index_sets(tb) > index_sets(ta)
+        assert index_sets(right[0]) == min(index_sets(ta), index_sets(tb))
+        assert set(right[0]) == set(ta if flip else tb)
+        flips.add(flip)
+    assert flips == {True, False}
+
+
+def test_reversal_turns_a_product_into_the_transposed_one():
+    for a, b, w, _ in orientation_cases():
+        product = (quantum_wedge if isinstance(a, QForm)
+                   else fields.quantum_wedge_field)
+        left = reversed_form(product(a, b, w))
+        right = product(reversed_form(b), reversed_form(a), transposed(w))
+        assert left == right
+        assert left.serialize() == right.serialize()
+
+
+def test_a_sum_through_zero_and_back_is_exact():
+    # column 4 holds w^{14} = w^{24} = w^{54} = 1, so R_{w_4} takes e1^e3,
+    # e2^e3 and e3^e5 to e3 with the signs -, - and +: the e3 sum reaches
+    # zero at the second term and the third brings it back
+    w = PairTensor(5, {(1, 4): 1, (2, 4): 1, (5, 4): 1})
+    A = {(0, 0b00101): 1, (0, 0b00110): -1, (0, 0b10100): 2}
+    e4 = {(0, 0b01000): 1}
+    levels = [(n, dict(A_J)) for n, A_J, _ in _contractions(A, e4, w._cols)]
+    assert levels == [(0, A), (1, {(0, 0b00100): 2})]
+    # without the third term the sum stays at zero and the branch ends
+    del A[(0, 0b10100)]
+    assert [n for n, _, _ in _contractions(A, e4, w._cols)] == [0]
+    a = QForm(5, {(1, 3): 1, (2, 3): -1, (3, 5): 2})
+    b = QForm.one_form(5, 4)
+    out = quantum_wedge(a, b, w)
+    assert out == wedge(a, b) + QForm(5, {(3,): HPoly({1: 2})})
+    assert_same_product(out, reference_quantum_wedge(a, b, w))
+    # the other order walks the reversed product, where column 4 of the
+    # transpose is empty
+    assert_same_product(quantum_wedge(b, a, w), wedge(b, a))

@@ -146,7 +146,7 @@ def _check_scalars(rng):
 
     m = [HPolyMulti(2, {(rng.randint(0, 2), rng.randint(0, 2)):
                         random_fraction(rng) for _ in range(3)})
-         for _ in range(2)] + [HPolyMulti.h(2, 1)]
+         for _ in range(2)] + [HPolyMulti(2, {(1, 0): Fraction(1)})]
     for a in m:
         for b in m:
             for r in (a + b, a - b, a * b, a - a):

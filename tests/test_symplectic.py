@@ -353,3 +353,14 @@ def test_char_poly_linop_api():
     assert char_poly([[Fraction(0), Fraction(1)],
                       [Fraction(1), Fraction(2)]]).coeffs == \
         [Fraction(-1), Fraction(-2), Fraction(1)]
+
+
+def test_form_is_built_once():
+    rows = [[0, 2, 0, -1], [-2, 0, 3, 0], [0, -3, 0, 1], [1, 0, -1, 0]]
+    for om in (OM2, OM4, OM6, SymplecticForm(4, rows)):
+        form = om.form
+        assert form is om.form
+        assert form == QForm(om.dim, {
+            (i, j): om.matrix[i - 1][j - 1]
+            for i in range(1, om.dim + 1) for j in range(i + 1, om.dim + 1)
+            if om.matrix[i - 1][j - 1]})
