@@ -50,7 +50,9 @@ or cpn_table task or the convention ledger fails that suite, task or
 report (exit 1) instead of ending in a traceback.
 A suite rejects a half-dimension n above its own cap (cohomology,
 stokes, hermitian, dolbeault and chern 2, lefschetz 3, relation17 4,
-recursion 5) with exit 2 instead of running a smaller model.
+recursion 5) with exit 2 instead of running a smaller model, and
+QDR_MAX_DIM caps every dimension a suite is given (dim, and 2n for n)
+and the one it works in, given or its default.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ import re
 import sys
 from fractions import Fraction
 from random import Random
+from typing import Callable, NamedTuple
 
 from .bigraded import derive_adjoint_law, hermitian_gram
 from .chernweil import (
@@ -757,10 +760,11 @@ def _run_integral(ctx, task):
 def _run_stokes(ctx, task):
     if ctx.model is None or not ctx.model.is_torus():
         raise ScenarioError("stokes task needs a torus model")
-    count = _int_key(task, "count", default=25, low=1, high=MAX_COUNT)
-    failures = stokes_failures(Random(ctx.seed), ctx.model, count)
-    return {"task": "stokes", "count": count, "failures": failures,
-            "pass": not failures}
+    count = _int_key(task, "count", default=_stokes.__kwdefaults__["count"],
+                     low=1, high=MAX_COUNT)
+    payload, passed = _stokes(Random(ctx.seed), count=count, model=ctx.model)
+    return {"task": "stokes", "count": count,
+            "failures": payload["failures"], "pass": passed}
 
 
 def _run_chern(ctx, task):
@@ -839,39 +843,42 @@ _RUNNERS = {
 
 
 # ---------------------------------------------------------------------------
-# check loops, shared by the suites below and the acceptance criteria; each
-# takes its Random and bounds, draws in a fixed order, and returns its
-# failures
+# check suites: each is one function (rng, **bounds) -> (payload, passed)
+# that draws from rng in a fixed order; its keyword defaults are the suite's
+# CLI defaults, and the acceptance criteria call it with their own Random
+# and bounds
 
 
-def associativity_failures(rng, dims, count):
+def _associativity(rng, *, dim=4, count=25):
     """Supercommutativity of the deformed wedge at an antisymmetric w and
-    associativity at a general pairing; iteration i works in dimension
-    dims[i % len(dims)]."""
+    associativity at a general pairing; dim is one dimension or a tuple
+    of them, of which iteration i takes dim[i % len(dim)]."""
+    dims = dim if isinstance(dim, tuple) else (dim,)
     bad = 0
     for i in range(count):
-        dim = dims[i % len(dims)]
-        da, db = rng.randint(0, dim), rng.randint(0, dim)
-        a = random_blade_form(rng, dim, da)
-        b = random_blade_form(rng, dim, db)
-        w = random_bivector(rng, dim)
+        d = dims[i % len(dims)]
+        da, db = rng.randint(0, d), rng.randint(0, d)
+        a = random_blade_form(rng, d, da)
+        b = random_blade_form(rng, d, db)
+        w = random_bivector(rng, d)
         swapped = quantum_wedge(b, a, w)
         if da * db % 2:
             swapped = -swapped
         if quantum_wedge(a, b, w) != swapped:
             bad += 1
-        phi = random_pairing(rng, dim)
-        u, v, t = (random_qform(rng, dim, nterms=2) for _ in range(3))
+        phi = random_pairing(rng, d)
+        u, v, t = (random_qform(rng, d, nterms=2) for _ in range(3))
         left = quantum_wedge(quantum_wedge(u, v, phi), t, phi)
         right = quantum_wedge(u, quantum_wedge(v, t, phi), phi)
         if left != right:
             bad += 1
-    return bad
+    return {"dim": dim, "count": count, "failed": bad}, bad == 0
 
 
-def multiparameter_failures(rng, dims, count):
+def _multiparameter(rng, *, count=20, dims=(2, 4)):
     """The multiparameter product specialised at h_j -> c_j against the
-    one-parameter product at the combined bivector."""
+    one-parameter product at the combined bivector, in dimensions drawn
+    from dims."""
     bad = 0
     for _ in range(count):
         dim = rng.choice(dims)
@@ -886,53 +893,36 @@ def multiparameter_failures(rng, dims, count):
         multi = quantum_wedge_multi(a, b, ws)
         if multi.specialize(coeffs) != quantum_wedge(a, b, total):
             bad += 1
-    return bad
+    return {"count": count, "failed": bad}, bad == 0
 
 
-def relation17_failures(ns):
-    """verify_relation_17 for each n: its rows, and the n whose
-    nilpotency order is not n + 1."""
+def _relation17(rng, *, n=4):
+    """verify_relation_17 for each m <= n: a row per m, which fails when
+    the nilpotency order is not m + 1."""
     rows = []
-    for n in ns:
-        rel = verify_relation_17(n)
-        rows.append({"n": n, "ok": rel["ok"],
+    for m in range(1, n + 1):
+        rel = verify_relation_17(m)
+        rows.append({"n": m, "ok": rel["ok"],
                      "nilpotency_order": rel["nilpotency_order"]})
-    return rows, [r["n"] for r in rows
-                  if not (r["ok"] and r["nilpotency_order"] == r["n"] + 1)]
+    return {"rows": rows}, all(r["ok"] and r["nilpotency_order"] == r["n"] + 1
+                               for r in rows)
 
 
-def lefschetz_failures(ns):
-    """The parity windows of h^-1 L_h for each n: their rows (det and
-    characteristic polynomial), the (n, parity) whose determinant is 0,
-    and whether the n = 1 odd window is the identity."""
-    rows, singular = [], []
-    for n in ns:
-        for parity in ("even", "odd"):
-            cp = lefschetz_matrix(n, parity).char_poly()
-            rows.append({"n": n, "parity": parity, "det": frac_str(cp.det),
-                         "char_poly": str(cp)})
-            if cp.det == 0:
-                singular.append((n, parity))
-    eye = [[Fraction(i == j) for j in range(2)] for i in range(2)]
-    return rows, singular, lefschetz_matrix(1, "odd").mat == eye
+def _recursion(rng, *, n=3):
+    """The omega-power recursion rows of derived_recursion_report(n)."""
+    rows = derived_recursion_report(n)["rows"]
+    passed = all(r["matches_derived"] for r in rows)
+    return {"n": n, "rows": _jsonify(rows)}, passed
 
 
-def ledger_pattern_failures(ns):
-    """decomposition_report and relation_report for n in ns = 1, 2, ...:
-    the (dec, rel) pairs, and the n off n = 1's stable pattern, the same
-    dec and rel = (r0, n * r1) for n = 1's (r0, r1)."""
-    reports = [(decomposition_report(n), relation_report(n)) for n in ns]
-    dec1, rel1 = reports[0]
-    return reports, [n for n, (dec, rel) in zip(ns, reports)
-                     if not (dec == dec1 and rel[0] == rel1[0]
-                             and rel[1] == n * rel1[1])]
-
-
-def complex_failures(rng, models, count):
+def _complex(rng, *, n=1, truncation=2, count=8, models=None):
     """jacobi_check accepts each model, d_h² = 0 and the deformed Leibniz
     rule hold on count random pairs per model, and jacobi_check rejects
-    the non-Poisson fixture with a witness; returns one jacobi row per
-    model and the failure count."""
+    the non-Poisson fixture with a witness; models default to flat(n),
+    lie_poisson_so3, heisenberg and torus(1, truncation)."""
+    if models is None:
+        models = [standard_symplectic(n), lie_poisson_so3(), heisenberg(),
+                  torus(1, truncation)]
     bad = 0
     rows = []
     for model in models:
@@ -960,44 +950,78 @@ def complex_failures(rng, models, count):
         bad += 1
     rows.append({"model": "non_poisson_example", "jacobi": np_ok,
                  "witness": str(np_witness)})
-    return rows, bad
+    return {"count": count, "models": rows, "failed": bad}, bad == 0
 
 
-def koszul_constants(rng, ns, count):
-    """The Koszul component constants c of count random 2-form probes on
-    each flat model of half-dimension n, and the terms they matched."""
+def _cohomology(rng, *, n=1, truncation=None):
+    """Quantum cohomology and Poisson homology ranks of the 2n-torus
+    truncated at N = truncation, by default 2 for n = 1 and 1 above."""
+    model = torus(n, truncation or (2 if n == 1 else 1))
+    _check_modes(model.dim, model.torus_N)
+    comp = build_complex(model, model.torus_N)
+    quantum = quantum_cohomology_dims(comp)
+    poisson = poisson_homology_dims(comp)
+    payload = {"model": str(model),
+               "quantum": _jsonify(quantum.serialize()),
+               "poisson": _jsonify(poisson.serialize())}
+    return payload, quantum.passed() and poisson.passed()
+
+
+def _lefschetz(rng, *, n=2):
+    """The parity windows of h^-1 L_h for each m <= n, a row each with
+    det and characteristic polynomial: none is singular, and the m = 1
+    odd window is the identity."""
+    rows, singular = [], False
+    for m in range(1, n + 1):
+        for parity in ("even", "odd"):
+            cp = lefschetz_matrix(m, parity).char_poly()
+            rows.append({"n": m, "parity": parity, "det": frac_str(cp.det),
+                         "char_poly": str(cp)})
+            singular = singular or cp.det == 0
+    eye = [[Fraction(i == j) for j in range(2)] for i in range(2)]
+    base = lefschetz_matrix(1, "odd").mat == eye
+    return {"rows": rows, "identity_base_case": base}, not singular and base
+
+
+def _ledger(rng, *, count=5, ns=(1, 2)):
+    """The convention ledger's constants and their stable pattern:
+    decomposition_report and relation_report for n = 1, 2, 3 repeat
+    n = 1's (the same constants, and (r0, n * r1) for its (r0, r1)); the
+    Koszul component constants c of count random 2-form probes per flat
+    model of half-dimension n in ns are one value; and lemma62_check's
+    window multiple is -(n - k) for n in ns and every 0 <= k <= n."""
+    reports = [(decomposition_report(n), relation_report(n))
+               for n in (1, 2, 3)]
+    dec1, rel1 = reports[0]
+    passed = all(dec == dec1 and rel[0] == rel1[0] and rel[1] == n * rel1[1]
+                 for n, (dec, rel) in enumerate(reports, 1))
+    rows = {"contraction_scaling": [_jsonify(list(dec)) for dec, _ in reports],
+            "dual_lefschetz": [_jsonify(list(rel)) for _, rel in reports]}
     cs = set()
-    matched = 0
     for n in ns:
         model = standard_symplectic(n)
         for _ in range(count):
             probe = random_fieldform(rng, model, degree=2)
             comp = delta_component_check(probe, model.poisson)
             if comp["matched_terms"]:
-                matched += comp["matched_terms"]
                 cs.add(comp["c"])
-    return cs, matched
+    rows["koszul_component"] = _jsonify(sorted(cs))
+    window = []
+    for n in ns:
+        for k in range(n + 1):
+            multiple = lemma62_check(n, k)["part_i"]["multiple"]
+            window.append(_jsonify({"n": n, "k": k, "multiple": multiple}))
+            passed = passed and multiple == -(n - k)
+    rows["window_identity"] = window
+    return rows, passed and len(cs) == 1
 
 
-def window_failures(ns):
-    """lemma62_check for every 0 <= k <= n: the reports by (n, k), and
-    the (n, k) whose window identity multiple is not -(n - k)."""
-    reps = {(n, k): lemma62_check(n, k) for n in ns for k in range(n + 1)}
-    return reps, [nk for nk, rep in reps.items()
-                  if rep["part_i"]["multiple"] != -(nk[0] - nk[1])]
-
-
-def gram_diagonal_failures(ns):
-    """The n whose hermitian_gram is not the diagonal table with entry
-    2^(p+q) at each frame monomial of bidegree (p, q)."""
-    return [n for n in ns
-            if hermitian_gram(n) != {(m, m): 2 ** bin(m).count("1")
-                                     for m in range(1 << (2 * n))}]
-
-
-def stokes_failures(rng, model, count):
-    """stokes_check on count random forms; a form whose check raises is
+def _stokes(rng, *, n=1, truncation=2, count=25, model=None):
+    """stokes_check on count random forms on model, by default the
+    2n-torus truncated at truncation; a form whose check raises is
     recorded with its index."""
+    if model is None:
+        model = torus(n, truncation)
     failures = []
     for i in range(count):
         form = random_fieldform(rng, model, nterms=2,
@@ -1006,16 +1030,32 @@ def stokes_failures(rng, model, count):
             stokes_check(form, model)
         except AssertionError as ex:
             failures.append({"index": i, "error": str(ex)})
-    return failures
+    return {"model": str(model), "count": count,
+            "failures": failures}, not failures
 
 
-def dolbeault_failures(rng, ns, count):
+def _hermitian(rng, *, n=2):
+    """For each m <= n: derive_adjoint_law(m), which raises where the raw
+    adjoint law fails, and a hermitian_gram that is the diagonal table
+    with entry 2^(p+q) at each frame monomial of bidegree (p, q)."""
+    ns = range(1, n + 1)
+    for m in ns:
+        derive_adjoint_law(m)
+    rows = [{"n": m, "adjoint": True,
+             "gram_diagonal": hermitian_gram(m) == {
+                 (mono, mono): 2 ** bin(mono).count("1")
+                 for mono in range(1 << (2 * m))}}
+            for m in ns]
+    return {"rows": rows}, all(r["gram_diagonal"] for r in rows)
+
+
+def _dolbeault(rng, *, n=2, count=15):
     """The Dolbeault split of d_h on count random forms per flat model of
-    half-dimension n: the halves sum to d_h, square to zero, and their
-    cross terms cancel."""
+    half-dimension 1 and n: the halves sum to d_h, square to zero, and
+    their cross terms cancel."""
     bad = 0
-    for n in ns:
-        model = standard_symplectic(n)
+    for m in sorted({1, n}):
+        model = standard_symplectic(m)
         w = model.poisson
         for _ in range(count):
             a = random_fieldform(rng, model, nterms=2, max_h=0,
@@ -1027,16 +1067,17 @@ def dolbeault_failures(rng, ns, count):
             dbh_dh, dbh_dbh = quantum_dolbeault_split(dbh, w)
             bad += sum(not x.is_zero()
                        for x in (dh_dh, dbh_dbh, dbh_dh + dh_dbh))
-    return bad
+    return {"count": count, "failed": bad}, bad == 0
 
 
-def chern_failures(rng, ns, count):
+def _chern(rng, *, n=2, count=10):
     """The deformed Bianchi identity, gauge conjugation of the curvature
     and a closed trace form on count random rank-2 connections per flat
-    model of half-dimension n."""
+    model of half-dimension 1 and n; and the coordinate line bundle
+    x_1 dx_2 on R^2, whose curvature is omega + h and d_h-closed."""
     bad = 0
-    for n in ns:
-        model = standard_symplectic(n)
+    for m in sorted({1, n}):
+        model = standard_symplectic(m)
         w = model.poisson
         for _ in range(count):
             theta = MatrixForm([[random_fieldform(rng, model, nterms=2,
@@ -1052,10 +1093,20 @@ def chern_failures(rng, ns, count):
                 char_form(curv, "trace", w)
             except AssertionError:
                 bad += 1
-    return bad
+    model = standard_symplectic(1)
+    theta = MatrixForm([[wedge_field(
+        FieldForm.from_fn(PolyFn.coord(2, 1)),
+        model.lift(QForm.basis(2, (2,))))]])
+    line = quantum_curvature(theta, model.poisson).entries[0][0]
+    expected = (model.omega_form()
+                + FieldForm.from_fn(model.constant(1), 0, 1))
+    if line != expected or not quantum_d(line, model.poisson).is_zero():
+        bad += 1
+    return {"count": count, "failed": bad,
+            "line_bundle_curvature": str(line)}, bad == 0
 
 
-def moyal_failures(rng, count):
+def _moyal(rng, *, count=25):
     """Associativity of the Moyal product and the coordinate commutator
     x_i * x_j - x_j * x_i = 2 h w_ij on random polynomials."""
     bad = 0
@@ -1075,11 +1126,7 @@ def moyal_failures(rng, count):
         expected = PolyFn.constant(dim, HPoly({1: 2 * wij}))
         if comm != expected:
             bad += 1
-    return bad
-
-
-# ---------------------------------------------------------------------------
-# check suites
+    return {"count": count, "failed": bad}, bad == 0
 
 
 class Options:
@@ -1092,175 +1139,61 @@ class Options:
         self.count, self.seed = count, seed or 0
 
 
-def _suite_associativity(o: Options):
-    dim = o.dim or 4
-    _check_dim(dim)
-    count = o.count or 25
-    bad = associativity_failures(Random(o.seed), (dim,), count)
-    return {"dim": dim, "count": count, "failed": bad}, bad == 0
+class Suite(NamedTuple):
+    """A row of SUITES: the check, and the largest half-dimension n it
+    accepts (None: any n the dimension cap allows). Options fills the
+    check's keyword bounds of the same name (dim, n, truncation, count)."""
+
+    check: Callable
+    n_cap: int | None = None
 
 
-def _suite_multiparameter(o: Options):
-    count = o.count or 20
-    bad = multiparameter_failures(Random(o.seed), (2, 4), count)
-    return {"count": count, "failed": bad}, bad == 0
-
-
-def _suite_relation17(o: Options):
-    rows, bad = relation17_failures(range(1, (o.n or 4) + 1))
-    return {"rows": rows}, not bad
-
-
-def _suite_recursion(o: Options):
-    n = o.n or 3
-    rep = derived_recursion_report(n)
-    passed = all(r["matches_derived"] for r in rep["rows"])
-    return {"n": n, "rows": _jsonify(rep["rows"])}, passed
-
-
-def _suite_complex(o: Options):
-    count = o.count or 8
-    n = o.n or 1
-    models = [standard_symplectic(n),
-              lie_poisson_so3(), heisenberg(),
-              torus(1, o.truncation or 2)]
-    rows, bad = complex_failures(Random(o.seed), models, count)
-    return {"count": count, "models": rows, "failed": bad}, bad == 0
-
-
-def _suite_cohomology(o: Options):
-    n = o.n or 1
-    model = torus(n, o.truncation or (2 if n == 1 else 1))
-    _check_modes(model.dim, model.torus_N)
-    comp = build_complex(model, model.torus_N)
-    quantum = quantum_cohomology_dims(comp)
-    poisson = poisson_homology_dims(comp)
-    payload = {"model": str(model),
-               "quantum": _jsonify(quantum.serialize()),
-               "poisson": _jsonify(poisson.serialize())}
-    return payload, quantum.passed() and poisson.passed()
-
-
-def _suite_lefschetz(o: Options):
-    rows, singular, base = lefschetz_failures(range(1, (o.n or 2) + 1))
-    return {"rows": rows, "identity_base_case": base}, not singular and base
-
-
-def _suite_ledger(o: Options):
-    reports, off = ledger_pattern_failures((1, 2, 3))
-    rows = {"contraction_scaling": [_jsonify(list(dec)) for dec, _ in reports],
-            "dual_lefschetz": [_jsonify(list(rel)) for _, rel in reports]}
-    cs, _matched = koszul_constants(Random(o.seed), (1, 2), o.count or 5)
-    rows["koszul_component"] = _jsonify(sorted(cs))
-    reps, bad = window_failures((1, 2))
-    rows["window_identity"] = [
-        _jsonify({"n": n, "k": k, "multiple": rep["part_i"]["multiple"]})
-        for (n, k), rep in reps.items()]
-    return rows, not off and len(cs) == 1 and not bad
-
-
-def _suite_stokes(o: Options):
-    model = torus(o.n or 1, o.truncation or 2)
-    count = o.count or 25
-    failures = stokes_failures(Random(o.seed), model, count)
-    return {"model": str(model), "count": count,
-            "failures": failures}, not failures
-
-
-def _suite_hermitian(o: Options):
-    ns = range(1, (o.n or 2) + 1)
-    for n in ns:
-        derive_adjoint_law(n)  # raises where the raw law fails
-    off = gram_diagonal_failures(ns)
-    rows = [{"n": n, "adjoint": True, "gram_diagonal": n not in off}
-            for n in ns]
-    return {"rows": rows}, not off
-
-
-def _suite_dolbeault(o: Options):
-    count = o.count or 15
-    bad = dolbeault_failures(Random(o.seed), sorted({1, o.n or 2}), count)
-    return {"count": count, "failed": bad}, bad == 0
-
-
-def _line_bundle_example():
-    model = standard_symplectic(1)
-    theta = MatrixForm([[wedge_field(
-        FieldForm.from_fn(PolyFn.coord(2, 1)),
-        model.lift(QForm.basis(2, (2,))))]])
-    curv = quantum_curvature(theta, model.poisson)
-    expected = (model.omega_form()
-                + FieldForm.from_fn(model.constant(1), 0, 1))
-    closed = quantum_d(curv.entries[0][0], model.poisson).is_zero()
-    return curv.entries[0][0] == expected and closed, str(curv.entries[0][0])
-
-
-def _suite_chern(o: Options):
-    count = o.count or 10
-    bad = chern_failures(Random(o.seed), sorted({1, o.n or 2}), count)
-    line_ok, line_value = _line_bundle_example()
-    if not line_ok:
-        bad += 1
-    return {"count": count, "failed": bad,
-            "line_bundle_curvature": line_value}, bad == 0
-
-
-def _suite_moyal(o: Options):
-    count = o.count or 25
-    bad = moyal_failures(Random(o.seed), count)
-    return {"count": count, "failed": bad}, bad == 0
-
-
+# a larger n than a row's cap is rejected, never clamped, so a report
+# always names the model it checked
 SUITES = {
-    "associativity": _suite_associativity,
-    "multiparameter": _suite_multiparameter,
-    "relation17": _suite_relation17,
-    "recursion": _suite_recursion,
-    "complex": _suite_complex,
-    "cohomology": _suite_cohomology,
-    "lefschetz": _suite_lefschetz,
-    "ledger": _suite_ledger,
-    "stokes": _suite_stokes,
-    "hermitian": _suite_hermitian,
-    "dolbeault": _suite_dolbeault,
-    "chern": _suite_chern,
-    "moyal": _suite_moyal,
-}
-
-
-# the largest half-dimension n each suite accepts; a larger n is
-# rejected, never clamped, so a report always names the model it checked
-_SUITE_N_CAPS = {
-    "relation17": 4,
-    "recursion": 5,
-    "lefschetz": 3,
-    "cohomology": 2,
-    "stokes": 2,
-    "hermitian": 2,
-    "dolbeault": 2,
-    "chern": 2,
+    "associativity": Suite(_associativity),
+    "multiparameter": Suite(_multiparameter),
+    "relation17": Suite(_relation17, 4),
+    "recursion": Suite(_recursion, 5),
+    "complex": Suite(_complex),
+    "cohomology": Suite(_cohomology, 2),
+    "lefschetz": Suite(_lefschetz, 3),
+    "ledger": Suite(_ledger),
+    "stokes": Suite(_stokes, 2),
+    "hermitian": Suite(_hermitian, 2),
+    "dolbeault": Suite(_dolbeault, 2),
+    "chern": Suite(_chern, 2),
+    "moyal": Suite(_moyal),
 }
 
 
 def run_suite(name, opts: Options):
     _choice("suite", name, sorted(SUITES))
-    cap = _SUITE_N_CAPS.get(name)
-    if cap is not None and opts.n is not None and not 1 <= opts.n <= cap:
+    row = SUITES[name]
+    if (row.n_cap is not None and opts.n is not None
+            and not 1 <= opts.n <= row.n_cap):
         raise ScenarioError(
-            f"suite {name} takes n from 1 to {cap}, got {opts.n}")
+            f"suite {name} takes n from 1 to {row.n_cap}, got {opts.n}")
     if opts.count is not None and not 1 <= opts.count <= MAX_COUNT:
         raise ScenarioError(
             f"count must be from 1 to {MAX_COUNT}, got {opts.count}")
     # a scenario's suite task has the same bounds; a 0 is rejected, never
     # replaced by a suite's default
-    bounds = vars(opts)
+    given = vars(opts)
     for key, low in (("dim", 2), ("n", 1), ("truncation", 1)):
-        _int_key(bounds, key, low=low)
-    for dim in (opts.dim, opts.n and 2 * opts.n):
+        _int_key(given, key, low=low)
+    defaults = row.check.__kwdefaults__ or {}
+    bounds = {key: val for key, val in given.items()
+              if key in defaults and val is not None}
+    resolved = {**defaults, **bounds}
+    # every given dimension is capped, and the one the check works in,
+    # given or default
+    for dim in (opts.dim, opts.n and 2 * opts.n,
+                resolved.get("dim"), 2 * resolved.get("n", 0)):
         if dim and dim > max_dim():
             _check_dim(dim)  # names the cap
     try:
-        return SUITES[name](opts)
+        return row.check(Random(opts.seed), **bounds)
     except AssertionError as ex:
         # a library check raises when its identity fails: report FAIL
         return {"error": str(ex)}, False
@@ -1409,7 +1342,8 @@ def _build_argparser():
     what.add_argument("--check", metavar="NAME",
                       help="run one named suite "
                            f"({', '.join(sorted(SUITES))})")
-    ap.add_argument("--dim", type=int, help="working dimension (even)")
+    ap.add_argument("--dim", type=int,
+                    help="working dimension, from 2 to QDR_MAX_DIM")
     ap.add_argument("--n", type=int, help="half-dimension")
     ap.add_argument("--truncation", type=int, help="torus mode cutoff")
     ap.add_argument("--seed", type=int, default=0, help="random seed")

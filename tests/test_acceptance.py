@@ -13,29 +13,14 @@ from random import Random
 from lefschetz_reference import det_recursion_holds
 from qdr.bigraded import derive_adjoint_law
 from qdr.chernweil import MatrixForm, covariant_d, quantum_curvature
-from qdr.cli import (
-    _line_bundle_example,
-    associativity_failures,
-    chern_failures,
-    complex_failures,
-    dolbeault_failures,
-    gram_diagonal_failures,
-    koszul_constants,
-    ledger_pattern_failures,
-    lefschetz_failures,
-    moyal_failures,
-    multiparameter_failures,
-    relation17_failures,
-    stokes_failures,
-    window_failures,
-)
+from qdr.cli import SUITES
 from qdr.cohomology import (
     build_complex,
     dr_cohomology_dims,
+    lemma62_check,
     poisson_homology_dims,
     quantum_cohomology_dims,
 )
-from qdr.cpn import derived_recursion_report
 from qdr.fixtures import heisenberg, lie_poisson_so3, standard_symplectic, torus
 from qdr.rand import random_fieldform
 from qdr.scalars import GaussRat
@@ -58,22 +43,24 @@ def test_criterion_01_quantum_algebra_laws():
     # supercommutativity on homogeneous pairs with antisymmetric w and
     # associativity on general triples with arbitrary (non-antisymmetric)
     # pairings phi, 504 triples over dimensions 2..8, exact equality
-    bad = associativity_failures(Random(101), (2, 3, 4, 5, 6, 7, 8), 504)
-    assert _verdict(1, "quantum algebra laws", bad == 0)
+    _payload, ok = SUITES["associativity"].check(
+        Random(101), dim=(2, 3, 4, 5, 6, 7, 8), count=504)
+    assert _verdict(1, "quantum algebra laws", ok)
 
 
 def test_criterion_02_multiparameter_specialization():
     # the multiparameter product specialized at h_j -> c_j equals the
     # single-parameter product at the combined bivector, 100 cases
-    bad = multiparameter_failures(Random(102), (2, 4, 6), 100)
-    assert _verdict(2, "multiparameter specialization", bad == 0)
+    _payload, ok = SUITES["multiparameter"].check(
+        Random(102), count=100, dims=(2, 4, 6))
+    assert _verdict(2, "multiparameter specialization", ok)
 
 
 def test_criterion_03_omega_nilpotency_relation():
     # the deformed symplectic form rebuilt pairwise equals omega - n*h,
     # its (n+1)-st deformed power vanishes and the n-th does not
-    _rows, bad = relation17_failures(range(1, 5))
-    assert _verdict(3, "omega nilpotency relation", not bad)
+    _payload, ok = SUITES["relation17"].check(Random(103), n=4)
+    assert _verdict(3, "omega nilpotency relation", ok)
 
 
 def test_criterion_04_power_recursion_coefficients():
@@ -83,10 +70,12 @@ def test_criterion_04_power_recursion_coefficients():
     ok = True
     deviations = []
     for n in range(1, 5):
-        rows = {row["k"]: row for row in derived_recursion_report(n)["rows"]}
+        payload, passed = SUITES["recursion"].check(Random(104), n=n)
+        ok = ok and passed
+        rows = {row["k"]: row for row in payload["rows"]}
         for k, row in rows.items():
-            ok = ok and row["matches_derived"]
-            ok = ok and row["a"] == 2 * k and row["b"] == -k * (n - k + 1)
+            ok = ok and Fraction(row["a"]) == 2 * k
+            ok = ok and Fraction(row["b"]) == -k * (n - k + 1)
             ok = ok and row["matches_printed"] == (k == 1)
             if not row["matches_printed"]:
                 deviations.append((n, k))
@@ -105,8 +94,9 @@ def test_criterion_05_quantum_differential_complex():
     models = [standard_symplectic(1), standard_symplectic(2),
               standard_symplectic(3), torus(1, 2), torus(2, 1),
               lie_poisson_so3(), heisenberg()]
-    _rows, bad = complex_failures(Random(105), models, 200)
-    assert _verdict(5, "quantum differential complex", bad == 0)
+    _payload, ok = SUITES["complex"].check(Random(105), count=200,
+                                           models=models)
+    assert _verdict(5, "quantum differential complex", ok)
 
 
 def test_criterion_06_torus_cohomology_ranks():
@@ -136,8 +126,7 @@ def test_criterion_07_hard_lefschetz_spectra():
     # operator brackets hold as exact window-matrix identities; the
     # block-doubling determinant recursion holds for random seeds up to
     # depth 3; the n = 1 odd window is the identity
-    _rows, singular, base_is_identity = lefschetz_failures((1, 2, 3))
-    ok = not singular and base_is_identity
+    _payload, ok = SUITES["lefschetz"].check(Random(107), n=3)
     for n in (1, 2):
         om = SymplecticForm(2 * n)
         for m in (0, 1, 2):
@@ -179,24 +168,25 @@ def test_criterion_07_hard_lefschetz_spectra():
 def test_criterion_08_convention_ledger_constants():
     # the four derived-constant reports are stable across n <= 3:
     # contraction constants (1, 1, 1), dual relation (1, -2n), Koszul
-    # component constant 1, window identity multiple -(n-k)
-    reports, off = ledger_pattern_failures((1, 2, 3))
-    ok = not off
-    for n, (dec, rel) in enumerate(reports, 1):
-        ok = ok and dec == (1, 1, 1) and rel == (1, -2 * n)
-    dec1 = reports[0][0]
-    cs, matched = koszul_constants(Random(108), (1, 2, 3), 6)
-    ok = ok and cs == {Fraction(1)} and matched > 0
-    reps, bad = window_failures((1, 2, 3))
-    ok = ok and not bad
-    for rep in reps.values():
-        for entry in rep["part_ii"].values():
-            if entry["constant"] is not None:
-                ok = ok and entry["constant"] == entry["printed"]
-    multiples = {nk: rep["part_i"]["multiple"] for nk, rep in reps.items()}
+    # component constant 1 (so some probe term matched), window identity
+    # multiple -(n-k); the window's part-two constants match the printed
+    payload, ok = SUITES["ledger"].check(Random(108), count=6,
+                                         ns=(1, 2, 3))
+    ok = ok and payload["contraction_scaling"] == [["1", "1", "1"]] * 3
+    ok = ok and payload["dual_lefschetz"] == [
+        ["1", str(-2 * n)] for n in (1, 2, 3)]
+    ok = ok and payload["koszul_component"] == ["1"]
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            for entry in lemma62_check(n, k)["part_ii"].values():
+                if entry["constant"] is not None:
+                    ok = ok and entry["constant"] == entry["printed"]
+    multiples = {(row["n"], row["k"]): row["multiple"]
+                 for row in payload["window_identity"]}
     print("criterion 08 note: contraction %s, dual relation (1, -2n), "
           "Koszul component c in %s, window multiples -(n-k): %s" %
-          (tuple(dec1), sorted(cs), multiples))
+          (payload["contraction_scaling"][0], payload["koszul_component"],
+           multiples))
     assert _verdict(8, "convention ledger constants", ok)
 
 
@@ -204,9 +194,10 @@ def test_criterion_09_quantum_stokes():
     # the graded integral of d(alpha), h*delta(alpha) and d_h(alpha)
     # vanishes for 504 random trigonometric forms on the 2- and 4-torus
     rng = Random(109)
-    failures = (stokes_failures(rng, torus(1, 2), 300)
-                + stokes_failures(rng, torus(2, 1), 204))
-    assert _verdict(9, "quantum stokes", not failures)
+    stokes = SUITES["stokes"].check
+    _payload, on_2torus = stokes(rng, n=1, truncation=2, count=300)
+    _payload, on_4torus = stokes(rng, n=2, truncation=1, count=204)
+    assert _verdict(9, "quantum stokes", on_2torus and on_4torus)
 
 
 def test_criterion_10_hermitian_structure():
@@ -214,7 +205,7 @@ def test_criterion_10_hermitian_structure():
     # complex dimensions 1 and 2 (derive_adjoint_law raises where it
     # fails), and the pairing Gram matrix is diagonal with entries
     # 2^(p+q)
-    ok = not gram_diagonal_failures((1, 2))
+    _payload, ok = SUITES["hermitian"].check(Random(110), n=2)
     factors = {}
     printed_all = {}
     for n in (1, 2):
@@ -232,8 +223,8 @@ def test_criterion_10_hermitian_structure():
 def test_criterion_11_quantum_dolbeault_split():
     # both split components square to zero, the cross terms cancel, and
     # the components sum to d_h on 100 random flat polynomial forms
-    bad = dolbeault_failures(Random(111), (1, 2), 50)
-    assert _verdict(11, "quantum dolbeault split", bad == 0)
+    _payload, ok = SUITES["dolbeault"].check(Random(111), n=2, count=50)
+    assert _verdict(11, "quantum dolbeault split", ok)
 
 
 def test_criterion_12_chern_weil_identities():
@@ -243,7 +234,8 @@ def test_criterion_12_chern_weil_identities():
     # curvature on 50 further (theta, phi) pairs; the coordinate line
     # bundle has curvature omega + h
     rng = Random(112)
-    bad = chern_failures(rng, (1, 2), 25)
+    _payload, ok = SUITES["chern"].check(rng, n=2, count=25)
+    bad = 0
     for model in (standard_symplectic(1), standard_symplectic(2)):
         w = model.poisson
         for _ in range(25):
@@ -260,12 +252,11 @@ def test_criterion_12_chern_weil_identities():
             curv = quantum_curvature(theta, w)
             if covariant_d(once, theta, w) != curv.qmul(phi, w):
                 bad += 1
-    line_ok, _value = _line_bundle_example()
-    assert _verdict(12, "chern-weil identities", bad == 0 and line_ok)
+    assert _verdict(12, "chern-weil identities", ok and bad == 0)
 
 
 def test_criterion_13_moyal_star_product():
     # the star product is associative and the coordinate commutator is
     # x_i * x_j - x_j * x_i = 2 h w_ij on random polynomials
-    bad = moyal_failures(Random(113), 60)
-    assert _verdict(13, "moyal star product", bad == 0)
+    _payload, ok = SUITES["moyal"].check(Random(113), count=60)
+    assert _verdict(13, "moyal star product", ok)

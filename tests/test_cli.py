@@ -319,8 +319,11 @@ def test_chern_checks_compute_each_curvature_once(tmp_path, monkeypatch):
     assert run_scenario(path)["passed"]
     assert len(calls) == 1
     calls.clear()
-    assert cli.chern_failures(Random(5), (1,), 2) == 0
-    assert len(calls) == 2 * 2
+    payload, passed = cli.SUITES["chern"].check(Random(5), n=1, count=2)
+    assert passed and payload["failed"] == 0
+    # two connections, each curvature and its gauge transform, and the
+    # suite's line bundle
+    assert len(calls) == 2 * 2 + 1
 
 
 def test_cpn_table_task(tmp_path):
@@ -368,6 +371,37 @@ SUITE_REPORT_SHA256 = {
         "3d3f7d408747a7adda8b3c59c07b078d70a5ef64c66fca0e743d17509a729220",
 }
 
+# sha256 of the same reports rendered as text, whose rows follow the
+# payload's key order
+SUITE_TEXT_SHA256 = {
+    "associativity":
+        "a02df5686465c87d74fa27af3fb6b3ee0d55ec9e9c546a18b6b75d655a075ebc",
+    "multiparameter":
+        "ad79eae52d9a8cb1de8c9da2012c9a0e2a993f70df034413504adbf103a214ef",
+    "relation17":
+        "df0b8e1699376b1b468a1eb7b27e46fabf61bfe04f42856d40cc75c376bef9d0",
+    "recursion":
+        "46c3e533b5ad2b37650acdd55add95232e4f038b02f35f77b2298a19b0c90c34",
+    "complex":
+        "40f8c9ce4f759a96b8336ccb74b24104cbe7aa994fba3e40313ee220c05e918e",
+    "cohomology":
+        "71b4af36d19a0a797d41eaf97007cf298d29567fa3c80be550895e846152a789",
+    "lefschetz":
+        "aea29fee48e1035c6d5d68e0a85ca7c8f78265e32d6a4040eeddc5a80b20313f",
+    "ledger":
+        "a5a0c427eb91328ad25b904632d0b3f30a1dc20cbb0e4558b2510d82a9978478",
+    "stokes":
+        "a702e37d98fdb40f13b91a9b07fb949dc1c9c85bd86cc02eff0cd99b80033df6",
+    "hermitian":
+        "76a8e172e67c525193c44cc64de990499bf3b7db629ff16b0b7fc802159c96b7",
+    "dolbeault":
+        "f551f85223f3601104a017b23a92586d7c04a7160d401b54b2a1cd3c91b0c124",
+    "chern":
+        "cc73b1d1d9700e5178e0de189ba457296da3383f5c791fb6a4e1c38bf0619c51",
+    "moyal":
+        "7b99afa52e3e25e7225e2cb358ff86bf3c4af1c47ec4b8e4045f4437408e69a6",
+}
+
 
 @pytest.mark.parametrize("name", sorted(cli.SUITES))
 def test_each_suite_passes(name):
@@ -376,6 +410,8 @@ def test_each_suite_passes(name):
     assert rep["tasks"][0]["name"] == name
     digest = hashlib.sha256(emit(rep, "machine").encode()).hexdigest()
     assert digest == SUITE_REPORT_SHA256[name]
+    digest = hashlib.sha256(emit(rep, "text").encode()).hexdigest()
+    assert digest == SUITE_TEXT_SHA256[name]
 
 
 def test_unknown_suite_lists_names():
@@ -450,7 +486,7 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
     monkeypatch.setitem(cli.SUITES, "alwaysfail",
-                        lambda o: ({"note": "forced"}, False))
+                        cli.Suite(lambda rng: ({"note": "forced"}, False)))
     assert main(["--check", "alwaysfail"]) == 1
     out = capsys.readouterr().out
     assert out.strip().endswith("FAIL  1 checks, 1 failed, 1 tasks")
@@ -645,8 +681,8 @@ def test_scenario_suite_over_the_cap_names_the_cap(task, tmp_path,
 
 def test_count_and_power_caps_admit_their_bound(tmp_path, monkeypatch,
                                                  capsys):
-    monkeypatch.setitem(cli.SUITES, "moyal",
-                        lambda o: ({"count": o.count}, True))
+    monkeypatch.setitem(cli.SUITES, "moyal", cli.Suite(
+        lambda rng, *, count=25: ({"count": count}, True)))
     assert main(["--check", "moyal", "--count", str(cli.MAX_COUNT)]) == 0
     for k, code in ((cli.MAX_POWER, 0), (cli.MAX_POWER + 1, 2),
                     (100_000_000, 2)):
@@ -693,7 +729,9 @@ def test_main_machine_format(tmp_path, capsys):
 # ---------------------------------------------------------------- suite n caps
 
 
-@pytest.mark.parametrize("suite, cap", sorted(cli._SUITE_N_CAPS.items()))
+@pytest.mark.parametrize("suite, cap", sorted(
+    (name, row.n_cap) for name, row in cli.SUITES.items()
+    if row.n_cap is not None))
 def test_suite_rejects_n_outside_its_cap(suite, cap, capsys):
     for n in (cap + 1, 0, -1):
         assert main(["--check", suite, "--n", str(n)]) == 2
@@ -724,6 +762,99 @@ def test_complex_suite_rejects_n_over_the_dimension_cap(monkeypatch, capsys):
     assert main(["--check", "complex", "--n", "5", "--count", "1"]) == 2
     assert capsys.readouterr().err == \
         "qdr: dimension 10 exceeds QDR_MAX_DIM=8\n"
+
+
+# the dimension each suite works in at its default bounds: dim, or 2n
+DEFAULT_DIMS = {"associativity": 4, "relation17": 8, "recursion": 6,
+                "complex": 2, "cohomology": 2, "lefschetz": 4, "stokes": 2,
+                "hermitian": 4, "dolbeault": 4, "chern": 4}
+
+
+def test_default_dims_name_every_row_sized_by_n_or_dim():
+    assert set(DEFAULT_DIMS) == {
+        name for name, row in cli.SUITES.items()
+        if {"dim", "n"} & set(row.check.__kwdefaults__)}
+
+
+@pytest.mark.parametrize("suite, dim", sorted(DEFAULT_DIMS.items()))
+def test_default_dimension_over_the_cap_is_rejected(suite, dim, monkeypatch,
+                                                    capsys):
+    # the cap holds for a suite's default bounds as for given ones
+    monkeypatch.setenv("QDR_MAX_DIM", str(dim - 1))
+    assert main(["--check", suite]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"qdr: dimension {dim} exceeds QDR_MAX_DIM={dim - 1}\n"
+
+
+def test_associativity_accepts_odd_dimensions(tmp_path, capsys):
+    assert main(["--check", "associativity", "--dim", "3",
+                 "--count", "2", "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["dim"] == 3
+    # the so(3)* model hands its dimension 3 to the suite
+    path = scenario_file(tmp_path, {"model": "lie_poisson_so3",
+                                    "suite": "associativity"})
+    assert main(["--scenario", path, "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["dim"] == 3
+
+
+def _plus_first(real):
+    # an affine slip: the result picks up its first argument
+    return lambda *args: real(*args) + args[0]
+
+
+def _raising(real):
+    return _raise_assertion
+
+
+# suite -> the cli name of a library call it makes, and a wrapper of the
+# real call under which the suite's identity fails
+BREAKS = {
+    "associativity": ("quantum_wedge", _plus_first),
+    "multiparameter": ("quantum_wedge", _plus_first),
+    "relation17": ("verify_relation_17",
+                   lambda real: lambda n: dict(real(n), nilpotency_order=n)),
+    "recursion": ("derived_recursion_report", lambda real: lambda n: {
+        "rows": [dict(r, matches_derived=False) for r in real(n)["rows"]]}),
+    # accepts the non-Poisson fixture
+    "complex": ("jacobi_check", lambda real: lambda w: (True, None)),
+    "cohomology": ("poisson_homology_dims",
+                   lambda real: lambda comp: cohomology.DimensionReport(
+                       "poisson", [dict(r, ok=False)
+                                   for r in real(comp).rows])),
+    # the even window in place of the odd one, which is the identity
+    "lefschetz": ("lefschetz_matrix",
+                  lambda real: lambda n, parity: real(n, "even")),
+    "ledger": ("lemma62_check", lambda real: lambda n, k: dict(
+        real(n, k), part_i={"multiple": n - k})),
+    "stokes": ("stokes_check", _raising),
+    "hermitian": ("hermitian_gram",
+                  lambda real: lambda n: {**real(n), (0, 1): 1}),
+    "dolbeault": ("quantum_d", _plus_first),
+    "chern": ("bianchi_check", _raising),
+    "moyal": ("moyal_product", _plus_first),
+}
+
+
+def test_breaks_name_every_suite():
+    assert set(BREAKS) == set(cli.SUITES)
+
+
+@pytest.mark.parametrize("suite", sorted(BREAKS))
+def test_each_suite_fails_when_its_identity_fails(suite, monkeypatch,
+                                                  capsys):
+    cli.convention_ledger()  # cached before any library call is broken
+    target, wrap = BREAKS[suite]
+    monkeypatch.setattr(cli, target, wrap(getattr(cli, target)))
+    assert main(["--check", suite, "--n", "1", "--count", "2",
+                 "--format", "machine"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["tasks"][0]["pass"] is False
+    assert emit(report, "text").splitlines()[-1] == \
+        "FAIL  1 checks, 1 failed, 1 tasks"
 
 
 @pytest.mark.parametrize("data", [
