@@ -52,7 +52,8 @@ A suite rejects a half-dimension n above its own cap (cohomology,
 stokes, hermitian, dolbeault and chern 2, lefschetz 3, relation17 4,
 recursion 5) with exit 2 instead of running a smaller model, and
 QDR_MAX_DIM caps every dimension a suite is given (dim, and 2n for n)
-and the one it works in, given or its default.
+and the ones it works in: given, its default, or the fixed size of the
+models it builds (ledger 6, multiparameter and moyal 4, complex 3).
 """
 
 from __future__ import annotations
@@ -354,10 +355,10 @@ class _ConstantSpace:
         self.dim, self.w, self.omega = dim, w, omega
 
     def scalar(self, c):
-        return QForm.scalar(self.dim, HPoly(c))
+        return QForm.constant(self.dim, HPoly(c))
 
     def h(self):
-        return QForm.scalar(self.dim, HPoly({1: 1}))
+        return QForm.constant(self.dim, HPoly({1: 1}))
 
     def basis(self, i):
         if not 1 <= i <= self.dim:
@@ -1140,30 +1141,35 @@ class Options:
 
 
 class Suite(NamedTuple):
-    """A row of SUITES: the check, and the largest half-dimension n it
-    accepts (None: any n the dimension cap allows). Options fills the
-    check's keyword bounds of the same name (dim, n, truncation, count)."""
+    """A row of SUITES: the check, the largest half-dimension n it
+    accepts (None: any n the dimension cap allows), and the largest
+    dimension of the models it builds whatever its bounds (None: it
+    builds none). Options fills the check's keyword bounds of the same
+    name (dim, n, truncation, count)."""
 
     check: Callable
     n_cap: int | None = None
+    fixed_dim: int | None = None
 
 
 # a larger n than a row's cap is rejected, never clamped, so a report
 # always names the model it checked
 SUITES = {
     "associativity": Suite(_associativity),
-    "multiparameter": Suite(_multiparameter),
+    "multiparameter": Suite(_multiparameter, fixed_dim=4),
     "relation17": Suite(_relation17, 4),
     "recursion": Suite(_recursion, 5),
-    "complex": Suite(_complex),
+    # lie_poisson_so3 and heisenberg
+    "complex": Suite(_complex, fixed_dim=3),
     "cohomology": Suite(_cohomology, 2),
     "lefschetz": Suite(_lefschetz, 3),
-    "ledger": Suite(_ledger),
+    # decomposition_report(3) and relation_report(3)
+    "ledger": Suite(_ledger, fixed_dim=6),
     "stokes": Suite(_stokes, 2),
     "hermitian": Suite(_hermitian, 2),
     "dolbeault": Suite(_dolbeault, 2),
     "chern": Suite(_chern, 2),
-    "moyal": Suite(_moyal),
+    "moyal": Suite(_moyal, fixed_dim=4),
 }
 
 
@@ -1186,10 +1192,10 @@ def run_suite(name, opts: Options):
     bounds = {key: val for key, val in given.items()
               if key in defaults and val is not None}
     resolved = {**defaults, **bounds}
-    # every given dimension is capped, and the one the check works in,
-    # given or default
+    # every given dimension is capped, and the ones the check works in:
+    # given, default or fixed
     for dim in (opts.dim, opts.n and 2 * opts.n,
-                resolved.get("dim"), 2 * resolved.get("n", 0)):
+                resolved.get("dim"), 2 * resolved.get("n", 0), row.fixed_dim):
         if dim and dim > max_dim():
             _check_dim(dim)  # names the cap
     try:

@@ -34,7 +34,7 @@ class CPnRing:
             raise ValueError("the ring needs n >= 1")
         self.n = n
         self.omega = SymplecticForm(2 * n).form
-        powers = [QForm.scalar(2 * n, 1)]
+        powers = [QForm.constant(2 * n, 1)]
         for _ in range(n):
             powers.append(wedge(powers[-1], self.omega))
         self.powers = powers
@@ -124,7 +124,7 @@ def verify_relation_17(n: int) -> dict:
     for a in range(1, n + 1):
         assembled = assembled + quantum_wedge(
             QForm.one_form(dim, 2 * a - 1), QForm.one_form(dim, 2 * a), w)
-    shifted = omega + QForm.scalar(dim, HPoly({1: -n}))
+    shifted = omega + QForm.constant(dim, HPoly({1: -n}))
     if assembled != shifted:
         raise AssertionError("assembled deformed form is not omega - n h")
     order = None

@@ -49,11 +49,13 @@ is D^|J| times its value. One driver, product_numerators, takes both
 factors as numerators over their denominators da and db, lifts level n
 by D^(top - n) for the lower top degree top, as it multiplies B_J into
 the sum, and adds numerators over the one denominator da * db * D^top.
-quantum_wedge clears its factors' coefficients and keeps the driver's
-integer numerators pending (scalars.PendingTerms): the first read of
-its terms divides each once, into a Fraction or a Gaussian rational
-with Fraction parts (scalars.over). Until then the numerators are read
-as they are: a later quantum_wedge takes them with the denominator, ==
+quantum_wedge checks that its factors share a space (SparseTerms._join)
+and keeps product_numerators' int numerators pending: QForm is the one
+PendingTerms class of the package, and its _pending slot holds them,
+None on every value built from a terms dict. The first read of its
+terms divides each once, into a Fraction or a Gaussian rational with
+Fraction parts (scalars.over). Until then the numerators are read as
+they are: a later quantum_wedge takes them with the denominator, ==
 between two pending products cross-multiplies them, a rational multiple
 scales them, the zero test asks whether there are any, and str reduces
 each over the denominator by their gcd (Gaussian ones settle first). So
@@ -349,13 +351,9 @@ class QForm(PendingTerms):
             t[e] = over(c, den)
         return {m: HPoly._make(t) for m, t in out.items()}
 
-    @staticmethod
-    def zero(dim: int) -> "QForm":
-        return QForm(dim)
-
-    @staticmethod
-    def scalar(dim: int, c=1) -> "QForm":
-        return QForm(dim, {0: c})
+    _COERCE = (int, HPoly, GaussRat, str, Fraction)
+    # the benchmark's name for constant(dim, c)
+    scalar = vars(SparseTerms)["constant"]
 
     @staticmethod
     def basis(dim: int, indices, coeff=1) -> "QForm":
@@ -365,24 +363,9 @@ class QForm(PendingTerms):
     def one_form(dim: int, i: int, coeff=1) -> "QForm":
         return QForm(dim, {(i,): coeff})
 
-    def _operand(self, other):
-        if isinstance(other, QForm):
-            return other
+    def __mul__(self, scalar):
         # exact-type tests first: isinstance against Fraction goes
         # through the slow ABC check
-        t = type(other)
-        if t is int or t is Fraction or t is HPoly or isinstance(
-                other, (int, Fraction, str, GaussRat, HPoly)):
-            return QForm(self.dim, {0: other})
-        return NotImplemented
-
-    def _join(self, o):
-        if o.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return (self.dim,)
-
-    def __mul__(self, scalar):
-        # exact-type tests first, as in _operand
         t = type(scalar)
         if t is int or t is Fraction:
             pending = self._pending
@@ -590,12 +573,13 @@ def quantum_wedge(a: QForm, b: QForm, w: PairTensor) -> QForm:
     The product is pending until its terms are read (see the module
     docstring); its coefficients are Laurent polynomials in h, as the
     operands' are."""
-    if a.dim != b.dim or a.dim != w.dim:
+    space = a._join(b)
+    if w.dim != a.dim:
         raise ValueError("dimension mismatch")
     if not w.is_constant():
         raise TypeError("quantum_wedge needs a constant pairing")
     nums, den = product_numerators(*_numerators(a), *_numerators(b), w)
-    return QForm._make_pending(nums, den, a.dim)
+    return QForm._make_pending(nums, den, *space)
 
 
 def product_numerators(ta: dict, da, tb: dict, db, w: PairTensor):
@@ -653,7 +637,7 @@ def _numerators(form: QForm):
 def quantum_powers(a: QForm, w: PairTensor):
     """The deformed powers 1, a, a *_h a, ... without end: each is the
     one before it times a, one product each."""
-    power = QForm.scalar(a.dim, 1)
+    power = QForm.constant(a.dim, 1)
     while True:
         yield power
         power = quantum_wedge(power, a, w)
@@ -713,14 +697,6 @@ class MultiForm(SparseTerms):
             if c:
                 self.terms[int(m)] = c
 
-    def _operand(self, other):
-        return other if isinstance(other, MultiForm) else NotImplemented
-
-    def _join(self, o):
-        if (o.dim, o.nparams) != (self.dim, self.nparams):
-            raise ValueError("form spaces differ")
-        return (self.dim, self.nparams)
-
     def coeff(self, key) -> HPolyMulti:
         if isinstance(key, tuple):
             key = mask_of_indices(key)
@@ -769,8 +745,9 @@ def quantum_wedge_multi(a: QForm, b: QForm, ws) -> MultiForm:
                 raise ValueError("multi-parameter product needs h-free inputs")
     # tensor states (exponent tuple, A, B), contracted by one pairing
     # after the other
-    states = [((0,) * r, {(0, m): c.constant() for m, c in a.terms.items()},
-               {(0, m): c.constant() for m, c in b.terms.items()})]
+    states = [((0,) * r,
+               {(0, m): c.constant_coeff() for m, c in a.terms.items()},
+               {(0, m): c.constant_coeff() for m, c in b.terms.items()})]
     for p, w in enumerate(ws):
         nxt = []
         for e, A, B in states:

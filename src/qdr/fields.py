@@ -17,13 +17,13 @@ from fractions import Fraction
 
 from .bigraded import standard_frame
 from .blades import (blade_degree, blade_str, indices_of_mask,
-                     insert_first_mask, wedge_masks)
+                     insert_first_mask, mask_of_indices, wedge_masks)
 from .exterior import Bivector, QForm, product_numerators
 from .functions import FourierFn, PolyFn
 from .scalars import (GaussRat, HPoly, SparseTerms, add_term, as_fraction,
                       clear_denominators, convolve, int_exponent, over)
 
-_PLAIN = (int, Fraction, GaussRat, str)
+_PLAIN = (int, GaussRat, str, Fraction)
 
 
 def _h_shift(key, e):
@@ -74,9 +74,8 @@ class FieldForm(SparseTerms):
                 fn = fnring.constant(dim, fn)
             add_term(self.terms, (int_exponent(h), mask), fn)
 
-    @classmethod
-    def zero(cls, dim: int, fnring) -> "FieldForm":
-        return cls(dim, fnring)
+    _COERCE = _PLAIN
+    _UNIT = (0, 0)
 
     @classmethod
     def from_fn(cls, fn, mask: int = 0, h_exp: int = 0) -> "FieldForm":
@@ -84,7 +83,7 @@ class FieldForm(SparseTerms):
 
     def coeff(self, h_exp: int, mask):
         if not isinstance(mask, int):
-            mask = _mask_of(mask)
+            mask = mask_of_indices(mask)
         return self.terms.get((h_exp, mask), self.fnring.zero(self.dim))
 
     def blade_degrees(self):
@@ -101,18 +100,6 @@ class FieldForm(SparseTerms):
     def h_shift(self, k: int) -> "FieldForm":
         return self._like({(h + k, m): fn
                            for (h, m), fn in self.terms.items()})
-
-    def _operand(self, other):
-        if isinstance(other, FieldForm):
-            return other
-        if isinstance(other, _PLAIN):
-            return FieldForm(self.dim, self.fnring, {(0, 0): other})
-        return NotImplemented
-
-    def _join(self, o):
-        if o.dim != self.dim or o.fnring is not self.fnring:
-            raise ValueError("form spaces differ")
-        return (self.dim, self.fnring)
 
     def __mul__(self, other):
         # exact-type tests first: isinstance against Fraction goes through
@@ -162,13 +149,6 @@ class FieldForm(SparseTerms):
         return out
 
 
-def _mask_of(key) -> int:
-    mask = 0
-    for i in key:
-        mask |= 1 << (i - 1)
-    return mask
-
-
 def lift(form: QForm, fnring) -> "FieldForm":
     """Constant-coefficient form as a FieldForm over the given ring."""
     t = {(e, mask): fnring.constant(form.dim, c)
@@ -177,8 +157,7 @@ def lift(form: QForm, fnring) -> "FieldForm":
 
 
 def wedge_field(a: FieldForm, b: FieldForm) -> FieldForm:
-    if a.dim != b.dim or a.fnring is not b.fnring:
-        raise ValueError("form spaces differ")
+    space = a._join(b)
     t = {}
     for (ha, ma), fa in a.terms.items():
         for (hb, mb), fb in b.terms.items():
@@ -186,7 +165,7 @@ def wedge_field(a: FieldForm, b: FieldForm) -> FieldForm:
             if not s:
                 continue
             add_term(t, (ha + hb, m), (fa * fb) * s)
-    return a._like(t)
+    return FieldForm._make(t, *space)
 
 
 def quantum_wedge_field(a: FieldForm, b: FieldForm, w: PoissonField):
@@ -195,12 +174,12 @@ def quantum_wedge_field(a: FieldForm, b: FieldForm, w: PoissonField):
     The coefficient functions go through exterior.product_numerators as
     numerators over one denominator each (scalars.clear_denominators),
     and each coefficient of the product is divided once (scalars.over)."""
-    if a.dim != b.dim or a.fnring is not b.fnring:
-        raise ValueError("form spaces differ")
+    space = a._join(b)
     if w.dim != a.dim:
         raise ValueError("dimension mismatch")
     nums, den = product_numerators(*_numerators(a), *_numerators(b), w)
-    return a._like({k: over(c, den) for k, c in nums.items()})
+    return FieldForm._make({k: over(c, den) for k, c in nums.items()},
+                           *space)
 
 
 def _numerators(form: FieldForm):

@@ -9,9 +9,8 @@ leaves exact arithmetic.
 from fractions import Fraction
 
 from .scalars import (GaussRat, HPoly, SparseRing, TauNumber, _coeff_str,
-                      add_keys, add_term, as_fraction, frac_str, int_exponent)
-
-_COEFFS = (int, Fraction, GaussRat, HPoly, str)
+                      add_keys, add_term, as_fraction, frac_str, int_exponent,
+                      zero_key)
 
 
 def _coerce_scalar(c):
@@ -42,14 +41,6 @@ class PolyFn(SparseRing):
             add_term(self.terms, expo, _coerce_scalar(c))
 
     @classmethod
-    def constant(cls, dim: int, c) -> "PolyFn":
-        return cls(dim, {(0,) * dim: c})
-
-    @classmethod
-    def zero(cls, dim: int) -> "PolyFn":
-        return cls(dim)
-
-    @classmethod
     def coord(cls, dim: int, j: int) -> "PolyFn":
         if not 1 <= j <= dim:
             raise ValueError(f"coordinate x{j} out of range for dim {dim}")
@@ -66,18 +57,8 @@ class PolyFn(SparseRing):
     _SCALARS = (int, Fraction, GaussRat, HPoly)
     # Moyal products' HPoly values are left out of clearing
     _LEAVES = (Fraction, int, GaussRat)
-
-    def _operand(self, other):
-        if isinstance(other, PolyFn):
-            return other
-        if isinstance(other, _COEFFS):
-            return PolyFn.constant(self.dim, other)
-        return NotImplemented
-
-    def _join(self, o):
-        if o.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return (self.dim,)
+    _COERCE = (int, GaussRat, HPoly, str, Fraction)
+    _UNIT = staticmethod(zero_key)
 
     def __truediv__(self, other):
         if isinstance(other, (int, str)):
@@ -179,14 +160,6 @@ class FourierFn(SparseRing):
             add_term(self.terms, mode, TauNumber.coerce(c))
 
     @classmethod
-    def constant(cls, dim: int, c) -> "FourierFn":
-        return cls(dim, {(0,) * dim: c})
-
-    @classmethod
-    def zero(cls, dim: int) -> "FourierFn":
-        return cls(dim)
-
-    @classmethod
     def mode(cls, dim: int, ks, coeff=1) -> "FourierFn":
         return cls(dim, {tuple(ks): coeff})
 
@@ -197,20 +170,9 @@ class FourierFn(SparseRing):
         return self.terms.get((0,) * self.dim, TauNumber())
 
     _KEYSUM = staticmethod(add_keys)
-    _SCALARS = (int, Fraction, GaussRat, TauNumber)
+    _SCALARS = _COERCE = (int, GaussRat, TauNumber, Fraction)
     _LEAVES = (TauNumber,)
-
-    def _operand(self, other):
-        if isinstance(other, FourierFn):
-            return other
-        if isinstance(other, FourierFn._SCALARS):
-            return FourierFn.constant(self.dim, other)
-        return NotImplemented
-
-    def _join(self, o):
-        if o.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return (self.dim,)
+    _UNIT = staticmethod(zero_key)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, GaussRat, TauNumber)):

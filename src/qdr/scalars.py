@@ -11,11 +11,14 @@ Every ring and form class of the package (HPoly, HPolyMulti, TauNumber
 here, PolyFn and FourierFn in functions, QForm and MultiForm in exterior,
 FieldForm in fields) is a SparseTerms: one zero-free terms dict on one
 space. That one core owns their sums, negation, scalar multiples,
-equality, the trusted constructor _make and the pending values of a
-class that says how to settle them (QForm's products); SparseRing adds
-the convolution product of the five rings. add_term is the one accumulator
-of a terms dict, and only the public constructors validate: an exponent
-key must be an int (int_exponent).
+equality, the coercion of an operand, the check that two operands share
+a space, the constructors zero and constant, and the trusted constructor
+_make; each class gives it data, not code: its space slots, the types it
+coerces and the key of its unit term. SparseRing adds the convolution
+product of the five rings, and PendingTerms the pending values of
+QForm's products, which no other class carries. add_term is the one
+accumulator of a terms dict, and only the public constructors validate:
+an exponent key must be an int (int_exponent).
 """
 
 from __future__ import annotations
@@ -72,6 +75,11 @@ def add_term(terms: dict, key, value) -> None:
     terms[key] = value
 
 
+def zero_key(n: int) -> tuple:
+    """(0,) * n: the unit key of the rings keyed by n-tuples."""
+    return (0,) * n
+
+
 def add_keys(a: tuple, b: tuple) -> tuple:
     """Element-wise sum of two exponent tuples: the key sum of the rings
     keyed by tuples."""
@@ -93,60 +101,52 @@ class SparseTerms:
     form class.
 
     The core implements, once for all of them, + and - from either side,
-    negation, the scalar multiple, equality, truth and the trusted
-    constructor _make. A subclass's own __slots__ name its space (dim,
-    nparams, fnring, or none at all), and it supplies the two hooks the
-    core calls:
+    negation, the scalar multiple, equality, truth, the trusted
+    constructor _make, the constructors zero(*space) and constant(*space, c),
+    the coercion of an operand (_operand) and the space check of two
+    (_join). A subclass's own public __slots__ name its space (dim,
+    nparams, fnring, or none at all), in the order _make and _space()
+    give it. Two class attributes say the rest:
 
-    - _operand(other): other as a value of the class, or NotImplemented;
-    - _join(o): the space of a binary result, in __slots__ order; it
-      raises ValueError when the operands' spaces differ.
+    - _COERCE: the types of operand read as a constant of the class.
+      Fraction comes last: isinstance against it, a numbers.Rational,
+      goes through the slow ABC check, which a value of an earlier type
+      skips;
+    - _UNIT: the key of the constant term, or a function of the space
+      that gives it.
 
     The rings take their product from SparseRing; the forms multiply by
-    wedge and quantum_wedge.
-
-    A class that defines the hook _settle(nums, den) can also hold
-    pending values, built by _make_pending: their terms are still
-    zero-free numerators {key: numerator} over one denominator den, in
-    the form of clear_denominators, and terms stays unset. The first read
-    of terms settles the value once, through the hook. Such a class
-    derives from PendingTerms, whose truth and is_zero read the
-    numerators: a pending value is zero exactly when it has none. ==
-    between two pending values compares their key sets and
-    cross-multiplied numerators and settles neither. A class may read
-    its numerators in more places (QForm prints and scales them); every
-    other reader, and == with a settled side, sees terms.
+    wedge and quantum_wedge. A class whose values can be pending derives
+    from PendingTerms.
     """
 
-    __slots__ = ("terms", "_pending")
-    # the hook of a class whose values can be pending; the others never are
-    _settle = None
+    __slots__ = ("terms",)
+    _COERCE = ()
+    _UNIT = 0
     # the types of term value that clear_denominators and over reach
     # through; a class without any is left as it is
     _LEAVES = ()
 
     def __init_subclass__(cls, **kwargs):
-        # the space's slot setter and copier are compiled once per class
-        # from one template, as dataclasses does for __init__: a setattr
-        # loop over the slot names costs twice as much per value
+        # the space's slot setter, copier and reader are compiled once per
+        # class from one template, as dataclasses does for __init__: a
+        # setattr loop over the slot names costs twice as much per value.
+        # A private slot of the class or a base is state that a value
+        # built from a terms dict does not have: it is None.
         super().__init_subclass__(**kwargs)
-        names = cls.__slots__
-        sets = [f"x.{n} = {n}" for n in names]
-        copies = [f"x.{n} = o.{n}" for n in names]
-        if cls._settle is not None:
-            # a value built from a terms dict is settled; the hook goes on
-            # this class alone, as a class with __getattr__ reads every
-            # attribute on the slow path
-            sets.append("x._pending = None")
-            copies.append("x._pending = None")
-            cls.__getattr__ = SparseTerms._settled_terms
-        sets = "; ".join(sets) or "pass"
-        copies = "; ".join(copies) or "pass"
+        names = [n for n in cls.__slots__ if not n.startswith("_")]
+        unset = [f"x.{n} = None" for c in cls.__mro__
+                 for n in vars(c).get("__slots__", ()) if n.startswith("_")]
+        sets = [f"x.{n} = {n}" for n in names] + unset
+        copies = [f"x.{n} = o.{n}" for n in names] + unset
         ns = {}
-        exec(f"def fill(x, {', '.join(names)}): {sets}\n"
-             f"def copy(x, o): {copies}\n", ns)
+        exec(f"def fill(x, {', '.join(names)}): {'; '.join(sets) or 'pass'}\n"
+             f"def copy(x, o): {'; '.join(copies) or 'pass'}\n"
+             f"def space(x): return ({''.join(f'x.{n}, ' for n in names)})\n",
+             ns)
         cls._fill = staticmethod(ns["fill"])
         cls._copy = staticmethod(ns["copy"])
+        cls._space = ns["space"]
 
     @classmethod
     def _make(cls, terms: dict, *space):
@@ -158,24 +158,35 @@ class SparseTerms:
         return x
 
     @classmethod
-    def _make_pending(cls, nums: dict, den, *space):
-        """Trusted constructor of a pending value: nums is zero-free
-        {key: numerator} over den, and cls._settle(nums, den) gives the
-        terms."""
-        x = object.__new__(cls)
-        cls._fill(x, *space)
-        x._pending = (nums, den)
-        return x
+    def zero(cls, *space):
+        """The value with no terms on space."""
+        return cls._make({}, *space)
 
-    def _settled_terms(self, name):
-        # the __getattr__ of a class with _settle: only an unset slot gets
-        # here, and terms is unset while the value is pending, so divide
-        # its numerators once
-        if name != "terms":
-            raise AttributeError(name)
-        t = self.terms = self._settle(*self._pending)
-        self._pending = None
-        return t
+    @classmethod
+    def constant(cls, *args):
+        """constant(*space, c): c on the unit term, through the public
+        constructor, which coerces c."""
+        *space, c = args
+        unit = cls._UNIT
+        return cls(*space, {unit(*space) if callable(unit) else unit: c})
+
+    def _operand(self, other):
+        """other as a value of self's class: itself, a _COERCE value as
+        the constant on self's space, or NotImplemented."""
+        cls = type(self)
+        if isinstance(other, cls):
+            return other
+        if isinstance(other, cls._COERCE):
+            return cls.constant(*self._space(), other)
+        return NotImplemented
+
+    def _join(self, o):
+        """The space of a binary result of self and o; a ValueError when
+        their spaces differ."""
+        space = self._space()
+        if o._space() != space:
+            raise ValueError(f"{type(self).__name__} spaces differ")
+        return space
 
     def _like(self, terms: dict):
         """_make on self's space."""
@@ -185,7 +196,7 @@ class SparseTerms:
         return x
 
     def _sum(self, other, sign: int):
-        o = self._operand(other)
+        o = other if type(other) is type(self) else self._operand(other)
         if o is NotImplemented:
             return NotImplemented
         space = self._join(o)
@@ -225,21 +236,15 @@ class SparseTerms:
 
     def __eq__(self, other):
         # as for Fraction, a string never equals a value: == parses nothing
-        o = NotImplemented if isinstance(other, str) else self._operand(other)
-        if o is NotImplemented:
+        if type(other) is type(self):
+            o = other
+        elif isinstance(other, str):
             return NotImplemented
-        if type(self)._settle is not None and self._pending and o._pending:
-            (na, da), (nb, db) = self._pending, o._pending
-            if na.keys() != nb.keys() or not all(
-                    c * db == nb[k] * da for k, c in na.items()):
-                return False
-        elif self.terms != o.terms:
-            return False
-        try:
-            self._join(o)
-        except ValueError:
-            return False
-        return True
+        else:
+            o = self._operand(other)
+            if o is NotImplemented:
+                return NotImplemented
+        return self.terms == o.terms and self._space() == o._space()
 
     def __bool__(self):
         return bool(self.terms)
@@ -249,11 +254,51 @@ class SparseTerms:
 
 
 class PendingTerms(SparseTerms):
-    """The base of a class with _settle: its truth and is_zero also read
-    a pending value's numerators, so a class that is never pending pays
-    nothing for them."""
+    """The base of a class whose values can be pending, built by
+    _make_pending: their terms are still zero-free numerators
+    {key: numerator} over one denominator den, in the form of
+    clear_denominators, and terms stays unset. The first read of terms
+    settles the value once, through the class's hook _settle(nums, den).
+    Truth and is_zero read the numerators: a pending value is zero
+    exactly when it has none. == between two pending values compares
+    their key sets and cross-multiplied numerators and settles neither.
+    A class may read its numerators in more places (QForm prints and
+    scales them); every other reader, and == with a settled side, sees
+    terms. _pending is None on a settled value.
 
-    __slots__ = ()
+    Only a subclass pays for the pending state: the slot, and the slow
+    attribute path that a class with __getattr__ takes."""
+
+    __slots__ = ("_pending",)
+
+    @classmethod
+    def _make_pending(cls, nums: dict, den, *space):
+        """Trusted constructor of a pending value: nums is zero-free
+        {key: numerator} over den, and cls._settle(nums, den) gives the
+        terms."""
+        x = object.__new__(cls)
+        cls._fill(x, *space)
+        x._pending = (nums, den)
+        return x
+
+    def __getattr__(self, name):
+        # only an unset slot gets here, and terms is unset while the
+        # value is pending, so divide its numerators once
+        if name != "terms":
+            raise AttributeError(name)
+        t = self.terms = self._settle(*self._pending)
+        self._pending = None
+        return t
+
+    def __eq__(self, other):
+        p = self._pending
+        q = other._pending if type(other) is type(self) else None
+        if p is None or q is None:
+            return SparseTerms.__eq__(self, other)
+        (na, da), (nb, db) = p, q
+        return (na.keys() == nb.keys()
+                and all(c * db == nb[k] * da for k, c in na.items())
+                and self._space() == other._space())
 
     def __bool__(self):
         # the numerators are zero-free, so a pending value is zero exactly
@@ -277,12 +322,14 @@ class SparseRing(SparseTerms):
         # exact-type tests first: isinstance against Fraction goes through
         # the slow ABC check, and a value of the class is never a scalar
         t = type(other)
-        if t is int or t is Fraction or (
-                t is not type(self) and isinstance(other, self._SCALARS)):
+        if t is type(self):
+            o = other
+        elif t is int or t is Fraction or isinstance(other, self._SCALARS):
             return self._scale(other)
-        o = self._operand(other)
-        if o is NotImplemented:
-            return NotImplemented
+        else:
+            o = self._operand(other)
+            if o is NotImplemented:
+                return NotImplemented
         space = self._join(o)
         return self._make(convolve(self.terms, o.terms, self._KEYSUM), *space)
 
@@ -531,16 +578,7 @@ class HPoly(SparseRing):
 
     _KEYSUM = staticmethod(add)
     _LEAVES = (Fraction, int, GaussRat)
-
-    def _operand(self, other):
-        if isinstance(other, HPoly):
-            return other
-        if isinstance(other, (int, Fraction, str, GaussRat)):
-            return HPoly(other)
-        return NotImplemented
-
-    def _join(self, o):
-        return ()
+    _COERCE = (int, GaussRat, str, Fraction)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -562,7 +600,7 @@ class HPoly(SparseRing):
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
 
-    def constant(self):
+    def constant_coeff(self):
         """Coefficient of h^0."""
         return self.terms.get(0, Fraction(0))
 
@@ -647,23 +685,13 @@ class HPolyMulti(SparseRing):
                 self.terms[e] = c
 
     _KEYSUM = staticmethod(add_keys)
-
-    def _operand(self, other):
-        if isinstance(other, HPolyMulti):
-            return other
-        if isinstance(other, (int, Fraction, str)):
-            return HPolyMulti(self.nparams, other)
-        return NotImplemented
-
-    def _join(self, o):
-        if o.nparams != self.nparams:
-            raise ValueError("parameter count mismatch")
-        return (self.nparams,)
+    _COERCE = (int, str, Fraction)
+    _UNIT = staticmethod(zero_key)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and other != 0:
+        if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / other)
-        raise TypeError("can only divide by a nonzero rational")
+        raise TypeError("can only divide by a rational")
 
     def __hash__(self):
         return hash((self.nparams, tuple(sorted(self.terms.items()))))
@@ -681,7 +709,7 @@ class HPolyMulti(SparseRing):
             add_term(out, sum(e), scale)
         return HPoly._make(out)
 
-    def constant(self):
+    def constant_coeff(self):
         return self.terms.get((0,) * self.nparams, Fraction(0))
 
     def __str__(self):
@@ -747,16 +775,7 @@ class TauNumber(SparseRing):
 
     _KEYSUM = staticmethod(add)
     _LEAVES = (GaussRat,)
-
-    def _operand(self, other):
-        if isinstance(other, TauNumber):
-            return other
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return TauNumber(other)
-        return NotImplemented
-
-    def _join(self, o):
-        return ()
+    _COERCE = (int, GaussRat, Fraction)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1

@@ -71,7 +71,7 @@ class SymplecticForm:
         """The plain forms omega^k / k! for k = 0..n, worked out once."""
         if self._powers is None:
             form = self.form
-            out = [QForm.scalar(self.dim, 1)]
+            out = [QForm.constant(self.dim, 1)]
             for k in range(1, self.n + 1):
                 out.append(wedge(out[-1], form) * Fraction(1, k))
             self._powers = tuple(out)
@@ -85,7 +85,7 @@ class SymplecticForm:
     @property
     def volume_coeff(self) -> Fraction:
         top = (1 << self.dim) - 1
-        return self.volume.coeff(top).constant()
+        return self.volume.coeff(top).constant_coeff()
 
 
 def _coerce_symplectic(omega, dim=None) -> SymplecticForm:
@@ -118,7 +118,7 @@ def sharp(omega: SymplecticForm, phi) -> dict:
         for m, c in phi.terms.items():
             if blade_degree(m) != 1:
                 raise ValueError("sharp needs a 1-form")
-            comps[indices_of_mask(m)[0]] = c.constant()
+            comps[indices_of_mask(m)[0]] = c.constant_coeff()
     else:
         comps = dict(phi)
     w = omega.bivector

@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 import qdr
-from qdr import chernweil, cli, cohomology, cpn
+from qdr import chernweil, cli, cohomology, cpn, exterior
 from qdr.cli import (
     Options,
     ScenarioError,
@@ -770,22 +770,49 @@ DEFAULT_DIMS = {"associativity": 4, "relation17": 8, "recursion": 6,
                 "hermitian": 4, "dolbeault": 4, "chern": 4}
 
 
+# rows whose models have a size of their own, and the largest of them
+FIXED_DIMS = {"ledger": 6, "multiparameter": 4, "moyal": 4, "complex": 3}
+
+
 def test_default_dims_name_every_row_sized_by_n_or_dim():
     assert set(DEFAULT_DIMS) == {
         name for name, row in cli.SUITES.items()
         if {"dim", "n"} & set(row.check.__kwdefaults__)}
+    assert set(FIXED_DIMS) == {
+        name for name, row in cli.SUITES.items() if row.fixed_dim}
 
 
-@pytest.mark.parametrize("suite, dim", sorted(DEFAULT_DIMS.items()))
+@pytest.mark.parametrize("suite, dim", sorted(DEFAULT_DIMS.items())
+                         + sorted(FIXED_DIMS.items()))
 def test_default_dimension_over_the_cap_is_rejected(suite, dim, monkeypatch,
                                                     capsys):
-    # the cap holds for a suite's default bounds as for given ones
+    # the cap holds for a suite's default bounds as for given ones, and
+    # for the fixed size of its models
     monkeypatch.setenv("QDR_MAX_DIM", str(dim - 1))
     assert main(["--check", suite]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == \
         f"qdr: dimension {dim} exceeds QDR_MAX_DIM={dim - 1}\n"
+
+
+@pytest.mark.parametrize("suite, dim", sorted(FIXED_DIMS.items()))
+def test_fixed_dimension_is_the_largest_pairing_built(suite, dim,
+                                                      monkeypatch):
+    # a row's fixed dimension is that of the largest pairing it builds:
+    # no smaller, so the cap sees every model, and no larger, so it
+    # rejects nothing that would fit
+    assert cli.SUITES[suite].fixed_dim == dim
+    seen = []
+    real = exterior.PairTensor.__init__
+
+    def recording(self, dim, entries=None):
+        seen.append(dim)
+        real(self, dim, entries)
+
+    monkeypatch.setattr(exterior.PairTensor, "__init__", recording)
+    assert cli.run_suite(suite, cli.Options(count=3))[1]
+    assert max(seen) == dim
 
 
 def test_associativity_accepts_odd_dimensions(tmp_path, capsys):

@@ -311,7 +311,8 @@ def reference_quantum_wedge_multi(a, b, ws):
     out = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
-            state = {(ma, mb): HPolyMulti(r, ca.constant() * cb.constant())}
+            state = {(ma, mb): HPolyMulti(
+                r, ca.constant_coeff() * cb.constant_coeff())}
             for p, w in enumerate(ws, start=1):
                 entries = w.ordered_entries()
                 acc = {}

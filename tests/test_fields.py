@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from dolbeault_reference import ref_bidegree_split
-from qdr.exterior import quantum_wedge
+from qdr.exterior import QForm, quantum_wedge
 from qdr.fields import (
     FieldForm,
     PoissonField,
@@ -62,6 +62,20 @@ def test_polyfn_basics():
     assert (f - f).is_zero()
     g = PolyFn.constant(2, GaussRat(0, 1))
     assert (g * g) == -1
+
+
+def test_fieldform_coeff_reads_index_tuples_as_qform_does():
+    # dx1^dx2 with coefficient 5: an index tuple names a blade in
+    # increasing order, as QForm.coeff reads it, and a reordered or
+    # repeated one raises where its sign or vanishing would be lost
+    f = FieldForm(2, PolyFn, {(0, 0b11): PolyFn.constant(2, 5)})
+    assert f.coeff(0, (1, 2)) == f.coeff(0, 0b11) == PolyFn.constant(2, 5)
+    assert f.coeff(1, (1, 2)) == PolyFn.zero(2)
+    for bad in ((2, 1), (1, 1)):
+        with pytest.raises(ValueError):
+            QForm.basis(2, (1, 2)).coeff(bad)
+        with pytest.raises(ValueError):
+            f.coeff(0, bad)
 
 
 def test_fourierfn_basics():

@@ -212,3 +212,13 @@ def test_clearing_leaves_other_leaves_as_they_are():
     # over divides such a value as it is
     assert _layout(over(moyal, 1)) == _layout(moyal)
     assert _layout(over(moyal, 6)) == _layout(moyal / 6)
+
+
+@pytest.mark.parametrize("x", [
+    HPoly({1: 2}), HPolyMulti(2, {(1, 0): 2}), TauNumber.tau(1, 2),
+    PolyFn.coord(2, 1), FourierFn.mode(2, (1, 0), 2)],
+    ids=lambda x: type(x).__name__)
+def test_every_ring_divided_by_zero_raises_zero_division(x):
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero

@@ -56,6 +56,7 @@ from qdr.scalars import (
     GaussRat,
     HPoly,
     HPolyMulti,
+    PendingTerms,
     SparseRing,
     SparseTerms,
     TauNumber,
@@ -509,6 +510,18 @@ def test_space_mismatch_raises_and_compares_unequal():
             with pytest.raises(ValueError):
                 op()
         assert a != b and not a == b
+    # the free products check the two spaces as the core does
+    w2 = Bivector.standard(2)
+    e1 = QForm.basis(2, (1,))
+    q4 = QForm.basis(4, (1,))
+    f = FieldForm.from_fn(PolyFn.coord(2, 1), 0b1)
+    g = FieldForm.from_fn(FourierFn.mode(2, (1, 0)), 0b10)
+    for op in (lambda: quantum_wedge(e1, q4, w2),
+               lambda: quantum_wedge(q4, e1, w2),
+               lambda: wedge_field(f, g), lambda: wedge_field(g, f),
+               lambda: quantum_wedge_field(f, g, PoissonField(2))):
+        with pytest.raises(ValueError):
+            op()
     # zero values on different spaces differ too
     assert PolyFn.zero(1) != PolyFn.zero(2)
     assert QForm.zero(2) != QForm.zero(4)
@@ -534,7 +547,7 @@ def test_scalars_combine_from_either_side():
 def test_no_class_keeps_its_own_arithmetic():
     core = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
             "__eq__", "__bool__", "is_zero", "_make", "_like", "_binop",
-            "_coerce", "coerce")
+            "_coerce", "coerce", "_join", "_operand", "zero", "constant")
     for cls in _CLASSES:
         assert issubclass(cls, SparseTerms)
         own = [name for name in core if name in vars(cls)]
@@ -562,6 +575,49 @@ def test_no_class_keeps_its_own_arithmetic():
                              and isinstance(n.func, ast.Name)]
                     assert "add_term" not in calls, \
                         f"{cls.__name__}.{fn.name} keeps a product loop"
+
+
+def test_only_pending_terms_carry_pending_state():
+    # the core has no pending slot and no branch on a pending caller
+    assert "_pending" not in SparseTerms.__slots__
+    assert "_pending" in PendingTerms.__slots__
+    for cls in _CLASSES:
+        pending = issubclass(cls, PendingTerms)
+        assert pending == (cls is QForm), cls.__name__
+        assert hasattr(cls, "_pending") == pending, cls.__name__
+        assert hasattr(cls, "__getattr__") == pending, cls.__name__
+    assert not hasattr(HPoly(), "_pending")
+    assert QForm.zero(2)._pending is None
+    for name in ("__eq__", "__init_subclass__"):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(
+            vars(SparseTerms)[name])))
+        named = {n.attr if isinstance(n, ast.Attribute) else n.id
+                 for n in ast.walk(tree)
+                 if isinstance(n, (ast.Attribute, ast.Name))}
+        assert not {"_settle", "_pending"} & named, name
+
+
+def test_zero_and_constant_are_built_on_each_space():
+    # zero(*space) and constant(*space, c) are those of the public
+    # constructor, c on the unit term
+    cases = [(HPoly, (), 0), (HPolyMulti, (3,), (0, 0, 0)),
+             (TauNumber, (), 0), (PolyFn, (2,), (0, 0)),
+             (FourierFn, (2,), (0, 0)), (QForm, (2,), 0),
+             (MultiForm, (2, 3), 0), (FieldForm, (2, PolyFn), (0, 0))]
+    for cls, space, unit in cases:
+        zero = cls.zero(*space)
+        _expect(zero, cls, _ref_space(cls(*space)), {})
+        for c in (3, Fraction(-1, 2)):
+            one = cls(*space, {unit: c})
+            _expect(cls.constant(*space, c), cls, _ref_space(one), one.terms)
+            # an operand of a coerced type is that constant; MultiForm
+            # coerces none
+            if cls is MultiForm:
+                with pytest.raises(TypeError):
+                    zero + c
+            else:
+                assert zero + c == one and c - zero == one
+    assert QForm.scalar(2, 5) == QForm.constant(2, 5)
 
 
 def test_no_value_carries_a_laurent_flag():
