@@ -76,10 +76,6 @@ class BigradedForm:
         self.form = form
 
     @classmethod
-    def zero(cls, n: int) -> "BigradedForm":
-        return cls(n, QForm(2 * n))
-
-    @classmethod
     def monomial(cls, n: int, mask: int, coeff=1, h_exp: int = 0
                  ) -> "BigradedForm":
         return cls(n, QForm(2 * n, {mask: HPoly({h_exp: coeff})}))
@@ -156,13 +152,6 @@ class BigradedForm:
         return " + ".join(bits)
 
     __repr__ = __str__
-
-    def serialize(self) -> dict:
-        out = {}
-        for mask, c in self.form.terms.items():
-            out[self.blade_str(mask)] = {
-                str(e): str(v) for e, v in sorted(c.terms.items())}
-        return out
 
 
 class Frame:

@@ -99,10 +99,6 @@ class Blade:
             raise ValueError("blade index exceeds dimension")
         self.mask = mask
 
-    @property
-    def indices(self):
-        return indices_of_mask(self.mask)
-
     def __eq__(self, other):
         return (isinstance(other, Blade) and self.dim == other.dim
                 and self.mask == other.mask)
@@ -111,9 +107,7 @@ class Blade:
         return hash((self.dim, self.mask))
 
     def __str__(self):
-        if not self.mask:
-            return "1"
-        return "^".join(f"e{i}" for i in self.indices)
+        return blade_str(self.mask)
 
     __repr__ = __str__
 

@@ -74,10 +74,6 @@ class MatrixForm:
                          for j in range(rank)])
         return cls(rows)
 
-    @classmethod
-    def scalar(cls, form: FieldForm) -> "MatrixForm":
-        return cls([[form]])
-
     def map(self, fn) -> "MatrixForm":
         return MatrixForm([[fn(e) for e in row] for row in self.entries])
 
@@ -123,9 +119,6 @@ class MatrixForm:
             acc = acc + self.entries[i][i]
         return acc
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
     def is_one_form(self) -> bool:
         for row in self.entries:
             for e in row:
@@ -144,9 +137,6 @@ class MatrixForm:
         return "[" + ",\n ".join(rows) + "]"
 
     __repr__ = __str__
-
-    def serialize(self):
-        return [[e.serialize() for e in row] for row in self.entries]
 
 
 def _fn_det(entries, ring, dim):

@@ -365,13 +365,6 @@ class _ConstantSpace:
             raise ScenarioError(f"basis index {i} outside 1..{self.dim}")
         return QForm.basis(self.dim, (i,))
 
-    def coord(self, i):
-        raise ScenarioError(
-            "x[i] needs a function-coefficient model (flat, torus, "
-            "lie_poisson_so3, heisenberg)")
-
-    mode = coord
-
     def wedge(self, a, b):
         return wedge(a, b)
 

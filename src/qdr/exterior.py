@@ -79,7 +79,6 @@ from .blades import (
     blade_str,
     indices_of_mask,
     insert_first_mask,
-    insert_last_mask,
     mask_of_indices,
     wedge_masks,
 )
@@ -416,20 +415,16 @@ class QForm(PendingTerms):
         return hash((self.dim, tuple(sorted(
             (m, c) for m, c in self.terms.items()))))
 
-    def items(self):
-        for m in sorted(self.terms, key=lambda m: (m.bit_count(),
-                                                   indices_of_mask(m))):
-            yield Blade(self.dim, m), self.terms[m]
-
-    def subs_h(self, value):
-        """Evaluate h -> value; returns a QForm with constant coefficients."""
-        return QForm(self.dim, {m: HPoly(c.subs(value))
-                                for m, c in self.terms.items()})
-
     def classical(self) -> "QForm":
         """The h -> 0 limit; a negative power of h raises
-        ZeroDivisionError, as HPoly.subs does."""
-        return self.subs_h(Fraction(0))
+        ZeroDivisionError."""
+        out = {}
+        for m, c in self.terms.items():
+            if min(c.terms) < 0:
+                raise ZeroDivisionError("h^-k at h=0")
+            if 0 in c.terms:
+                out[m] = HPoly._make({0: c.terms[0]})
+        return self._like(out)
 
     def wedge(self, other: "QForm") -> "QForm":
         o = self._operand(other)
@@ -516,17 +511,6 @@ def insert_first(v, form: QForm) -> QForm:
     for i, ci in _normalize_vector(v, form.dim):
         for m, c in form.terms.items():
             s, m2 = insert_first_mask(i, m)
-            if s:
-                add_term(out, m2, c * (ci * s))
-    return form._like(out)
-
-
-def insert_last(form: QForm, v) -> QForm:
-    """Contract a vector into the last slot of each blade."""
-    out = {}
-    for i, ci in _normalize_vector(v, form.dim):
-        for m, c in form.terms.items():
-            s, m2 = insert_last_mask(m, i)
             if s:
                 add_term(out, m2, c * (ci * s))
     return form._like(out)
@@ -696,11 +680,6 @@ class MultiForm(SparseTerms):
                 c = HPolyMulti(nparams, c)
             if c:
                 self.terms[int(m)] = c
-
-    def coeff(self, key) -> HPolyMulti:
-        if isinstance(key, tuple):
-            key = mask_of_indices(key)
-        return self.terms.get(key, HPolyMulti(self.nparams))
 
     def specialize(self, coeffs) -> QForm:
         """Substitute parameter j -> coeffs[j-1] * t, collapsing to QForm."""

@@ -17,18 +17,13 @@ from fractions import Fraction
 
 from .bigraded import standard_frame
 from .blades import (blade_degree, blade_str, indices_of_mask,
-                     insert_first_mask, mask_of_indices, wedge_masks)
+                     insert_first_mask, wedge_masks)
 from .exterior import Bivector, QForm, product_numerators
 from .functions import FourierFn, PolyFn
 from .scalars import (GaussRat, HPoly, SparseTerms, add_term, as_fraction,
                       clear_denominators, convolve, int_exponent, over)
 
 _PLAIN = (int, GaussRat, str, Fraction)
-
-
-def _h_shift(key, e):
-    """The key of a FieldForm term times h^e."""
-    return (key[0] + e, key[1])
 
 
 class PoissonField(Bivector):
@@ -81,22 +76,6 @@ class FieldForm(SparseTerms):
     def from_fn(cls, fn, mask: int = 0, h_exp: int = 0) -> "FieldForm":
         return cls(fn.dim, type(fn), {(h_exp, mask): fn})
 
-    def coeff(self, h_exp: int, mask):
-        if not isinstance(mask, int):
-            mask = mask_of_indices(mask)
-        return self.terms.get((h_exp, mask), self.fnring.zero(self.dim))
-
-    def blade_degrees(self):
-        return sorted({blade_degree(m) for _, m in self.terms})
-
-    def total_degree(self):
-        degs = {blade_degree(m) + 2 * h for h, m in self.terms}
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            return "mixed"
-        return degs.pop()
-
     def h_shift(self, k: int) -> "FieldForm":
         return self._like({(h + k, m): fn
                            for (h, m), fn in self.terms.items()})
@@ -110,7 +89,8 @@ class FieldForm(SparseTerms):
         if isinstance(other, str):
             other = as_fraction(other)
         if isinstance(other, HPoly):
-            return self._like(convolve(self.terms, other.terms, _h_shift))
+            return self._like(convolve(self.terms, other.terms,
+                                       lambda key, e: (key[0] + e, key[1])))
         if isinstance(other, _PLAIN) or isinstance(other, self.fnring):
             return self._scale(other)
         return NotImplemented

@@ -80,23 +80,6 @@ class PolyFn(SparseRing):
                 t[expo[:j - 1] + (e - 1,) + expo[j:]] = e * c
         return self._like(t)
 
-    def eval(self, point):
-        point = [as_fraction(p) if isinstance(p, (int, str)) else p
-                 for p in point]
-        if len(point) != self.dim:
-            raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for expo, c in self.terms.items():
-            v = c
-            for x, e in zip(point, expo):
-                v = v * x ** e
-            total = total + v
-        return total
-
-    def conj(self) -> "PolyFn":
-        return self._like({e: c.conj() if isinstance(c, (GaussRat, HPoly))
-                           else c for e, c in self.terms.items()})
-
     def _mono_str(self, expo):
         parts = []
         for k, e in enumerate(expo):
@@ -190,10 +173,6 @@ class FourierFn(SparseRing):
             if k:
                 t[mode] = c * TauNumber.tau(1, GaussRat(0, k))
         return self._like(t)
-
-    def conj(self) -> "FourierFn":
-        return self._like({tuple(-k for k in m): c.conj()
-                           for m, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:

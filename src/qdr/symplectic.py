@@ -110,45 +110,6 @@ def bivector_of(omega: SymplecticForm) -> Bivector:
     return Bivector(omega.dim, entries)
 
 
-def sharp(omega: SymplecticForm, phi) -> dict:
-    """Raise a 1-form to a vector: sharp(e^k) = w^{lk} e_l."""
-    omega = _coerce_symplectic(omega)
-    if isinstance(phi, QForm):
-        comps = {}
-        for m, c in phi.terms.items():
-            if blade_degree(m) != 1:
-                raise ValueError("sharp needs a 1-form")
-            comps[indices_of_mask(m)[0]] = c.constant_coeff()
-    else:
-        comps = dict(phi)
-    w = omega.bivector
-    out = {}
-    for k, ck in comps.items():
-        if not ck:
-            continue
-        for l in range(1, omega.dim + 1):
-            c = w.entry(l, k) * ck
-            if c:
-                out[l] = out.get(l, Fraction(0)) + c
-    return {l: c for l, c in out.items() if c}
-
-
-def flat(omega: SymplecticForm, v) -> QForm:
-    """Lower a vector to a 1-form; inverse of sharp."""
-    omega = _coerce_symplectic(omega)
-    comps = dict(v) if isinstance(v, dict) else {
-        i: c for i, c in enumerate(v, start=1) if c}
-    out = {}
-    for j, cj in comps.items():
-        if not cj:
-            continue
-        for i in range(1, omega.dim + 1):
-            c = omega.matrix[i - 1][j - 1] * cj
-            if c:
-                out[(i,)] = out.get((i,), Fraction(0)) + c
-    return QForm(omega.dim, out)
-
-
 def contract_bivector(w: Bivector, form: QForm) -> QForm:
     """Insert the pairing into the first two slots: i < j, e_i then e_j."""
     if w.dim != form.dim:
@@ -309,12 +270,6 @@ class LinOp:
 
     def char_poly(self) -> CharPolynomial:
         return char_poly(self.mat)
-
-    def serialize(self):
-        return {
-            "basis": [[e, str(Blade(bl.dim, bl.mask))] for e, bl in self.basis],
-            "rows": [[str(x) for x in row] for row in self.mat],
-        }
 
 
 def graded_window_basis(n: int, m: int):

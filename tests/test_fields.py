@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from dolbeault_reference import ref_bidegree_split
-from qdr.exterior import QForm, quantum_wedge
+from qdr.exterior import quantum_wedge
 from qdr.fields import (
     FieldForm,
     PoissonField,
@@ -58,24 +58,9 @@ def test_polyfn_basics():
     assert str(f) == "x1^2*x2 + (-3)"
     assert f.partial(1) == 2 * x(2, 1) * x(2, 2)
     assert f.partial(2) == x(2, 1) * x(2, 1)
-    assert f.eval([2, 5]) == Fraction(17)
     assert (f - f).is_zero()
     g = PolyFn.constant(2, GaussRat(0, 1))
     assert (g * g) == -1
-
-
-def test_fieldform_coeff_reads_index_tuples_as_qform_does():
-    # dx1^dx2 with coefficient 5: an index tuple names a blade in
-    # increasing order, as QForm.coeff reads it, and a reordered or
-    # repeated one raises where its sign or vanishing would be lost
-    f = FieldForm(2, PolyFn, {(0, 0b11): PolyFn.constant(2, 5)})
-    assert f.coeff(0, (1, 2)) == f.coeff(0, 0b11) == PolyFn.constant(2, 5)
-    assert f.coeff(1, (1, 2)) == PolyFn.zero(2)
-    for bad in ((2, 1), (1, 1)):
-        with pytest.raises(ValueError):
-            QForm.basis(2, (1, 2)).coeff(bad)
-        with pytest.raises(ValueError):
-            f.coeff(0, bad)
 
 
 def test_fourierfn_basics():
@@ -83,7 +68,6 @@ def test_fourierfn_basics():
     dm = m.partial(1)
     assert dm == FourierFn.mode(2, (2, 0), TauNumber.tau(1, GaussRat(0, 2)))
     assert m.partial(2).is_zero()
-    assert m.conj() == FourierFn.mode(2, (-2, 0))
     prod = m * FourierFn.mode(2, (-1, 1))
     assert prod == FourierFn.mode(2, (1, 1))
     assert str(FourierFn.mode(2, (1, -2))) == "mode(1,-2)"
@@ -171,14 +155,6 @@ def test_koszul_frozen_flat():
 def test_koszul_frozen_so3():
     a = FieldForm(3, PolyFn, {(0, 3): 1})  # dx1^dx2
     assert koszul_delta(a, SO3.poisson) == FieldForm(3, PolyFn, {(0, 4): -1})
-
-
-def test_total_degree_bookkeeping():
-    a = FieldForm(2, PolyFn, {(0, 3): x(2, 1), (1, 0): 1})
-    assert a.total_degree() == 2
-    assert quantum_d(a, FLAT1.poisson).total_degree() in (3, 0)
-    b = FieldForm(2, PolyFn, {(0, 1): 1, (1, 0): 1})
-    assert b.total_degree() == "mixed"
 
 
 MODELS = (FLAT1, FLAT2, standard_symplectic(3), torus(1, 1), torus(2, 1),

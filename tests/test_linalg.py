@@ -1,7 +1,5 @@
 """Exact rank, determinant, characteristic polynomial machinery."""
 
-import threading
-import time
 from fractions import Fraction
 from random import Random
 
@@ -15,7 +13,6 @@ from qdr.linalg import (
     mat_inv,
     mat_mul,
     matrix_rank,
-    rational_roots,
     solve,
     transpose,
 )
@@ -112,12 +109,10 @@ def test_char_poly_frozen():
     cp = char_poly([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(2)]])
     # t^2 - 2t - 1
     assert cp.coeffs == [Fraction(-1), Fraction(-2), Fraction(1)]
-    roots, remainder = cp.rational_roots()
-    assert roots == [] and len(remainder) == 3
 
     ident = char_poly([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    # (t - 1)^2: the eigenvalue 1 twice
     assert ident.coeffs == [Fraction(1), Fraction(-2), Fraction(1)]
-    assert ident.rational_roots()[0] == [(Fraction(1), 2)]
 
 
 def test_char_poly_constant_term_is_det():
@@ -220,100 +215,6 @@ def test_shifted_det_matches_det_field():
             sample = [[v + (x + s) * (i == j) for j, v in enumerate(row)]
                       for i, row in enumerate(m)]
             assert poly(Fraction(x)) == det_field(sample)
-
-
-def test_rational_roots_cases():
-    half = Fraction(1, 2)
-    # root at 0 twice, 1/2 three times, -3 once; non-monic leading 4
-    coeffs = [Fraction(0), Fraction(0)] + [Fraction(4)]
-    for r in (half, half, half, Fraction(-3)):
-        # multiply by (t - r)
-        coeffs = [-r * coeffs[0]] + [coeffs[k - 1] - r * coeffs[k]
-                                     for k in range(1, len(coeffs))] + \
-            [coeffs[-1]]
-    roots, remainder = rational_roots(coeffs)
-    assert roots == [(Fraction(-3), 1), (Fraction(0), 2), (half, 3)]
-    assert remainder == [4]
-    # trailing zeros are dropped; t^2 + 1 keeps no rational root
-    assert rational_roots([1, 0, 1, 0, 0]) == ([], [1, 0, 1])
-    assert rational_roots([Fraction(2, 3)]) == ([], [Fraction(2, 3)])
-    with pytest.raises(ValueError):
-        rational_roots([0, 0])
-
-
-def test_rational_roots_of_a_high_power():
-    # candidates come from the square-free part t - 4, not from the
-    # divisors of the constant term 4^128
-    start = time.perf_counter()
-    poly = lefschetz_matrix(4, "odd").char_poly()
-    assert poly.rational_roots() == ([(4, 128)], [1])
-    assert time.perf_counter() - start < 10
-    # repeated roots that cancel in the scaled candidates: 2/2 = 1/1
-    coeffs = [1]
-    for r in (1, 1, Fraction(2, 3), -2, -2, -2):
-        coeffs = [-r * coeffs[0]] + [coeffs[k - 1] - r * coeffs[k]
-                                     for k in range(1, len(coeffs))] + \
-            [coeffs[-1]]
-    coeffs = [6 * c for c in coeffs]
-    assert rational_roots(coeffs) == (
-        [(-2, 3), (Fraction(2, 3), 1), (1, 2)], [6])
-    # an irreducible quadratic factor stays in the remainder
-    assert rational_roots([-2, 2, -1, 1]) == ([(1, 1)], [2, 0, 1])
-
-
-def test_rational_roots_of_a_large_linear_factor():
-    # a linear square-free part gives its root -c0/c1 directly; the
-    # divisor search of 10**24 + 7 would not finish
-    big = 10**24 + 7
-    cases = {(-big, 1): ([(big, 1)], [1]),
-             (big**2, -2 * big, 1): ([(big, 2)], [1]),
-             (big, 3 * big): ([(Fraction(-1, 3), 1)], [3 * big]),
-             (0, 0, 5): ([(0, 2)], [5])}
-    results = {}
-    worker = threading.Thread(target=lambda: results.update(
-        {c: rational_roots(list(c)) for c in cases}), daemon=True)
-    worker.start()
-    worker.join(2)
-    assert not worker.is_alive(), "rational_roots ran past 2 s"
-    assert results == cases
-
-
-def _times(roots):
-    coeffs = [Fraction(1)]
-    for r in roots:
-        coeffs = [-r * coeffs[0]] + [coeffs[k - 1] - r * coeffs[k]
-                                     for k in range(1, len(coeffs))] + \
-            [coeffs[-1]]
-    return coeffs
-
-
-def test_rational_roots_of_large_quadratic_and_cubic_factors():
-    # a quadratic square-free part is solved from its discriminant, also
-    # after small roots deflate a longer one; a cubic of large roots
-    # would need trial divisors past the cap and is refused
-    big = 10**24 + 7
-    cases = {"small and large": [3 * big, -(big + 3), 1],
-             "two large": _times([big, big + 2]),
-             "deflated to two large": _times([3, big, Fraction(1, 2),
-                                              big + 2]),
-             "three large": _times([big, big + 2, big + 4])}
-    results = {}
-
-    def run():
-        for name, coeffs in cases.items():
-            try:
-                results[name] = rational_roots(coeffs)
-            except ValueError as ex:
-                results[name] = ex
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(2)
-    assert not worker.is_alive(), "rational_roots ran past 2 s"
-    assert results["small and large"] == ([(3, 1), (big, 1)], [1])
-    assert results["two large"] == ([(big, 1), (big + 2, 1)], [1])
-    assert results["deflated to two large"] == (
-        [(Fraction(1, 2), 1), (3, 1), (big, 1), (big + 2, 1)], [1])
-    assert isinstance(results["three large"], ValueError)
 
 
 def test_solve_cases():

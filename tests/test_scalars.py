@@ -75,7 +75,6 @@ def test_hpoly_arithmetic():
     assert p - p == 0
     assert p * 0 == HPoly()
     assert (p * q).coeff(2) == -1
-    assert p.subs(Fraction(1, 3)) == Fraction(5, 3)
 
 
 def test_hpoly_laurent_gate():

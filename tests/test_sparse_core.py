@@ -21,7 +21,6 @@ from qdr.exterior import (
     PairTensor,
     QForm,
     insert_first,
-    insert_last,
     quantum_wedge,
     quantum_wedge_multi,
 )
@@ -163,7 +162,7 @@ def _check_scalars(rng):
         for b in t:
             for r in (a + b, a - b, a * b, a - a):
                 _check(r)
-        for r in (-a, a * 2, a / t[2], a.conj(), a + 1):
+        for r in (-a, a * 2, a / t[2], a + 1):
             _check(r)
 
 
@@ -179,8 +178,7 @@ def _check_functions(rng):
                           moyal_product(a, b, w)):
                     _check(r)
             for r in (-a, a * 0, a * 2, a * GaussRat(1, 1),
-                      a * HPoly({1: 2}), a / 3, a.partial(1), a.conj(),
-                      a + 1, 2 - a):
+                      a * HPoly({1: 2}), a / 3, a.partial(1), a + 1, 2 - a):
                 _check(r)
         modes = [random_fourierfn(rng, dim) for _ in range(2)]
         for a in modes:
@@ -188,8 +186,7 @@ def _check_functions(rng):
                 for r in (a + b, a - b, a * b, a - a):
                     _check(r)
             for r in (-a, a * 0, a * GaussRat(0, 2), a * TauNumber.tau(),
-                      a / TauNumber.tau(2, 3), a.partial(dim), a.conj(),
-                      a + 1):
+                      a / TauNumber.tau(2, 3), a.partial(dim), a + 1):
                 _check(r)
 
 
@@ -207,7 +204,6 @@ def _check_forms(rng):
         for r in (-a, a * 0, a * 3, a * HPoly({1: 1}),
                   a * GaussRat(0, 1), a / 2, a / HPoly({1: 2}), a.h_shift(2),
                   a.h_shift(-1), insert_first(2, a),
-                  insert_last(a, {1: 2, 3: HPoly({-1: 1})}),
                   insert_first([1, 0, HPoly({-1: 1}), 0], a),
                   symplectic_star(a), a - a):
             _check(r)
