@@ -1342,7 +1342,9 @@ def _build_argparser():
                       help="run one named suite "
                            f"({', '.join(sorted(SUITES))})")
     ap.add_argument("--dim", type=int,
-                    help="working dimension, from 2 to QDR_MAX_DIM")
+                    help="working dimension, from 2 to QDR_MAX_DIM; odd "
+                    "is allowed (general pairings exist in every "
+                    "dimension), and a suite that takes no dim ignores it")
     ap.add_argument("--n", type=int, help="half-dimension")
     ap.add_argument("--truncation", type=int, help="torus mode cutoff")
     ap.add_argument("--seed", type=int, default=0, help="random seed")

@@ -7,10 +7,16 @@ formal circle period), and the blocks are linear in k:
 A(k) = sum_j k_j * A_j over the blocks A_j of the unit modes e_j.  For
 a constant bivector d and delta are first order and kill constants;
 since d e_j = i*tau * e_j e^j and d x_j = e^j, A_j over i*tau is the
-symbol read off d_and_delta(x_j * e^I), held as int numerators over one
-denominator den per complex (the lcm of the entries' denominators); so
-every identity below is checked in int arithmetic, with den in place of
-1 (after Bareiss, Math. Comp. 22, 1968).  The zero mode's blocks are 0.
+symbol read off d and delta of x_j * e^I.  All blades I come from one
+d_and_delta call per unit mode, on the generating form
+G_j = sum_I h^I * x_j * e^I, which holds blade I at the power of h equal
+to I's mask.  d and delta never change the h exponent, and nothing else
+in the build reads h, so h serves as a free tag: blade I's columns are
+the terms of the two images at h^I.  The symbols are held as int
+numerators over one denominator den per complex (the lcm of the
+entries' denominators); so every identity below is checked in int
+arithmetic, with den in place of 1 (after Bareiss, Math. Comp. 22,
+1968).  The zero mode's blocks are 0.
 
 Every rank comes from an identity checked exactly on the unit blocks;
 a failed identity raises AssertionError, naming the differential, the
@@ -67,7 +73,9 @@ class TruncatedComplex:
 
     fmodes lists the truncated mode vectors.  Unit blocks are sparse int
     columns over den, one {row: numerator} per blade, rows and columns
-    numbering the blades of one degree (_masks, empty outside 0..dim):
+    numbering the blades of one degree (_masks, empty outside 0..dim),
+    read off one d_and_delta call per unit mode e_j on the generating
+    form sum_I h^I * x_j * e^I, with h tagging each blade I by its mask:
     an entry of the block over i*tau is numerator / den, with den the
     lcm of the denominators of every unit d and delta entry.  No d_h
     block is built: d_h ranks come from d ranks through
@@ -84,8 +92,8 @@ class TruncatedComplex:
         if not model.is_torus():
             raise ValueError(
                 f"cannot truncate {model}: coefficients are not periodic")
-        # x_j * e^I gives the unit blocks of e_j over i*tau only for a
-        # rational constant bivector
+        # the generating form of x_j gives the unit blocks of e_j over
+        # i*tau only for a rational constant bivector
         for i, j, c in model.poisson.upper_entries():
             if type(c) is not Fraction:
                 moved = hasattr(c, "is_constant") and not c.is_constant()
@@ -144,29 +152,33 @@ class TruncatedComplex:
 
     def _build_unit_blocks(self) -> int:
         """d and delta blade blocks of every unit mode e_j over i*tau,
-        read off one d_and_delta(x_j * e^I) per blade; the entries are
-        cleared to ints and their common denominator returned."""
-        cols = []
-        coords = [PolyFn.coord(self.dim, j) for j in range(1, self.dim + 1)]
-        for q in range(-2, self.dim + 1):
-            dtgt = {mask: r for r, mask in enumerate(self._masks[q + 1])}
-            deltatgt = {mask: r for r, mask in enumerate(self._masks[q - 1])}
-            dq = self._units["d"][q] = []
-            deltaq = self._units["delta"][q] = []
-            for x_j in coords:
-                dcols, deltacols = [], []
-                for mask in self._masks[q]:
-                    df, delta = d_and_delta(FieldForm.from_fn(x_j, mask),
-                                            self.w)
-                    dcols.append({dtgt[b]: fn.constant_coeff()
-                                  for (_, b), fn in df.terms.items()})
-                    deltacols.append({deltatgt[b]: fn.constant_coeff()
-                                      for (_, b), fn in delta.terms.items()})
-                dq.append(dcols)
-                deltaq.append(deltacols)
-                cols += dcols
-                cols += deltacols
-        return _clear_columns(cols)
+        read off one d_and_delta call per unit mode, on the generating
+        form G_j = sum_I h^I * x_j * e^I.  G_j holds each blade I at the
+        power of h equal to I's mask, and d and delta never change the h
+        exponent, so blade I's d and delta columns are the terms of the
+        two images at h^I: h serves as a free tag that keeps the blades
+        apart.  The entries are cleared to ints and their common
+        denominator returned."""
+        dim = self.dim
+        # a blade's column (or row) among the blades of its degree
+        index = {mask: r for q in range(dim + 1)
+                 for r, mask in enumerate(self._masks[q])}
+        for blocks in self._units.values():
+            for q in range(-2, dim + 1):
+                blocks[q] = [[{} for _ in self._masks[q]]
+                             for _ in range(dim)]
+        for j in range(dim):
+            x_j = PolyFn.coord(dim, j + 1)
+            gen = FieldForm._make({(mask, mask): x_j
+                                   for mask in range(1 << dim)}, dim, PolyFn)
+            for kind, image in zip(("d", "delta"), d_and_delta(gen, self.w)):
+                blocks = self._units[kind]
+                for (h, b), fn in image.terms.items():
+                    blocks[h.bit_count()][j][index[h]][index[b]] = \
+                        fn.constant_coeff()
+        return _clear_columns([col for blocks in self._units.values()
+                               for per_j in blocks.values()
+                               for cols in per_j for col in cols])
 
     def _star(self, q: int):
         """(cols, E_q): the symplectic star on the degree-q blades as

@@ -206,13 +206,20 @@ def contract_field(w: PoissonField, form: FieldForm) -> FieldForm:
 
 
 def exterior_d(form: FieldForm) -> FieldForm:
+    """d = sum_j e^j ^ d/dx^j; e^j moves past the blade's bits below j,
+    and a zero partial is skipped before its term is built."""
     t = {}
     for (h, mask), fn in form.terms.items():
-        for j in range(1, form.dim + 1):
-            s, m = wedge_masks(1 << (j - 1), mask)
-            if not s:
+        for j in range(form.dim):
+            bit = 1 << j
+            if mask & bit:
                 continue
-            add_term(t, (h, m), s * fn.partial(j))
+            p = fn.partial(j + 1)
+            if not p:
+                continue
+            if (mask & (bit - 1)).bit_count() & 1:
+                p = -p
+            add_term(t, (h, mask | bit), p)
     return form._like(t)
 
 

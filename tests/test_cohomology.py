@@ -616,9 +616,10 @@ def test_torus6_dimension_tables():
 
 
 def test_complex_builds_unit_blocks_once(monkeypatch):
-    # one d_and_delta per (unit mode, blade), however many modes, each
-    # on a polynomial x_j * e^I, and two exterior derivatives in each: d
-    # of the blade, d of iota_w
+    # one d_and_delta per unit mode, however many modes, each on the
+    # generating form sum_I h^I * x_j * e^I (one PolyFn term x_j per
+    # blade, at the power of h equal to the blade's mask), and two
+    # exterior derivatives in each: d of the form, d of iota_w
     calls = []
     real = cohomology.d_and_delta
 
@@ -639,9 +640,81 @@ def test_complex_builds_unit_blocks_once(monkeypatch):
             monkeypatch.setattr(module, "exterior_d", counting_d)
     c = build_complex(torus(2, 1), 1)
     assert len(c.fmodes) == 81
-    assert len(calls) == c.dim * 2 ** c.dim == 64
-    assert all(form.fnring is PolyFn for form in calls)
-    assert len(derivatives) == 2 * len(calls) == 128
+    assert len(calls) == c.dim == 4
+    for j, form in enumerate(calls, 1):
+        assert form.fnring is PolyFn
+        assert len(form.terms) == 2 ** c.dim
+        assert all(h == mask for h, mask in form.terms)
+        x_j = PolyFn.coord(c.dim, j)
+        assert all(fn == x_j for fn in form.terms.values())
+    assert len(derivatives) == 2 * c.dim == 8
+
+
+def _reference_unit_blocks(c):
+    """(units, den) as the complex built them one blade at a time: one
+    d_and_delta(x_j * e^I) per unit mode e_j and blade I, the columns
+    cleared to ints over the lcm of their denominators."""
+    units = {"d": {}, "delta": {}}
+    cols = []
+    coords = [PolyFn.coord(c.dim, j) for j in range(1, c.dim + 1)]
+    for q in range(-2, c.dim + 1):
+        dtgt = {mask: r for r, mask in enumerate(c._masks[q + 1])}
+        deltatgt = {mask: r for r, mask in enumerate(c._masks[q - 1])}
+        dq = units["d"][q] = []
+        deltaq = units["delta"][q] = []
+        for x_j in coords:
+            dcols, deltacols = [], []
+            for mask in c._masks[q]:
+                df, delta = fields.d_and_delta(FieldForm.from_fn(x_j, mask),
+                                               c.w)
+                dcols.append({dtgt[b]: fn.constant_coeff()
+                              for (_, b), fn in df.terms.items()})
+                deltacols.append({deltatgt[b]: fn.constant_coeff()
+                                  for (_, b), fn in delta.terms.items()})
+            dq.append(dcols)
+            deltaq.append(deltacols)
+            cols += dcols
+            cols += deltacols
+    return units, cohomology._clear_columns(cols)
+
+
+def _shuffled_torus(seed, n, N):
+    """Torus shaped like the benchmark's: a constant symplectic form in
+    shuffled Darboux position, each pair scaled by +-2/3 or +-3/2."""
+    rng = Random(seed)
+    dim = 2 * n
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for a in range(n):
+        i, j = perm[2 * a], perm[2 * a + 1]
+        c = rng.choice((-1, 1)) * rng.choice((Fraction(2, 3), Fraction(3, 2)))
+        rows[i][j], rows[j][i] = c, -c
+    return _symplectic_torus(SymplecticForm(dim, rows), n, N)
+
+
+def _ordered(units):
+    """units with each column as its (row, entry) list, so == also
+    compares the order of the rows."""
+    return {kind: {q: [[list(col.items()) for col in cols] for cols in per_j]
+                   for q, per_j in blocks.items()}
+            for kind, blocks in units.items()}
+
+
+BLOCK_MODELS = {"torus(1,1)": torus(1, 1), "torus(1,2)": torus(1, 2),
+                "torus(1,3)": torus(1, 3), "torus(2,1)": torus(2, 1),
+                "darboux(2,1)": _darboux_torus(3, 2, 1),
+                "dense(2,1)": _dense_torus(11, 2, 1),
+                "shuffled(2,1)": _shuffled_torus(4099, 2, 1)}
+
+
+@pytest.mark.parametrize("model", BLOCK_MODELS.values(),
+                         ids=BLOCK_MODELS.keys())
+def test_generating_form_blocks_match_the_per_blade_build(model):
+    c = build_complex(model, model.torus_N)
+    units, den = _reference_unit_blocks(c)
+    assert c.den == den
+    assert _ordered(c._units) == _ordered(units)
 
 
 def test_unit_blocks_are_int_numerators_over_den():

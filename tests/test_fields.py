@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from dolbeault_reference import ref_bidegree_split
+from qdr.blades import wedge_masks
 from qdr.exterior import quantum_wedge
 from qdr.fields import (
     FieldForm,
@@ -41,7 +42,7 @@ from qdr.fixtures import (
 )
 from qdr.functions import FourierFn, PolyFn, moyal_product
 from qdr.rand import random_fieldform, random_polyfn, random_qform
-from qdr.scalars import GaussRat, HPoly, I, TauNumber
+from qdr.scalars import GaussRat, HPoly, I, TauNumber, add_term
 
 FLAT1 = standard_symplectic(1)
 FLAT2 = standard_symplectic(2)
@@ -125,6 +126,49 @@ def test_exterior_d_frozen():
     assert dm == FieldForm(2, FourierFn, {
         (0, 1): FourierFn.mode(2, (1, 2), TauNumber.tau(1, I)),
         (0, 2): FourierFn.mode(2, (1, 2), TauNumber.tau(1, GaussRat(0, 2)))})
+
+
+def _reference_exterior_d(form):
+    """d as a sum over every free coordinate j of s * fn.partial(j), with
+    the sign s and the blade from wedge_masks(e^j, blade)."""
+    t = {}
+    for (h, mask), fn in form.terms.items():
+        for j in range(1, form.dim + 1):
+            s, m = wedge_masks(1 << (j - 1), mask)
+            if not s:
+                continue
+            add_term(t, (h, m), s * fn.partial(j))
+    return form._like(t)
+
+
+def _partial_forms(rng, model, complex_ok=False):
+    """Random forms over the model's ring with negative h exponents and
+    coefficients free of some coordinates: a constant, one coordinate's
+    function, and a random function."""
+    dim = model.dim
+    if model.fnring is FourierFn:
+        x1_only = FourierFn.mode(dim, (1,) + (0,) * (dim - 1))
+    else:
+        x1_only = x(dim, 1)
+    for _ in range(8):
+        a = random_fieldform(rng, model, nterms=4, max_h=2,
+                             complex_ok=complex_ok).h_shift(-1)
+        yield a + FieldForm(dim, model.fnring, {
+            (-2, rng.randrange(1 << dim)): 3,
+            (rng.randint(-2, 1), rng.randrange(1 << dim)): x1_only * 2})
+
+
+def test_exterior_d_matches_the_wedge_masks_formula():
+    # the same terms in the same insertion order, over rational and
+    # Gaussian polynomial coefficients and over Fourier modes
+    rng = Random(83)
+    for model, complex_ok in ((FLAT2, False), (FLAT2, True), (SO3, True),
+                              (torus(1, 2), False), (torus(2, 1), False)):
+        for a in _partial_forms(rng, model, complex_ok):
+            assert any(h < 0 for h, _ in a.terms), a
+            want = _reference_exterior_d(a)
+            got = exterior_d(a)
+            assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_contract_field_frozen():
