@@ -377,15 +377,19 @@ def derive_adjoint_law(n: int) -> dict:
     """Exhaustive adjoint scan over frame monomial triples.
 
     Asserts the raw law raw(a wedge_w b, g) = raw(a, conj(b) wedge_w g)
-    on every triple, each product taken at parameter one once and
-    paired through the monomial table; a failure raises AssertionError
-    naming the triple.  The prefactors are units fixed by bidegree, so
-    the prefactored pairing obeys the same law up to the ratio
-    pref(p+s, q+t)/pref(p, q) for a of bidegree (p, q) and b of
-    bidegree (s, t); every prefactored reading therefore follows from
-    the live sectors (p, q, s, t), those of the triples where the raw
-    pairing is nonzero.  Where s = t the ratio is constant in s:
-    (-1)^s for the derived prefactor, one for the printed prefactor.
+    on every triple, in the order b, a, g, and pairs through the
+    monomial table; a failure raises AssertionError naming the first
+    triple where it fails.  The scan takes each product of two frame
+    monomials once, at parameter one, into a table it keeps for the
+    call: a wedge b and b wedge g are entries, and conj(b) wedge g is
+    the entry of the swapped monomial times its reordering sign.  The
+    prefactors are units fixed by bidegree, so the prefactored pairing
+    obeys the same law up to the ratio pref(p+s, q+t)/pref(p, q) for a
+    of bidegree (p, q) and b of bidegree (s, t); every prefactored
+    reading therefore follows from the live sectors (p, q, s, t), those
+    of the triples where the raw pairing is nonzero.  Where s = t the
+    ratio is constant in s: (-1)^s for the derived prefactor, one for
+    the printed prefactor.
     Returns whether the printed statement holds and, for each
     convention, whether the conjugated law holds without a ratio and
     the diagonal factor table.  The printed statement, with b
@@ -393,22 +397,28 @@ def derive_adjoint_law(n: int) -> dict:
     """
     gram = _raw_gram(n)
     wcx = standard_frame(n).wcx()
-    monos = [BigradedForm.monomial(n, m) for m in range(1 << (2 * n))]
+    size = 1 << (2 * n)
+    monos = [BigradedForm.monomial(n, m) for m in range(size)]
     forms = [x.form for x in monos]
     ones = [_at_one(f) for f in forms]
-    degs = [blade_bidegree(m, n) for m in range(len(monos))]
+    degs = [blade_bidegree(m, n) for m in range(size)]
+    # products[x][y]: monomial x wedge_w monomial y at parameter one
+    products = [[_at_one(quantum_wedge(x, y, wcx)) for y in forms]
+                for x in forms]
     live = set()
     printed_all = True
-    for mb, b in enumerate(forms):
+    for mb in range(size):
         s, t = degs[mb]
-        bbar = monos[mb].conj().form
-        middles = [(mg, ones[mg], _at_one(quantum_wedge(b, g, wcx)),
-                    _at_one(quantum_wedge(bbar, g, wcx)))
-                   for mg, g in enumerate(forms)]
-        for ma, a in enumerate(forms):
+        swapped, sign = _swap_mask(mb, n)
+        bbar = products[swapped]
+        if sign < 0:
+            bbar = [{m: -v for m, v in row.items()} for row in bbar]
+        middles = [(mg, ones[mg], products[mb][mg], bbar[mg])
+                   for mg in range(size)]
+        for ma in range(size):
             p, q = degs[ma]
             a1 = ones[ma]
-            ab = _at_one(quantum_wedge(a, b, wcx))
+            ab = products[ma][mb]
             ratio = hermitian_prefactor(p + s, q + t) / \
                 hermitian_prefactor(p, q)
             for mg, g1, bg, bbar_g in middles:

@@ -84,6 +84,19 @@ def masks_of_degree(dim: int, k: int):
     return [m for m in range(1 << dim) if m.bit_count() == k]
 
 
+def submasks_of_degree(mask: int, k: int):
+    """The masks of degree k inside mask, ascending: masks_of_degree
+    restricted to mask, found by stepping through mask's submasks."""
+    out = []
+    sub = 0
+    while True:
+        if sub.bit_count() == k:
+            out.append(sub)
+        sub = (sub - mask) & mask
+        if not sub:
+            return out
+
+
 class Blade:
     """A basis form on R^dim: strictly increasing 1-based indices."""
 

@@ -218,12 +218,12 @@ def tokenize(text: str):
             if not rest:
                 break
             raise ScenarioError(
-                f"cannot read expression at column {pos + 1}: {rest[:12]!r}")
+                f"cannot read expression at column "
+                f"{len(text) - len(rest) + 1}: {rest[:12]!r}")
         pos = m.end()
-        for kind in ("num", "qwedge", "name", "punct"):
-            if m.group(kind) is not None:
-                out.append((kind, m.group(kind), m.start()))
-                break
+        # the token's own start, past the whitespace the match skips
+        kind = m.lastgroup
+        out.append((kind, m.group(kind), m.start(kind)))
     return out
 
 

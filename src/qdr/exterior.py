@@ -125,6 +125,15 @@ class PairTensor:
     def entry(self, i: int, j: int):
         return self.entries.get((i, j), _ZERO)
 
+    def row_support(self, mask: int) -> int:
+        """The mask of the rows i with w^{ij} != 0 for some j in mask:
+        a minor of rows outside it and columns mask has a zero row."""
+        out = 0
+        for j in indices_of_mask(mask):
+            for ibit, _, _ in self._cols[j]:
+                out |= ibit
+        return out
+
     def ordered_entries(self):
         return self._ordered
 
@@ -488,8 +497,6 @@ def format_terms(rows) -> str:
             elif p == 1:
                 if e == 0 and not mask:
                     pieces.append("1")
-            elif p == -1 and (e != 0 or mask):
-                pieces.append("(-1)")
             else:
                 s = str(p)
                 pieces.append(s if s.isdigit() else f"({s})")

@@ -33,6 +33,9 @@ class PoissonField(Bivector):
         super().__init__(dim, entries)
         self._jacobi = None
         self._mirror = None
+        # the frame whose complex structure preserves this field, once
+        # _dolbeault has checked it
+        self._invariant_frame = None
 
     def fnring(self):
         for _, _, c in self.ordered_entries():
@@ -206,17 +209,17 @@ def contract_field(w: PoissonField, form: FieldForm) -> FieldForm:
 
 
 def exterior_d(form: FieldForm) -> FieldForm:
-    """d = sum_j e^j ^ d/dx^j; e^j moves past the blade's bits below j,
-    and a zero partial is skipped before its term is built."""
+    """d = sum_j e^j ^ d/dx^j; e^j moves past the blade's bits below j.
+    Only the coordinates x^j that the coefficient holds (its variables
+    mask) and the blade lacks are differentiated, in ascending order:
+    every other partial is zero."""
     t = {}
     for (h, mask), fn in form.terms.items():
-        for j in range(form.dim):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            p = fn.partial(j + 1)
-            if not p:
-                continue
+        todo = fn.variables() & ~mask
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            p = fn.partial(bit.bit_length())
             if (mask & (bit - 1)).bit_count() & 1:
                 p = -p
             add_term(t, (h, mask | bit), p)
@@ -409,11 +412,14 @@ def partial_dbar(form: FieldForm) -> FieldForm:
 
 def _dolbeault(form: FieldForm, w: PoissonField):
     """del and delbar of the form, then the type components of delta:
-    (lowers p, lowers q)."""
+    (lowers p, lowers q).  The frame's J-invariance check runs once per
+    field and frame; a field that fails it raises on every split."""
     frame = _standard_frame(form.dim)
     if not w.is_constant():
         raise ValueError("Dolbeault split needs a constant bivector")
-    frame.check_invariance(w)
+    if w._invariant_frame is not frame:
+        frame.check_invariance(w)
+        w._invariant_frame = frame
     d_form, dbar_form = _d_halves(form)
     d_iota, dbar_iota = _d_halves(contract_field(w, form))
     d10 = contract_field(w, dbar_form) - dbar_iota

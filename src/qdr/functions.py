@@ -13,6 +13,17 @@ from .scalars import (GaussRat, HPoly, SparseRing, TauNumber, _coeff_str,
                       zero_key)
 
 
+def _variables(fn) -> int:
+    """The mask with bit j - 1 set for each coordinate x^j that some term
+    of a PolyFn or FourierFn holds: the j whose partial is nonzero."""
+    mask = 0
+    for key in fn.terms:
+        for j, e in enumerate(key):
+            if e:
+                mask |= 1 << j
+    return mask
+
+
 def _coerce_scalar(c):
     if isinstance(c, (int, str)):
         return as_fraction(c)
@@ -68,6 +79,8 @@ class PolyFn(SparseRing):
         if isinstance(other, GaussRat):
             return self * (GaussRat(1) / other)
         raise TypeError("polynomial division limited to scalars")
+
+    variables = _variables
 
     def partial(self, j: int) -> "PolyFn":
         if not 1 <= j <= self.dim:
@@ -162,6 +175,8 @@ class FourierFn(SparseRing):
             c = TauNumber.coerce(other)
             return self._like({m: v / c for m, v in self.terms.items()})
         raise TypeError("mode division limited to scalars")
+
+    variables = _variables
 
     def partial(self, j: int) -> "FourierFn":
         # d/dx^j exp(i tau <k, x>) = i tau k_j exp(i tau <k, x>)

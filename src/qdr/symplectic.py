@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .blades import Blade, blade_degree, indices_of_mask, masks_of_degree, \
-    wedge_masks
+    submasks_of_degree, wedge_masks
 from .exterior import Bivector, QForm, insert_first, quantum_wedge, wedge
 from .linalg import CharPolynomial, char_poly, det_field, mat_inv, solve
 from .scalars import HPoly, add_term, as_fraction
@@ -133,7 +133,13 @@ def lambda_pairing(w: Bivector, amask: int, bmask: int) -> Fraction:
 
 
 def symplectic_star(form: QForm, omega=None) -> QForm:
-    """The star solving b ^ *a = lambda(w)(b, a) v_w, with *h = h^{-1}."""
+    """The star solving b ^ *a = lambda(w)(b, a) v_w, with *h = h^{-1}.
+
+    The minor lambda(w)(a, m) of a blade m is taken only for the blades
+    a inside m's row support (Bivector.row_support): any other a holds
+    a row i with w^{ij} = 0 for every j in m, a zero row of the minor.
+    The blades a run in ascending mask order, as over every blade of
+    the degree, so the terms come in the same order."""
     omega = _coerce_symplectic(omega, form.dim)
     w = omega.bivector
     vol = omega.volume_coeff
@@ -142,7 +148,7 @@ def symplectic_star(form: QForm, omega=None) -> QForm:
     for m, c in form.terms.items():
         flipped = HPoly._make({-e: q for e, q in c.terms.items()})
         k = blade_degree(m)
-        for amask in masks_of_degree(omega.dim, k):
+        for amask in submasks_of_degree(w.row_support(m), k):
             val = lambda_pairing(w, amask, m)
             if not val:
                 continue

@@ -380,6 +380,95 @@ def test_sector_readings_match_the_per_triple_scan(n):
                 law[convention]["diagonal_factors"].items()} == diagonal
 
 
+def three_product_adjoint_law(n: int) -> dict:
+    """derive_adjoint_law with its three products taken where the scan
+    reads them: a wedge b per (a, b), and b wedge g and conj(b) wedge g
+    per (b, g), each through bigraded.quantum_wedge."""
+    gram = bigraded._raw_gram(n)
+    wcx = standard_frame(n).wcx()
+    monos = [BigradedForm.monomial(n, m) for m in range(1 << (2 * n))]
+    forms = [x.form for x in monos]
+    ones = [_at_one(f) for f in forms]
+    degs = [bigraded.blade_bidegree(m, n) for m in range(len(monos))]
+    live = set()
+    printed_all = True
+    for mb, b in enumerate(forms):
+        s, t = degs[mb]
+        bbar = monos[mb].conj().form
+        middles = [(mg, ones[mg], _at_one(bigraded.quantum_wedge(b, g, wcx)),
+                    _at_one(bigraded.quantum_wedge(bbar, g, wcx)))
+                   for mg, g in enumerate(forms)]
+        for ma, a in enumerate(forms):
+            p, q = degs[ma]
+            a1 = ones[ma]
+            ab = _at_one(bigraded.quantum_wedge(a, b, wcx))
+            ratio = hermitian_prefactor(p + s, q + t) / \
+                hermitian_prefactor(p, q)
+            for mg, g1, bg, bbar_g in middles:
+                raw = _pair_at_one(ab, g1, gram)
+                raw_rhs = _pair_at_one(a1, bbar_g, gram)
+                if raw != raw_rhs:
+                    blade = monos[0].blade_str
+                    raise AssertionError(
+                        f"raw adjoint law fails at n = {n}, a = "
+                        f"{blade(ma)}, b = {blade(mb)}, g = {blade(mg)}: "
+                        f"{raw} vs {raw_rhs}")
+                if raw:
+                    live.add((p, q, s, t))
+                if printed_all:
+                    printed_all = _pair_at_one(a1, bg, gram) == ratio * raw
+    law = {"printed_all": printed_all}
+    for convention in ("derived", "printed"):
+        conjugated_all = True
+        diagonal = {}
+        for p, q, s, t in sorted(live):
+            ratio = hermitian_prefactor(p + s, q + t, convention) / \
+                hermitian_prefactor(p, q, convention)
+            conjugated_all = conjugated_all and ratio == 1
+            if s == t:
+                diagonal.setdefault(s, ratio)
+        law[convention] = {"conjugated_all": conjugated_all,
+                           "diagonal_factors": diagonal}
+    return law
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_product_table_scan_matches_the_three_product_scan(n):
+    assert derive_adjoint_law(n) == three_product_adjoint_law(n)
+
+
+def _failure(scan, n):
+    with pytest.raises(AssertionError) as raised:
+        scan(n)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("n, x, y", [(1, 0b01, 0b10), (2, 0b0110, 0b0001)])
+def test_perturbed_tables_fail_at_the_same_triple(monkeypatch, n, x, y):
+    # tripling one monomial product, whatever the sign of its first
+    # factor, or one entry of the pairing table makes both scans name
+    # the same first triple with the same values
+    gram = bigraded._raw_gram(n)
+    real = bigraded.quantum_wedge
+
+    def perturbed(a, b, w):
+        out = real(a, b, w)
+        if list(a.terms) == [x] and list(b.terms) == [y]:
+            return out * 3
+        return out
+    with monkeypatch.context() as patch:
+        patch.setattr(bigraded, "quantum_wedge", perturbed)
+        message = _failure(derive_adjoint_law, n)
+        assert message == _failure(three_product_adjoint_law, n)
+        assert message.startswith(f"raw adjoint law fails at n = {n}, ")
+    # the raw pairing table is diagonal
+    monkeypatch.setitem(bigraded._RAW_GRAMS, n,
+                        {**gram, (x, x): gram[(x, x)] * 3})
+    message = _failure(derive_adjoint_law, n)
+    assert message == _failure(three_product_adjoint_law, n)
+    assert message.startswith(f"raw adjoint law fails at n = {n}, ")
+
+
 def test_adjoint_law_exhaustive():
     law1 = derive_adjoint_law(1)
     assert not law1["printed_all"]

@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 import qdr
-from qdr import chernweil, cli, cohomology, cpn, exterior
+from qdr import bigraded, chernweil, cli, cohomology, cpn, exterior, symplectic
 from qdr.cli import (
     Options,
     ScenarioError,
@@ -44,6 +44,22 @@ def test_tokenize_quantum_wedge():
     kinds = [k for k, _, _ in tokenize("e[1] ^h e[2] ^ h")]
     assert kinds == ["name", "punct", "num", "punct", "qwedge",
                      "name", "punct", "num", "punct", "punct", "name"]
+
+
+def test_parse_errors_name_the_column_of_the_token():
+    # the column is where the token starts, not the whitespace before it
+    ctx = build_context("flat", dim=2)
+    for text, message in (
+            ("e[1] +    )", "unexpected ')' at column 11 in 'e[1] +    )'"),
+            ("e[1]    e[2]", "trailing 'e' at column 9 in 'e[1]    e[2]'"),
+            (")", "unexpected ')' at column 1 in ')'"),
+            ("e[1] +   $", "cannot read expression at column 10: '$'"),
+            ("$ + e[1]", "cannot read expression at column 1: '$ + e[1]'")):
+        with pytest.raises(ScenarioError) as raised:
+            ctx.eval(text)
+        assert str(raised.value) == message
+    assert [col for _, _, col in tokenize("  e[1]  ^h 3 / 2")] == \
+        [2, 3, 4, 5, 8, 11]
 
 
 def test_product_frozen_value(tmp_path):
@@ -412,6 +428,41 @@ def test_each_suite_passes(name):
     assert digest == SUITE_REPORT_SHA256[name]
     digest = hashlib.sha256(emit(rep, "text").encode()).hexdigest()
     assert digest == SUITE_TEXT_SHA256[name]
+
+
+@pytest.mark.parametrize("argv, counted, want", [
+    # relation_report(1..3) and decomposition_report(1..3): one minor per
+    # blade pair would take 3319; only minors on the row support
+    (["--check", "ledger", "--count", "1"], "star minors", 279),
+    # one product per pair of the 4 frame monomials at n = 1, not three
+    # per triple side (48)
+    (["--check", "hermitian", "--n", "1"], "adjoint products", 16),
+    # one field, split three times
+    (["--check", "dolbeault", "--n", "1", "--count", "1"],
+     "invariance checks", 1),
+])
+def test_exact_checks_skip_the_work_their_structure_rules_out(
+        monkeypatch, capsys, argv, counted, want):
+    # the process-wide ledger and pairing table are built first, so the
+    # counts are the suite's own
+    cli.convention_ledger()
+    bigraded._raw_gram(1)
+    counts = dict.fromkeys(("star minors", "adjoint products",
+                            "invariance checks"), 0)
+
+    def counting(owner, name, key):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+    counting(symplectic, "lambda_pairing", "star minors")
+    counting(bigraded, "quantum_wedge", "adjoint products")
+    counting(bigraded.Frame, "check_invariance", "invariance checks")
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert counts == {key: want if key == counted else 0 for key in counts}
 
 
 def test_unknown_suite_lists_names():

@@ -993,6 +993,25 @@ def test_pending_product_prints_scales_and_tests_zero_from_numerators():
                     "laurent"}
 
 
+def test_minus_one_coefficients_print_the_same_settled_or_pending():
+    # a coefficient -1 prints as (-1) alone, before h, before a blade and
+    # before both; a pairing entry w^{11} = -1 gives e1 *_h e1 = -h
+    w = PairTensor(2, {(1, 1): -1})
+    h = HPoly({1: 1})
+    for a, b, settled_form, text in (
+            (E1, E1, QForm(2, {0: -h}), "(-1)*h"),
+            (QForm.scalar(2, -1), E1, -E1, "(-1)*e1"),
+            (QForm.scalar(2, -1), QForm.scalar(2, 1), QForm.scalar(2, -1),
+             "(-1)"),
+            (E1 * h, E2 * -h, QForm(2, {0b11: HPoly({2: -1})}),
+             "(-1)*h^2*e1^e2")):
+        product = quantum_wedge(a, b, w)
+        assert pending(product)
+        assert str(product) == str(settled_form) == text
+        assert pending(product)
+        assert str(settled(product)) == text
+
+
 def assert_same_settled(new, ref):
     # a pending operand hands over its numerators in the kernel's order,
     # not mask by mask, so only the terms' order may differ

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from dolbeault_reference import ref_bidegree_split
+from qdr.bigraded import Frame
 from qdr.blades import wedge_masks
 from qdr.exterior import quantum_wedge
 from qdr.fields import (
@@ -158,17 +159,46 @@ def _partial_forms(rng, model, complex_ok=False):
             (rng.randint(-2, 1), rng.randrange(1 << dim)): x1_only * 2})
 
 
-def test_exterior_d_matches_the_wedge_masks_formula():
+def test_exterior_d_matches_the_wedge_masks_formula(monkeypatch):
     # the same terms in the same insertion order, over rational and
-    # Gaussian polynomial coefficients and over Fourier modes
+    # Gaussian polynomial coefficients and over Fourier modes; and
+    # exterior_d takes no partial that is zero
     rng = Random(83)
+    taken = []
+    for ring in (PolyFn, FourierFn):
+        def counting(fn, j, real=ring.partial):
+            taken.append(real(fn, j))
+            return taken[-1]
+        monkeypatch.setattr(ring, "partial", counting)
     for model, complex_ok in ((FLAT2, False), (FLAT2, True), (SO3, True),
                               (torus(1, 2), False), (torus(2, 1), False)):
         for a in _partial_forms(rng, model, complex_ok):
             assert any(h < 0 for h, _ in a.terms), a
             want = _reference_exterior_d(a)
+            taken.clear()
             got = exterior_d(a)
             assert list(got.terms.items()) == list(want.terms.items())
+            assert all(taken)
+            assert len(taken) == sum((fn.variables() & ~mask).bit_count()
+                                     for (_, mask), fn in a.terms.items())
+
+
+def test_variables_mask_marks_the_nonzero_partials():
+    # exterior_d differentiates only the coordinates in the mask, so a
+    # coordinate outside it must have a zero partial, and one inside a
+    # nonzero one; a Moyal product has HPoly-valued coefficients
+    rng = Random(89)
+    fns = [PolyFn.zero(3), PolyFn.constant(2, 5), x(3, 2) * x(3, 2),
+           moyal_product(x(2, 1), x(2, 1) + x(2, 2), FLAT1.poisson),
+           FourierFn.mode(3, (0, -2, 1))]
+    for model in (FLAT2, SO3, torus(2, 1)):
+        for a in _partial_forms(rng, model, model.fnring is PolyFn):
+            fns.extend(a.terms.values())
+    for fn in fns:
+        assert fn.variables() == sum(1 << (j - 1)
+                                     for j in range(1, fn.dim + 1)
+                                     if fn.partial(j))
+    assert [fn.variables() for fn in fns[:5]] == [0, 0, 0b10, 0b11, 0b110]
 
 
 def test_contract_field_frozen():
@@ -436,6 +466,31 @@ def test_dolbeault_rejects_noninvariant():
     a = FieldForm(4, PolyFn, {(0, 1): 1})
     with pytest.raises(ValueError):
         dolbeault_deltas(a, w)
+
+
+def test_dolbeault_checks_each_field_once(monkeypatch):
+    # a field that fails the J-invariance check raises on its first split
+    # and on every later one; a field that passes is checked once
+    checked = []
+    real = Frame.check_invariance
+
+    def counting(frame, w):
+        checked.append(w)
+        return real(frame, w)
+    monkeypatch.setattr(Frame, "check_invariance", counting)
+    a = FieldForm(4, PolyFn, {(0, 1): x(4, 2), (1, 6): x(4, 3)})
+    bad = PoissonField(4, {(1, 3): Fraction(1)})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not preserved by J"):
+            quantum_dolbeault_split(a, bad)
+    assert checked == [bad, bad]
+    checked.clear()
+    good = PoissonField(4, {(i, j): c
+                            for i, j, c in FLAT2.poisson.upper_entries()})
+    first = quantum_dolbeault_split(a, good)
+    assert quantum_dolbeault_split(a, good) == first
+    assert dolbeault_deltas(a, good) == dolbeault_deltas(a, FLAT2.poisson)
+    assert checked.count(good) == 1
 
 
 def test_fixture_registry():

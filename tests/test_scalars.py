@@ -57,6 +57,28 @@ def test_gauss_rat_ring():
     assert (a * a.conj()).is_real()
 
 
+def test_real_gauss_rat_hashes_as_its_rational():
+    # equal values must hash alike, so a real GaussRat finds the entry of
+    # its Fraction or int in a dict, and a complex one hashes apart
+    for re in (Fraction(-7, 3), Fraction(1, 2), Fraction(4), Fraction(0)):
+        g = GaussRat(re)
+        assert g == re and hash(g) == hash(re)
+        assert {re: "x"}[g] == "x"
+        if re.denominator == 1:
+            assert hash(g) == hash(int(re)) and {int(re): "y"}[g] == "y"
+    table = {Fraction(5, 2): "real", GaussRat(5, 2): "complex"}
+    assert table[GaussRat(Fraction(5, 2))] == "real"
+    assert GaussRat(Fraction(5, 2)) in {Fraction(5, 2)}
+    assert GaussRat(5, 2) not in {Fraction(5, 2): 1, 5: 1}
+
+
+def test_gauss_rat_str_of_a_unit_imaginary_part():
+    assert str(GaussRat(2, 1)) == "2+i"
+    assert str(GaussRat(2, -1)) == "2-i"
+    assert str(GaussRat(Fraction(-1, 2), 1)) == "-1/2+i"
+    assert str(GaussRat(2, 3)) == "2+3*i"
+
+
 def test_gauss_rat_parse_round_trip():
     vals = [GaussRat(0), GaussRat(3), GaussRat(-2, 5), I, -I,
             GaussRat(Fraction(1, 2), Fraction(-7, 3)), GaussRat(0, Fraction(2, 9))]

@@ -1,16 +1,18 @@
 """Symplectic star, operator family, spectra: frozen tables and identities."""
 
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
 
 from lefschetz_reference import det_recursion_holds
-from qdr.blades import blade_degree, masks_of_degree
+from qdr.blades import blade_degree, masks_of_degree, wedge_masks
 from qdr.exterior import QForm, substitute, wedge
 from qdr import symplectic
 from qdr.linalg import char_poly
-from qdr.scalars import HPoly
+from qdr.rand import random_qform
+from qdr.scalars import HPoly, add_term
 from qdr.symplectic import (
     SymplecticForm,
     apply_A,
@@ -113,6 +115,99 @@ def test_star_square_identity():
     for om in (OM2, OM4, OM6):
         for b in blades(om.dim):
             assert symplectic_star(symplectic_star(b, om), om) == b
+
+
+def _reference_star(form, om):
+    """The star with one minor per pair of same-degree blades: every
+    blade a of m's degree, in ascending mask order."""
+    w, vol = om.bivector, om.volume_coeff
+    top = (1 << om.dim) - 1
+    out = {}
+    for m, c in form.terms.items():
+        flipped = HPoly({-e: q for e, q in c.terms.items()})
+        for a in masks_of_degree(om.dim, blade_degree(m)):
+            val = symplectic.lambda_pairing(w, a, m)
+            if val:
+                s, _ = wedge_masks(a, top ^ a)
+                add_term(out, top ^ a, flipped * (val * vol / s))
+    return QForm(om.dim, out)
+
+
+def _shuffled_darboux(rng, dim):
+    """A Darboux form on shuffled coordinates: pair a couples the
+    coordinates perm[2a] and perm[2a + 1] with a scale from +-2/3, +-3/2."""
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    rows = [[0] * dim for _ in range(dim)]
+    for a in range(dim // 2):
+        i, j = perm[2 * a], perm[2 * a + 1]
+        c = rng.choice([Fraction(2, 3), Fraction(-2, 3), Fraction(3, 2),
+                        Fraction(-3, 2)])
+        rows[i][j], rows[j][i] = c, -c
+    return SymplecticForm(dim, rows), perm
+
+
+def _dense_symplectic(rng, dim):
+    """A form whose bivector has every off-diagonal entry nonzero."""
+    while True:
+        rows = [[0] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                c = rng.choice([-3, -2, -1, 1, 2, 3])
+                rows[i][j], rows[j][i] = c, -c
+        try:
+            om = SymplecticForm(dim, rows)
+        except ValueError:
+            continue
+        if len(om.bivector.entries) == dim * (dim - 1):
+            return om
+
+
+def test_star_skips_only_minors_off_the_row_support(monkeypatch):
+    # the star equals the one over every blade pair, term for term and in
+    # the same order, on random forms with h-coefficients; in shuffled
+    # Darboux position the filter skips minors, and on a dense pairing
+    # it skips none past degree one, where only a = m has a zero row
+    rng = Random(31)
+    calls = []
+    real = symplectic.lambda_pairing
+
+    def counting(w, a, b):
+        calls.append((a, b))
+        return real(w, a, b)
+    monkeypatch.setattr(symplectic, "lambda_pairing", counting)
+    for dim in (2, 4, 6):
+        full = (1 << dim) - 1
+        darboux, perm = _shuffled_darboux(rng, dim)
+        dense = _dense_symplectic(rng, dim)
+        partner = {}
+        for a in range(dim // 2):
+            i, j = perm[2 * a], perm[2 * a + 1]
+            partner[1 << i], partner[1 << j] = 1 << j, 1 << i
+        for m in range(1 << dim):
+            support = sum(partner[1 << i] for i in range(dim) if m >> i & 1)
+            assert darboux.bivector.row_support(m) == support
+            want = (full ^ m) if m.bit_count() == 1 else full if m else 0
+            assert dense.bivector.row_support(m) == want
+        for om in (darboux, dense):
+            for _ in range(6):
+                form = random_qform(rng, dim, nterms=4, max_h=2) \
+                    + random_qform(rng, dim, nterms=2, max_h=1).h_shift(-1)
+                calls.clear()
+                got = symplectic_star(form, om)
+                fast = len(calls)
+                calls.clear()
+                want = _reference_star(form, om)
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert any(e < 0 for c in got.terms.values()
+                           for e in c.terms)
+                degrees = [m.bit_count() for m in form.terms]
+                # in Darboux position the support of m holds one blade
+                # of m's degree: the partners of m's coordinates
+                assert fast == sum(1 if om is darboux
+                                   else comb(dim, k) - (k == 1)
+                                   for k in degrees)
+                assert len(calls) == sum(comb(dim, k) for k in degrees)
 
 
 def test_omega_powers_are_worked_out_once():
