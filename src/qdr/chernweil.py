@@ -139,13 +139,13 @@ class MatrixForm:
     __repr__ = __str__
 
 
-def _fn_det(entries, ring, dim):
+def _fn_det(entries):
     if len(entries) == 1:
         return entries[0][0]
     acc = None
     for j in range(len(entries)):
         minor = [row[:j] + row[j + 1:] for row in entries[1:]]
-        term = entries[0][j] * _fn_det(minor, ring, dim)
+        term = entries[0][j] * _fn_det(minor)
         if j % 2:
             term = -term
         acc = term if acc is None else acc + term
@@ -169,7 +169,7 @@ class GaugeTransform:
             raise ValueError("gauge matrix must be square")
         self.dim = model.dim
         self.fnring = model.fnring
-        det = _fn_det(rows, self.fnring, self.dim)
+        det = _fn_det(rows)
         if not det.is_constant() or det.is_zero():
             raise ValueError("gauge determinant must be a nonzero constant")
         scale = Fraction(1) / det.constant_coeff()
@@ -179,8 +179,7 @@ class GaugeTransform:
             for j in range(self.rank):
                 minor = [row[:i] + row[i + 1:]
                          for k, row in enumerate(rows) if k != j]
-                cof = _fn_det(minor, self.fnring, self.dim) if minor \
-                    else model.constant(1)
+                cof = _fn_det(minor) if minor else model.constant(1)
                 if (i + j) % 2:
                     cof = -cof
                 inv[i].append(cof * scale)

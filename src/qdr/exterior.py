@@ -64,8 +64,10 @@ deformed power, divide nothing. fields.quantum_wedge_field clears its
 factors' coefficient functions to int leaves, calls the same driver and
 divides each coefficient of the product once. A value with leaves that
 clearing does not reach (a Moyal product's HPoly-valued PolyFn) goes
-through as it is, over 1. quantum_wedge_multi divides B_J by D^|J|
-instead, once per B_J.
+through as it is, over 1, and so do the HPolyMulti entries of the one
+pairing W = sum_p t_p w_p on which quantum_wedge_multi runs the driver.
+The classical wedge is level 0 of the J-sum: wedge_terms takes it
+alone, for wedge and fields.wedge_field.
 """
 
 from __future__ import annotations
@@ -286,6 +288,14 @@ def _wedge_into(acc: dict, n: int, A: dict, B: dict, lift=1) -> None:
                 acc[key] = p if prev is None else prev + p
 
 
+def wedge_terms(A: dict, B: dict) -> dict:
+    """The classical wedge of terms {(tag, mask): c}, level 0 of the
+    J-sum: zero-free, each key (ta + tb, ma | mb)."""
+    acc = {}
+    _wedge_into(acc, 0, A, B)
+    return {k: c for k, c in acc.items() if c}
+
+
 def expand_blade_pair(amask: int, bmask: int, pairing: PairTensor):
     """All contraction levels of one blade pair.
 
@@ -435,18 +445,6 @@ class QForm(PendingTerms):
                 out[m] = HPoly._make({0: c.terms[0]})
         return self._like(out)
 
-    def wedge(self, other: "QForm") -> "QForm":
-        o = self._operand(other)
-        space = self._join(o)
-        out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in o.terms.items():
-                s, m = wedge_masks(ma, mb)
-                if not s:
-                    continue
-                add_term(out, m, ca * cb * s)
-        return QForm._make(out, *space)
-
     def __str__(self):
         # a pending product prints from its int numerators, each reduced
         # over the denominator, and stays pending; Gaussian ones settle
@@ -555,7 +553,12 @@ def substitute(terms: dict, rows) -> dict:
 
 
 def wedge(a: QForm, b: QForm) -> QForm:
-    return a.wedge(b)
+    """The classical wedge, level 0 of the J-sum, pending over the
+    product of the factors' denominators."""
+    space = a._join(b)
+    ta, da = _numerators(a)
+    tb, db = _numerators(b)
+    return QForm._make_pending(wedge_terms(ta, tb), da * db, *space)
 
 
 def quantum_wedge(a: QForm, b: QForm, w: PairTensor) -> QForm:
@@ -713,8 +716,9 @@ def quantum_wedge_multi(a: QForm, b: QForm, ws) -> MultiForm:
     """Deformed product with one parameter per pairing in ws.
 
     The per-pairing insertion operators commute, so the multi-parameter
-    exponential is the composition of the single-parameter ones. Inputs
-    must be classical (h-free) forms.
+    exponential is the single-parameter one of W = sum_p t_p w_p: level n
+    of its J-sum has degree n in the t_p. Inputs must be classical
+    (h-free) forms.
     """
     ws = list(ws)
     r = len(ws)
@@ -729,25 +733,17 @@ def quantum_wedge_multi(a: QForm, b: QForm, ws) -> MultiForm:
         for c in form.terms.values():
             if set(c.terms) - {0}:
                 raise ValueError("multi-parameter product needs h-free inputs")
-    # tensor states (exponent tuple, A, B), contracted by one pairing
-    # after the other
-    states = [((0,) * r,
-               {(0, m): c.constant_coeff() for m, c in a.terms.items()},
-               {(0, m): c.constant_coeff() for m, c in b.terms.items()})]
+    entries = {}
     for p, w in enumerate(ws):
-        nxt = []
-        for e, A, B in states:
-            for n, A2, B2 in _contractions(A, B, w._cols):
-                if n and w.den != 1:
-                    den = w.den ** n
-                    B2 = {k: over(c, den) for k, c in B2.items()}
-                nxt.append((e[:p] + (e[p] + n,) + e[p + 1:], A2, B2))
-        states = nxt
-    acc = {}
-    for e, A, B in states:
-        t = {}
-        _wedge_into(t, 0, A, B)
-        for (_, m), c in t.items():
-            add_term(acc.setdefault(m, {}), e, c)
-    return MultiForm._make({m: HPolyMulti._make(t, r)
-                            for m, t in acc.items() if t}, a.dim, r)
+        t = (0,) * p + (1,) + (0,) * (r - p - 1)
+        for i, j, c in w.ordered_entries():
+            add_term(entries, (i, j), HPolyMulti._make({t: c}, r))
+    # W's entries clear over D = 1, and the h-free operands' tags are 0,
+    # so a key is (level, mask); level 0 alone is scalar
+    nums, den = product_numerators(*_numerators(a), *_numerators(b),
+                                   PairTensor(a.dim, entries))
+    out = {}
+    for (n, m), c in nums.items():
+        c = over(c, den)
+        add_term(out, m, c if n else HPolyMulti._make({(0,) * r: c}, r))
+    return MultiForm._make(out, a.dim, r)

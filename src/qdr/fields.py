@@ -18,7 +18,7 @@ from fractions import Fraction
 from .bigraded import standard_frame
 from .blades import (blade_degree, blade_str, indices_of_mask,
                      insert_first_mask, wedge_masks)
-from .exterior import Bivector, QForm, product_numerators
+from .exterior import Bivector, QForm, product_numerators, wedge_terms
 from .functions import FourierFn, PolyFn
 from .scalars import (GaussRat, HPoly, SparseTerms, add_term, as_fraction,
                       clear_denominators, convolve, int_exponent, over)
@@ -140,15 +140,10 @@ def lift(form: QForm, fnring) -> "FieldForm":
 
 
 def wedge_field(a: FieldForm, b: FieldForm) -> FieldForm:
+    """The classical wedge: level 0 of the J-sum (exterior.wedge_terms)
+    on the terms of both factors."""
     space = a._join(b)
-    t = {}
-    for (ha, ma), fa in a.terms.items():
-        for (hb, mb), fb in b.terms.items():
-            s, m = wedge_masks(ma, mb)
-            if not s:
-                continue
-            add_term(t, (ha + hb, m), (fa * fb) * s)
-    return FieldForm._make(t, *space)
+    return FieldForm._make(wedge_terms(a.terms, b.terms), *space)
 
 
 def quantum_wedge_field(a: FieldForm, b: FieldForm, w: PoissonField):
@@ -390,8 +385,10 @@ def _d_halves(form: FieldForm):
     zero = form.fnring.zero(form.dim)
     t = {}
     for (h, mask), fn in form.terms.items():
+        held = fn.variables()
         for f, v in zip(covecs, vecs):
-            dv = sum((fn.partial(j) * c for j, c in v), zero)
+            dv = sum((fn.partial(j) * c for j, c in v if held >> (j - 1) & 1),
+                     zero)
             for bit, c in f:
                 s, m = wedge_masks(bit, mask)
                 if s:

@@ -242,14 +242,11 @@ def moyal_product(u: PolyFn, v: PolyFn, w) -> PolyFn:
         out = out + level * HPoly._make({n: factinv})
         nxt = []
         for a, b, c in pairs:
+            # only a coordinate a function holds has a nonzero partial
+            va, vb = a.variables(), b.variables()
             for i, j, wij in entries:
-                da = a.partial(i)
-                if da.is_zero():
-                    continue
-                db = b.partial(j)
-                if db.is_zero():
-                    continue
-                nxt.append((da, db, c * wij))
+                if va >> (i - 1) & 1 and vb >> (j - 1) & 1:
+                    nxt.append((a.partial(i), b.partial(j), c * wij))
         pairs = nxt
         n += 1
         factinv = factinv / n

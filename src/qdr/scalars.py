@@ -407,10 +407,11 @@ class GaussRat:
         return GaussRat._make(self.re, -self.im)
 
     def __eq__(self, other):
+        # exact type first: isinstance against Fraction is a slow ABC check
+        if type(other) is GaussRat:
+            return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
-        if isinstance(other, GaussRat):
-            return self.re == other.re and self.im == other.im
         return NotImplemented
 
     def __hash__(self):
@@ -653,10 +654,12 @@ class HPoly(SparseRing):
 class HPolyMulti(SparseRing):
     """Polynomial in several deformation parameters h_1..h_r.
 
-    terms maps an exponent tuple (one slot per parameter) -> Fraction.
+    terms maps an exponent tuple (one slot per parameter) -> Fraction,
+    or GaussRat for a Gaussian pairing's product.
     """
 
     __slots__ = ("nparams",)
+    _SCALARS = (GaussRat, int, Fraction)
 
     def __init__(self, nparams: int, terms=None):
         self.nparams = nparams

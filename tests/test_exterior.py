@@ -5,6 +5,7 @@ import ast
 import inspect
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -549,7 +550,7 @@ def test_fields_runs_no_kernel_of_its_own():
         elif isinstance(node, ast.alias):
             names.add(node.name)
     assert not names & {"_contractions", "_wedge_into"}
-    assert "product_numerators" in names
+    assert {"product_numerators", "wedge_terms"} <= names
 
 
 def test_kernel_matches_reference_on_omega_powers_dim10():
@@ -1236,3 +1237,182 @@ def test_a_sum_through_zero_and_back_is_exact():
     # the other order walks the reversed product, where column 4 of the
     # transpose is empty
     assert_same_product(quantum_wedge(b, a, w), wedge(b, a))
+
+
+# ------------------------------------------ every product on the one kernel
+#
+# The loops that the classical wedges and the multiparameter product ran
+# before they moved onto the kernel, kept as references: wedge and
+# wedge_field multiplied every pair of terms, and quantum_wedge_multi
+# walked the J-sum once per pairing, one after the other, from every
+# state the pairing before it left.
+
+
+def pairwise_wedge(a, b):
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            s, m = wedge_masks(ma, mb)
+            if s:
+                add_term(out, m, ca * cb * s)
+    return a._like(out)
+
+
+def pairwise_wedge_field(a, b):
+    t = {}
+    for (ha, ma), fa in a.terms.items():
+        for (hb, mb), fb in b.terms.items():
+            s, m = wedge_masks(ma, mb)
+            if s:
+                add_term(t, (ha + hb, m), (fa * fb) * s)
+    return a._like(t)
+
+
+def state_loop_quantum_wedge_multi(a, b, ws):
+    r = len(ws)
+    states = [((0,) * r,
+               {(0, m): c.constant_coeff() for m, c in a.terms.items()},
+               {(0, m): c.constant_coeff() for m, c in b.terms.items()})]
+    for p, w in enumerate(ws):
+        nxt = []
+        for e, A, B in states:
+            for n, A2, B2 in _contractions(A, B, w._cols):
+                if n and w.den != 1:
+                    B2 = {k: over(c, w.den ** n) for k, c in B2.items()}
+                nxt.append((e[:p] + (e[p] + n,) + e[p + 1:], A2, B2))
+        states = nxt
+    acc = {}
+    for e, A, B in states:
+        t = {}
+        _wedge_into(t, 0, A, B)
+        for (_, m), c in t.items():
+            add_term(acc.setdefault(m, {}), e, c)
+    return MultiForm._make({m: HPolyMulti._make(t, r)
+                            for m, t in acc.items() if t}, a.dim, r)
+
+
+def multi_typed(form):
+    """{(mask, exponent tuple): (coefficient, its type)}, in no order."""
+    return {(m, e): (v, type(v)) for m, c in form.terms.items()
+            for e, v in c.terms.items()}
+
+
+def test_wedge_matches_the_pairwise_loop():
+    # rational, Gaussian and Laurent coefficients at dims 2 to 8, products
+    # that vanish, and a pending operand; the result is pending and prints
+    # alike before and after it settles
+    rng = Random(931)
+    for a, b, c, w in fast_path_cases(rng):
+        for x, y in ((a, b), (b, c), (quantum_wedge(a, c, w), b)):
+            got = wedge(x, y)
+            assert pending(got)
+            want = pairwise_wedge(x, y)
+            assert str(got) == str(want)
+            assert got == want and typed(got) == typed(want)
+            assert got.serialize() == want.serialize()
+            assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("build", [_flat_rescaled, _polyfn_fractions,
+                                   _fourier_gauss, _mixed_entries,
+                                   _moyal_values])
+def test_wedge_field_matches_the_pairwise_loop(build):
+    # PolyFn and FourierFn coefficients, rational and Gaussian leaves, h
+    # exponents from -2 up, and HPoly-valued Moyal products
+    _, pairs = build(Random(932))
+    for x, y in pairs:
+        for a, b in ((x, y), (y, x), (x, x)):
+            got = fields.wedge_field(a, b)
+            want = pairwise_wedge_field(a, b)
+            assert got == want and str(got) == str(want)
+            assert got.serialize() == want.serialize()
+
+
+def gaussian_form(rng, dim):
+    return QForm(dim, {rng.randrange(1 << dim): rng.choice(
+        [random_gauss(rng), Fraction(rng.randint(-3, 3), 2)])
+        for _ in range(3)})
+
+
+def test_multi_matches_the_state_loop():
+    # one to three general and antisymmetric pairings at dims 2 to 6,
+    # rational and Gaussian coefficients and Gaussian pairings
+    rng = Random(933)
+    gaussian = {2 * n: standard_frame(n).wcx() for n in (1, 2, 3)}
+    for trial in range(60):
+        dim = 2 + trial % 5
+        ws = [random_pairing(rng, dim) if (trial + k) % 2
+              else random_bivector(rng, dim)
+              for k in range(1 + trial % 3)]
+        if trial % 4 == 3 and dim in gaussian:
+            ws[0] = gaussian[dim]
+        a, b = (gaussian_form(rng, dim) if trial % 3 == 1
+                else random_qform(rng, dim, nterms=3, max_h=0)
+                for _ in range(2))
+        got = quantum_wedge_multi(a, b, ws)
+        want = state_loop_quantum_wedge_multi(a, b, ws)
+        assert got == want and str(got) == str(want)
+        assert multi_typed(got) == multi_typed(want)
+
+
+def test_multi_str_is_pinned():
+    # two blades of degree 2, blades of degrees 0 to 3, exponents 1 and 2,
+    # coefficients 1, -1, other ints and fractions, and a -1 term after
+    # the first of its polynomial
+    a = QForm(3, {(1, 2): 1, (2, 3): Fraction(1, 2), (1,): -1})
+    b = QForm(3, {(1, 2): 1, (3,): 2})
+    w1 = Bivector(3, {(1, 2): 1, (2, 3): -1})
+    w2 = PairTensor(3, {(1, 1): 2, (2, 3): -1, (3, 2): Fraction(1, 3)})
+    assert str(quantum_wedge_multi(a, b, [w1, w2])) == (
+        "(2)*e1^e2^e3 + ((1/6)*h2 + (-3/2)*h1)*e1^e2 + (-2)*e1^e3"
+        " + ((-1/2)*h1)*e2^e3 + ((-2)*h2 - h1)*e1 + ((-2)*h2)*e2"
+        " + (h2 + h1)*e3 + ((1/6)*h1*h2 + (-1/2)*h1^2)")
+
+
+def test_wedges_and_the_multi_product_run_on_the_kernel(monkeypatch):
+    # wedge and wedge_field take level 0 of the J-sum from wedge_terms,
+    # and the multiparameter product walks the J-sum once, through the
+    # driver, however many pairings it has
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapped)
+    for module, name in ((exterior, "wedge_terms"), (fields, "wedge_terms"),
+                         (exterior, "product_numerators"),
+                         (exterior, "_contractions")):
+        counting(module, name)
+    assert wedge(E1, E2) == E12 and calls == ["wedge_terms"]
+    calls.clear()
+    f1, f2 = (fields.lift(e, PolyFn) for e in (E1, E2))
+    assert fields.wedge_field(f1, f2) == fields.lift(E12, PolyFn)
+    assert calls == ["wedge_terms"]
+    calls.clear()
+    out = quantum_wedge_multi(E12, E12, (W2, MIXED, W2))
+    assert out == state_loop_quantum_wedge_multi(E12, E12, (W2, MIXED, W2))
+    assert calls == ["product_numerators", "_contractions"]
+
+
+def test_only_the_driver_and_the_blade_pair_view_walk_the_kernel():
+    # every product of forms goes through product_numerators or
+    # wedge_terms; no other function of the package names the kernel
+    names = {"_contractions": set(), "_wedge_into": set()}
+    for path in sorted(Path(exterior.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name) and node.id in names:
+                    names[node.id].add(f"{path.stem}.{fn.name}")
+    assert names == {
+        "_contractions": {"exterior.product_numerators",
+                          "exterior.expand_blade_pair"},
+        "_wedge_into": {"exterior.product_numerators",
+                        "exterior.expand_blade_pair",
+                        "exterior.wedge_terms"}}
+    assert not hasattr(QForm, "wedge")

@@ -6,7 +6,8 @@ from random import Random
 
 import pytest
 
-from dolbeault_reference import ref_bidegree_split
+from dolbeault_reference import (ref_bidegree_split, ref_partial_d,
+                                 ref_partial_dbar)
 from qdr.bigraded import Frame
 from qdr.blades import wedge_masks
 from qdr.exterior import quantum_wedge
@@ -101,6 +102,78 @@ def test_moyal_associative_random():
         left = moyal_product(moyal_product(u, v, w), p, w)
         right = moyal_product(u, moyal_product(v, p, w), w)
         assert left == right
+
+
+def _reference_moyal(u, v, w):
+    """The Moyal loop that takes every partial along the pairing's
+    entries and drops the zero ones."""
+    entries = w.ordered_entries()
+    out = PolyFn.zero(u.dim)
+    pairs = [(u, v, Fraction(1))]
+    n = 0
+    factinv = Fraction(1)
+    while pairs:
+        level = PolyFn.zero(u.dim)
+        for a, b, c in pairs:
+            level = level + (a * b) * c
+        out = out + level * HPoly({n: factinv})
+        nxt = []
+        for a, b, c in pairs:
+            for i, j, wij in entries:
+                da, db = a.partial(i), b.partial(j)
+                if da and db:
+                    nxt.append((da, db, c * wij))
+        pairs = nxt
+        n += 1
+        factinv = factinv / n
+    return out
+
+
+def test_moyal_takes_only_nonzero_partials(monkeypatch):
+    # the same product, terms in the same order, as the loop that drops
+    # zero partials; inputs free of some coordinates, Gaussian leaves and
+    # HPoly-valued Moyal products among them
+    rng = Random(97)
+    cases = []
+    for k in range(12):
+        dim = 2 + k % 3
+        w = PoissonField(dim, {(i, j): Fraction(rng.randint(-2, 2), 3)
+                               for i in range(1, dim + 1)
+                               for j in range(i + 1, dim + 1)})
+        u = random_polyfn(rng, dim, max_deg=3, nterms=2, complex_ok=k % 2)
+        v = random_polyfn(rng, dim, max_deg=3, nterms=2) + x(dim, 1)
+        cases += [(u, v, w), (x(dim, 2) * x(dim, 2), v, w),
+                  (_reference_moyal(u, v, w), u, w)]
+    taken = []
+
+    def counting(fn, j, real=PolyFn.partial):
+        taken.append(real(fn, j))
+        return taken[-1]
+    for u, v, w in cases:
+        want = _reference_moyal(u, v, w)
+        monkeypatch.setattr(PolyFn, "partial", counting)
+        got = moyal_product(u, v, w)
+        monkeypatch.undo()
+        assert list(got.terms.items()) == list(want.terms.items())
+    assert taken and all(taken)
+
+
+def test_dolbeault_halves_take_only_nonzero_partials(monkeypatch):
+    # del from the coordinates each coefficient holds: the reference
+    # split's value, and every partial it takes is nonzero
+    rng = Random(98)
+    forms = [a for model in (FLAT1, FLAT2, torus(1, 1), torus(2, 1))
+             for a in _partial_forms(rng, model, model.fnring is PolyFn)]
+    want = [(ref_partial_d(a), ref_partial_dbar(a)) for a in forms]
+    taken = []
+    for ring in (PolyFn, FourierFn):
+        def counting(fn, j, real=ring.partial):
+            taken.append(real(fn, j))
+            return taken[-1]
+        monkeypatch.setattr(ring, "partial", counting)
+    for a, (d10, d01) in zip(forms, want):
+        assert partial_d(a) == d10 and partial_dbar(a) == d01
+    assert taken and all(taken)
 
 
 def test_lift_and_field_wedges_match_constant_layer():

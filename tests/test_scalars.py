@@ -72,6 +72,18 @@ def test_real_gauss_rat_hashes_as_its_rational():
     assert GaussRat(5, 2) not in {Fraction(5, 2): 1, 5: 1}
 
 
+def test_gauss_rat_equality_by_type():
+    # GaussRat against GaussRat, int and Fraction; any other type is
+    # left to its own __eq__
+    a = GaussRat(Fraction(1, 2), -3)
+    assert a == GaussRat(Fraction(2, 4), -3) and a != GaussRat(1, -3)
+    assert a != GaussRat(Fraction(1, 2), 3) and a != Fraction(1, 2)
+    assert GaussRat(5) == 5 and GaussRat(5) != 4 and 5 == GaussRat(5)
+    assert GaussRat(Fraction(-7, 3)) == Fraction(-7, 3)
+    assert GaussRat(1).__eq__("1") is NotImplemented and GaussRat(1) != "1"
+    assert GaussRat(1).__eq__(1.0) is NotImplemented
+
+
 def test_gauss_rat_str_of_a_unit_imaginary_part():
     assert str(GaussRat(2, 1)) == "2+i"
     assert str(GaussRat(2, -1)) == "2-i"

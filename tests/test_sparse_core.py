@@ -23,6 +23,7 @@ from qdr.exterior import (
     insert_first,
     quantum_wedge,
     quantum_wedge_multi,
+    wedge,
 )
 from qdr.fields import (
     FieldForm,
@@ -198,7 +199,7 @@ def _check_forms(rng):
                     QForm(dim, dict(base[1].terms)), QForm.zero(dim)]
     for a in forms:
         for b in forms:
-            for r in (a + b, a - b, a.wedge(b), quantum_wedge(a, b, w),
+            for r in (a + b, a - b, wedge(a, b), quantum_wedge(a, b, w),
                       (a + b) - b):
                 _check(r)
         for r in (-a, a * 0, a * 3, a * HPoly({1: 1}),
