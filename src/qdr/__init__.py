@@ -60,7 +60,6 @@ from .cohomology import (
     stokes_check,
 )
 from .bigraded import (
-    BigradedForm,
     derive_adjoint_law,
     hermitian_gram,
     hermitian_pairing,
@@ -94,7 +93,7 @@ __all__ = [
     "PolyFn", "FourierFn", "moyal_product",
     "build_complex", "dr_cohomology_dims", "quantum_cohomology_dims",
     "poisson_homology_dims", "quantum_integral", "stokes_check",
-    "BigradedForm", "standard_frame", "hermitian_pairing",
+    "standard_frame", "hermitian_pairing",
     "hermitian_gram", "derive_adjoint_law",
     "MatrixForm", "GaugeTransform", "quantum_curvature", "bianchi_check",
     "char_form", "chern_character",

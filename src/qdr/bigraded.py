@@ -5,8 +5,9 @@ Real covectors pair into the holomorphic frame f^a = e^{2a-1} + i e^{2a}
 complex structure J(e_{2a-1}) = e_{2a}.  Frame is the one complex
 structure of the package: its tables are one fixed change of basis, its
 checks are products of exact matrices, and fields reads the Dolbeault
-operator del off its covectors and vectors.  Forms over the frame carry
-a bidegree in which the deformation parameter counts (1,1).
+operator del off its covectors and vectors.  A frame form is a QForm of
+dimension 2n on the frame covectors; it carries a bidegree in which the
+deformation parameter counts (1,1).
 The Hermitian pairing contracts a product at parameter one and applies
 an exact sign prefactor; the adjoint law relating it to the product is
 derived from exhaustive evaluation rather than assumed.
@@ -64,94 +65,42 @@ def blade_bidegree(mask: int, n: int):
     return blade_degree(mask & ((1 << n) - 1)), blade_degree(mask >> n)
 
 
-class BigradedForm:
-    """A form over the complex frame with bidegree bookkeeping."""
+def _frame_monomials(n: int):
+    """The frame blades of dimension 2n as forms, in mask order."""
+    return [QForm(2 * n, {mask: 1}) for mask in range(1 << (2 * n))]
 
-    __slots__ = ("n", "form")
 
-    def __init__(self, n: int, form: QForm):
-        if form.dim != 2 * n:
-            raise ValueError("frame dimension mismatch")
-        self.n = n
-        self.form = form
+def bidegree(form: QForm):
+    """The (p, q) of a pure frame form, None when mixed or zero; the
+    deformation exponent adds (1, 1)."""
+    n = form.dim // 2
+    degs = set()
+    for mask, c in form.terms.items():
+        p0, q0 = blade_bidegree(mask, n)
+        # each h power of one blade lands in its own (p, q)
+        degs.update((p0 + e, q0 + e) for e in c.terms)
+    return degs.pop() if len(degs) == 1 else None
 
-    @classmethod
-    def monomial(cls, n: int, mask: int, coeff=1, h_exp: int = 0
-                 ) -> "BigradedForm":
-        return cls(n, QForm(2 * n, {mask: HPoly({h_exp: coeff})}))
 
-    def components(self):
-        """Pure-(p, q) parts; the deformation exponent adds (1, 1)."""
-        out = {}
-        for mask, c in self.form.terms.items():
-            p0, q0 = blade_bidegree(mask, self.n)
-            for e, v in c.terms.items():
-                # each h power of one blade lands in its own (p, q)
-                out.setdefault((p0 + e, q0 + e), {})[mask] = \
-                    HPoly._make({e: v})
-        return {key: BigradedForm(self.n, QForm._make(terms, 2 * self.n))
-                for key, terms in sorted(out.items())}
+def conj(form: QForm) -> QForm:
+    """The complex conjugate of a frame form: each frame covector swaps
+    with its conjugate, and the coefficients are conjugated."""
+    n = form.dim // 2
+    out = {}
+    for mask, c in form.terms.items():
+        # the swap permutes the blades, so no two terms meet
+        mask2, sign = _swap_mask(mask, n)
+        out[mask2] = c.conj() * sign
+    return form._like(out)
 
-    def bidegree(self):
-        """The (p, q) of a pure form, None when mixed or zero."""
-        parts = self.components()
-        if len(parts) == 1:
-            return next(iter(parts))
-        return None
 
-    def conj(self) -> "BigradedForm":
-        out = {}
-        for mask, c in self.form.terms.items():
-            # the swap permutes the blades, so no two terms meet
-            mask2, sign = _swap_mask(mask, self.n)
-            out[mask2] = c.conj() * sign
-        return BigradedForm(self.n, self.form._like(out))
-
-    def is_zero(self) -> bool:
-        return not self.form.terms
-
-    def __add__(self, other: "BigradedForm") -> "BigradedForm":
-        return BigradedForm(self.n, self.form + other.form)
-
-    def __sub__(self, other: "BigradedForm") -> "BigradedForm":
-        return BigradedForm(self.n, self.form - other.form)
-
-    def __mul__(self, scalar) -> "BigradedForm":
-        return BigradedForm(self.n, self.form * scalar)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, BigradedForm):
-            return self.n == other.n and self.form == other.form
-        return self.form == other
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(
-            (m, tuple(sorted(c.terms.items())))
-            for m, c in self.form.terms.items()))))
-
-    def blade_str(self, mask: int) -> str:
-        parts = []
-        for i in range(2 * self.n):
-            if mask >> i & 1:
-                parts.append(f"f{i + 1}" if i < self.n
-                             else f"fb{i + 1 - self.n}")
-        return "^".join(parts) if parts else "1"
-
-    def __str__(self):
-        if not self.form.terms:
-            return "0"
-        bits = []
-        for mask in sorted(self.form.terms,
-                           key=lambda m: (blade_degree(m), m)):
-            c = self.form.terms[mask]
-            coeff = f"({c})"
-            bits.append(coeff if mask == 0
-                        else f"{coeff}*{self.blade_str(mask)}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+def frame_blade_str(mask: int, n: int) -> str:
+    """The label of a frame blade: f1..fn, then fb1..fbn."""
+    parts = []
+    for i in range(2 * n):
+        if mask >> i & 1:
+            parts.append(f"f{i + 1}" if i < n else f"fb{i + 1 - n}")
+    return "^".join(parts) if parts else "1"
 
 
 class Frame:
@@ -205,13 +154,13 @@ class Frame:
         if mat_mul(self.J, mat_mul(wm, transpose(self.J))) != wm:
             raise ValueError("bivector is not preserved by J")
 
-    def complexify(self, form: QForm) -> BigradedForm:
-        out = substitute(form.terms, self._to_cx)
-        return BigradedForm(self.n, QForm._make(out, 2 * self.n))
+    def complexify(self, form: QForm) -> QForm:
+        """The form on the frame covectors."""
+        return QForm._make(substitute(form.terms, self._to_cx), 2 * self.n)
 
-    def realify(self, bform: BigradedForm) -> QForm:
+    def realify(self, form: QForm) -> QForm:
         """Expand the frame covectors back out; coefficients must be real."""
-        out = substitute(bform.form.terms, self._from_cx)
+        out = substitute(form.terms, self._from_cx)
         real_terms = {}
         for mask, c in out.items():
             clean = {}
@@ -222,7 +171,7 @@ class Frame:
                                      f"frame: coefficient {g}")
                 clean[e] = g.re
             real_terms[mask] = HPoly._make(clean)
-        return bform.form._like(real_terms)
+        return form._like(real_terms)
 
 
 def standard_J(dim: int):
@@ -298,12 +247,12 @@ def _raw_gram(n: int) -> dict:
     gram = _RAW_GRAMS.get(n)
     if gram is None:
         wcx = standard_frame(n).wcx()
-        monos = [BigradedForm.monomial(n, m) for m in range(1 << (2 * n))]
-        conjs = [b.conj().form for b in monos]
+        monos = _frame_monomials(n)
+        conjs = [conj(b) for b in monos]
         gram = {}
         for ma, a in enumerate(monos):
             for mb, bbar in enumerate(conjs):
-                val = _at_one(quantum_wedge(a.form, bbar, wcx)).get(0)
+                val = _at_one(quantum_wedge(a, bbar, wcx)).get(0)
                 if val:
                     gram[(ma, mb)] = val
         _RAW_GRAMS[n] = gram
@@ -327,12 +276,13 @@ def hermitian_prefactor(p: int, q: int, variant: str = "derived") -> GaussRat:
     raise ValueError(f"unknown prefactor variant {variant!r}")
 
 
-def hermitian_pairing(a: BigradedForm, b: BigradedForm) -> GaussRat:
-    """Contract the product at parameter one and apply the prefactor of
-    the first argument's bidegree.  Antilinear in the second argument."""
+def hermitian_pairing(a: QForm, b: QForm) -> GaussRat:
+    """Contract the product of two frame forms at parameter one and apply
+    the prefactor of the first one's bidegree.  Antilinear in the second
+    argument."""
     if a.is_zero() or b.is_zero():
         return _ZERO
-    deg = a.bidegree()
+    deg = bidegree(a)
     if deg is None:
         raise ValueError("first pairing argument has mixed bidegree")
     return hermitian_prefactor(*deg) * raw_pairing(a, b)
@@ -344,13 +294,13 @@ def hermitian_gram(n: int):
             for (ma, mb), val in _raw_gram(n).items()}
 
 
-def raw_pairing(a: BigradedForm, b: BigradedForm) -> GaussRat:
-    """The pairing without its sign prefactor: the scalar part of the
-    product with the conjugate at parameter one, read off the monomial
-    table."""
-    if a.n != b.n:
+def raw_pairing(a: QForm, b: QForm) -> GaussRat:
+    """The pairing of two frame forms without its sign prefactor: the
+    scalar part of the product with the conjugate at parameter one, read
+    off the monomial table."""
+    if a.dim != b.dim or a.dim % 2:
         raise ValueError("frame dimension mismatch")
-    return _pair_at_one(_at_one(a.form), _at_one(b.form), _raw_gram(a.n))
+    return _pair_at_one(_at_one(a), _at_one(b), _raw_gram(a.dim // 2))
 
 
 def _at_one(form: QForm) -> dict:
@@ -398,8 +348,7 @@ def derive_adjoint_law(n: int) -> dict:
     gram = _raw_gram(n)
     wcx = standard_frame(n).wcx()
     size = 1 << (2 * n)
-    monos = [BigradedForm.monomial(n, m) for m in range(size)]
-    forms = [x.form for x in monos]
+    forms = _frame_monomials(n)
     ones = [_at_one(f) for f in forms]
     degs = [blade_bidegree(m, n) for m in range(size)]
     # products[x][y]: monomial x wedge_w monomial y at parameter one
@@ -425,10 +374,11 @@ def derive_adjoint_law(n: int) -> dict:
                 raw = _pair_at_one(ab, g1, gram)
                 raw_rhs = _pair_at_one(a1, bbar_g, gram)
                 if raw != raw_rhs:
-                    blade = monos[0].blade_str
                     raise AssertionError(
                         f"raw adjoint law fails at n = {n}, a = "
-                        f"{blade(ma)}, b = {blade(mb)}, g = {blade(mg)}: "
+                        f"{frame_blade_str(ma, n)}, b = "
+                        f"{frame_blade_str(mb, n)}, g = "
+                        f"{frame_blade_str(mg, n)}: "
                         f"{raw} vs {raw_rhs}")
                 if raw:
                     live.add((p, q, s, t))

@@ -97,34 +97,6 @@ def submasks_of_degree(mask: int, k: int):
             return out
 
 
-class Blade:
-    """A basis form on R^dim: strictly increasing 1-based indices."""
-
-    __slots__ = ("dim", "mask")
-
-    def __init__(self, dim: int, indices=()):
-        self.dim = dim
-        if isinstance(indices, int):
-            mask = indices
-        else:
-            mask = mask_of_indices(indices)
-        if mask >> dim:
-            raise ValueError("blade index exceeds dimension")
-        self.mask = mask
-
-    def __eq__(self, other):
-        return (isinstance(other, Blade) and self.dim == other.dim
-                and self.mask == other.mask)
-
-    def __hash__(self):
-        return hash((self.dim, self.mask))
-
-    def __str__(self):
-        return blade_str(self.mask)
-
-    __repr__ = __str__
-
-
 @lru_cache(maxsize=_LABELS)
 def blade_str(mask: int, letter: str = "e") -> str:
     if not mask:

@@ -87,9 +87,6 @@ class MatrixForm:
         return MatrixForm([[a - b for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.entries, other.entries)])
 
-    def __neg__(self) -> "MatrixForm":
-        return self.map(lambda e: -e)
-
     def _match(self, other):
         if not isinstance(other, MatrixForm):
             raise TypeError("expected a matrix of forms")
@@ -130,13 +127,6 @@ class MatrixForm:
     def __eq__(self, other):
         return (isinstance(other, MatrixForm) and self.rank == other.rank
                 and self.entries == other.entries)
-
-    def __str__(self):
-        rows = ["[" + ", ".join(str(e) for e in row) + "]"
-                for row in self.entries]
-        return "[" + ",\n ".join(rows) + "]"
-
-    __repr__ = __str__
 
 
 def _fn_det(entries):

@@ -117,6 +117,7 @@ from .fixtures import (
     torus,
 )
 from .functions import FourierFn, PolyFn, moyal_product
+from .linalg import char_poly
 from .rand import (
     random_bivector,
     random_blade_form,
@@ -711,8 +712,7 @@ def _run_operator(ctx, task):
 def _run_spectrum(ctx, task):
     n = _int_key(task, "n", low=1, high=max_dim() // 2)
     parity = _choice("parity", task.get("parity", "odd"), ("even", "odd"))
-    op = lefschetz_matrix(n, parity)
-    cp = op.char_poly()
+    cp = char_poly(lefschetz_matrix(n, parity))
     return {"task": "spectrum", "n": n, "parity": parity,
             "char_poly": str(cp), "coeffs": _jsonify(cp.serialize()),
             "det": frac_str(cp.det), "pass": cp.det != 0}
@@ -968,12 +968,12 @@ def _lefschetz(rng, *, n=2):
     rows, singular = [], False
     for m in range(1, n + 1):
         for parity in ("even", "odd"):
-            cp = lefschetz_matrix(m, parity).char_poly()
+            cp = char_poly(lefschetz_matrix(m, parity))
             rows.append({"n": m, "parity": parity, "det": frac_str(cp.det),
                          "char_poly": str(cp)})
             singular = singular or cp.det == 0
     eye = [[Fraction(i == j) for j in range(2)] for i in range(2)]
-    base = lefschetz_matrix(1, "odd").mat == eye
+    base = lefschetz_matrix(1, "odd") == eye
     return {"rows": rows, "identity_base_case": base}, not singular and base
 
 

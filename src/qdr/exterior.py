@@ -77,7 +77,6 @@ from itertools import islice
 from math import gcd
 
 from .blades import (
-    Blade,
     blade_str,
     indices_of_mask,
     insert_first_mask,
@@ -141,16 +140,6 @@ class PairTensor:
 
     def is_constant(self) -> bool:
         return self._constant
-
-    def __eq__(self, other):
-        return (isinstance(other, PairTensor) and self.dim == other.dim
-                and self.entries == other.entries)
-
-    def __str__(self):
-        inner = ", ".join(f"w{i}{j}={c}" for i, j, c in self.ordered_entries())
-        return f"pairing({self.dim}; {inner})"
-
-    __repr__ = __str__
 
 
 class Bivector(PairTensor):
@@ -344,9 +333,7 @@ class QForm(PendingTerms):
     def __init__(self, dim: int, terms=None):
         out = {}
         for key, val in dict(terms or {}).items():
-            if isinstance(key, Blade):
-                mask = key.mask
-            elif isinstance(key, tuple):
+            if isinstance(key, tuple):
                 mask = mask_of_indices(key)
             else:
                 mask = int(key)
@@ -420,9 +407,7 @@ class QForm(PendingTerms):
         return self._like({m: c.shift(k) for m, c in self.terms.items()})
 
     def coeff(self, key) -> HPoly:
-        if isinstance(key, Blade):
-            key = key.mask
-        elif isinstance(key, tuple):
+        if isinstance(key, tuple):
             key = mask_of_indices(key)
         c = self.terms.get(key)
         return HPoly._make({}) if c is None else c
@@ -677,19 +662,10 @@ def total_degree(form: QForm):
 
 
 class MultiForm(SparseTerms):
-    """A form whose coefficients are polynomials in several parameters."""
+    """A form whose coefficients are polynomials in several parameters,
+    built by quantum_wedge_multi through _make."""
 
     __slots__ = ("dim", "nparams")
-
-    def __init__(self, dim: int, nparams: int, terms=None):
-        self.dim = dim
-        self.nparams = nparams
-        self.terms = {}
-        for m, c in dict(terms or {}).items():
-            if not isinstance(c, HPolyMulti):
-                c = HPolyMulti(nparams, c)
-            if c:
-                self.terms[int(m)] = c
 
     def specialize(self, coeffs) -> QForm:
         """Substitute parameter j -> coeffs[j-1] * t, collapsing to QForm."""

@@ -71,15 +71,6 @@ class PolyFn(SparseRing):
     _COERCE = (int, GaussRat, HPoly, str, Fraction)
     _UNIT = staticmethod(zero_key)
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, str)):
-            other = as_fraction(other)
-        if isinstance(other, Fraction):
-            return self * (Fraction(1) / other)
-        if isinstance(other, GaussRat):
-            return self * (GaussRat(1) / other)
-        raise TypeError("polynomial division limited to scalars")
-
     variables = _variables
 
     def partial(self, j: int) -> "PolyFn":
@@ -170,12 +161,6 @@ class FourierFn(SparseRing):
     _LEAVES = (TauNumber,)
     _UNIT = staticmethod(zero_key)
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat, TauNumber)):
-            c = TauNumber.coerce(other)
-            return self._like({m: v / c for m, v in self.terms.items()})
-        raise TypeError("mode division limited to scalars")
-
     variables = _variables
 
     def partial(self, j: int) -> "FourierFn":
@@ -241,12 +226,22 @@ def moyal_product(u: PolyFn, v: PolyFn, w) -> PolyFn:
             level = level + (a * b) * c
         out = out + level * HPoly._make({n: factinv})
         nxt = []
+        # the pairs of a level share their factors: each function's
+        # partial along a coordinate is taken once, keyed by its id while
+        # pairs keeps it alive
+        partials = {}
         for a, b, c in pairs:
             # only a coordinate a function holds has a nonzero partial
             va, vb = a.variables(), b.variables()
             for i, j, wij in entries:
                 if va >> (i - 1) & 1 and vb >> (j - 1) & 1:
-                    nxt.append((a.partial(i), b.partial(j), c * wij))
+                    da = partials.get((id(a), i))
+                    if da is None:
+                        da = partials[id(a), i] = a.partial(i)
+                    db = partials.get((id(b), j))
+                    if db is None:
+                        db = partials[id(b), j] = b.partial(j)
+                    nxt.append((da, db, c * wij))
         pairs = nxt
         n += 1
         factinv = factinv / n

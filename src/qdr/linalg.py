@@ -156,17 +156,6 @@ class CharPolynomial:
         """det M of the matrix: det(tI - M) at t = 0 is (-1)^n det M."""
         return -self.coeffs[0] if self.degree % 2 else self.coeffs[0]
 
-    def __call__(self, x):
-        val = Fraction(0)
-        for c in reversed(self.coeffs):
-            val = val * x + c
-        return val
-
-    def __eq__(self, other):
-        if isinstance(other, CharPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
     def __str__(self):
         parts = []
         for e in range(self.degree, -1, -1):

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .blades import Blade, blade_degree, indices_of_mask, masks_of_degree, \
+from .blades import blade_degree, indices_of_mask, masks_of_degree, \
     submasks_of_degree, wedge_masks
 from .exterior import Bivector, QForm, insert_first, quantum_wedge, wedge
-from .linalg import CharPolynomial, char_poly, det_field, mat_inv, solve
+from .linalg import det_field, mat_inv, solve
 from .scalars import HPoly, add_term, as_fraction
 
 
@@ -264,20 +264,6 @@ def relation_report(n: int):
     ), "affine relation")
 
 
-class LinOp:
-    """A square operator matrix over an enumerated (h-exponent, Blade) basis."""
-
-    def __init__(self, basis, mat):
-        self.basis = list(basis)
-        self.mat = [[as_fraction(x) for x in row] for row in mat]
-        size = len(self.basis)
-        if len(self.mat) != size or any(len(r) != size for r in self.mat):
-            raise ValueError("matrix shape does not match basis")
-
-    def char_poly(self) -> CharPolynomial:
-        return char_poly(self.mat)
-
-
 def graded_window_basis(n: int, m: int):
     """Basis of the total-degree-m window: (h-exp p, mask) with
     deg + 2p = m and 0 <= deg <= 2n; ordered by blade degree ascending,
@@ -313,8 +299,9 @@ def window_matrix(op, n: int, m_from: int, m_to: int):
     return [[cols[j][i] for j in range(len(dom))] for i in range(len(cod))]
 
 
-def lefschetz_matrix(n: int, parity) -> LinOp:
-    """Matrix of h^-1 (deformed L) on the parity window, rational entries."""
+def lefschetz_matrix(n: int, parity):
+    """The rows of the matrix of h^-1 (deformed L) on the parity window,
+    over graded_window_basis(n, parity); rational entries."""
     if isinstance(parity, str):
         parity = {"even": 0, "odd": 1}.get(parity)
     if type(parity) is not int or parity not in (0, 1):
@@ -324,7 +311,4 @@ def lefschetz_matrix(n: int, parity) -> LinOp:
     def op(form):
         return apply_Lh(form, omega).h_shift(-1)
 
-    mat = window_matrix(op, n, parity, parity)
-    basis = [(p, Blade(2 * n, mask))
-             for p, mask in graded_window_basis(n, parity)]
-    return LinOp(basis, mat)
+    return window_matrix(op, n, parity, parity)

@@ -233,7 +233,7 @@ def test_spectrum_task_at_the_dimension_cap(tmp_path, capsys):
                               for k in range(129)]
     assert task["det"] == str(4 ** 128) and task["pass"]
     # one sample point by elimination: det(5I - M) = (5 - 4)^128
-    m = lefschetz_matrix(4, "odd").mat
+    m = lefschetz_matrix(4, "odd")
     assert det_field([[(i == j) * 5 - v for j, v in enumerate(row)]
                       for i, row in enumerate(m)]) == 1
 

@@ -13,7 +13,6 @@ import pytest
 from qdr import exterior, fields
 from qdr.bigraded import Frame, standard_frame
 from qdr.blades import (
-    Blade,
     blade_degree,
     indices_of_mask,
     insert_first_mask,
@@ -227,14 +226,16 @@ def test_multi_requires_classical_inputs():
 
 
 def test_blade_type():
-    b = Blade(4, (1, 3))
-    assert blade_degree(b.mask) == 2 and indices_of_mask(b.mask) == (1, 3)
-    s, m = wedge_masks(b.mask, Blade(4, (2,)).mask)
+    # a blade is its mask: bit i - 1 for the index i
+    b = mask_of_indices((1, 3))
+    assert b == 0b101
+    assert blade_degree(b) == 2 and indices_of_mask(b) == (1, 3)
+    s, m = wedge_masks(b, mask_of_indices((2,)))
     assert s == -1 and indices_of_mask(m) == (1, 2, 3)
     with pytest.raises(ValueError):
-        Blade(2, (1, 3))
+        QForm.basis(2, (1, 3))
     with pytest.raises(ValueError):
-        Blade(3, (2, 2))
+        mask_of_indices((2, 2))
     # QForm.coeff reads an index tuple as a blade in increasing order, and
     # a reordered or repeated one raises where its sign or vanishing
     # would be lost
@@ -359,7 +360,7 @@ def reference_quantum_wedge_multi(a, b, ws):
                     out[m] = add
                 else:
                     out.pop(m, None)
-    return MultiForm(a.dim, r, out)
+    return MultiForm._make(out, a.dim, r)
 
 
 def divided(expansion, w):

@@ -147,15 +147,20 @@ def test_moyal_takes_only_nonzero_partials(monkeypatch):
     taken = []
 
     def counting(fn, j, real=PolyFn.partial):
-        taken.append(real(fn, j))
-        return taken[-1]
+        # fn stays alive in taken, so no id is reused within a product
+        taken.append((id(fn), j, fn, real(fn, j)))
+        return taken[-1][-1]
     for u, v, w in cases:
         want = _reference_moyal(u, v, w)
         monkeypatch.setattr(PolyFn, "partial", counting)
+        start = len(taken)
         got = moyal_product(u, v, w)
         monkeypatch.undo()
         assert list(got.terms.items()) == list(want.terms.items())
-    assert taken and all(taken)
+        # no function is differentiated along one coordinate twice
+        keys = [(key, j) for key, j, _, _ in taken[start:]]
+        assert len(set(keys)) == len(keys)
+    assert taken and all(d for *_, d in taken)
 
 
 def test_dolbeault_halves_take_only_nonzero_partials(monkeypatch):

@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from qdr.bigraded import standard_frame
+from qdr.bigraded import conj, standard_frame
 from qdr.cohomology import quantum_integral
 from qdr.exterior import (
     Bivector,
@@ -80,7 +80,9 @@ def _rebuilt(x):
     if isinstance(x, QForm):
         return QForm(x.dim, dict(x.terms))
     if isinstance(x, MultiForm):
-        return MultiForm(x.dim, x.nparams, dict(x.terms))
+        # no public constructor: each coefficient is rebuilt through its own
+        return MultiForm._make({m: _rebuilt(c) for m, c in x.terms.items()},
+                               x.dim, x.nparams)
     if isinstance(x, FieldForm):
         return FieldForm(x.dim, x.fnring, dict(x.terms))
     raise AssertionError(f"not a sparse-term value: {x!r}")
@@ -179,7 +181,7 @@ def _check_functions(rng):
                           moyal_product(a, b, w)):
                     _check(r)
             for r in (-a, a * 0, a * 2, a * GaussRat(1, 1),
-                      a * HPoly({1: 2}), a / 3, a.partial(1), a + 1, 2 - a):
+                      a * HPoly({1: 2}), a.partial(1), a + 1, 2 - a):
                 _check(r)
         modes = [random_fourierfn(rng, dim) for _ in range(2)]
         for a in modes:
@@ -187,7 +189,7 @@ def _check_functions(rng):
                 for r in (a + b, a - b, a * b, a - a):
                     _check(r)
             for r in (-a, a * 0, a * GaussRat(0, 2), a * TauNumber.tau(),
-                      a / TauNumber.tau(2, 3), a.partial(dim), a + 1):
+                      a.partial(dim), a + 1):
                 _check(r)
 
 
@@ -211,10 +213,8 @@ def _check_forms(rng):
     frame = standard_frame(2)
     for a in forms:
         bf = frame.complexify(a)
-        for r in (bf.form, bf.conj().form, frame.realify(bf)):
+        for r in (bf, conj(bf), frame.realify(bf)):
             _check(r)
-        for part in bf.components().values():
-            _check(part.form)
     ws = [random_bivector(rng, dim) for _ in range(2)]
     multi = _check(quantum_wedge_multi(base[1], base[1], ws))
     _check(multi + multi)
@@ -291,7 +291,9 @@ MALFORMED = [
     (lambda: QForm(2, {0b100: 1}), ValueError),
     (lambda: QForm(2, {0: 0.5}), TypeError),
     (lambda: QForm(2, {0: {1.5: 3}}), TypeError),
-    (lambda: MultiForm(2, 2, {0: {(1,): 1}}), ValueError),
+    # quantum_wedge_multi alone builds a MultiForm: the class takes no
+    # terms from outside
+    (lambda: MultiForm(2, 2, {0: 1}), TypeError),
     (lambda: FieldForm(2, PolyFn, {(0, 0b100): 1}), ValueError),
     (lambda: FieldForm(2, PolyFn, {(0, 0): 0.5}), TypeError),
     (lambda: insert_first({1: 0.5}, QForm.basis(2, (1,))), TypeError),
@@ -497,7 +499,8 @@ def test_space_mismatch_raises_and_compares_unequal():
         (QForm.basis(2, (1,)), QForm.basis(4, (1,)), False),
         (FieldForm.from_fn(PolyFn.constant(2, 1)),
          FieldForm.from_fn(FourierFn.constant(2, 1)), False),
-        (MultiForm(2, 2, {0: 1}), MultiForm(2, 3, {0: 1}), False),
+        (MultiForm._make({0: HPolyMulti.constant(2, 1)}, 2, 2),
+         MultiForm._make({0: HPolyMulti.constant(3, 1)}, 2, 3), False),
     ]
     for a, b, ring in pairs:
         ops = [lambda: a + b, lambda: a - b, lambda: b - a]
@@ -603,17 +606,19 @@ def test_zero_and_constant_are_built_on_each_space():
              (MultiForm, (2, 3), 0), (FieldForm, (2, PolyFn), (0, 0))]
     for cls, space, unit in cases:
         zero = cls.zero(*space)
+        if cls is MultiForm:
+            # no public constructor, and no operand type it coerces
+            _expect(zero, cls, {"dim": 2, "nparams": 3}, {})
+            for c in (3, Fraction(-1, 2)):
+                with pytest.raises(TypeError):
+                    zero + c
+            continue
         _expect(zero, cls, _ref_space(cls(*space)), {})
         for c in (3, Fraction(-1, 2)):
             one = cls(*space, {unit: c})
             _expect(cls.constant(*space, c), cls, _ref_space(one), one.terms)
-            # an operand of a coerced type is that constant; MultiForm
-            # coerces none
-            if cls is MultiForm:
-                with pytest.raises(TypeError):
-                    zero + c
-            else:
-                assert zero + c == one and c - zero == one
+            # an operand of a coerced type is that constant
+            assert zero + c == one and c - zero == one
     assert QForm.scalar(2, 5) == QForm.constant(2, 5)
 
 
