@@ -43,7 +43,6 @@ from .fields import (
     wedge_field,
 )
 from .fixtures import (
-    build_model,
     heisenberg,
     lie_poisson_so3,
     non_poisson_example,
@@ -88,8 +87,8 @@ __all__ = [
     "PoissonField", "FieldForm", "wedge_field", "quantum_wedge_field",
     "contract_field", "exterior_d", "koszul_delta", "quantum_d",
     "quantum_d_mirror", "quantum_dolbeault_split", "jacobi_check",
-    "build_model", "standard_symplectic", "torus", "lie_poisson_so3",
-    "heisenberg", "non_poisson_example",
+    "standard_symplectic", "torus", "lie_poisson_so3", "heisenberg",
+    "non_poisson_example",
     "PolyFn", "FourierFn", "moyal_product",
     "build_complex", "dr_cohomology_dims", "quantum_cohomology_dims",
     "poisson_homology_dims", "quantum_integral", "stokes_check",

@@ -31,7 +31,7 @@ from .blades import blade_degree
 from .exterior import Bivector, QForm, quantum_wedge, substitute
 from .linalg import mat_mul, transpose
 from .scalars import GaussRat, HPoly, I, add_term
-from .symplectic import SymplecticForm, bivector_of
+from .symplectic import SymplecticForm, _upper_bivector, bivector_of
 
 _HALF = Fraction(1, 2)
 # GaussRat values are never changed in place, so every sum and table
@@ -205,12 +205,6 @@ def _bivector_matrix(w: Bivector):
     for i, j, c in w.ordered_entries():
         wm[i - 1][j - 1] = c
     return wm
-
-
-def _upper_bivector(wm) -> Bivector:
-    return Bivector(len(wm), {(a + 1, b + 1): wm[a][b]
-                              for a in range(len(wm))
-                              for b in range(a + 1, len(wm)) if wm[a][b]})
 
 
 def _conjugate_pairs(n: int, val):

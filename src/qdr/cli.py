@@ -350,8 +350,6 @@ class _Parser:
 class _ConstantSpace:
     """Constant-coefficient forms against a fixed bivector."""
 
-    kind = "constant"
-
     def __init__(self, dim, w, omega):
         self.dim, self.w, self.omega = dim, w, omega
 
@@ -375,8 +373,6 @@ class _ConstantSpace:
 
 class _FieldSpace:
     """Function-coefficient forms over a fixture model."""
-
-    kind = "field"
 
     def __init__(self, model):
         self.model, self.dim = model, model.dim
@@ -585,44 +581,18 @@ def _report(kind, info, results):
 # ---------------------------------------------------------------------------
 # tasks
 
-_TASK_KEYS = {
-    "product": {"expr"},
-    "power": {"expr", "k"},
-    "operator": {"expr", "name"},
-    "spectrum": {"n", "parity"},
-    "cohomology": {"theory"},
-    "integral": {"expr"},
-    "stokes": {"count"},
-    "chern": {"theta"},
-    "cpn_table": {"n"},
-    "suite": {"name", "count", "dim", "n", "truncation"},
-}
-
-_TASK_REQUIRED = {
-    "product": {"expr"},
-    "power": {"expr", "k"},
-    "operator": {"expr", "name"},
-    "spectrum": {"n"},
-    "cohomology": set(),
-    "integral": {"expr"},
-    "stokes": set(),
-    "chern": {"theta"},
-    "cpn_table": {"n"},
-    "suite": {"name"},
-}
-
-
 def _validate_task(task):
     if isinstance(task, str):
         task = {"op": "suite", "name": task}
     if not isinstance(task, dict):
         raise ScenarioError(f"task must be an object or string: {task!r}")
-    op = _choice("task op", task.get("op"), _TASK_KEYS)
-    extra = set(task) - _TASK_KEYS[op] - {"op"}
+    op = _choice("task op", task.get("op"), _TASKS)
+    _, keys, required = _TASKS[op]
+    extra = set(task) - keys - {"op"}
     if extra:
         raise ScenarioError(
             f"unknown keys in {op} task: {', '.join(sorted(extra))}")
-    missing = _TASK_REQUIRED[op] - set(task)
+    missing = required - set(task)
     if missing:
         raise ScenarioError(
             f"{op} task needs keys: {', '.join(sorted(missing))}")
@@ -822,17 +792,19 @@ def _run_suite(ctx, task):
     return {"task": "suite", "name": name, "pass": passed, **payload}
 
 
-_RUNNERS = {
-    "product": _run_product,
-    "power": _run_power,
-    "operator": _run_operator,
-    "spectrum": _run_spectrum,
-    "cohomology": _run_cohomology,
-    "integral": _run_integral,
-    "stokes": _run_stokes,
-    "chern": _run_chern,
-    "cpn_table": _run_cpn_table,
-    "suite": _run_suite,
+# op -> (runner, the keys a task may have, the keys it must have)
+_TASKS = {
+    "product": (_run_product, {"expr"}, {"expr"}),
+    "power": (_run_power, {"expr", "k"}, {"expr", "k"}),
+    "operator": (_run_operator, {"expr", "name"}, {"expr", "name"}),
+    "spectrum": (_run_spectrum, {"n", "parity"}, {"n"}),
+    "cohomology": (_run_cohomology, {"theory"}, set()),
+    "integral": (_run_integral, {"expr"}, {"expr"}),
+    "stokes": (_run_stokes, {"count"}, set()),
+    "chern": (_run_chern, {"theta"}, {"theta"}),
+    "cpn_table": (_run_cpn_table, {"n"}, {"n"}),
+    "suite": (_run_suite, {"name", "count", "dim", "n", "truncation"},
+              {"name"}),
 }
 
 
@@ -968,12 +940,13 @@ def _lefschetz(rng, *, n=2):
     rows, singular = [], False
     for m in range(1, n + 1):
         for parity in ("even", "odd"):
-            cp = char_poly(lefschetz_matrix(m, parity))
+            window = lefschetz_matrix(m, parity)
+            if m == 1 and parity == "odd":
+                base = window == [[1, 0], [0, 1]]
+            cp = char_poly(window)
             rows.append({"n": m, "parity": parity, "det": frac_str(cp.det),
                          "char_poly": str(cp)})
             singular = singular or cp.det == 0
-    eye = [[Fraction(i == j) for j in range(2)] for i in range(2)]
-    base = lefschetz_matrix(1, "odd") == eye
     return {"rows": rows, "identity_base_case": base}, not singular and base
 
 
@@ -1257,7 +1230,7 @@ def run_scenario(path) -> dict:
     if not isinstance(suite_key, list):
         raise ScenarioError("suite must be a name or list of names")
     tasks.extend(suite_key)
-    results = [_RUNNERS[t["op"]](ctx, t)
+    results = [_TASKS[t["op"]][0](ctx, t)
                for t in (_validate_task(raw) for raw in tasks)]
     info = {"model": ctx.name, "dim": ctx.dim, "seed": seed}
     if ctx.truncation is not None:

@@ -88,19 +88,3 @@ def non_poisson_example() -> Model:
                                (1, 3): PolyFn.coord(3, 1)})
     return Model("non_poisson", 3, PolyFn, poisson)
 
-
-MODEL_BUILDERS = {
-    "flat": standard_symplectic,
-    "torus": torus,
-    "lie_poisson_so3": lie_poisson_so3,
-    "heisenberg": heisenberg,
-    "non_poisson": non_poisson_example,
-}
-
-
-def build_model(tag: str, **params) -> Model:
-    builder = MODEL_BUILDERS.get(tag)
-    if builder is None:
-        raise ValueError(f"unknown model {tag!r}; "
-                         f"known: {', '.join(sorted(MODEL_BUILDERS))}")
-    return builder(**params)

@@ -1,14 +1,14 @@
 """Exact linear algebra over the scalar rings used in this package.
 
-Matrices are plain lists of row lists. Rank and determinants eliminate
-exactly over Fraction and Gaussian-rational entries; the Bareiss
-determinant scales rational rows to integers first. One Gauss-Jordan
-loop serves both the inverse and the linear solver. Characteristic
-polynomials come from an exact reduction to upper Hessenberg form and
-the Hessenberg recurrence, so every determinant that is a polynomial
-in t, det(tI - M) or det(M + (t + s)I), is read off one routine. No
-library path calls matrix_rank or bareiss_det; the benchmark's tracer
-wraps both.
+Matrices are plain lists of row lists. One Gauss-Jordan loop, exact
+over Fraction and Gaussian-rational entries, is behind the rank, the
+determinant, the inverse and the linear solver. The Bareiss determinant
+is a fraction-free reference that scales rational rows to integers
+first. Characteristic polynomials come from an exact reduction to
+upper Hessenberg form and the Hessenberg recurrence, so every
+determinant that is a polynomial in t, det(tI - M) or
+det(M + (t + s)I), is read off one routine. No library path calls
+matrix_rank or bareiss_det; the benchmark's tracer wraps both.
 """
 
 from __future__ import annotations
@@ -41,64 +41,58 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def _gauss_jordan(aug, ncols):
+    """Reduce the first ncols columns of aug to reduced row echelon form,
+    in place. Return the pivot columns in order and the product of the
+    pivots, negated once per row swap (None when there is no pivot):
+    for a square matrix with a pivot in every column, its determinant."""
+    nrows = len(aug)
+    pivots = []
+    det = None
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = None
+        for rr in range(r, nrows):
+            if aug[rr][col]:
+                piv = rr
+                break
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pval = aug[r][col]
+        step = pval if piv == r else -pval
+        det = step if det is None else det * step
+        prow = aug[r] = [x / pval for x in aug[r]]
+        for rr in range(nrows):
+            if rr != r and aug[rr][col]:
+                factor = aug[rr][col]
+                aug[rr] = [x - factor * y if y else x
+                           for x, y in zip(aug[rr], prow)]
+        pivots.append(col)
+    return pivots, det
+
+
 def matrix_rank(rows) -> int:
-    """Rank by one pass of exact Gaussian elimination.
+    """Rank: the number of Gauss-Jordan pivots.
 
     Entries are Fraction or GaussRat, or anything else whose division by
     a pivot is exact.
     """
     m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    for col in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        pval = prow[col]
-        for r in range(rank + 1, nr):
-            if m[r][col]:
-                factor = m[r][col] / pval
-                m[r] = [x - factor * y if y else x
-                        for x, y in zip(m[r], prow)]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    return len(_gauss_jordan(m, len(m[0]) if m else 0)[0])
 
 
 def det_field(rows) -> Fraction:
-    """Determinant by elimination with division."""
-    m = [list(r) for r in rows]
-    n = len(m)
+    """Determinant by elimination with division: the signed product of
+    the Gauss-Jordan pivots, or the entries' zero when a column has
+    none."""
+    n = len(rows)
     if n == 0:
         return Fraction(1)
-    det = None
-    sign = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return m[0][0] * 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pval = m[col][col]
-        det = pval if det is None else det * pval
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] / pval
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det * sign
+    pivots, det = _gauss_jordan([list(r) for r in rows], n)
+    return det if len(pivots) == n else rows[0][0] * 0
 
 
 def bareiss_det(rows) -> Fraction:
@@ -192,7 +186,7 @@ def char_poly(rows) -> CharPolynomial:
 
     (H. Cohen, A Course in Computational Algebraic Number Theory,
     Alg. 2.2.9) gives det(tI - M) = p_n. Zero entries are skipped in
-    both phases, as in matrix_rank.
+    both phases, as in the Gauss-Jordan loop.
     """
     n = len(rows)
     h = [[as_fraction(x) for x in row] for row in rows]
@@ -242,41 +236,13 @@ def char_poly(rows) -> CharPolynomial:
     return CharPolynomial(polys[n])
 
 
-def _gauss_jordan(aug, ncols):
-    """Reduce the first ncols columns of aug to reduced row echelon form,
-    in place; return the pivot columns in order."""
-    nrows = len(aug)
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        piv = None
-        for rr in range(r, nrows):
-            if aug[rr][col]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pval = aug[r][col]
-        prow = aug[r] = [x / pval for x in aug[r]]
-        for rr in range(nrows):
-            if rr != r and aug[rr][col]:
-                factor = aug[rr][col]
-                aug[rr] = [x - factor * y if y else x
-                           for x, y in zip(aug[rr], prow)]
-        pivots.append(col)
-    return pivots
-
-
 def mat_inv(rows):
     """Exact inverse by Gauss-Jordan; raises on singular input."""
     n = len(rows)
     aug = [[as_fraction(x) for x in row] + [Fraction(int(i == j))
                                             for j in range(n)]
            for i, row in enumerate(rows)]
-    if len(_gauss_jordan(aug, n)) < n:
+    if len(_gauss_jordan(aug, n)[0]) < n:
         raise ValueError("singular matrix")
     return [row[n:] for row in aug]
 
@@ -287,7 +253,7 @@ def solve(columns, rhs):
     ncols = len(columns)
     aug = [[as_fraction(col[i]) for col in columns] + [as_fraction(b)]
            for i, b in enumerate(rhs)]
-    pivots = _gauss_jordan(aug, ncols)
+    pivots = _gauss_jordan(aug, ncols)[0]
     if any(row[ncols] for row in aug[len(pivots):]):
         return None
     sol = [Fraction(0)] * ncols

@@ -222,17 +222,17 @@ class SparseTerms:
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
 
-    def _scale(self, s, *space):
-        """The scalar multiple self * s, on space if one is given. An int
-        or Fraction equal to 1 or -1 multiplies nothing: the terms are
-        copied or their values negated."""
+    def _scale(self, s):
+        """The scalar multiple self * s. An int or Fraction equal to 1 or
+        -1 multiplies nothing: the terms are copied or their values
+        negated."""
         u = type(s)
         if (u is int or u is Fraction) and (s == 1 or s == -1):
             t = (dict(self.terms) if s == 1
                  else {k: -c for k, c in self.terms.items()})
         else:
             t = {k: c * s for k, c in self.terms.items()} if s else {}
-        return self._make(t, *space) if space else self._like(t)
+        return self._like(t)
 
     def __eq__(self, other):
         # as for Fraction, a string never equals a value: == parses nothing

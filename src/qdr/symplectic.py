@@ -100,14 +100,14 @@ def _coerce_symplectic(omega, dim=None) -> SymplecticForm:
 
 def bivector_of(omega: SymplecticForm) -> Bivector:
     """The inverse-matrix pairing: w^{ij} ω_{jk} = δ^i_k."""
-    omega = _coerce_symplectic(omega)
-    inv = omega._winv
-    entries = {}
-    for i in range(omega.dim):
-        for j in range(i + 1, omega.dim):
-            if inv[i][j]:
-                entries[(i + 1, j + 1)] = inv[i][j]
-    return Bivector(omega.dim, entries)
+    return _upper_bivector(_coerce_symplectic(omega)._winv)
+
+
+def _upper_bivector(wm) -> Bivector:
+    """The bivector with the nonzero entries above the diagonal of wm."""
+    return Bivector(len(wm), {(a + 1, b + 1): wm[a][b]
+                              for a in range(len(wm))
+                              for b in range(a + 1, len(wm)) if wm[a][b]})
 
 
 def contract_bivector(w: Bivector, form: QForm) -> QForm:

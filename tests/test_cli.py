@@ -972,3 +972,19 @@ def test_enumerated_fields_name_their_choices(tmp_path):
         with pytest.raises(ScenarioError) as info:
             run_scenario(path)
         assert all(name in str(info.value) for name in names)
+
+
+@pytest.mark.parametrize("task, message", [
+    ({"op": "nope"}, "unknown task op 'nope'; choose one of product, power, "
+     "operator, spectrum, cohomology, integral, stokes, chern, cpn_table, "
+     "suite"),
+    ({"op": "spectrum", "n": 1, "k": 2, "expr": "e[1]"},
+     "unknown keys in spectrum task: expr, k"),
+    ({"op": "power"}, "power task needs keys: expr, k"),
+    ({"op": "stokes", "count": 1, "n": 1}, "unknown keys in stokes task: n"),
+    ({"op": "suite"}, "suite task needs keys: name"),
+])
+def test_task_ops_and_keys_are_checked_with_pinned_messages(task, message):
+    with pytest.raises(ScenarioError) as info:
+        cli._validate_task(task)
+    assert str(info.value) == message

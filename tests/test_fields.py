@@ -35,7 +35,6 @@ from qdr.fields import (
     wedge_field,
 )
 from qdr.fixtures import (
-    build_model,
     heisenberg,
     lie_poisson_so3,
     non_poisson_example,
@@ -569,14 +568,6 @@ def test_dolbeault_checks_each_field_once(monkeypatch):
     assert quantum_dolbeault_split(a, good) == first
     assert dolbeault_deltas(a, good) == dolbeault_deltas(a, FLAT2.poisson)
     assert checked.count(good) == 1
-
-
-def test_fixture_registry():
-    m = build_model("torus", n=1, N=2)
-    assert m.is_torus() and m.dim == 2 and m.torus_N == 2
-    with pytest.raises(ValueError):
-        build_model("nope")
-    assert str(build_model("heisenberg")) == "heisenberg(dim=3)"
 
 
 def test_torus_truncation_closed():

@@ -1,10 +1,12 @@
 """Exact rank, determinant, characteristic polynomial machinery."""
 
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from qdr import linalg
 from qdr.linalg import (
     CharPolynomial,
     bareiss_det,
@@ -103,6 +105,64 @@ def test_dets_agree_random():
         m = [[Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
               for _ in range(n)] for _ in range(n)]
         assert det_field(m) == bareiss_det(m)
+
+
+def test_det_field_matches_bareiss_on_swaps_and_singular():
+    # rows of an upper triangular matrix with a nonzero diagonal, put in
+    # a random order: elimination must swap rows back, and each swap
+    # flips the sign
+    rng = Random(71)
+    swapped = singular = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        upper = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                  if j > i else Fraction(0) for j in range(n)]
+                 for i in range(n)]
+        for i in range(n):
+            upper[i][i] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        m = [upper[p] for p in perm]
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        want = math.prod(upper[i][i] for i in range(n)) * (-1) ** inversions
+        assert det_field(m) == bareiss_det(m) == want
+        swapped += m[0][0] == 0
+        low = _low_rank(rng, n, n, rng.randint(0, n - 1))
+        assert det_field(low) == bareiss_det(low) == 0
+        assert type(det_field(low)) is Fraction
+        singular += any(any(row) for row in low)
+    assert swapped > 20 and singular > 30
+    assert det_field([]) == bareiss_det([]) == 1
+
+
+def test_det_field_gaussian():
+    i = GaussRat(0, 1)
+    one, zero = GaussRat(1), GaussRat()
+    # det [[0, i], [1, 1]] = -i, after one row swap
+    d = det_field([[zero, i], [one, one]])
+    assert type(d) is GaussRat and d == GaussRat(0, -1)
+    # singular: i * i - 1 * (-1) = 0, and a column with no pivot
+    for m in ([[i, one], [-one, i]], [[zero, i], [zero, one]]):
+        d = det_field(m)
+        assert type(d) is GaussRat and d == 0
+
+
+def test_rank_det_inverse_and_solve_share_one_elimination(monkeypatch):
+    calls = []
+    real = linalg._gauss_jordan
+
+    def counting(aug, ncols):
+        calls.append(ncols)
+        return real(aug, ncols)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    m = [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]]
+    for run in (lambda: matrix_rank(m), lambda: det_field(m),
+                lambda: mat_inv(m), lambda: solve(transpose(m), [1, 2])):
+        calls.clear()
+        run()
+        assert calls == [2]
 
 
 def test_char_poly_frozen():

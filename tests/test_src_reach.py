@@ -47,7 +47,6 @@ ALLOWED = {
     # the public API and what only it calls
     "exterior.quantum_exp": ("b", "qdr.__all__"),
     "chernweil.chern_character": ("b", "qdr.__all__"),
-    "fixtures.build_model": ("b", "qdr.__all__"),
     "bigraded.hermitian_pairing": ("b", "qdr.__all__"),
     "bigraded.raw_pairing": ("b", "called by hermitian_pairing"),
     "bigraded.bidegree": ("b", "called by hermitian_pairing"),
